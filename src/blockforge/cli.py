@@ -32,8 +32,8 @@ from .mincode import LinearCode, blocking_to_code, is_s_minimal
 from .supply import (PointSupply, read_supply, supply_mds,
                      supply_random_verified, verify_general_position,
                      write_supply)
-from .verify import (improved_s1_bound, is_strong_blocking,
-                     is_strong_blocking_sampled, minimum_size_search)
+from .verify import (is_strong_blocking, is_strong_blocking_sampled,
+                     minimum_size_search)
 
 
 def _read_text(path: str) -> str:
@@ -197,12 +197,10 @@ def _cmd_verify(args, budgets, fmt) -> int:
                                  jobs=args.jobs, count_all=args.count_all)
     result = rep.to_dict()
     result["points"] = b.size
-    if args.cq is not None and args.s == 1:
-        result["improved_lower_bound"] = improved_s1_bound(args.cq, b.field.q, b.k)
     env = _envelope("verify", {"set": args.set, "s": args.s,
                                "sampled": args.sampled, "seed": args.seed,
-                               "jobs": args.jobs, "count_all": args.count_all,
-                               "cq": args.cq}, result)
+                               "jobs": args.jobs, "count_all": args.count_all},
+                    result)
     _emit_report(env, fmt)
     return 0 if rep.passed else 1
 
@@ -310,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check N random subspaces instead of all of them")
     p.add_argument("--count-all", action="store_true",
                    help="do not stop at the first counterexample")
-    p.add_argument("--cq", type=float, default=None,
-                   help="user-supplied c_q constant for the informational s=1 bound")
 
     p = sub.add_parser("convert", help="blocking set -> generator matrix")
     p.add_argument("--set", required=True)

@@ -27,14 +27,16 @@ from .expander import Graph, ball, power_graph, clique_hypergraph
 from .gf import FieldSpec
 from .lincomb import Hypergraph
 from .linalg import MatrixGF, format_matrix, parse_matrix, projective_reps
-from .supply import (GeneralPositionReport, PointSupply, normalize_column,
-                     verify_general_position)
+from .supply import (GeneralPositionReport, PointSupply, distinct_rows,
+                     normalize_rows, verify_general_position)
 
 ASYMPTOTIC_PRESETS = {
     "cherry": {"alpha": 0.125, "d": 258},
     "ballpower": {"p_min": "64*(s+1)^2", "radius": "s+1"},
     "neighborhood": {"p_min": "16*q^(4s)/eps^2", "radius": 1},
 }
+
+SPAN_CHUNK_ROWS = 1 << 18  # span points per field matmul in edge_span_union
 
 
 @dataclass(frozen=True)
@@ -48,20 +50,13 @@ class BlockingSet:
 
     @classmethod
     def from_points(cls, fld: FieldSpec, points, provenance=None) -> "BlockingSet":
-        seen = {}
-        for pt in points:
-            arr = np.asarray(pt, dtype=np.int64)
-            if not arr.any():
-                raise ValueError("the zero vector is not a projective point")
-            norm = normalize_column(fld, arr)
-            seen[tuple(int(v) for v in norm)] = None
-        if seen:
-            k = len(next(iter(seen)))
-            data = np.array(sorted(seen), dtype=np.int64)
-        else:
+        """The distinct projective points of the nonzero rows of `points`."""
+        rows = np.asarray(points, dtype=np.int64)
+        if rows.size == 0:
             raise ValueError("a blocking set needs at least one point")
+        data, _ = distinct_rows(normalize_rows(fld, rows))
         data.setflags(write=False)
-        return cls(fld, k, data, dict(provenance or {}))
+        return cls(fld, rows.shape[1], data, dict(provenance or {}))
 
     @property
     def size(self) -> int:
@@ -93,23 +88,27 @@ def lower_bound(q: int, k: int, s: int) -> int:
 def edge_span_union(h: Hypergraph, supply: PointSupply, *,
                     point_cap: int = DEFAULT_BUDGETS.points,
                     provenance=None) -> BlockingSet:
-    """All projective points of span(f) over every edge f, deduplicated."""
-    fld = supply.field
-    seen: set[tuple[int, ...]] = set()
-    for e in h.edges:
-        cols = supply.matrix.data[:, list(e)]  # k x |e|
-        for block in projective_reps(fld, len(e)):
-            pts = fld.matmul_arr(cols, block)  # k x cnt
-            for j in range(pts.shape[1]):
-                col = pts[:, j]
-                if not col.any():
-                    continue  # dependent columns can cancel; skip the zero vector
-                seen.add(tuple(int(v) for v in normalize_column(fld, col)))
-                if len(seen) > point_cap:
-                    raise BudgetExceededError("points", point_cap, len(seen))
+    """All projective points of span(f) over every edge f, deduplicated: one
+    field matmul per chunk of equal-size edges, point budget checked per chunk."""
+    fld, k = supply.field, supply.k
+    distinct = np.zeros((0, k), dtype=np.int64)
+    for size in sorted({len(e) for e in h.edges}):
+        edges = np.array([e for e in h.edges if len(e) == size]).T  # size x edges
+        coeffs = np.hstack(list(projective_reps(fld, size))).T  # reps x size
+        step = max(1, SPAN_CHUNK_ROWS // len(coeffs))
+        for lo in range(0, edges.shape[1], step):
+            flat = supply.matrix.data.T[edges[:, lo:lo + step]].reshape(size, -1)
+            pts = fld.matmul_arr(coeffs, flat).reshape(-1, k)
+            pts = pts[pts.any(axis=1)]  # dependent columns can cancel
+            distinct, _ = distinct_rows(np.vstack([distinct, normalize_rows(fld, pts)]))
+            if len(distinct) > point_cap:
+                raise BudgetExceededError("points", point_cap, len(distinct))
+    if not len(distinct):
+        raise ValueError("a blocking set needs at least one point")
+    distinct.setflags(write=False)
     prov = dict(provenance or {})
     prov.setdefault("construction", "edge_span_union")
-    return BlockingSet.from_points(fld, [np.array(p) for p in sorted(seen)], prov)
+    return BlockingSet(fld, k, distinct, prov)
 
 
 def _require_report(supply: PointSupply, report, budgets: Budgets):

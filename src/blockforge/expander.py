@@ -291,10 +291,12 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
     if method == "exact":
         evs = np.linalg.eigvalsh(g.csr.toarray())
         evs = np.sort(evs)
-        assert abs(evs[-1] - d) < 1e-6
+        if abs(evs[-1] - d) >= 1e-6:
+            raise RuntimeError(f"top eigenvalue {evs[-1]} of a {d}-regular graph is not {d}")
         evs = evs[:-1]
         if bipartite and evs.size:
-            assert abs(evs[0] + d) < 1e-6
+            if abs(evs[0] + d) >= 1e-6:
+                raise RuntimeError(f"least eigenvalue {evs[0]} of a bipartite graph is not {-d}")
             evs = evs[1:]
         bound = float(np.max(np.abs(evs))) if evs.size else 0.0
         return SpectralReport(g.n, d, bound, "exact", bipartite, tol)

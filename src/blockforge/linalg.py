@@ -10,7 +10,6 @@ the identical canonical RREF.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -225,7 +224,8 @@ def gaussian_binomial(k: int, s: int, q: int) -> int:
     for i in range(s):
         num *= q ** (k - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"Gaussian binomial [{k},{s}]_{q} is not an integer")
     return num // den
 
 
@@ -309,7 +309,8 @@ def quotient_map(L: SubspaceBasis) -> MatrixGF:
     if s < 1:
         raise ValueError("the full space has no quotient map (codim 0)")
     Q = kernel_basis(L.basis)
-    assert Q.rows == s
+    if Q.rows != s:
+        raise RuntimeError(f"kernel of a codim-{s} subspace has dimension {Q.rows}")
     return Q
 
 
@@ -373,11 +374,3 @@ def write_matrix(path, m: MatrixGF) -> None:
 def read_matrix(path) -> MatrixGF:
     with open(path) as f:
         return parse_matrix(f.read())
-
-
-def random_matrix(field: FieldSpec, rows: int, cols: int, rng) -> MatrixGF:
-    return MatrixGF(field, rng.integers(0, field.q, size=(rows, cols)))
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)

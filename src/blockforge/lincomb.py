@@ -96,10 +96,6 @@ class EliminationOrder:
     witness_edges: tuple[tuple[int, ...], ...]
 
 
-def _edge_to_witness_coeff_map(w: EdgeWitness) -> dict[int, int]:
-    return dict(zip(w.edge, w.coefficients))
-
-
 # ---------------------------------------------------------------------------
 # Witness search
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import BudgetExceededError, DualityMismatchError
 from .gf import FieldSpec
 from .linalg import (MatrixGF, SubspaceBasis, enumerate_subspaces,
                      gaussian_binomial, matmul, rank)
-from .supply import normalize_column
+from .supply import PointSupply
 from .verify import is_strong_blocking
 
 
@@ -52,7 +52,8 @@ class LinearCode:
     def minimum_distance(self, *, budget: int = DEFAULT_BUDGETS.codewords) -> int:
         from .supply import _min_distance
         d = _min_distance(self.generator, budget=budget)
-        assert d is not None  # full-rank generator
+        if d is None:
+            raise RuntimeError("a full-rank generator has a minimum distance")
         return d
 
 
@@ -140,26 +141,11 @@ def is_s_minimal(code: LinearCode, s: int, *,
                 # Recount directly before reporting.
                 si = set(np.nonzero(ri.any(axis=0))[0])
                 sj = set(np.nonzero(rj.any(axis=0))[0])
-                assert si <= sj
+                if not si <= sj:
+                    raise RuntimeError("support bitmasks disagree with a direct recount")
                 return MinimalityReport(s, len(entries), "fail", (ri, rj),
                                         time.perf_counter() - t0)
     return MinimalityReport(s, len(entries), "pass", None, time.perf_counter() - t0)
-
-
-def _validate_admissible(columns: MatrixGF) -> None:
-    fld = columns.field
-    data = columns.data
-    seen = set()
-    for j in range(data.shape[1]):
-        col = data[:, j]
-        if not col.any():
-            raise ValueError(f"column {j} is zero")
-        key = tuple(int(v) for v in normalize_column(fld, col))
-        if key in seen:
-            raise ValueError(f"columns {j} repeats an earlier projective point")
-        seen.add(key)
-    if rank(columns) != columns.rows:
-        raise ValueError("columns do not have full row rank")
 
 
 def duality_check(columns: MatrixGF, s: int, *,
@@ -171,7 +157,9 @@ def duality_check(columns: MatrixGF, s: int, *,
     The two booleans are equal by theorem; inequality raises
     DualityMismatchError because it can only mean a broken oracle.
     """
-    _validate_admissible(columns)
+    PointSupply(columns, provenance="duality-input")  # nonzero, projectively distinct
+    if rank(columns) != columns.rows:
+        raise ValueError("columns do not have full row rank")
     k = columns.rows
     if not 1 <= s < k:
         raise ValueError(f"need 1 <= s < k, got s={s}, k={k}")

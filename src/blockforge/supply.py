@@ -36,6 +36,25 @@ def normalize_column(field: FieldSpec, col: np.ndarray) -> np.ndarray:
     return field.mul_arr(field.inv(lead), col)
 
 
+def normalize_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """Projective points in canonical form: every row of an (N, k) block scaled
+    so its first nonzero coordinate is 1.  The first zero row is a ValueError."""
+    lead = rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)]
+    if not lead.all():
+        raise ValueError(f"vector {(lead == 0).argmax()} is zero, so it is not a projective point")
+    return field.mul_arr(field.inv_arr(lead)[:, None], rows)
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct rows in lexicographic order, the ascending indices of
+    the rows that repeat an earlier row)."""
+    order = np.lexsort(rows.T[::-1])  # stable, so equal rows keep input order
+    ordered = rows[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[first], np.sort(order[~first])
+
+
 @dataclass(frozen=True)
 class PointSupply:
     """k x n matrix whose columns are projectively distinct nonzero vectors."""
@@ -44,17 +63,9 @@ class PointSupply:
     provenance: str
 
     def __post_init__(self):
-        data = self.matrix.data
-        field = self.matrix.field
-        seen = set()
-        for j in range(data.shape[1]):
-            col = data[:, j]
-            if not col.any():
-                raise ValueError(f"column {j} is the zero vector")
-            key = tuple(int(v) for v in normalize_column(field, col))
-            if key in seen:
-                raise ValueError(f"column {j} repeats an earlier projective point")
-            seen.add(key)
+        _, repeats = distinct_rows(normalize_rows(self.field, self.matrix.data.T))
+        if repeats.size:
+            raise ValueError(f"column {repeats[0]} repeats an earlier projective point")
 
     @property
     def field(self) -> FieldSpec:

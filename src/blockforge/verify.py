@@ -198,7 +198,8 @@ def to_affine_blocking(b: BlockingSet) -> np.ndarray:
     out = np.vstack(pieces)
     out = np.unique(out, axis=0)
     expected = (fld.q - 1) * b.size + 1
-    assert out.shape[0] == expected, "scalar orbits collided; points were not distinct"
+    if out.shape[0] != expected:
+        raise ValueError("scalar orbits collided; the points of b are not projectively distinct")
     return out
 
 
@@ -269,10 +270,3 @@ def minimum_size_search(fld, k: int, s: int,
             if is_strong_blocking(cand, s).passed:
                 return SearchResult(size, cand, True, tested)
     return SearchResult(everything.size, everything, True, tested)
-
-
-def improved_s1_bound(cq: float, q: int, k: int) -> int:
-    """Informational strengthened s=1 bound c_q (q+1)(k-1) for a
-    user-supplied constant c_q > 1 (no closed formula exists for c_q)."""
-    import math
-    return math.ceil(cq * (q + 1) * (k - 1))

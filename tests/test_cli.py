@@ -127,15 +127,6 @@ def test_bench_subcommand(tmp_path, capsys):
     assert json.loads(out)["result"]["subspaces_checked"] == 31
 
 
-def test_cq_informational_bound(tmp_path, capsys):
-    b = tmp_path / "hyper.pts"
-    b.write_text("field 2 1 0 1\ndims 3 3\n1 0 0\n0 1 0\n1 1 0\n")
-    code, out, _ = run_cli(["verify", "--set", str(b), "--s", "1", "--cq", "1.5"],
-                           capsys)
-    rep = json.loads(out)
-    assert rep["result"]["improved_lower_bound"] == 9  # ceil(1.5 * 3 * 2)
-
-
 def test_pipe_graph_to_spectra():
     cmd = (f"{sys.executable} -m blockforge graph lps --p 5 --q 13 2>/dev/null | "
            f"{sys.executable} -m blockforge spectra --tol 1e-6")

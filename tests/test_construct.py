@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from blockforge import construct
 from blockforge.construct import (BlockingSet, cherry_hypergraph,
                                   ball_power_hypergraph, construct_ball_power,
                                   construct_cherry, construct_neighborhood,
@@ -52,24 +53,40 @@ def test_edge_span_projective_line_gf2():
     assert b.size == 3  # (2^2 - 1)/(2 - 1)
 
 
-def test_edge_span_dedup_matches_recount():
-    fld = field_create(5)
-    sup = supply_mds(fld, 3, 4)
-    h = cherry_hypergraph(complete_graph(4))
+# Columns e1, e2, e1+e2, e3, e1+e4 over any field: the edge {0, 1, 2} is
+# dependent, so its span dump meets the zero vector.
+SPAN_COLUMNS = [[1, 0, 1, 0, 1],
+                [0, 1, 1, 0, 0],
+                [0, 0, 0, 1, 0],
+                [0, 0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("chunk_rows", [construct.SPAN_CHUNK_ROWS, 5],
+                         ids=["one-chunk", "chunks-of-5"])  # 5: many merges
+@pytest.mark.parametrize("edges", ["cherries", "mixed"])
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (3, 2)], ids=["GF(2)", "GF(5)", "GF(9)"])
+def test_edge_span_dedup_matches_recount(p, m, edges, chunk_rows, monkeypatch):
+    monkeypatch.setattr(construct, "SPAN_CHUNK_ROWS", chunk_rows)
+    fld = field_create(p, m)
+    sup = PointSupply(MatrixGF(fld, SPAN_COLUMNS), "test")
+    if edges == "cherries":
+        h = cherry_hypergraph(complete_graph(5))
+    else:
+        h = Hypergraph.from_edges(5, [(4,), (0, 3), (1, 2), (0, 1, 2), (2, 3, 4)])
     b = edge_span_union(h, sup)
     # independent recount: enumerate every span point per edge via the
     # all-tuples loop and deduplicate with a python set
     seen = set()
     for e in h.edges:
         cols = sup.matrix.data[:, list(e)]
-        for coeffs in itertools.product(range(5), repeat=3):
+        for coeffs in itertools.product(range(fld.q), repeat=len(e)):
             if not any(coeffs):
                 continue
             v = fld.matmul_arr(cols, np.array(coeffs)[:, None])[:, 0]
             if v.any():
                 seen.add(tuple(int(x) for x in normalize_column(fld, v)))
     assert b.size == len(seen)
-    assert {tuple(p) for p in b.points} == seen
+    assert [tuple(p) for p in b.points] == sorted(seen)
 
 
 def test_edge_span_point_cap():
@@ -78,6 +95,11 @@ def test_edge_span_point_cap():
     h = cherry_hypergraph(complete_graph(4))
     with pytest.raises(BudgetExceededError):
         edge_span_union(h, sup, point_cap=10)
+    size = edge_span_union(h, sup).size
+    assert edge_span_union(h, sup, point_cap=size).size == size
+    with pytest.raises(BudgetExceededError) as err:
+        edge_span_union(h, sup, point_cap=size - 1)
+    assert err.value.required == size  # one chunk: the count at its merge
 
 
 def test_edge_span_monotone():
@@ -221,6 +243,8 @@ def test_blocking_set_rejects_zero():
     fld = field_create(3)
     with pytest.raises(ValueError):
         BlockingSet.from_points(fld, [np.zeros(3, dtype=int)])
+    with pytest.raises(ValueError, match="needs at least one point"):
+        BlockingSet.from_points(fld, [])
 
 
 def test_blocking_set_file_round_trip(tmp_path):

@@ -52,10 +52,13 @@ def test_verify_mds_reports():
 
 def test_supply_rejects_zero_and_duplicate_columns():
     fld = field_create(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vector 1 is zero"):
         PointSupply(MatrixGF(fld, [[1, 0], [0, 0]]), "bad")
     with pytest.raises(ValueError):
         PointSupply(MatrixGF(fld, [[1, 2], [1, 2]]), "bad")  # 2*(1,1) = (2,2)
+    # columns a, b, 2b, 2a with a sorted before b: the earliest repeat is 2
+    with pytest.raises(ValueError, match="column 2 repeats"):
+        PointSupply(MatrixGF(fld, [[0, 1, 2, 0], [1, 0, 0, 2]]), "bad")
 
 
 def test_random_verified_deterministic():

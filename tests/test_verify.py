@@ -12,7 +12,7 @@ from blockforge.linalg import (MatrixGF, projective_reps, quotient_map, rank,
 from blockforge.supply import supply_mds
 from blockforge.verify import (blocks_affine, is_strong_blocking,
                                is_strong_blocking_sampled, minimum_size_search,
-                               to_affine_blocking, improved_s1_bound)
+                               to_affine_blocking)
 from blockforge.construct import construct_cherry
 
 
@@ -124,6 +124,13 @@ def test_to_affine_sizes():
     assert not aff[0].any()  # contains the origin
 
 
+def test_to_affine_rejects_repeated_points():
+    fld = field_create(5)
+    b = BlockingSet(fld, 3, np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0]]))
+    with pytest.raises(ValueError, match="not projectively distinct"):
+        to_affine_blocking(b)
+
+
 def test_to_affine_gf2():
     fld = field_create(2)
     b = all_projective_points(fld, 3)
@@ -162,8 +169,3 @@ def test_minimum_size_search_budget_zero():
     res = minimum_size_search(fld, 3, 1, budget=0)
     assert not res.exact
     assert is_strong_blocking(res.blocking_set, 1).passed  # fallback is everything
-
-
-def test_improved_bound_helper():
-    assert improved_s1_bound(1.0, 2, 3) == 6
-    assert improved_s1_bound(1.5, 4, 10) == 68  # ceil(1.5 * 5 * 9)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
-import json
 import math
 
 import numpy as np
@@ -26,7 +25,8 @@ from .errors import BudgetExceededError
 from .expander import Graph, ball, power_graph, clique_hypergraph
 from .gf import FieldSpec
 from .lincomb import Hypergraph
-from .linalg import MatrixGF, format_matrix, parse_matrix, projective_reps
+from .linalg import (MatrixGF, format_matrix, parse_matrix, projective_reps,
+                     read_matrix, write_matrix)
 from .supply import (GeneralPositionReport, PointSupply, distinct_rows,
                      normalize_rows, verify_general_position)
 
@@ -111,12 +111,6 @@ def edge_span_union(h: Hypergraph, supply: PointSupply, *,
     return BlockingSet(fld, k, distinct, prov)
 
 
-def _require_report(supply: PointSupply, report, budgets: Budgets):
-    if report is None:
-        report = verify_general_position(supply, budgets=budgets)
-    return report
-
-
 def cherry_hypergraph(g: Graph) -> Hypergraph:
     """3-sets {x, y, z} with xy and xz both edges of g."""
     cherries = set()
@@ -132,7 +126,7 @@ def construct_cherry(g: Graph, supply: PointSupply, *,
     """Strong 2-blocking set candidate from the cherries of g."""
     if supply.n != g.n:
         raise ValueError(f"supply has {supply.n} columns but the graph has {g.n} vertices")
-    report = _require_report(supply, report, budgets)
+    report = report or verify_general_position(supply, budgets=budgets)
     if report.s_independence < 2:
         raise ValueError(f"cherry construction needs every 3 columns independent "
                          f"(measured s_independence={report.s_independence})")
@@ -181,7 +175,7 @@ def construct_ball_power(g: Graph, supply: PointSupply, s: int, *,
         raise ValueError(f"supply has {supply.n} columns but the graph has {g.n} vertices")
     if s < 1:
         raise ValueError("s must be >= 1")
-    report = _require_report(supply, report, budgets)
+    report = report or verify_general_position(supply, budgets=budgets)
     if report.s_independence < s:
         raise ValueError(f"ball construction needs every {s + 1} columns independent "
                          f"(measured s_independence={report.s_independence})")
@@ -221,7 +215,7 @@ def construct_neighborhood(g: Graph, supply: PointSupply, s: int, *,
         raise ValueError(f"supply has {supply.n} columns but the graph has {g.n} vertices")
     if s < 1:
         raise ValueError("s must be >= 1")
-    report = _require_report(supply, report, budgets)
+    report = report or verify_general_position(supply, budgets=budgets)
     r = s + 1
     h = neighborhood_hypergraph(g, s, budgets=budgets)
     degenerate = sum(1 for x in range(g.n) if len(g.adjacency[x]) + 1 < r)
@@ -240,28 +234,15 @@ def format_blocking_set(b: BlockingSet) -> str:
     return format_matrix(MatrixGF(b.field, b.points))
 
 
-def parse_blocking_set(text: str, provenance=None) -> BlockingSet:
+def parse_blocking_set(text: str) -> BlockingSet:
     m = parse_matrix(text)
-    prov = dict(provenance or {})
-    prov.setdefault("construction", "file")
-    return BlockingSet.from_points(m.field, m.data, prov)
+    return BlockingSet.from_points(m.field, m.data, {"construction": "file"})
 
 
 def write_blocking_set(path, b: BlockingSet) -> None:
-    with open(path, "w") as f:
-        f.write(format_blocking_set(b))
-    with open(str(path) + ".json", "w") as f:
-        json.dump(b.provenance, f, sort_keys=True, indent=2, default=str)
-        f.write("\n")
+    write_matrix(path, MatrixGF(b.field, b.points), b.provenance)
 
 
 def read_blocking_set(path) -> BlockingSet:
-    with open(path) as f:
-        text = f.read()
-    prov = None
-    try:
-        with open(str(path) + ".json") as f:
-            prov = json.load(f)
-    except FileNotFoundError:
-        pass
-    return parse_blocking_set(text, provenance=prov)
+    m, prov = read_matrix(path)
+    return BlockingSet.from_points(m.field, m.data, {"construction": "file", **(prov or {})})

@@ -14,15 +14,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .budgets import DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .gf import is_prime
 from .lincomb import Hypergraph
+from .linalg import format_rows, parse_rows, split_head
 
 
 class Graph:
@@ -44,7 +44,7 @@ class Graph:
         self.adjacency = tuple(tuple(sorted(s)) for s in adj)
         self.neighbor_sets = tuple(frozenset(s) for s in adj)
         self.m = sum(len(a) for a in self.adjacency) // 2
-        self._csr = None
+        self._neighbors = None
 
     def degrees(self):
         return [len(a) for a in self.adjacency]
@@ -69,16 +69,15 @@ class Graph:
         return v in self.neighbor_sets[u]
 
     @property
-    def csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            rows, cols = [], []
-            for u in range(self.n):
-                for v in self.adjacency[u]:
-                    rows.append(u)
-                    cols.append(v)
-            data = np.ones(len(rows), dtype=np.float64)
-            self._csr = sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
-        return self._csr
+    def neighbors(self) -> np.ndarray:
+        """(d, n) int64 array of a d-regular graph; column v holds the sorted
+        neighbours of v, so the adjacency matvec A @ x is
+        np.add.reduce(x[neighbors], axis=0)."""
+        if self._neighbors is None:
+            d = self.degree
+            nbr = np.array(self.adjacency, dtype=np.int64).reshape(self.n, d)
+            self._neighbors = np.ascontiguousarray(nbr.T)
+        return self._neighbors
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -289,7 +288,9 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
     if method == "auto":
         method = "exact" if g.n <= exact_threshold else "power"
     if method == "exact":
-        evs = np.linalg.eigvalsh(g.csr.toarray())
+        dense = np.zeros((g.n, g.n))
+        dense[g.neighbors, np.arange(g.n)] = 1.0
+        evs = np.linalg.eigvalsh(dense)
         evs = np.sort(evs)
         if abs(evs[-1] - d) >= 1e-6:
             raise RuntimeError(f"top eigenvalue {evs[-1]} of a {d}-regular graph is not {d}")
@@ -301,14 +302,14 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
         bound = float(np.max(np.abs(evs))) if evs.size else 0.0
         return SpectralReport(g.n, d, bound, "exact", bipartite, tol)
 
-    a = g.csr
     n = g.n
+    nbr = g.neighbors
     deflate = [np.full(n, 1.0 / math.sqrt(n))]
     if bipartite:
         deflate.append(coloring.astype(np.float64) / math.sqrt(n))
 
     def apply(v):
-        w = a @ v
+        w = np.add.reduce(v[nbr], axis=0)
         for u in deflate:
             w -= (u @ w) * u
         return w
@@ -355,11 +356,12 @@ class MixingReport:
 
 def _edges_inside(g: Graph, mask: np.ndarray) -> int:
     x = mask.astype(np.float64)
-    return int(round((x @ (g.csr @ x)) / 2))
+    return int(round((x @ np.add.reduce(x[g.neighbors], axis=0)) / 2))
 
 
 def _edges_between(g: Graph, mu: np.ndarray, mv: np.ndarray) -> int:
-    return int(round(mu.astype(np.float64) @ (g.csr @ mv.astype(np.float64))))
+    y = mv.astype(np.float64)
+    return int(round(mu.astype(np.float64) @ np.add.reduce(y[g.neighbors], axis=0)))
 
 
 def check_mixing(g: Graph, lam: float, trials: int, seed: int = 0) -> MixingReport:
@@ -526,27 +528,18 @@ def clique_hypergraph(g: Graph, r: int, *, budget: int = DEFAULT_BUDGETS.cliques
 # ---------------------------------------------------------------------------
 
 def format_graph(g: Graph) -> str:
-    lines = [f"graph {g.n} {g.m}"]
-    for u, v in g.edges():
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    heads = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64, count=2 * g.m)
+    tails = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
+    keep = tails < heads
+    return f"graph {g.n} {g.m}\n" + format_rows(np.stack([tails[keep], heads[keep]], axis=1))
 
 
 def parse_graph(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty graph file")
-    head = lines[0].split()
-    if head[0] != "graph" or len(head) != 3:
-        raise ValueError(f"malformed graph header: {lines[0]!r}")
-    n, m = int(head[1]), int(head[2])
-    if len(lines) != 1 + m:
-        raise ValueError(f"expected {m} edges, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    return Graph(n, edges)
+    (head,), body = split_head(text, 1)
+    toks = head.split()
+    if len(toks) != 3 or toks[0] != "graph":
+        raise ValueError(f"malformed graph header: {head!r}")
+    return Graph(int(toks[1]), parse_rows(body, int(toks[2]), 2))
 
 
 def write_graph(path, g: Graph) -> None:

@@ -2,14 +2,16 @@
 
 Subspaces are canonicalized as the RREF of a basis together with the pivot
 columns, so equality is a cheap comparison and enumeration has a stable
-order (lexicographic over pivot sets, then over free entries).  GF(2)
-elimination additionally runs on bit-packed integer rows; both paths produce
-the identical canonical RREF.
+order (lexicographic over pivot sets, then over free entries).  The matrix
+file format, with its `<file>.json` sidecar, is also read and written here.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
+import json
+import re
 
 import numpy as np
 
@@ -80,8 +82,10 @@ def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
 # RREF
 # ---------------------------------------------------------------------------
 
-def _rref_generic(field: FieldSpec, data: np.ndarray):
-    R = data.astype(np.int64, copy=True)
+def rref(m: MatrixGF):
+    """Reduced row echelon form.  Returns (MatrixGF, rank, pivot columns)."""
+    field = m.field
+    R = m.data.astype(np.int64, copy=True)
     rows, cols = R.shape
     pivots = []
     r = 0
@@ -104,42 +108,7 @@ def _rref_generic(field: FieldSpec, data: np.ndarray):
             R[hit] = field.sub_arr(R[hit], field.mul_arr(col[hit, None], R[r][None, :]))
         pivots.append(c)
         r += 1
-    return R, r, tuple(pivots)
-
-
-def _rref_gf2_bits(field: FieldSpec, data: np.ndarray):
-    # Rows packed into Python ints, bit j <-> column j.
-    rows, cols = data.shape
-    weights = [1 << j for j in range(cols)]
-    packed = [int(sum(int(v) * w for v, w in zip(row, weights))) for row in data]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if (packed[i] >> c) & 1), None)
-        if pr is None:
-            continue
-        packed[r], packed[pr] = packed[pr], packed[r]
-        for i in range(rows):
-            if i != r and (packed[i] >> c) & 1:
-                packed[i] ^= packed[r]
-        pivots.append(c)
-        r += 1
-    out = np.zeros((rows, cols), dtype=np.int64)
-    for i, word in enumerate(packed):
-        for j in range(cols):
-            out[i, j] = (word >> j) & 1
-    return out, r, tuple(pivots)
-
-
-def rref(m: MatrixGF):
-    """Reduced row echelon form.  Returns (MatrixGF, rank, pivot columns)."""
-    if m.field.q == 2:
-        R, r, piv = _rref_gf2_bits(m.field, m.data)
-    else:
-        R, r, piv = _rref_generic(m.field, m.data)
-    return MatrixGF(m.field, R), r, piv
+    return MatrixGF(field, R), r, tuple(pivots)
 
 
 def rank(m: MatrixGF) -> int:
@@ -280,38 +249,33 @@ def enumerate_subspaces(field: FieldSpec, k: int, codim: int, *,
         base += cell
 
 
+def _null_space(field: FieldSpec, R: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
+    """Null-space basis read off a reduced row echelon form R with the given
+    pivot columns: one row per free column j, with 1 at j and the negated
+    column j of R at the pivots."""
+    k = R.shape[1]
+    free = [j for j in range(k) if j not in pivots]
+    out = np.zeros((len(free), k), dtype=np.int64)
+    out[:, free] = np.eye(len(free), dtype=np.int64)
+    out[:, list(pivots)] = field.neg_arr(R[:len(pivots), free]).T
+    return out
+
+
 def kernel_basis(m: MatrixGF) -> MatrixGF:
     """Basis of the right null space {x : m x = 0}, one row per free column."""
-    R, r, piv = rref(m)
-    k = m.cols
-    fld = m.field
-    pivset = set(piv)
-    rows = []
-    for j in range(k):
-        if j in pivset:
-            continue
-        v = np.zeros(k, dtype=np.int64)
-        v[j] = 1
-        for i, pc in enumerate(piv):
-            v[pc] = fld.neg(int(R.data[i, j]))
-        rows.append(v)
-    if not rows:
-        return MatrixGF.zeros(fld, 0, k)
-    return MatrixGF(fld, np.stack(rows))
+    R, _, piv = rref(m)
+    return MatrixGF(m.field, _null_space(m.field, R.data, piv))
 
 
 def quotient_map(L: SubspaceBasis) -> MatrixGF:
-    """An s x k matrix Q with null space exactly L (s = codim of L).
+    """An s x k matrix Q with null space exactly L (s = codim of L), read off
+    the canonical RREF basis of L.
 
     Membership test: x in L  <=>  Q @ x == 0.
     """
-    s = L.codim
-    if s < 1:
+    if L.codim < 1:
         raise ValueError("the full space has no quotient map (codim 0)")
-    Q = kernel_basis(L.basis)
-    if Q.rows != s:
-        raise RuntimeError(f"kernel of a codim-{s} subspace has dimension {Q.rows}")
-    return Q
+    return MatrixGF(L.field, _null_space(L.field, L.basis.data, L.pivots))
 
 
 def projective_reps(field: FieldSpec, dim: int, chunk: int = 8192):
@@ -339,38 +303,70 @@ def projective_reps(field: FieldSpec, dim: int, chunk: int = 8192):
 # Matrix file format
 # ---------------------------------------------------------------------------
 
+FORMAT_CHUNK_ROWS = 1 << 14  # rows per string join in format_rows
+
+
+def format_rows(data: np.ndarray) -> str:
+    """Text of a 2-D array of non-negative integers: one line per row, entries
+    separated by single spaces, every line ending in a newline."""
+    rows, cols = data.shape
+    words = np.arange(int(data.max()) + 1 if data.size else 0).astype(str).astype(object)
+    chunks = []
+    for lo in range(0, rows, FORMAT_CHUNK_ROWS):
+        block = data[lo:lo + FORMAT_CHUNK_ROWS]
+        cells = np.full((len(block), max(2 * cols, 1)), " ", dtype=object)
+        cells[:, 0:2 * cols:2] = words[block]
+        cells[:, -1] = "\n"
+        chunks.append("".join(cells.ravel().tolist()))
+    return "".join(chunks)
+
+
+def parse_rows(body: str, rows: int, cols: int) -> np.ndarray:
+    """The (rows, cols) int64 array in `body`, one row per non-blank line and no
+    comments; any other shape or token is a ValueError."""
+    if not body or body.isspace():  # loadtxt warns on input without data
+        data = np.zeros((0, cols), dtype=np.int64)
+    else:
+        data = np.loadtxt(io.StringIO(body, newline=None), dtype=np.int64,
+                          ndmin=2, comments=None)
+    if data.shape != (rows, cols):
+        raise ValueError(f"expected {rows} rows of {cols} entries, found {data.shape}")
+    return data
+
+
+def split_head(text: str, count: int) -> tuple[tuple[str, ...], str]:
+    """The first `count` non-blank lines of text ("" past its end), and the rest."""
+    m = re.match(r"\s*([^\r\n]*)" * count, text)
+    return m.groups(), text[m.end():]
+
+
 def format_matrix(m: MatrixGF) -> str:
-    lines = [m.field.header_line(), f"dims {m.rows} {m.cols}"]
-    for row in m.data:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return f"{m.field.header_line()}\ndims {m.rows} {m.cols}\n" + format_rows(m.data)
 
 
 def parse_matrix(text: str) -> MatrixGF:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ValueError("matrix file needs a field header and a dims line")
-    field = parse_field_header(lines[0])
-    dtoks = lines[1].split()
-    if dtoks[0] != "dims" or len(dtoks) != 3:
-        raise ValueError(f"malformed dims line: {lines[1]!r}")
-    rows, cols = int(dtoks[1]), int(dtoks[2])
-    if len(lines) != 2 + rows:
-        raise ValueError(f"expected {rows} matrix rows, found {len(lines) - 2}")
-    data = np.zeros((rows, cols), dtype=np.int64)
-    for i, ln in enumerate(lines[2:]):
-        vals = [int(t) for t in ln.split()]
-        if len(vals) != cols:
-            raise ValueError(f"row {i} has {len(vals)} entries, expected {cols}")
-        data[i] = vals
-    return MatrixGF(field, data)
+    (header, dims), body = split_head(text, 2)
+    dtoks = dims.split()
+    if len(dtoks) != 3 or dtoks[0] != "dims":
+        raise ValueError(f"malformed dims line: {dims!r}")
+    return MatrixGF(parse_field_header(header), parse_rows(body, int(dtoks[1]), int(dtoks[2])))
 
 
-def write_matrix(path, m: MatrixGF) -> None:
+def write_matrix(path, m: MatrixGF, sidecar: dict) -> None:
+    """Write m to `path` and `sidecar` as JSON to `<path>.json`."""
     with open(path, "w") as f:
         f.write(format_matrix(m))
+    with open(f"{path}.json", "w") as f:
+        json.dump(sidecar, f, sort_keys=True, indent=2, default=str)
+        f.write("\n")
 
 
-def read_matrix(path) -> MatrixGF:
+def read_matrix(path) -> tuple[MatrixGF, dict | None]:
+    """The matrix at `path` and its JSON sidecar (None when there is none)."""
     with open(path) as f:
-        return parse_matrix(f.read())
+        m = parse_matrix(f.read())
+    try:
+        with open(f"{path}.json") as f:
+            return m, json.load(f)
+    except FileNotFoundError:
+        return m, None

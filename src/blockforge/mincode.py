@@ -22,8 +22,8 @@ from .construct import BlockingSet
 from .errors import BudgetExceededError, DualityMismatchError
 from .gf import FieldSpec
 from .linalg import (MatrixGF, SubspaceBasis, enumerate_subspaces,
-                     gaussian_binomial, matmul, rank)
-from .supply import PointSupply
+                     gaussian_binomial, rank)
+from .supply import PointSupply, _min_distance
 from .verify import is_strong_blocking
 
 
@@ -50,7 +50,6 @@ class LinearCode:
         return self.generator.rows
 
     def minimum_distance(self, *, budget: int = DEFAULT_BUDGETS.codewords) -> int:
-        from .supply import _min_distance
         d = _min_distance(self.generator, budget=budget)
         if d is None:
             raise RuntimeError("a full-rank generator has a minimum distance")

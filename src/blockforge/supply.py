@@ -12,7 +12,6 @@ provenance.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,8 +20,8 @@ import numpy as np
 from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .gf import FieldSpec
-from .linalg import (MatrixGF, format_matrix, parse_matrix, projective_reps,
-                     rank, rref)
+from .linalg import (MatrixGF, kernel_basis, projective_reps, rank, read_matrix,
+                     rref, write_matrix)
 
 
 def normalize_column(field: FieldSpec, col: np.ndarray) -> np.ndarray:
@@ -205,7 +204,6 @@ def dual_distance_by_codewords(matrix: MatrixGF, *,
     total = (q ** nullity - 1) // (q - 1)
     if total > budget:
         raise BudgetExceededError("codewords", budget, total)
-    from .linalg import kernel_basis
     kern = kernel_basis(matrix)  # nullity x n
     best = None
     for block in projective_reps(field, nullity):
@@ -281,34 +279,18 @@ def verify_general_position(supply: PointSupply, s: int | None = None,
 # File I/O: matrix file + JSON sidecar
 # ---------------------------------------------------------------------------
 
-def sidecar_path(path) -> str:
-    return str(path) + ".json"
-
-
 def write_supply(path, supply: PointSupply,
                  report: GeneralPositionReport | None = None) -> None:
-    with open(path, "w") as f:
-        f.write(format_matrix(supply.matrix))
     side = {"provenance": supply.provenance}
     if report is not None:
         side["report"] = report.to_dict()
-    with open(sidecar_path(path), "w") as f:
-        json.dump(side, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_matrix(path, supply.matrix, side)
 
 
 def read_supply(path):
-    """Returns (PointSupply, GeneralPositionReport | None)."""
-    with open(path) as f:
-        matrix = parse_matrix(f.read())
-    provenance = "file"
-    report = None
-    try:
-        with open(sidecar_path(path)) as f:
-            side = json.load(f)
-        provenance = side.get("provenance", "file")
-        if "report" in side:
-            report = GeneralPositionReport.from_dict(side["report"])
-    except FileNotFoundError:
-        pass
-    return PointSupply(matrix, provenance=provenance), report
+    """Returns (PointSupply, GeneralPositionReport | None); "file" provenance without a sidecar."""
+    matrix, side = read_matrix(path)
+    side = side or {}
+    report = side.get("report")
+    return (PointSupply(matrix, provenance=side.get("provenance", "file")),
+            None if report is None else GeneralPositionReport.from_dict(report))

@@ -256,6 +256,9 @@ def test_blocking_set_file_round_trip(tmp_path):
     again = read_blocking_set(path)
     assert again == b
     assert again.provenance["construction"] == "cherry"
-    # text round trip without the sidecar
+    # text round trip, and a file without its sidecar
     again2 = parse_blocking_set(format_blocking_set(b))
-    assert again2 == b and again2.provenance["construction"] == "file"
+    assert again2 == b and again2.provenance == {"construction": "file"}
+    (tmp_path / "b.pts.json").unlink()
+    again3 = read_blocking_set(path)
+    assert again3 == b and again3.provenance == {"construction": "file"}

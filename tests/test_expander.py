@@ -272,3 +272,9 @@ def test_graph_file_round_trip(lps_5_13):
     g = power_graph(cycle_graph(7), 2)
     again = parse_graph(format_graph(g))
     assert again.n == g.n and list(again.edges()) == list(g.edges())
+    assert format_graph(path_graph(3)) == "graph 3 2\n0 1\n1 2\n"
+    assert format_graph(Graph(2, [])) == "graph 2 0\n"
+    with pytest.raises(ValueError):
+        parse_graph("graph 3 1\n0 1 2\n")
+    with pytest.raises(ValueError):
+        parse_graph("graph 3 2\n0 1\n")

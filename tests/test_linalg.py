@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from blockforge.errors import BudgetExceededError
 from blockforge.gf import field_create
-from blockforge.linalg import (MatrixGF, _rref_generic, enumerate_subspaces,
-                               format_matrix, gaussian_binomial, kernel_basis,
-                               matmul, parse_matrix, projective_reps,
-                               quotient_map, rank, rank_product, rref,
-                               subspace_count, subspace_from_rows)
+from blockforge import linalg
+from blockforge.linalg import (MatrixGF, enumerate_subspaces, format_matrix,
+                               gaussian_binomial, kernel_basis, matmul,
+                               parse_matrix, projective_reps, quotient_map,
+                               rank, rank_product, rref, subspace_count,
+                               subspace_from_rows)
 
 
 def _naive_rank(fld, data):
@@ -66,17 +68,6 @@ def test_rref_idempotent(p, m):
         R1, r1, p1 = rref(mat)
         R2, r2, p2 = rref(R1)
         assert (R1, r1, p1) == (R2, r2, p2)
-
-
-def test_gf2_bitpacked_path_matches_generic():
-    f2 = field_create(2)
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        data = rng.integers(0, 2, size=(rng.integers(1, 7), rng.integers(1, 9)))
-        fast = rref(MatrixGF(f2, data))
-        slow = _rref_generic(f2, data)
-        assert np.array_equal(fast[0].data, slow[0])
-        assert fast[1] == slow[1] and fast[2] == slow[2]
 
 
 def test_rank_product_identity():
@@ -312,6 +303,64 @@ def test_matrix_file_round_trip():
     again = parse_matrix(format_matrix(m))
     assert again == m
     assert format_matrix(m).splitlines()[0] == "field 5 2 1 1 1"
+
+
+def test_format_matrix_golden_bytes():
+    f13 = field_create(13)
+    assert format_matrix(MatrixGF(f13, [[12, 0, 7], [10, 11, 1]])) == (
+        "field 13 1 0 1\ndims 2 3\n12 0 7\n10 11 1\n")
+    f25 = field_create(5, 2)
+    assert format_matrix(MatrixGF(f25, [[24], [0], [13]])) == (
+        "field 5 2 1 1 1\ndims 3 1\n24\n0\n13\n")
+
+
+def test_format_rows_matches_row_loop_across_chunks(monkeypatch):
+    monkeypatch.setattr(linalg, "FORMAT_CHUNK_ROWS", 3)
+    data = np.random.default_rng(47).integers(0, 1000, size=(10, 4))
+    reference = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in data)
+    assert linalg.format_rows(data) == reference
+    assert linalg.format_rows(data[:, :0]) == "\n" * 10
+
+
+def test_matrix_parse_ignores_blank_lines_and_spacing():
+    f13 = field_create(13)
+    m = MatrixGF(f13, [[12, 0, 7], [10, 11, 1]])
+    text = "\n  \nfield 13 1 0 1\n\ndims 2 3\n\n 12\t0  7 \r\n\n\t\n10 11 1"
+    assert parse_matrix(text) == m
+    assert parse_matrix(format_matrix(m).replace("\n", "\n\n")) == m
+    assert parse_matrix(format_matrix(m).replace("\n", "\r")) == m
+
+
+def test_matrix_with_zero_rows():
+    f3 = field_create(3)
+    m = MatrixGF.zeros(f3, 0, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert format_matrix(m) == "field 3 1 0 1\ndims 0 4\n"
+        assert parse_matrix(format_matrix(m)) == m
+        assert parse_matrix(format_matrix(m) + "\n \n") == m
+
+
+@pytest.mark.parametrize("text", [
+    "dims 2 2\n1 2\n3\n",       # ragged row
+    "dims 3 2\n1 2\n3 4\n",     # too few rows
+    "dims 1 2\n1 2\n3 4\n",     # too many rows
+    "dims 0 2\n1 2\n",          # rows where none are declared
+    "dims 1 2\n1 2 3\n",        # too many entries
+    "dims 1 2\n1 x\n",          # non-integer token
+    "dims 1 2\n1 2.0\n",
+    "dims 1 2\n1 #\n",          # no comment syntax
+    "dims 1 2\n1 2\n# note\n",
+    "dims 1 2\n1 13\n",         # out of range
+    "dims 1 2\n1 -1\n",
+    "dimz 1 2\n1 2\n",          # malformed dims line
+    "dims 1\n1 2\n",
+    "dims 1 x\n1 2\n",
+    "",                         # no dims line
+])
+def test_parse_matrix_rejects(text):
+    with pytest.raises(ValueError):
+        parse_matrix("field 13 1 0 1\n" + text)
 
 
 def test_matrix_entry_validation():

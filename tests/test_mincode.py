@@ -9,8 +9,7 @@ from blockforge.construct import BlockingSet
 from blockforge.errors import BudgetExceededError
 from blockforge.expander import complete_graph
 from blockforge.gf import field_create
-from blockforge.linalg import (MatrixGF, enumerate_subspaces, rank,
-                               subspace_from_rows)
+from blockforge.linalg import MatrixGF, enumerate_subspaces, subspace_from_rows
 from blockforge.mincode import (LinearCode, blocking_to_code, code_to_blocking,
                                 duality_check, is_s_minimal, support)
 from blockforge.supply import supply_mds

@@ -137,6 +137,10 @@ def test_supply_round_trip(tmp_path):
     assert again.provenance == "mds"
     assert rep2 == rep
     assert verify_general_position(again) == rep
+    (tmp_path / "supply.pts.json").unlink()
+    again, rep2 = read_supply(path)
+    assert np.array_equal(again.matrix.data, sup.matrix.data)
+    assert again.provenance == "file" and rep2 is None
 
 
 def test_report_round_trip_dict():

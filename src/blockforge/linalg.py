@@ -202,51 +202,56 @@ def subspace_count(k: int, codim: int, q: int) -> int:
     return gaussian_binomial(k, k - codim, q)
 
 
+RREF_BLOCK = 64  # matrices per block yielded by rref_blocks
+
+
+def rref_blocks(field: FieldSpec, k: int, dim: int, start: int = 0, stop: int | None = None):
+    """Yield (pivots, block) covering every dim x k RREF matrix of rank dim
+    exactly once; block has shape (count, dim, k) with count <= RREF_BLOCK.
+
+    Canonical order: pivot column sets lexicographically, then the free
+    entries counted in base q (first free position, row by row, most
+    significant).  Only the matrices at positions [start, stop) of that order
+    are produced; the block boundaries carry no meaning.
+    """
+    q = field.q
+    base = 0
+    for pivots in itertools.combinations(range(k), dim):
+        if stop is not None and base >= stop:
+            return
+        free = np.arange(k) > np.array(pivots, dtype=np.int64)[:, None]
+        free[:, list(pivots)] = False
+        rows, cols = np.nonzero(free)  # row-major: the base-q digit order
+        cell = q ** len(rows)
+        lo = max(start - base, 0)
+        hi = cell if stop is None else min(stop - base, cell)
+        weights = q ** np.arange(len(rows) - 1, -1, -1, dtype=np.int64)
+        for a in range(lo, hi, RREF_BLOCK):
+            offs = np.arange(a, min(a + RREF_BLOCK, hi), dtype=np.int64)
+            block = np.zeros((len(offs), dim, k), dtype=np.int64)
+            block[:, np.arange(dim), list(pivots)] = 1
+            block[:, rows, cols] = offs[:, None] // weights % q
+            yield pivots, block
+        base += cell
+
+
 def enumerate_subspaces(field: FieldSpec, k: int, codim: int, *,
                         budget: int | None = DEFAULT_BUDGETS.subspaces,
                         start: int = 0, stop: int | None = None):
-    """Yield every codimension-`codim` subspace of F_q^k exactly once.
+    """Yield every codimension-`codim` subspace of F_q^k exactly once, in the
+    canonical order of `rref_blocks`.
 
-    Canonical order: pivot column sets lexicographically, then the free RREF
-    entries counted in base q (first free position most significant).  The
-    [start, stop) window selects a contiguous shard of that order, which is
-    what the parallel verifier uses.
+    The [start, stop) window selects a contiguous shard of that order.
     """
     if not 0 <= codim <= k:
         raise ValueError(f"need 0 <= codim <= k, got codim={codim}, k={k}")
-    dim = k - codim
-    q = field.q
-    total = gaussian_binomial(k, dim, q)
+    total = gaussian_binomial(k, k - codim, field.q)
     if budget is not None and total > budget:
         raise BudgetExceededError("subspaces", budget, total,
                                   "switch to sampled verification or raise the budget")
-    stop = total if stop is None else min(stop, total)
-    start = max(start, 0)
-    if start >= stop:
-        return
-    base = 0
-    for pivots in itertools.combinations(range(k), dim):
-        pivset = set(pivots)
-        free = [(i, j) for i in range(dim)
-                for j in range(pivots[i] + 1, k) if j not in pivset]
-        cell = q ** len(free)
-        if base + cell <= start:
-            base += cell
-            continue
-        if base >= stop:
-            break
-        lo = max(start - base, 0)
-        hi = min(stop - base, cell)
-        for off in range(lo, hi):
-            mat = np.zeros((dim, k), dtype=np.int64)
-            for i, pc in enumerate(pivots):
-                mat[i, pc] = 1
-            rem = off
-            for pos in range(len(free) - 1, -1, -1):
-                rem, digit = divmod(rem, q)
-                mat[free[pos][0], free[pos][1]] = digit
+    for pivots, block in rref_blocks(field, k, k - codim, start, stop):
+        for mat in block:
             yield SubspaceBasis(k, MatrixGF(field, mat), pivots)
-        base += cell
 
 
 def _null_space(field: FieldSpec, R: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
@@ -278,25 +283,16 @@ def quotient_map(L: SubspaceBasis) -> MatrixGF:
     return MatrixGF(L.field, _null_space(L.field, L.basis.data, L.pivots))
 
 
-def projective_reps(field: FieldSpec, dim: int, chunk: int = 8192):
+def projective_reps(field: FieldSpec, dim: int):
     """Yield blocks of projective representatives of F_q^dim as columns.
 
     Every nonzero vector up to scalar appears exactly once, normalized so the
-    first nonzero coordinate is 1.  Order: leading position ascending, then
-    the free coordinates in base q (first free coordinate most significant).
+    first nonzero coordinate is 1: the 1 x dim RREF matrices of `rref_blocks`,
+    in its order (leading position ascending, then the free coordinates in
+    base q, first free coordinate most significant).
     """
-    q = field.q
-    for lead in range(dim):
-        nfree = dim - lead - 1
-        total = q ** nfree
-        for lo in range(0, total, chunk):
-            cnt = min(chunk, total - lo)
-            block = np.zeros((dim, cnt), dtype=np.int64)
-            block[lead] = 1
-            offs = np.arange(lo, lo + cnt, dtype=np.int64)
-            for pos in range(nfree):
-                block[lead + 1 + pos] = (offs // q ** (nfree - 1 - pos)) % q
-            yield block
+    for _, block in rref_blocks(field, dim, 1):
+        yield block[:, 0, :].T
 
 
 # ---------------------------------------------------------------------------

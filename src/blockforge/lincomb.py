@@ -100,37 +100,15 @@ class EliminationOrder:
 # Witness search
 # ---------------------------------------------------------------------------
 
-def _nonzero_tuple_blocks(field, width: int, chunk: int = 8192):
-    """Columns (1, a_2, ..., a_width) over nonzero field elements, ascending
-    lexicographically in the encoding order."""
-    q = field.q
-    nonzero = np.arange(1, q, dtype=np.int64)
-    total = (q - 1) ** (width - 1)
-    for lo in range(0, total, chunk):
-        cnt = min(chunk, total - lo)
-        block = np.ones((width, cnt), dtype=np.int64)
-        offs = np.arange(lo, lo + cnt, dtype=np.int64)
-        for pos in range(width - 1):
-            digit = (offs // (q - 1) ** (width - 2 - pos)) % (q - 1)
-            block[1 + pos] = nonzero[digit]
-        yield block
-
-
-ENUM_TUPLE_LIMIT = 10 ** 6
-
-
 def plc_edge(supply: PointSupply, X, L: SubspaceBasis, *,
              size_cap: int | None = None,
-             coeff_budget: int = DEFAULT_BUDGETS.coeff_tuples,
-             method: str = "auto"):
+             coeff_budget: int = DEFAULT_BUDGETS.coeff_tuples):
     """Witness that X is an edge of the proper-combination hypergraph toward
     L, or None.
 
-    The first coefficient is pinned to 1 (witnesses are scale-invariant), and
-    the remaining tuples are scanned in lexicographic order, so a found
-    witness is deterministic.  When the tuple space exceeds ENUM_TUPLE_LIMIT
-    the search solves Q W_X a = 0 instead and scans the projective null space
-    for an all-nonzero vector (method="enumerate"/"nullspace" forces a path).
+    The witness coefficients a solve Q W_X a = 0.  The projective null space
+    of Q W_X is scanned whole, so the witness is deterministic: the
+    lexicographically least all-nonzero solution with first coefficient 1.
     """
     X = tuple(sorted(int(v) for v in X))
     if len(X) < 1 or len(set(X)) != len(X):
@@ -153,45 +131,27 @@ def plc_edge(supply: PointSupply, X, L: SubspaceBasis, *,
         target = fld.matmul_arr(cols, np.ones((len(X), 1), dtype=np.int64))[:, 0]
         return EdgeWitness(X, coeffs, tuple(int(v) for v in target))
 
-    Q = quotient_map(L)
-    A = fld.matmul_arr(Q.data, cols)  # s x |X|
-
-    q = fld.q
-    if method == "auto":
-        method = ("enumerate" if (q - 1) ** (len(X) - 1) <= min(ENUM_TUPLE_LIMIT, coeff_budget)
-                  else "nullspace")
-    if method == "enumerate":
-        total = (q - 1) ** (len(X) - 1)
-        if total > coeff_budget:
-            raise BudgetExceededError("coeff_tuples", coeff_budget, total)
-        for block in _nonzero_tuple_blocks(fld, len(X)):
-            images = fld.matmul_arr(A, block)
-            hits = np.nonzero(~images.any(axis=0))[0]
-            if hits.size:
-                a = block[:, int(hits[0])]
-                target = fld.matmul_arr(cols, a[:, None])[:, 0]
-                return EdgeWitness(X, tuple(int(c) for c in a),
-                                   tuple(int(v) for v in target))
-        return None
-    if method != "nullspace":
-        raise ValueError(f"unknown method {method!r}")
-
+    A = fld.matmul_arr(quotient_map(L).data, cols)  # s x |X|
     kern = kernel_basis(MatrixGF(fld, A))  # nu x |X|
     nu = kern.rows
     if nu == 0:
         return None
+    q = fld.q
     total = (q ** nu - 1) // (q - 1)
     if total > coeff_budget:
         raise BudgetExceededError("coeff_tuples", coeff_budget, total)
+    best = None
     for block in projective_reps(fld, nu):
         cand = fld.matmul_arr(block.T, kern.data)  # cnt x |X|
-        hits = np.nonzero((cand != 0).all(axis=1))[0]
-        if hits.size:
-            a = cand[int(hits[0])]
-            target = fld.matmul_arr(cols, a[:, None])[:, 0]
-            return EdgeWitness(X, tuple(int(c) for c in a),
-                               tuple(int(v) for v in target))
-    return None
+        cand = cand[(cand != 0).all(axis=1)]
+        if len(cand):
+            cand = fld.mul_arr(fld.inv_arr(cand[:, :1]), cand)  # first coefficient 1
+            least = tuple(int(c) for c in cand[np.lexsort(cand.T[::-1])[0]])
+            best = least if best is None else min(best, least)
+    if best is None:
+        return None
+    target = fld.matmul_arr(cols, np.array(best, dtype=np.int64)[:, None])[:, 0]
+    return EdgeWitness(X, best, tuple(int(v) for v in target))
 
 
 def build_plc_hypergraph(supply: PointSupply, L: SubspaceBasis, candidate_edges, *,

@@ -21,9 +21,9 @@ from .budgets import DEFAULT_BUDGETS
 from .construct import BlockingSet
 from .errors import BudgetExceededError, DualityMismatchError
 from .gf import FieldSpec
-from .linalg import (MatrixGF, SubspaceBasis, enumerate_subspaces,
-                     gaussian_binomial, rank)
-from .supply import PointSupply, _min_distance
+from . import linalg
+from .linalg import MatrixGF, SubspaceBasis, gaussian_binomial, rank, rref_blocks
+from .supply import PointSupply, min_distance
 from .verify import is_strong_blocking
 
 
@@ -50,7 +50,7 @@ class LinearCode:
         return self.generator.rows
 
     def minimum_distance(self, *, budget: int = DEFAULT_BUDGETS.codewords) -> int:
-        d = _min_distance(self.generator, budget=budget)
+        d = min_distance(self.generator, budget=budget)
         if d is None:
             raise RuntimeError("a full-rank generator has a minimum distance")
         return d
@@ -76,13 +76,6 @@ def support(x: SubspaceBasis) -> frozenset[int]:
     so this is basis-independent.
     """
     return frozenset(int(j) for j in np.nonzero(x.basis.data.any(axis=0))[0])
-
-
-def _support_mask(rows: np.ndarray) -> int:
-    mask = 0
-    for j in np.nonzero(rows.any(axis=0))[0]:
-        mask |= 1 << int(j)
-    return mask
 
 
 @dataclass(frozen=True)
@@ -112,9 +105,10 @@ def is_s_minimal(code: LinearCode, s: int, *,
     """Brute-force antichain check over every s-dimensional subspace.
 
     Subspaces are enumerated in the k-dimensional message space and pushed
-    through the generator, so the work is q^k-sized, never q^n-sized.
-    Supports are bitmasks; the pair scan is the naive quadratic pass with an
-    early exit.
+    through the generator a block at a time, so the work is q^k-sized, never
+    q^n-sized.  Supports are rows of a boolean matrix S; supp(X_i) is inside
+    supp(X_j) iff row i of S @ (~S).T is 0 at j, and the first such pair
+    i != j in (i, j) order is reported.
     """
     fld = code.field
     k = code.k
@@ -126,25 +120,28 @@ def is_s_minimal(code: LinearCode, s: int, *,
     total = gaussian_binomial(k, s, fld.q)
     if total > budget:
         raise BudgetExceededError("minimal_subspaces", budget, total)
-    entries = []  # (support mask, code-subspace basis rows)
-    for M in enumerate_subspaces(fld, k, k - s, budget=None):
-        rows = fld.matmul_arr(M.basis.data, code.generator.data)  # s x n
-        entries.append((_support_mask(rows), rows))
-    for i in range(len(entries)):
-        mi, ri = entries[i]
-        for j in range(len(entries)):
-            if i == j:
-                continue
-            mj, rj = entries[j]
-            if mi & ~mj == 0:  # supp(X_i) subseteq supp(X_j)
-                # Recount directly before reporting.
-                si = set(np.nonzero(ri.any(axis=0))[0])
-                sj = set(np.nonzero(rj.any(axis=0))[0])
-                if not si <= sj:
-                    raise RuntimeError("support bitmasks disagree with a direct recount")
-                return MinimalityReport(s, len(entries), "fail", (ri, rj),
-                                        time.perf_counter() - t0)
-    return MinimalityReport(s, len(entries), "pass", None, time.perf_counter() - t0)
+    gen = code.generator.data
+    supports = np.vstack([
+        fld.matmul_arr(block.reshape(-1, k), gen).reshape(len(block), s, -1).any(axis=1)
+        for _, block in rref_blocks(fld, k, s)])  # total x n
+    # 0/1 products summed in float32 are 0 exactly when every term is 0
+    outside = (~supports).astype(np.float32).T
+    for lo in range(0, total, linalg.RREF_BLOCK):
+        inside = supports[lo:lo + linalg.RREF_BLOCK].astype(np.float32)
+        missing = inside @ outside  # |supp X_i - supp X_j|
+        rows = np.arange(len(missing))
+        missing[rows, lo + rows] = 1  # i == j is not a pair
+        pairs = np.argwhere(missing == 0)
+        if pairs.size:
+            i, j = lo + int(pairs[0, 0]), int(pairs[0, 1])
+            # Rebuild the rows of X_i and X_j from their indices and recount
+            # their supports directly before reporting.
+            ri, rj = (fld.matmul_arr(next(rref_blocks(fld, k, s, x, x + 1))[1][0], gen)
+                      for x in (i, j))
+            if not set(np.nonzero(ri.any(axis=0))[0]) <= set(np.nonzero(rj.any(axis=0))[0]):
+                raise RuntimeError("the support matrix disagrees with a direct recount")
+            return MinimalityReport(s, total, "fail", (ri, rj), time.perf_counter() - t0)
+    return MinimalityReport(s, total, "pass", None, time.perf_counter() - t0)
 
 
 def duality_check(columns: MatrixGF, s: int, *,

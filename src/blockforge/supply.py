@@ -21,7 +21,7 @@ from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .gf import FieldSpec
 from .linalg import (MatrixGF, kernel_basis, projective_reps, rank, read_matrix,
-                     rref, write_matrix)
+                     write_matrix)
 
 
 def normalize_column(field: FieldSpec, col: np.ndarray) -> np.ndarray:
@@ -195,27 +195,13 @@ def dual_distance_by_codewords(matrix: MatrixGF, *,
                                budget: int = DEFAULT_BUDGETS.codewords):
     """Same value computed the other way: minimum weight over the null space
     of the matrix (enumerated projectively)."""
-    field = matrix.field
-    q = field.q
-    _, r, piv = rref(matrix)
-    nullity = matrix.cols - r
-    if nullity == 0:
-        return None
-    total = (q ** nullity - 1) // (q - 1)
-    if total > budget:
-        raise BudgetExceededError("codewords", budget, total)
     kern = kernel_basis(matrix)  # nullity x n
-    best = None
-    for block in projective_reps(field, nullity):
-        words = field.matmul_arr(block.T, kern.data)  # cnt x n
-        weights = np.count_nonzero(words, axis=1)
-        wmin = int(weights.min())
-        if best is None or wmin < best:
-            best = wmin
-    return best
+    if kern.rows == 0:
+        return None
+    return min_distance(kern, budget=budget)
 
 
-def _min_distance(matrix: MatrixGF, *, budget: int) -> int | None:
+def min_distance(matrix: MatrixGF, *, budget: int) -> int | None:
     """Minimum Hamming weight of the row-space code; None if rank < rows."""
     field = matrix.field
     k, n = matrix.rows, matrix.cols
@@ -254,7 +240,7 @@ def verify_general_position(supply: PointSupply, s: int | None = None,
     if indep_cost <= budgets.subsets and span_cost <= budgets.codewords:
         dd = dual_distance_by_ranks(mat, budget=budgets.subsets)
         s_ind = k - 1 if dd is None else min(k - 1, dd - 2)
-        d = _min_distance(mat, budget=budgets.codewords)
+        d = min_distance(mat, budget=budgets.codewords)
         span = None if d is None else n - d + 1
         return GeneralPositionReport(s_ind, span, "exhaustive")
 

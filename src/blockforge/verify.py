@@ -1,11 +1,11 @@
 """Ground-truth verification of strong s-blocking sets.
 
 The exhaustive verifier quantifies over every codimension-s subspace L: it
-applies the s x k quotient map of L to all points at once, gathers the points
-that land in L, and checks that they span L (rank k-s).  The subspace stream
-shards into contiguous index ranges, and the merged report is defined purely
-in terms of the canonical enumeration order (earliest counterexample wins),
-so runs with different worker counts are byte-identical.
+tests all points for membership in a block of subspaces with one field
+matmul, gathers the points that land in each L, and checks that they span L
+(rank k-s).  The report is defined purely in terms of the canonical
+enumeration order (earliest counterexample wins), so runs with different
+shard counts are byte-identical.
 
 Also here: sampled verification for larger instances, the scalar-orbit affine
 conversion with its exhaustive coset check, and a small-case minimum-size
@@ -15,7 +15,6 @@ search used to produce ground truths for tests.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -24,9 +23,8 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS
 from .construct import BlockingSet, lower_bound
 from .errors import BudgetExceededError
-from .linalg import (MatrixGF, SubspaceBasis, enumerate_subspaces,
-                     gaussian_binomial, kernel_basis, projective_reps,
-                     quotient_map, rank, rref, subspace_from_rows)
+from .linalg import (MatrixGF, SubspaceBasis, gaussian_binomial, kernel_basis,
+                     projective_reps, rank, rref, rref_blocks, subspace_from_rows)
 
 
 @dataclass(frozen=True)
@@ -77,32 +75,47 @@ def _intersection_rank(b: BlockingSet, q_map: np.ndarray) -> int:
     return rank(MatrixGF(fld, b.points[mask]))
 
 
-def _scan_shard(b: BlockingSet, s: int, start: int, stop: int, count_all: bool):
-    """Scan [start, stop) of the canonical subspace order.
+def _quotient_parts(fld, points: np.ndarray, pivots: tuple[int, ...], block: np.ndarray):
+    """The two halves of Q x = x[free] - x[pivots] @ R[:, free], the image of
+    every point x under the quotient map Q of every subspace L in a block of
+    RREF bases R (x lies in L iff x == x[pivots] @ R, as R[:, pivots] = I).
 
-    Returns (first_failure | None, failures_in_shard, checked) where checked
-    is the number of subspaces examined inside the shard (stops early at the
-    first failure unless count_all is set).
+    Returns x[free] (c x 1 x N) and x[pivots] @ R[:, free] (c x count x N),
+    the latter from one field matmul of inner dimension dim L.
+    """
+    free = [j for j in range(points.shape[1]) if j not in pivots]
+    shape = (len(free), len(block), len(points))
+    r_free = block[:, :, free].transpose(2, 0, 1).reshape(shape[0] * shape[1], len(pivots))
+    span = fld.matmul_arr(r_free, points[:, list(pivots)].T).reshape(shape)
+    return points[:, free].T[:, None, :], span
+
+
+def _scan_shard(b: BlockingSet, s: int, start: int, stop: int, count_all: bool):
+    """Scan [start, stop) of the canonical subspace order a block at a time.
+
+    Returns (first_failure | None, failures_in_shard); the scan stops at the
+    first failure unless count_all is set.
     """
     fld = b.field
     k = b.k
-    needed = k - s
     first = None
     failures = 0
-    checked = 0
-    for idx, L in enumerate(enumerate_subspaces(fld, k, s, budget=None,
-                                                start=start, stop=stop)):
-        gidx = start + idx
-        checked += 1
-        q_map = quotient_map(L).data
-        r = _intersection_rank(b, q_map)
-        if r < needed:
-            failures += 1
-            if first is None:
-                first = Counterexample(L, r, gidx)
-            if not count_all:
-                break
-    return first, failures, checked
+    idx = start
+    for pivots, block in rref_blocks(fld, k, k - s, start, stop):
+        own, span = _quotient_parts(fld, b.points, pivots, block)
+        inside = (span == own).all(axis=0)  # count x N
+        coords = b.points[:, list(pivots)]  # coordinates in L's basis, for points of L
+        for i in range(len(block)):
+            r = rank(MatrixGF(fld, coords[inside[i]]))
+            if r < k - s:
+                failures += 1
+                if first is None:
+                    L = SubspaceBasis(k, MatrixGF(fld, block[i]), pivots)
+                    first = Counterexample(L, r, idx + i)
+                if not count_all:
+                    return first, failures
+        idx += len(block)
+    return first, failures
 
 
 def is_strong_blocking(b: BlockingSet, s: int, *,
@@ -114,7 +127,8 @@ def is_strong_blocking(b: BlockingSet, s: int, *,
     A failure reports the earliest counterexample in the canonical subspace
     order together with the rank actually achieved.  With count_all the scan
     never short-circuits and the total number of failing subspaces is
-    reported as well.
+    reported as well.  `jobs` contiguous shards of that order are scanned in
+    sequence; the report does not depend on it.
     """
     k = b.k
     if not 1 <= s < k:
@@ -127,24 +141,22 @@ def is_strong_blocking(b: BlockingSet, s: int, *,
     t0 = time.perf_counter()
     jobs = max(1, int(jobs))
     bounds = [(total * i) // jobs for i in range(jobs + 1)]
-    shards = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    if len(shards) <= 1:
-        results = [_scan_shard(b, s, 0, total, count_all)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            results = list(pool.map(lambda w: _scan_shard(b, s, w[0], w[1], count_all),
-                                    shards))
-    firsts = [r[0] for r in results if r[0] is not None]
-    failures = sum(r[1] for r in results)
+    first = None
+    failures = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        if first is not None and not count_all:
+            break
+        shard_first, shard_failures = _scan_shard(b, s, lo, hi, count_all)
+        first = first or shard_first
+        failures += shard_failures
     wall = time.perf_counter() - t0
-    if not firsts:
+    if first is None:
         return VerificationReport("exhaustive", s, total, "pass", None, wall,
                                   failures if count_all else None)
-    best = min(firsts, key=lambda c: c.index)
     # Checked count is defined by the canonical order (work to the first
-    # failure), so reports do not depend on the worker count.
-    checked = total if count_all else best.index + 1
-    return VerificationReport("exhaustive", s, checked, "fail", best, wall,
+    # failure), so reports do not depend on the shard count.
+    checked = total if count_all else first.index + 1
+    return VerificationReport("exhaustive", s, checked, "fail", first, wall,
                               failures if count_all else None)
 
 
@@ -213,19 +225,24 @@ def blocks_affine(points: np.ndarray, fld, codim: int, *,
     image Q @ points covers all q^c labels for every linear subspace.
     Returns (True, None) or (False, {"basis": ..., "label": ...}).
     """
+    if codim < 1:
+        raise ValueError("the full space has no quotient map (codim 0)")
     k = points.shape[1]
     q = fld.q
     total = gaussian_binomial(k, k - codim, q)
     if total * (q ** codim) > budget:
         raise BudgetExceededError("subspaces", budget, total * q ** codim)
     weights = q ** np.arange(codim, dtype=np.int64)
-    for L in enumerate_subspaces(fld, k, codim, budget=None):
-        q_map = quotient_map(L).data
-        labels = (fld.matmul_arr(q_map, points.T).T @ weights)
-        hit = set(int(v) for v in labels)
-        if len(hit) < q ** codim:
-            missing = next(z for z in range(q ** codim) if z not in hit)
-            return False, {"basis": L.basis.data.tolist(), "label": missing}
+    for pivots, block in rref_blocks(fld, k, k - codim):
+        own, span = _quotient_parts(fld, points, pivots, block)
+        labels = np.tensordot(weights, fld.sub_arr(own, span), axes=1)  # count x N
+        hit = np.zeros((len(block), q ** codim), dtype=bool)
+        hit[np.arange(len(block))[:, None], labels] = True
+        missed = np.nonzero(~hit.all(axis=1))[0]
+        if missed.size:
+            i = int(missed[0])
+            return False, {"basis": block[i].tolist(),
+                           "label": int(np.argmin(hit[i]))}
     return True, None
 
 

@@ -13,6 +13,15 @@ from blockforge.linalg import MatrixGF, rank, subspace_from_rows
 from blockforge.supply import PointSupply, normalize_column
 
 
+# A GF(2) [12, 4] code that is not 2-minimal: the supports of its 2-dim
+# subspaces X_0 and X_1 are not contained in any other one, and the first
+# pair i != j with supp(X_i) inside supp(X_j) in (i, j) order is (2, 1).
+PINNED_CODE = [[1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0],
+               [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0],
+               [0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0],
+               [0, 1, 0, 1, 0, 1, 0, 0, 0, 1, 1, 1]]
+
+
 def projective_point_count(q: int, k: int) -> int:
     return (q ** k - 1) // (q - 1)
 

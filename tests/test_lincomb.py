@@ -80,23 +80,27 @@ def test_plc_edge_matches_brute_force():
             got.check(sup, L)
 
 
-def test_plc_edge_nullspace_path_agrees():
+def test_plc_edge_is_brute_force_first_hit():
+    # the witness is the lexicographically least all-nonzero combination,
+    # which is the oracle's first hit (it has first coefficient 1)
     rng = np.random.default_rng(7)
-    f5 = field_create(5)
-    for _ in range(30):
-        data = rng.integers(0, 5, size=(4, 6))
-        try:
-            sup = PointSupply(MatrixGF(f5, data), "rand")
-        except ValueError:
-            continue
-        L = random_subspace(f5, 4, int(rng.integers(1, 4)), rng)
-        X = tuple(sorted(rng.choice(6, size=3, replace=False).tolist()))
-        enum = plc_edge(sup, X, L, size_cap=3, method="enumerate")
-        kern = plc_edge(sup, X, L, size_cap=3, method="nullspace")
-        assert (enum is None) == (kern is None)
-        if kern is not None:
-            kern.check(sup, L)
-            enum.check(sup, L)
+    for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]:
+        fld = field_create(p, m)
+        for _ in range(15):
+            k = int(rng.integers(3, 6))
+            data = rng.integers(0, fld.q, size=(k, 6))
+            try:
+                sup = PointSupply(MatrixGF(fld, data), "rand")
+            except ValueError:
+                continue
+            L = random_subspace(fld, k, int(rng.integers(1, k)), rng)
+            size = int(rng.integers(1, 5))
+            X = tuple(sorted(rng.choice(6, size=size, replace=False).tolist()))
+            got = plc_edge(sup, X, L, size_cap=size)
+            expect = brute_force_plc(sup, X, L)
+            assert (None if got is None else got.coefficients) == expect
+            if got is not None:
+                got.check(sup, L)
 
 
 def test_build_plc_full_space_keeps_everything():

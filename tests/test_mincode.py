@@ -1,9 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from helpers import random_admissible_columns, projective_point_count
+from helpers import PINNED_CODE, random_admissible_columns, projective_point_count
 
 from blockforge.construct import BlockingSet
 from blockforge.errors import BudgetExceededError
@@ -80,6 +81,19 @@ def test_is_s_minimal_f2_square():
     sy = set(np.nonzero(y.any(axis=0))[0])
     assert sx <= sy
     assert rep.subspaces_examined == 3
+
+
+PINNED_REPORT = (
+    '{"result": "fail", "s": 2, "subspaces_examined": 35, "violating_pair": '
+    '[[[1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0]], '
+    '[[1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0], [0, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1]]]}')
+
+
+def test_is_s_minimal_pinned_violating_pair():
+    # the first pair i != j in (i, j) order is (2, 1)
+    code = LinearCode(MatrixGF(field_create(2), PINNED_CODE))
+    rep = is_s_minimal(code, 2)
+    assert json.dumps(rep.to_dict(), sort_keys=True) == PINNED_REPORT
 
 
 def test_is_s_minimal_repetition_code():

@@ -7,13 +7,17 @@ from blockforge.construct import BlockingSet, lower_bound
 from blockforge.errors import BudgetExceededError
 from blockforge.expander import complete_graph
 from blockforge.gf import field_create
-from blockforge.linalg import (MatrixGF, projective_reps, quotient_map, rank,
-                               subspace_count)
+from blockforge import linalg
+from blockforge.linalg import (MatrixGF, enumerate_subspaces, projective_reps,
+                               quotient_map, rank, subspace_count)
+from blockforge.mincode import LinearCode, blocking_to_code, is_s_minimal
 from blockforge.supply import supply_mds
 from blockforge.verify import (blocks_affine, is_strong_blocking,
                                is_strong_blocking_sampled, minimum_size_search,
                                to_affine_blocking)
 from blockforge.construct import construct_cherry
+
+from helpers import PINNED_CODE
 
 
 def all_projective_points(fld, k):
@@ -147,6 +151,42 @@ def test_affine_blocking_check():
     # removing the origin breaks blocking at the single point {0}
     ok2, ce = blocks_affine(aff[1:], fld, 3)
     assert not ok2 and ce["label"] == 0
+
+
+def _rref_block_outputs():
+    """Results of every rref_blocks consumer on small instances, as JSON."""
+    out = []
+    for p, m, k in [(2, 1, 5), (3, 1, 4), (2, 2, 3), (3, 2, 3)]:
+        fld = field_create(p, m)
+        for codim in range(k + 1):
+            total = subspace_count(k, codim, fld.q)
+            for lo, hi in [(0, None), (total // 3, 2 * total // 3 + 1)]:
+                out.append([[L.basis.data.tolist(), L.pivots] for L in
+                            enumerate_subspaces(fld, k, codim, start=lo, stop=hi)])
+        out.append(np.hstack(list(projective_reps(fld, k))).tolist())
+    fld = field_create(5)
+    good = construct_cherry(complete_graph(5), supply_mds(fld, 4, 5))
+    pts = np.hstack(list(projective_reps(fld, 4))).T
+    sparse = BlockingSet.from_points(fld, pts[::2], {"construction": "every other point"})
+    for b in (good, sparse, hyperplane_points(fld, 4)):
+        for s in (1, 2):
+            for jobs in (1, 2, 3, 5):
+                for count_all in (False, True):
+                    out.append(is_strong_blocking(b, s, jobs=jobs, count_all=count_all).to_dict())
+        aff = to_affine_blocking(b)
+        out.append([blocks_affine(aff, fld, c) for c in (1, 2, 3)])
+        out.append([blocks_affine(aff[::3], fld, c) for c in (1, 2, 3)])
+    codes = [LinearCode(MatrixGF(field_create(2), PINNED_CODE)), blocking_to_code(good),
+             blocking_to_code(sparse)]
+    out.append([is_s_minimal(code, s).to_dict() for code in codes for s in (1, 2, 3)])
+    return json.dumps(out)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_rref_block_size_does_not_change_results(monkeypatch, block):
+    default = _rref_block_outputs()
+    monkeypatch.setattr(linalg, "RREF_BLOCK", block)
+    assert _rref_block_outputs() == default
 
 
 def test_minimum_size_search_k2():

@@ -12,12 +12,12 @@ from .construct import (BlockingSet, construct_ball_power, construct_cherry,
                         construct_neighborhood, edge_span_union, lower_bound)
 from .errors import (BlockforgeError, BudgetExceededError, CertificateError,
                      DualityMismatchError)
-from .expander import (Graph, MixingReport, SpectralReport, ball, blowup,
-                       check_mixing, clique_hypergraph, complete_graph,
+from .expander import (Graph, Hypergraph, MixingReport, SpectralReport, ball,
+                       blowup, check_mixing, clique_hypergraph, complete_graph,
                        cycle_graph, find_star_vertex, largest_component,
                        lps_graph, path_graph, power_graph, second_eigenvalue)
 from .gf import FieldSpec, field_create
-from .lincomb import (Certificate, EdgeWitness, EliminationOrder, Hypergraph,
+from .lincomb import (Certificate, EdgeWitness, EliminationOrder,
                       build_plc_hypergraph, certify, exactly_s_plus_one_edge,
                       plc_edge, tree_like_order)
 from .linalg import (MatrixGF, SubspaceBasis, enumerate_subspaces,

@@ -22,9 +22,8 @@ import numpy as np
 
 from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
-from .expander import Graph, ball, power_graph, clique_hypergraph
+from .expander import Graph, Hypergraph, ball, power_graph, clique_hypergraph
 from .gf import FieldSpec
-from .lincomb import Hypergraph
 from .linalg import (MatrixGF, format_matrix, parse_matrix, projective_reps,
                      read_matrix, write_matrix)
 from .supply import (GeneralPositionReport, PointSupply, distinct_rows,

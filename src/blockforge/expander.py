@@ -1,6 +1,6 @@
 """Expander graphs: LPS Ramanujan construction, spectral-gap bounds, mixing
-checks, and the graph operators (powers, blow-ups, clique hypergraphs, balls)
-used by the blocking-set constructions.
+checks, the hypergraph edge-list type, and the graph operators (powers,
+blow-ups, clique hypergraphs, balls) used by the blocking-set constructions.
 
 Graphs are immutable after construction.  BFS-style operators shard naturally
 by start vertex; the spectral routines deflate the trivial eigenvectors
@@ -21,7 +21,6 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .gf import is_prime
-from .lincomb import Hypergraph
 from .linalg import format_rows, parse_rows, split_head
 
 
@@ -129,6 +128,37 @@ def cycle_graph(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+@dataclass(frozen=True)
+class Hypergraph:
+    """Edge lists over vertices 0..n-1 (vertex i names column i of a supply)."""
+
+    n: int
+    edges: tuple[tuple[int, ...], ...]
+    max_edge_size: int
+
+    @classmethod
+    def from_edges(cls, n: int, edges, max_edge_size: int | None = None) -> "Hypergraph":
+        canon = sorted({tuple(sorted(int(v) for v in e)) for e in edges})
+        for e in canon:
+            if not e:
+                raise ValueError("empty hyperedge")
+            if len(set(e)) != len(e):
+                raise ValueError(f"repeated vertex in edge {e}")
+            if e[0] < 0 or e[-1] >= n:
+                raise ValueError(f"edge {e} out of range for n={n}")
+        width = max((len(e) for e in canon), default=0)
+        if max_edge_size is not None and width > max_edge_size:
+            raise ValueError(f"edge of size {width} exceeds the bound {max_edge_size}")
+        return cls(n, tuple(canon), max_edge_size if max_edge_size is not None else width)
+
+    @property
+    def m(self) -> int:
+        return len(self.edges)
+
+    def is_bounded(self, s: int) -> bool:
+        return all(len(e) <= s for e in self.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,6 @@ class MatrixGF:
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "MatrixGF":
         return cls(field, np.zeros((rows, cols), dtype=np.int64))
 
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(self.field, self.data.T.copy())
-
     def __eq__(self, other):
         return (isinstance(other, MatrixGF) and self.field == other.field
                 and self.data.shape == other.data.shape
@@ -82,33 +79,40 @@ def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
 # RREF
 # ---------------------------------------------------------------------------
 
+def rref_stack(field: FieldSpec, a) -> tuple[np.ndarray, np.ndarray]:
+    """(R, ranks) for a (count, rows, cols) stack: R[i] is the reduced row
+    echelon form of a[i] and ranks[i] its rank.  Each column is eliminated
+    only in the matrices that can still take a pivot and only in the rows
+    where it is nonzero; the sweep ends once every matrix has full row rank.
+    """
+    R = np.array(a, dtype=np.int64)
+    _, rows, cols = R.shape
+    ranks = np.zeros(len(R), dtype=np.int64)
+    for c in range(cols):
+        if (ranks == rows).all():
+            break
+        cand = (R[:, :, c] != 0) & (np.arange(rows) >= ranks[:, None])
+        b = np.nonzero(cand.any(axis=1))[0]  # the matrices with a pivot in column c
+        src, r = cand[b].argmax(axis=1), ranks[b]  # found in row src, moved to row r
+        # Rows from the rank down are zero left of column c, so the pivot row is too.
+        piv = R[b, src, c:]
+        R[b, src, c:] = R[b, r, c:]
+        R[b, r, c:] = piv = field.mul_arr(field.inv_arr(piv[:, 0])[:, None], piv)
+        neg = field.neg_arr(R[b, :, c])
+        neg[np.arange(b.size), r] = 0
+        hb, hr = np.nonzero(neg)
+        R[b[hb], hr, c:] = field.add_arr(R[b[hb], hr, c:],
+                                         field.mul_arr(neg[hb, hr][:, None], piv[hb]))
+        ranks[b] += 1
+    return R, ranks
+
+
 def rref(m: MatrixGF):
     """Reduced row echelon form.  Returns (MatrixGF, rank, pivot columns)."""
-    field = m.field
-    R = m.data.astype(np.int64, copy=True)
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        pv = int(R[r, c])
-        if pv != 1:
-            R[r] = field.mul_arr(R[r], field.inv(pv))
-        col = R[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            R[hit] = field.sub_arr(R[hit], field.mul_arr(col[hit, None], R[r][None, :]))
-        pivots.append(c)
-        r += 1
-    return MatrixGF(field, R), r, tuple(pivots)
+    R, ranks = rref_stack(m.field, m.data[None])
+    R, r = R[0], int(ranks[0])
+    pivots = tuple((R[:r] != 0).argmax(axis=1).tolist()) if r else ()
+    return MatrixGF(m.field, R), r, pivots
 
 
 def rank(m: MatrixGF) -> int:
@@ -155,15 +159,12 @@ class SubspaceBasis:
         return self.ambient_dim - self.dim
 
     def contains(self, vec) -> bool:
-        w = np.asarray(vec, dtype=np.int64).copy()
-        if w.shape != (self.ambient_dim,):
+        """x lies in L iff x == x[pivots] @ basis (the basis has I at its pivots)."""
+        x = np.asarray(vec, dtype=np.int64)
+        if x.shape != (self.ambient_dim,):
             raise ValueError("vector has the wrong length")
         fld = self.field
-        for i, pc in enumerate(self.pivots):
-            c = int(w[pc])
-            if c:
-                w = fld.sub_arr(w, fld.mul_arr(c, self.basis.data[i]))
-        return not w.any()
+        return np.array_equal(fld.matmul_arr(x[None, list(self.pivots)], self.basis.data)[0], x)
 
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis)

@@ -23,40 +23,10 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS
 from .errors import BudgetExceededError, CertificateError
+from .expander import Hypergraph
 from .linalg import (MatrixGF, kernel_basis, matmul, projective_reps,
                      quotient_map, rank, SubspaceBasis)
 from .supply import PointSupply
-
-
-@dataclass(frozen=True)
-class Hypergraph:
-    """Edge lists over vertices 0..n-1 (vertex i names column i of a supply)."""
-
-    n: int
-    edges: tuple[tuple[int, ...], ...]
-    max_edge_size: int
-
-    @classmethod
-    def from_edges(cls, n: int, edges, max_edge_size: int | None = None) -> "Hypergraph":
-        canon = sorted({tuple(sorted(int(v) for v in e)) for e in edges})
-        for e in canon:
-            if not e:
-                raise ValueError("empty hyperedge")
-            if len(set(e)) != len(e):
-                raise ValueError(f"repeated vertex in edge {e}")
-            if e[0] < 0 or e[-1] >= n:
-                raise ValueError(f"edge {e} out of range for n={n}")
-        width = max((len(e) for e in canon), default=0)
-        if max_edge_size is not None and width > max_edge_size:
-            raise ValueError(f"edge of size {width} exceeds the bound {max_edge_size}")
-        return cls(n, tuple(canon), max_edge_size if max_edge_size is not None else width)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    def is_bounded(self, s: int) -> bool:
-        return all(len(e) <= s for e in self.edges)
 
 
 @dataclass(frozen=True)
@@ -75,10 +45,8 @@ class EdgeWitness:
             raise ValueError("proper combinations have no zero coefficients")
 
     def check(self, supply: PointSupply, L: SubspaceBasis | None = None) -> None:
-        fld = supply.field
-        acc = np.zeros(supply.k, dtype=np.int64)
-        for v, c in zip(self.edge, self.coefficients):
-            acc = fld.add_arr(acc, fld.mul_arr(c, supply.column(v)))
+        acc = supply.field.matmul_arr(supply.matrix.data[:, list(self.edge)],
+                                      np.array(self.coefficients)[:, None])[:, 0]
         if not np.array_equal(acc, np.asarray(self.target)):
             raise ValueError("witness target does not match its combination")
         if L is not None and not L.contains(acc):

@@ -21,7 +21,9 @@ from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .gf import FieldSpec
 from .linalg import (MatrixGF, kernel_basis, projective_reps, rank, read_matrix,
-                     write_matrix)
+                     rref_stack, write_matrix)
+
+RANK_CHUNK = 256  # column subsets per rref_stack call in _rank_deficient
 
 
 def normalize_column(field: FieldSpec, col: np.ndarray) -> np.ndarray:
@@ -168,6 +170,17 @@ def supply_random_verified(field: FieldSpec, k: int, n: int, s: int, t: int,
 # Verification
 # ---------------------------------------------------------------------------
 
+def _rank_deficient(matrix: MatrixGF, subsets, needed: int) -> bool:
+    """Whether some column subset from the iterator `subsets` (index
+    sequences of one size) has rank below `needed`.  Ranks RANK_CHUNK subsets
+    per rref_stack call and takes none past the first chunk that has one."""
+    while chunk := list(itertools.islice(subsets, RANK_CHUNK)):
+        stack = matrix.data[:, np.array(chunk)].transpose(1, 0, 2)  # a k x size matrix each
+        if (rref_stack(matrix.field, stack)[1] < needed).any():
+            return True
+    return False
+
+
 def dual_distance_by_ranks(matrix: MatrixGF, *,
                            budget: int = DEFAULT_BUDGETS.subsets):
     """Smallest number of linearly dependent columns, or None when every
@@ -177,17 +190,14 @@ def dual_distance_by_ranks(matrix: MatrixGF, *,
     subset of size <= k exists and n > k, the answer is k+1.
     """
     k, n = matrix.rows, matrix.cols
-    field = matrix.field
     checked = 0
     for j in range(1, min(k, n) + 1):
         count = math.comb(n, j)
         if checked + count > budget:
             raise BudgetExceededError("subsets", budget, checked + count)
         checked += count
-        for cols in itertools.combinations(range(n), j):
-            sub = MatrixGF(field, matrix.data[:, cols])
-            if rank(sub) < j:
-                return j
+        if _rank_deficient(matrix, itertools.combinations(range(n), j), j):
+            return j
     return k + 1 if n > k else None
 
 
@@ -249,15 +259,11 @@ def verify_general_position(supply: PointSupply, s: int | None = None,
             "subsets", budgets.subsets, indep_cost,
             "exhaustive check over budget; pass target (s, t) for sampled mode")
     rng = np.random.default_rng(seed)
-    field = supply.field
-    for _ in range(samples):
-        cols = rng.choice(n, size=min(s + 1, n), replace=False)
-        if rank(MatrixGF(field, mat.data[:, cols])) < len(cols):
-            return GeneralPositionReport(0, None, "sampled")
-    for _ in range(samples):
-        cols = rng.choice(n, size=min(t, n), replace=False)
-        if rank(MatrixGF(field, mat.data[:, cols])) < k:
-            return GeneralPositionReport(s, None, "sampled")
+    indep, span = min(s + 1, n), min(t, n)
+    if _rank_deficient(mat, (rng.choice(n, indep, replace=False) for _ in range(samples)), indep):
+        return GeneralPositionReport(0, None, "sampled")
+    if _rank_deficient(mat, (rng.choice(n, span, replace=False) for _ in range(samples)), k):
+        return GeneralPositionReport(s, None, "sampled")
     return GeneralPositionReport(s, t, "sampled")
 
 

@@ -24,7 +24,7 @@ from .budgets import DEFAULT_BUDGETS
 from .construct import BlockingSet, lower_bound
 from .errors import BudgetExceededError
 from .linalg import (MatrixGF, SubspaceBasis, gaussian_binomial, kernel_basis,
-                     projective_reps, rank, rref, rref_blocks, subspace_from_rows)
+                     projective_reps, rank, rref, rref_blocks, rref_stack, subspace_from_rows)
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,6 @@ class VerificationReport:
         return d
 
 
-def _intersection_rank(b: BlockingSet, q_map: np.ndarray) -> int:
-    """Rank of {points of b lying in the null space of q_map}."""
-    fld = b.field
-    images = fld.matmul_arr(q_map, b.points.T)  # s x N
-    mask = ~images.any(axis=0)
-    if not mask.any():
-        return 0
-    return rank(MatrixGF(fld, b.points[mask]))
-
-
 def _quotient_parts(fld, points: np.ndarray, pivots: tuple[int, ...], block: np.ndarray):
     """The two halves of Q x = x[free] - x[pivots] @ R[:, free], the image of
     every point x under the quotient map Q of every subspace L in a block of
@@ -90,6 +80,18 @@ def _quotient_parts(fld, points: np.ndarray, pivots: tuple[int, ...], block: np.
     return points[:, free].T[:, None, :], span
 
 
+def _meet_ranks(fld, points: np.ndarray, pivots: tuple[int, ...], block: np.ndarray):
+    """Rank of the points inside each subspace L of a block of RREF bases, read
+    in L's basis (their pivot coordinates) and ranked as one zero-padded stack."""
+    own, span = _quotient_parts(fld, points, pivots, block)
+    which, where = np.nonzero((span == own).all(axis=0))  # (L, point) pairs, L-major
+    counts = np.bincount(which, minlength=len(block))
+    stack = np.zeros((len(block), counts.max(initial=0), len(pivots)), dtype=np.int64)
+    slot = np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts, counts)
+    stack[which, slot] = points[where][:, list(pivots)]
+    return rref_stack(fld, stack)[1]
+
+
 def _scan_shard(b: BlockingSet, s: int, start: int, stop: int, count_all: bool):
     """Scan [start, stop) of the canonical subspace order a block at a time.
 
@@ -102,18 +104,15 @@ def _scan_shard(b: BlockingSet, s: int, start: int, stop: int, count_all: bool):
     failures = 0
     idx = start
     for pivots, block in rref_blocks(fld, k, k - s, start, stop):
-        own, span = _quotient_parts(fld, b.points, pivots, block)
-        inside = (span == own).all(axis=0)  # count x N
-        coords = b.points[:, list(pivots)]  # coordinates in L's basis, for points of L
-        for i in range(len(block)):
-            r = rank(MatrixGF(fld, coords[inside[i]]))
-            if r < k - s:
-                failures += 1
-                if first is None:
-                    L = SubspaceBasis(k, MatrixGF(fld, block[i]), pivots)
-                    first = Counterexample(L, r, idx + i)
-                if not count_all:
-                    return first, failures
+        ranks = _meet_ranks(fld, b.points, pivots, block)
+        bad = np.nonzero(ranks < k - s)[0]
+        if bad.size and first is None:
+            i = int(bad[0])
+            first = Counterexample(SubspaceBasis(k, MatrixGF(fld, block[i]), pivots),
+                                   int(ranks[i]), idx + i)
+            if not count_all:
+                return first, 1
+        failures += bad.size
         idx += len(block)
     return first, failures
 
@@ -173,7 +172,6 @@ def is_strong_blocking_sampled(b: BlockingSet, s: int, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     fld = b.field
-    needed = k - s
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     for t in range(trials):
@@ -182,10 +180,9 @@ def is_strong_blocking_sampled(b: BlockingSet, s: int, trials: int,
             R, r, _ = rref(MatrixGF(fld, q_map))
             if r == s:
                 break
-        canon = R.data  # canonical representative of the sampled quotient map
-        achieved = _intersection_rank(b, canon)
-        if achieved < needed:
-            L = subspace_from_rows(kernel_basis(MatrixGF(fld, canon)))
+        L = subspace_from_rows(kernel_basis(R))  # R: the canonical sampled quotient map
+        achieved = int(_meet_ranks(fld, b.points, L.pivots, L.basis.data[None])[0])
+        if achieved < k - s:
             wall = time.perf_counter() - t0
             return VerificationReport("sampled", s, t + 1, "fail",
                                       Counterexample(L, achieved, t), wall)
@@ -268,10 +265,7 @@ def minimum_size_search(fld, k: int, s: int,
     full point set (always a strong s-blocking set) is returned flagged
     inexact.
     """
-    pts = []
-    for block in projective_reps(fld, k):
-        pts.extend(block.T)
-    pts = np.array(pts, dtype=np.int64)
+    pts = np.hstack(list(projective_reps(fld, k))).T
     everything = BlockingSet.from_points(fld, pts, {"construction": "all-points"})
     tested = 0
     lb = lower_bound(fld.q, k, s)

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from blockforge.expander import Hypergraph
 from blockforge.gf import FieldSpec
-from blockforge.lincomb import EdgeWitness, EliminationOrder, Hypergraph
+from blockforge.lincomb import EdgeWitness, EliminationOrder
 from blockforge.linalg import MatrixGF, rank, subspace_from_rows
 from blockforge.supply import PointSupply, normalize_column
 

@@ -12,9 +12,9 @@ from blockforge.construct import (BlockingSet, cherry_hypergraph,
                                   parse_blocking_set, read_blocking_set,
                                   write_blocking_set)
 from blockforge.errors import BudgetExceededError
-from blockforge.expander import Graph, complete_graph, cycle_graph, path_graph
+from blockforge.expander import (Graph, Hypergraph, complete_graph, cycle_graph,
+                                 path_graph)
 from blockforge.gf import field_create
-from blockforge.lincomb import Hypergraph
 from blockforge.linalg import MatrixGF
 from blockforge.supply import PointSupply, supply_mds, normalize_column
 from blockforge.verify import is_strong_blocking

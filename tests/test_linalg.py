@@ -11,8 +11,8 @@ from blockforge import linalg
 from blockforge.linalg import (MatrixGF, enumerate_subspaces, format_matrix,
                                gaussian_binomial, kernel_basis, matmul,
                                parse_matrix, projective_reps, quotient_map,
-                               rank, rank_product, rref, subspace_count,
-                               subspace_from_rows)
+                               rank, rank_product, rref, rref_stack,
+                               subspace_count, subspace_from_rows)
 
 
 def _naive_rank(fld, data):
@@ -68,6 +68,36 @@ def test_rref_idempotent(p, m):
         R1, r1, p1 = rref(mat)
         R2, r2, p2 = rref(R1)
         assert (R1, r1, p1) == (R2, r2, p2)
+
+
+def _check_rref_of(fld, R, r, a):
+    """R, of rank r, is the reduced row echelon form of a: leading 1s in
+    increasing columns, the only nonzero entries of their columns, zero rows
+    last, and the row space of a (stacking a under R adds no rank)."""
+    lead = [int(np.flatnonzero(row)[0]) for row in R[:r]]
+    assert lead == sorted(set(lead)) and not R[r:].any()
+    for i, c in enumerate(lead):
+        assert R[i, c] == 1 and np.count_nonzero(R[:, c]) == 1
+    assert _naive_rank(fld, np.vstack([R[:r], a])) == r
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (13, 1)])
+def test_rref_stack_matches_naive_rank_and_single_rref(p, m):
+    fld = field_create(p, m)
+    rng = np.random.default_rng(100 * p + m)
+    for rows, cols in [(0, 4), (4, 0), (0, 0), (1, 1), (3, 6), (6, 3), (5, 5), (8, 2)]:
+        a = rng.integers(0, fld.q, size=(9, rows, cols))
+        a[rng.random(a.shape) < 0.4] = 0  # sparse entries make rank-deficient members
+        if rows >= 2:
+            a[::3, -1] = a[::3, 0]  # a repeated row
+            a[1::3, rows // 2:] = 0  # zero padding, as in the verifier's stacks
+        R, ranks = rref_stack(fld, a)
+        assert R.shape == a.shape and ranks.shape == (len(a),)
+        for i, mat in enumerate(a):
+            R1, r1, piv = rref(MatrixGF(fld, mat))
+            assert ranks[i] == r1 == len(piv) == _naive_rank(fld, mat)
+            assert np.array_equal(R[i], R1.data)
+            _check_rref_of(fld, R[i], r1, mat)
 
 
 def test_rank_product_identity():

@@ -6,8 +6,9 @@ import pytest
 from helpers import random_certificate_instance, random_subspace
 
 from blockforge.errors import CertificateError
+from blockforge.expander import Hypergraph
 from blockforge.gf import field_create
-from blockforge.lincomb import (EdgeWitness, Hypergraph, build_plc_hypergraph,
+from blockforge.lincomb import (EdgeWitness, build_plc_hypergraph,
                                 certify, check_elimination_order,
                                 exactly_s_plus_one_edge, format_hypergraph,
                                 parse_hypergraph, plc_edge, tree_like_order)

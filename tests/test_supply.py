@@ -1,10 +1,13 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from blockforge import supply
+from blockforge.budgets import Budgets
 from blockforge.gf import field_create
-from blockforge.linalg import MatrixGF, rank
+from blockforge.linalg import MatrixGF, projective_reps, rank
 from blockforge.supply import (GeneralPositionReport, PointSupply,
                                dual_distance_by_codewords,
                                dual_distance_by_ranks, read_supply,
@@ -141,6 +144,45 @@ def test_supply_round_trip(tmp_path):
     again, rep2 = read_supply(path)
     assert np.array_equal(again.matrix.data, sup.matrix.data)
     assert again.provenance == "file" and rep2 is None
+
+
+def _sampled_general_position(supply_seed, cases, samples=40):
+    """Sampled-path reports for 14 random points of PG(3, 3)."""
+    fld = field_create(3)
+    pts = np.hstack(list(projective_reps(fld, 4))).T
+    cols = pts[np.random.default_rng(supply_seed).choice(len(pts), size=14, replace=False)]
+    sup = PointSupply(MatrixGF(fld, cols.T), "random")
+    tiny = Budgets(subsets=1, codewords=1)  # forces the sampled path
+    return [verify_general_position(sup, s, t, budgets=tiny, samples=samples,
+                                    seed=seed).to_dict() for s, t, seed in cases]
+
+
+def test_sampled_general_position_report_bytes():
+    # pinned from the per-draw rank loops that the chunked stacks replaced:
+    # a miss in the (s+1)-subset loop, a miss in each t-subset loop, a pass
+    got = _sampled_general_position(2, [(2, 4, 0), (2, 4, 1), (1, 6, 0), (1, 6, 2)])
+    assert json.dumps(got) == json.dumps([
+        {"s_independence": 0, "span_threshold": None, "method": "sampled"},
+        {"s_independence": 2, "span_threshold": None, "method": "sampled"},
+        {"s_independence": 1, "span_threshold": None, "method": "sampled"},
+        {"s_independence": 1, "span_threshold": 6, "method": "sampled"}])
+
+
+def _rank_chunk_outputs():
+    cases = [(s, t, seed) for s, t in [(2, 4), (1, 4), (1, 6), (3, 5)] for seed in range(3)]
+    out = [_sampled_general_position(i, cases, samples=25) for i in range(3)]
+    rng = np.random.default_rng(5)
+    for q, k, n in [(2, 4, 9), (3, 3, 7), (5, 4, 8)]:
+        for _ in range(4):
+            out.append(dual_distance_by_ranks(MatrixGF(field_create(q), rng.integers(0, q, (k, n)))))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_rank_chunk_does_not_change_results(monkeypatch, chunk):
+    default = _rank_chunk_outputs()
+    monkeypatch.setattr(supply, "RANK_CHUNK", chunk)
+    assert _rank_chunk_outputs() == default
 
 
 def test_report_round_trip_dict():

@@ -113,6 +113,25 @@ def test_sampled_deterministic():
     assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(r2.to_dict(), sort_keys=True)
 
 
+def test_sampled_failure_report_bytes():
+    # pinned from the per-trial rank loop that the batched meet-rank replaced
+    expected = [
+        '{"mode": "sampled", "s": 2, "subspaces_checked": 1, "result": "fail", '
+        '"counterexample": {"basis": [[0, 1, 0, 1], [0, 0, 1, 1]], "rank": 1, "index": 0}, '
+        '"counterexample_count": null}',
+        '{"mode": "sampled", "s": 1, "subspaces_checked": 3, "result": "fail", '
+        '"counterexample": {"basis": [[1, 2, 0], [0, 0, 1]], "rank": 1, "index": 2}, '
+        '"counterexample_count": null}']
+    got = []
+    for (p, m), k, s in [((3, 1), 4, 2), ((2, 2), 3, 1)]:
+        fld = field_create(p, m)
+        pts = np.hstack(list(projective_reps(fld, k))).T
+        keep = np.random.default_rng(1).random(len(pts)) < 0.4
+        b = BlockingSet.from_points(fld, pts[keep], {"construction": "random subset"})
+        got.append(json.dumps(is_strong_blocking_sampled(b, s, 50, seed=3).to_dict()))
+    assert got == expected
+
+
 def test_exhaustive_and_sampled_agree():
     fld = field_create(5)
     good = construct_cherry(complete_graph(4), supply_mds(fld, 3, 4))

@@ -570,13 +570,3 @@ def parse_graph(text: str) -> Graph:
     if len(toks) != 3 or toks[0] != "graph":
         raise ValueError(f"malformed graph header: {head!r}")
     return Graph(int(toks[1]), parse_rows(body, int(toks[2]), 2))
-
-
-def write_graph(path, g: Graph) -> None:
-    with open(path, "w") as f:
-        f.write(format_graph(g))
-
-
-def read_graph(path) -> Graph:
-    with open(path) as f:
-        return parse_graph(f.read())

@@ -2,9 +2,12 @@
 
 Scalars are plain integers in [0, q) encoding polynomials over GF(p) in
 base p: value = a_0 + a_1*p + ... + a_{m-1}*p^(m-1).  A FieldSpec owns the
-modulus and the multiplication tables; it is immutable after construction
-and safe to share across threads.  Scalar methods validate their operands,
-the *_arr methods are the unchecked fast path for numpy arrays.
+modulus and the lookup tables; it is immutable after construction and safe
+to share across threads.  Scalar methods validate their operands and are the
+reference for the *_arr methods, the unchecked fast path for int64 arrays,
+which have one kernel per kind of field: mod-p arithmetic for prime fields,
+q x q add and mul tables up to TABLE_MAX_ORDER elements, and above it log/exp
+tables that multiply and a Zech-log table that adds.
 """
 
 from __future__ import annotations
@@ -17,6 +20,10 @@ import numpy as np
 # Fields are capped at 2^16 elements: log/exp tables stay small and the
 # desk-scale constructions never need more.
 MAX_ORDER = 1 << 16
+
+# q x q add and mul tables up to this order (1 MiB per field at the cap), Zech
+# logs above it: a property of the kernels, not a setting.
+TABLE_MAX_ORDER = 256
 
 
 def is_prime(n: int) -> bool:
@@ -90,7 +97,8 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
 
     Deterministic so that file headers written on different machines agree.
     """
-    for digits in itertools.product(range(p), repeat=m):
+    # c0 varies slowest; for m > 1 a candidate with c0 = 0 is divisible by x
+    for digits in itertools.product(range(1 if m > 1 else 0, p), *[range(p)] * (m - 1)):
         cand = list(digits) + [1]
         if poly_is_irreducible(cand, p):
             return tuple(cand)
@@ -102,7 +110,7 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class FieldSpec:
-    """GF(p^m) with table-driven multiplication.  Use :func:`field_create`."""
+    """GF(p^m) with table-driven arithmetic.  Use :func:`field_create`."""
 
     def __init__(self, p: int, m: int, modulus):
         if not is_prime(p):
@@ -121,7 +129,6 @@ class FieldSpec:
         self.m = m
         self.q = q
         self.modulus = modulus
-        self._pows = p ** np.arange(m, dtype=np.int64)
         self._build_tables()
 
     # -- construction helpers ------------------------------------------------
@@ -147,32 +154,49 @@ class FieldSpec:
         prod += [0] * (self.m - len(prod))
         return self._encode(prod)
 
+    def _pow_raw(self, a: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_raw(out, a)
+            a = self._mul_raw(a, a)
+            e >>= 1
+        return out
+
     def _build_tables(self):
-        q = self.q
-        if q == 2:
-            exp = [1]
-        else:
-            exp = None
-            for g in range(2, q):
-                seq = [1]
-                e = g
-                while e != 1:
-                    seq.append(e)
-                    e = self._mul_raw(e, g)
-                    if len(seq) > q:  # pragma: no cover - defensive
-                        raise RuntimeError("multiplication table is inconsistent")
-                if len(seq) == q - 1:
-                    exp = seq
-                    break
-            if exp is None:  # pragma: no cover - every finite field is cyclic
-                raise RuntimeError(f"no generator found for GF({q})")
-        self._exp = np.asarray(exp, dtype=np.int64)
+        p, m, q = self.p, self.m, self.q
+        order = q - 1
+        pows = p ** np.arange(m, dtype=np.int64)
+        digits = (np.arange(q, dtype=np.int64)[:, None] // pows) % p  # base p, low first
+        # the least g >= 2 of order q - 1 (1 for GF(2)): g^((q-1)/r) != 1 for each prime r | q-1
+        primes = [r for r in range(2, q) if order % r == 0 and is_prime(r)]
+        step = next((g for g in range(2, q)
+                     if all(self._pow_raw(g, order // r) != 1 for r in primes)), 1)
+        exp = np.ones(1, dtype=np.int64)
+        while len(exp) < order:  # exp[n:2n] = exp[:n] * g^n; x -> c x is linear on digits
+            rows = digits[[self._mul_raw(int(v), step) for v in pows]]
+            exp = np.concatenate([exp, ((digits[exp] @ rows) % p) @ pows])
+            step = self._mul_raw(step, step)
+        self._exp = exp[:order]
         log = np.full(q, -1, dtype=np.int64)
-        log[self._exp] = np.arange(q - 1, dtype=np.int64)
+        log[self._exp] = np.arange(order, dtype=np.int64)
         self._log = log
         inv = np.zeros(q, dtype=np.int64)
-        inv[self._exp] = self._exp[(-np.arange(q - 1)) % (q - 1)]
+        inv[self._exp] = self._exp[(-np.arange(order)) % order]
         self._inv = inv
+        self._neg = self._add = self._mul = self._zech = None
+        if m == 1:
+            return
+        self._neg = ((-digits) % p) @ pows
+        if q <= TABLE_MAX_ORDER:
+            self._add = (((digits[:, None] + digits[None]) % p) @ pows).ravel()
+            mul = self._exp[(log[:, None] + log[None]) % order]
+            mul[0] = mul[:, 0] = 0
+            self._mul = mul.ravel()
+        else:
+            # _zech[n] = log(1 + g^n), -1 where 1 + g^n = 0; adding 1 changes digit 0
+            low = self._exp % p
+            self._zech = log[self._exp - low + (low + 1) % p]
 
     # -- identity ------------------------------------------------------------
 
@@ -198,18 +222,10 @@ class FieldSpec:
 
     def add(self, a: int, b: int) -> int:
         a, b = self._check(a), self._check(b)
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
         return self._encode((x + y) % self.p for x, y in zip(self._decode(a), self._decode(b)))
 
     def neg(self, a: int) -> int:
         a = self._check(a)
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
         return self._encode((-x) % self.p for x in self._decode(a))
 
     def sub(self, a: int, b: int) -> int:
@@ -226,9 +242,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self!r}")
         return int(self._inv[a])
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         a = self._check(a)
@@ -249,22 +262,20 @@ class FieldSpec:
     def add_arr(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.p == 2:
-            return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        da = (a[..., None] // self._pows) % self.p
-        db = (b[..., None] // self._pows) % self.p
-        return ((da + db) % self.p) @ self._pows
+        if self._zech is None:
+            return self._add[a * self.q + b]
+        la, lb = self._log[a], self._log[b]  # g^i + g^j = g^(i + zech[j - i])
+        z = self._zech[(lb - la) % (self.q - 1)]
+        out = np.where(z < 0, 0, self._exp[(la + z) % (self.q - 1)])
+        return np.where(la < 0, b, np.where(lb < 0, a, out))
 
     def neg_arr(self, a):
         a = np.asarray(a, dtype=np.int64)
-        if self.p == 2:
-            return a.copy()
         if self.m == 1:
             return (-a) % self.p
-        d = (a[..., None] // self._pows) % self.p
-        return ((-d) % self.p) @ self._pows
+        return self._neg[a]
 
     def sub_arr(self, a, b):
         return self.add_arr(a, self.neg_arr(b))
@@ -274,12 +285,10 @@ class FieldSpec:
         b = np.asarray(b, dtype=np.int64)
         if self.m == 1:
             return (a * b) % self.p
-        a, b = np.broadcast_arrays(a, b)
-        out = np.zeros(a.shape, dtype=np.int64)
-        mask = (a != 0) & (b != 0)
-        if mask.any():
-            out[mask] = self._exp[(self._log[a[mask]] + self._log[b[mask]]) % (self.q - 1)]
-        return out
+        if self._zech is None:
+            return self._mul[a * self.q + b]
+        la, lb = self._log[a], self._log[b]
+        return np.where((la < 0) | (lb < 0), 0, self._exp[(la + lb) % (self.q - 1)])
 
     def inv_arr(self, a):
         a = np.asarray(a, dtype=np.int64)
@@ -294,7 +303,9 @@ class FieldSpec:
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
         if self.m == 1:
-            return (a @ b) % self.p
+            out = a @ b
+            out %= self.p  # in place: no second full-size array
+            return out
         out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
         for t in range(a.shape[1]):
             out = self.add_arr(out, self.mul_arr(a[:, t:t + 1], b[t:t + 1, :]))

@@ -23,7 +23,7 @@ from .errors import BudgetExceededError, DualityMismatchError
 from .gf import FieldSpec
 from . import linalg
 from .linalg import MatrixGF, SubspaceBasis, gaussian_binomial, rank, rref_blocks
-from .supply import PointSupply, min_distance
+from .supply import PointSupply
 from .verify import is_strong_blocking
 
 
@@ -48,12 +48,6 @@ class LinearCode:
     @property
     def k(self) -> int:
         return self.generator.rows
-
-    def minimum_distance(self, *, budget: int = DEFAULT_BUDGETS.codewords) -> int:
-        d = min_distance(self.generator, budget=budget)
-        if d is None:
-            raise RuntimeError("a full-rank generator has a minimum distance")
-        return d
 
 
 def blocking_to_code(b: BlockingSet) -> LinearCode:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockforge import gf
 from blockforge.gf import (FieldSpec, default_modulus, field_create,
                            parse_field_header, poly_is_irreducible)
 
@@ -157,3 +158,124 @@ def test_field_identity_and_cache():
     assert field_create(3, 2) is field_create(3, 2)
     assert field_create(3) != field_create(5)
     assert FieldSpec(2, 2, (1, 1, 1)) == field_create(2, 2)
+
+
+def _power_walk_exp(fld):
+    """The exp table as the generator search built it before the order test:
+    the first g >= 2 whose powers, walked one multiplication at a time, reach
+    all q - 1 nonzero elements."""
+    if fld.q == 2:
+        return [1]
+    for g in range(2, fld.q):
+        seq, e = [1], g
+        while e != 1:
+            seq.append(e)
+            e = fld._mul_raw(e, g)
+        if len(seq) == fld.q - 1:
+            return seq
+    raise AssertionError("no generator")
+
+
+@pytest.mark.parametrize("pm", SMALL_FIELDS + [(2, 8), (3, 5)],
+                         ids=lambda pm: f"GF({pm[0]}^{pm[1]})")
+def test_exp_table_matches_power_walk(pm):
+    fld = field_create(*pm)
+    assert fld._exp.tolist() == _power_walk_exp(fld)
+
+
+# One field per kernel kind: the prime kernel, the q x q tables, the Zech
+# logs forced by a lowered cap, and a field above the real cap.
+KERNEL_CASES = ([((13, 1), "prime")]
+                + [(pm, kind) for pm in [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 8)]
+                   for kind in ("table", "zech")]
+                + [((3, 6), "zech")])
+
+
+@pytest.fixture(params=KERNEL_CASES, ids=lambda c: f"GF({c[0][0]}^{c[0][1]})-{c[1]}")
+def kfld(request, monkeypatch):
+    (p, m), kind = request.param
+    if kind == "zech" and p ** m <= gf.TABLE_MAX_ORDER:
+        # field_create caches, so the lowered cap needs a fresh FieldSpec
+        monkeypatch.setattr(gf, "TABLE_MAX_ORDER", 1)
+    fld = FieldSpec(p, m, default_modulus(p, m))
+    got = "prime" if m == 1 else ("zech" if fld._zech is not None else "table")
+    assert got == kind
+    return fld
+
+
+def _pairs(fld):
+    """Every pair for q <= 27; otherwise a sample plus the pairs a Zech table
+    gets wrong first: zeros, equal operands and a + (-a) = 0."""
+    q = fld.q
+    if q <= 27:
+        return np.repeat(np.arange(q), q), np.tile(np.arange(q), q)
+    rng = np.random.default_rng(11)
+    x = rng.integers(0, q, size=1500)
+    negs = np.array([fld.neg(int(v)) for v in x])
+    a = np.concatenate([rng.integers(0, q, size=1500), x, x, np.zeros_like(x), x])
+    b = np.concatenate([rng.integers(0, q, size=1500), negs, x, x, np.zeros_like(x)])
+    return a, b
+
+
+def test_array_kernels_match_scalar_ops(kfld):
+    a, b = _pairs(kfld)
+    a0, b0 = a.copy(), b.copy()
+    pairs = list(zip(a.tolist(), b.tolist()))
+    want = {
+        "add_arr": [kfld.add(x, y) for x, y in pairs],
+        "sub_arr": [kfld.add(x, kfld.neg(y)) for x, y in pairs],
+        "mul_arr": [kfld.mul(x, y) for x, y in pairs],
+    }
+    for name, expected in want.items():
+        got = getattr(kfld, name)(a, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected, name
+    neg = kfld.neg_arr(a)
+    assert neg.dtype == np.int64 and neg.tolist() == [kfld.neg(x) for x in a.tolist()]
+    nz = a[a != 0]
+    inv = kfld.inv_arr(nz)
+    assert inv.dtype == np.int64
+    assert all(kfld.mul(x, y) == 1 for x, y in zip(nz.tolist(), inv.tolist()))
+    with pytest.raises(ZeroDivisionError):
+        kfld.inv_arr(np.array([1, 0]))
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+def test_array_kernels_broadcast_and_empty(kfld):
+    rng = np.random.default_rng(12)
+    pts = rng.integers(0, kfld.q, size=(6, 4))
+    pts0 = pts.copy()
+    for lam in (0, 1, kfld.q - 1):  # scalar x 2-D, as in verify.to_affine_blocking
+        got = kfld.mul_arr(lam, pts)
+        assert got.dtype == np.int64 and got.shape == pts.shape
+        assert got.tolist() == [[kfld.mul(lam, int(v)) for v in row] for row in pts]
+    col, row = pts[:, :1], pts[:1, :]
+    none = np.zeros((0, 3), dtype=np.int64)
+    for name, ref in (("add_arr", kfld.add), ("sub_arr", kfld.sub), ("mul_arr", kfld.mul)):
+        got = getattr(kfld, name)(col, row)
+        assert got.dtype == np.int64 and got.shape == (6, 4)
+        assert got.tolist() == [[ref(int(x), int(y)) for y in row[0]] for x in col[:, 0]], name
+        empty = getattr(kfld, name)(none, none)
+        assert empty.dtype == np.int64 and empty.shape == (0, 3)
+    for name in ("neg_arr", "inv_arr"):
+        empty = getattr(kfld, name)(none)
+        assert empty.dtype == np.int64 and empty.shape == (0, 3)
+    assert np.array_equal(pts, pts0)
+
+
+@pytest.mark.parametrize("shape", [(5, 7, 4), (3, 1, 6), (0, 3, 4), (3, 3, 0), (2, 0, 3)])
+def test_matmul_arr_matches_scalar_ops(kfld, shape):
+    r, t, c = shape
+    rng = np.random.default_rng(13)
+    a = rng.integers(0, kfld.q, size=(r, t))
+    b = rng.integers(0, kfld.q, size=(t, c))
+    a0, b0 = a.copy(), b.copy()
+    out = kfld.matmul_arr(a, b)
+    assert out.dtype == np.int64 and out.shape == (r, c)
+    for i in range(r):
+        for j in range(c):
+            acc = 0
+            for k in range(t):
+                acc = kfld.add(acc, kfld.mul(int(a[i, k]), int(b[k, j])))
+            assert out[i, j] == acc
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)

@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Time both scans of the exhaustive verifier on the same instances.
+
+    PYTHONPATH=src python3 scripts/bench_verifier.py --repeat 5 > BENCH_verifier.json
+
+`is_strong_blocking` runs the projection-cover scan over the [k, s+1]
+quotient maps when that family plus its key table is smaller than the
+[k, s] family of subspaces, and the meet-rank scan otherwise.  This script
+forces each scan in turn on the cherry sets of the benchmark's exhaustive
+workload (MDS supply in F_q^4, s = 2; the failing P5 set also with
+count_all) and on s = 1 rows of the same sets, where the rule picks the
+meet-rank scan.  Per case it records the family sizes, the scan the rule
+picks, the median and quartiles of --repeat timed calls after one warm-up
+call, and whether the two scans' reports are byte-identical.  BLAS runs
+single-threaded.  The JSON result goes to stdout.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import time
+
+from blockforge import verify
+from blockforge.construct import construct_cherry
+from blockforge.expander import complete_graph, path_graph
+from blockforge.gf import field_create
+from blockforge.linalg import gaussian_binomial
+from blockforge.supply import supply_mds
+
+# (label, (p, m), graph, n): the four instances of the exhaustive workload
+INSTANCES = [("GF(13) K10", (13, 1), complete_graph, 10),
+             ("GF(7) K6", (7, 1), complete_graph, 6),
+             ("GF(9) K7", (3, 2), complete_graph, 7),
+             ("GF(13) P5", (13, 1), path_graph, 5)]
+# (instance, s, count_all)
+CASES = [("GF(13) K10", 2, False), ("GF(7) K6", 2, False), ("GF(9) K7", 2, False),
+         ("GF(13) P5", 2, False), ("GF(13) P5", 2, True),
+         ("GF(13) K10", 1, False), ("GF(9) K7", 1, False)]
+K = 4
+
+
+def _time(fn, repeat):
+    result = fn()
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    q1, med, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return result, {"median_s": round(med, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4)}
+
+
+def run_case(b, s, count_all, repeat):
+    q = b.field.q
+    out = {"size": b.size, "s": s, "count_all": count_all,
+           "meets": gaussian_binomial(K, s, q), "maps": gaussian_binomial(K, s + 1, q),
+           "keys": q ** (s + 1),
+           "chosen": "cover" if verify._prefers_cover(K, s, q) else "meet"}
+    chosen = verify._prefers_cover
+    reports = {}
+    try:
+        for name, cover in (("cover", True), ("meet", False)):
+            verify._prefers_cover = lambda *args, cover=cover: cover
+            rep, out[name] = _time(
+                lambda: verify.is_strong_blocking(b, s, count_all=count_all), repeat)
+            reports[name] = json.dumps(rep.to_dict(), sort_keys=True)
+    finally:
+        verify._prefers_cover = chosen
+    out["result"] = json.loads(reports["meet"])["result"]
+    out["reports_identical"] = reports["cover"] == reports["meet"]
+    return out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--repeat", type=int, default=5, help="timed calls per scan and case")
+    args = ap.parse_args()
+
+    sets = {}
+    for label, (p, m), graph, n in INSTANCES:
+        fld = field_create(p, m)
+        sets[label] = construct_cherry(graph(n), supply_mds(fld, K, n))
+    result = {"machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
+                          "blas_threads": 1},
+              "repeat": args.repeat, "k": K, "cases": []}
+    for label, s, count_all in CASES:
+        case = {"instance": label, **run_case(sets[label], s, count_all, args.repeat)}
+        print(json.dumps(case), file=sys.stderr)
+        result["cases"].append(case)
+    print(json.dumps(result, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -260,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="strong blocking sets: construct, certify, verify, convert")
     ap.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
     ap.add_argument("--jobs", type=int, default=1,
-                    help="shard count for exhaustive verification (scanned in sequence; "
-                         "the report does not depend on it)")
+                    help="accepted for compatibility; exhaustive verification runs one "
+                         "scan and the report does not depend on it")
     ap.add_argument("--format", choices=("json", "text"), default="json")
     # the same flags are accepted after the subcommand as well; SUPPRESS
     # keeps a subcommand-level absence from clobbering a top-level value

@@ -26,7 +26,7 @@ from .expander import Graph, Hypergraph, ball, power_graph, clique_hypergraph
 from .gf import FieldSpec
 from .linalg import (MatrixGF, format_matrix, parse_matrix, projective_reps,
                      read_matrix, write_matrix)
-from .supply import (GeneralPositionReport, PointSupply, distinct_rows,
+from .supply import (GeneralPositionReport, PointSupply, distinct_rows, is_canonical,
                      normalize_rows, verify_general_position)
 
 ASYMPTOTIC_PRESETS = {
@@ -53,7 +53,10 @@ class BlockingSet:
         rows = np.asarray(points, dtype=np.int64)
         if rows.size == 0:
             raise ValueError("a blocking set needs at least one point")
-        data, _ = distinct_rows(normalize_rows(fld, rows))
+        if not is_canonical(fld, rows):
+            data, _ = distinct_rows(normalize_rows(fld, rows))
+        else:  # as written by write_blocking_set; share a read-only array
+            data = rows.copy() if rows.flags.writeable else rows
         data.setflags(write=False)
         return cls(fld, rows.shape[1], data, dict(provenance or {}))
 

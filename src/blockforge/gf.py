@@ -92,10 +92,12 @@ def poly_is_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree m over GF(p).
 
-    Deterministic so that file headers written on different machines agree.
+    Deterministic so that file headers written on different machines agree,
+    and searched for once per (p, m).
     """
     # c0 varies slowest; for m > 1 a candidate with c0 = 0 is divisible by x
     for digits in itertools.product(range(1 if m > 1 else 0, p), *[range(p)] * (m - 1)):

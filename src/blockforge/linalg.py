@@ -206,6 +206,16 @@ def subspace_count(k: int, codim: int, q: int) -> int:
 RREF_BLOCK = 64  # matrices per block yielded by rref_blocks
 
 
+def _pivot_sets(q: int, k: int, dim: int):
+    """Yield (pivots, base) for the pivot column sets of the dim x k RREF
+    matrices, lexicographically, with the position of the set's first matrix
+    in the canonical order: each set holds q^(number of free entries)."""
+    base = 0
+    for pivots in itertools.combinations(range(k), dim):
+        yield pivots, base
+        base += q ** (sum(k - 1 - c for c in pivots) - dim * (dim - 1) // 2)
+
+
 def rref_blocks(field: FieldSpec, k: int, dim: int, start: int = 0, stop: int | None = None):
     """Yield (pivots, block) covering every dim x k RREF matrix of rank dim
     exactly once; block has shape (count, dim, k) with count <= RREF_BLOCK.
@@ -216,8 +226,7 @@ def rref_blocks(field: FieldSpec, k: int, dim: int, start: int = 0, stop: int | 
     are produced; the block boundaries carry no meaning.
     """
     q = field.q
-    base = 0
-    for pivots in itertools.combinations(range(k), dim):
+    for pivots, base in _pivot_sets(q, k, dim):
         if stop is not None and base >= stop:
             return
         free = np.arange(k) > np.array(pivots, dtype=np.int64)[:, None]
@@ -233,7 +242,25 @@ def rref_blocks(field: FieldSpec, k: int, dim: int, start: int = 0, stop: int | 
             block[:, np.arange(dim), list(pivots)] = 1
             block[:, rows, cols] = offs[:, None] // weights % q
             yield pivots, block
-        base += cell
+
+
+def rref_index(field: FieldSpec, R) -> np.ndarray:
+    """Position of each matrix of a (count, dim, k) stack of full-rank RREF
+    matrices in the canonical order of `rref_blocks`, its inverse: the offset
+    of the matrix's pivot set plus its free entries read in base q."""
+    R = np.asarray(R, dtype=np.int64)
+    count, dim, k = R.shape
+    q = field.q
+    piv = (R != 0).argmax(axis=2)  # (count, dim): the leading 1 of each row
+    free = np.arange(k) > piv[:, :, None]
+    free[np.arange(count)[:, None, None], np.arange(dim)[:, None], piv[:, None, :]] = False
+    free = free.reshape(count, -1)  # row-major: the base-q digit order
+    later = np.cumsum(free[:, ::-1], axis=1)[:, ::-1] - free  # free slots after each one
+    offs = (np.where(free, R.reshape(count, -1), 0) * q ** later).sum(axis=1)
+    sets = np.array([(sum(1 << c for c in pivots), base)
+                     for pivots, base in _pivot_sets(q, k, dim)], dtype=np.int64)
+    sets = sets[np.argsort(sets[:, 0])]  # by pivot-column bit mask
+    return sets[np.searchsorted(sets[:, 0], np.left_shift(1, piv).sum(axis=1)), 1] + offs
 
 
 def enumerate_subspaces(field: FieldSpec, k: int, codim: int, *,
@@ -258,12 +285,13 @@ def enumerate_subspaces(field: FieldSpec, k: int, codim: int, *,
 def _null_space(field: FieldSpec, R: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
     """Null-space basis read off a reduced row echelon form R with the given
     pivot columns: one row per free column j, with 1 at j and the negated
-    column j of R at the pivots."""
-    k = R.shape[1]
+    column j of R at the pivots.  R may be a stack (..., rows, k) of forms
+    sharing those pivots."""
+    k = R.shape[-1]
     free = [j for j in range(k) if j not in pivots]
-    out = np.zeros((len(free), k), dtype=np.int64)
-    out[:, free] = np.eye(len(free), dtype=np.int64)
-    out[:, list(pivots)] = field.neg_arr(R[:len(pivots), free]).T
+    out = np.zeros(R.shape[:-2] + (len(free), k), dtype=np.int64)
+    out[..., free] = np.eye(len(free), dtype=np.int64)
+    out[..., list(pivots)] = np.swapaxes(field.neg_arr(R[..., :len(pivots), free]), -1, -2)
     return out
 
 

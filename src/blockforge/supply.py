@@ -56,6 +56,20 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], np.sort(order[~first])
 
 
+def is_canonical(field: FieldSpec, rows: np.ndarray) -> bool:
+    """Whether the rows of an (N, k) block are already what `normalize_rows`
+    and then `distinct_rows` would make of them: field elements, every
+    leading entry 1, and each row lexicographically greater than the one
+    before, so sorted and distinct."""
+    if rows.min() < 0 or rows.max() >= field.q:
+        return False
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    differ = rows[1:] != rows[:-1]
+    at = np.arange(len(differ)), differ.argmax(axis=1)  # first differing column
+    return bool((lead == 1).all() and differ.any(axis=1).all()
+                and (rows[1:][at] > rows[:-1][at]).all())
+
+
 @dataclass(frozen=True)
 class PointSupply:
     """k x n matrix whose columns are projectively distinct nonzero vectors."""

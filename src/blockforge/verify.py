@@ -1,11 +1,22 @@
 """Ground-truth verification of strong s-blocking sets.
 
-The exhaustive verifier quantifies over every codimension-s subspace L: it
-tests all points for membership in a block of subspaces with one field
-matmul, gathers the points that land in each L, and checks that they span L
-(rank k-s).  The report is defined purely in terms of the canonical
-enumeration order (earliest counterexample wins), so runs with different
-shard counts are byte-identical.
+The exhaustive verifier decides whether B meets every codimension-s
+subspace L in a spanning set (rank k-s), with one of two scans:
+
+* Meet ranks.  For a block of subspaces L, one field matmul tests all points
+  for membership, and the points that land in each L are ranked.
+* Projection cover.  L fails exactly when a hyperplane H of L holds all of
+  B in L, that is, when the nonzero images of B under the quotient map Q of
+  the codimension-(s+1) subspace H miss a point y of PG(s, q); then
+  L = H + span(x) with Q x = y.  For a chunk of maps Q, one field matmul
+  images all points, each image is folded into its base-q key and looked up
+  in a table of projective positions, and no rank is computed.
+
+The cover scan runs when its [k, s+1] maps plus the q^(s+1) key table are
+fewer than the [k, s] subspaces, which holds for k/2 <= s <= k-2; the
+meet-rank scan runs otherwise.  The report is defined purely in terms of the
+canonical order of the subspaces L (earliest counterexample wins, failures
+counted once each), so both scans give byte-identical reports.
 
 Also here: sampled verification for larger instances, the scalar-orbit affine
 conversion with its exhaustive coset check, and a small-case minimum-size
@@ -14,6 +25,7 @@ search used to produce ground truths for tests.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -23,8 +35,9 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS
 from .construct import BlockingSet, lower_bound
 from .errors import BudgetExceededError
-from .linalg import (MatrixGF, SubspaceBasis, gaussian_binomial, kernel_basis,
-                     projective_reps, rank, rref, rref_blocks, rref_stack, subspace_from_rows)
+from .linalg import (MatrixGF, SubspaceBasis, _null_space, gaussian_binomial, kernel_basis,
+                     projective_reps, rank, rref, rref_blocks, rref_index, rref_stack,
+                     subspace_from_rows)
 
 
 @dataclass(frozen=True)
@@ -92,18 +105,19 @@ def _meet_ranks(fld, points: np.ndarray, pivots: tuple[int, ...], block: np.ndar
     return rref_stack(fld, stack)[1]
 
 
-def _scan_shard(b: BlockingSet, s: int, start: int, stop: int, count_all: bool):
-    """Scan [start, stop) of the canonical subspace order a block at a time.
+def _meet_scan(b: BlockingSet, s: int, count_all: bool):
+    """Rank the points inside every codimension-s subspace L, a block of the
+    canonical order at a time.
 
-    Returns (first_failure | None, failures_in_shard); the scan stops at the
-    first failure unless count_all is set.
+    Returns (first_failure | None, failures); the scan stops at the first
+    failure unless count_all is set.
     """
     fld = b.field
     k = b.k
     first = None
     failures = 0
-    idx = start
-    for pivots, block in rref_blocks(fld, k, k - s, start, stop):
+    idx = 0
+    for pivots, block in rref_blocks(fld, k, k - s):
         ranks = _meet_ranks(fld, b.points, pivots, block)
         bad = np.nonzero(ranks < k - s)[0]
         if bad.size and first is None:
@@ -117,6 +131,65 @@ def _scan_shard(b: BlockingSet, s: int, start: int, stop: int, count_all: bool):
     return first, failures
 
 
+COVER_CHUNK = 1 << 17  # image entries (maps x (s+1) x points) per field matmul in _cover_scan
+
+
+@functools.lru_cache(maxsize=16)
+def _projective_index(fld, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, table): the projective points of F_q^dim as rows, in
+    `projective_reps` order, and a table from the base-q key of a vector
+    (first coordinate most significant) to the position of its point in
+    reps; the zero vector maps to len(reps)."""
+    q = fld.q
+    reps = np.hstack(list(projective_reps(fld, dim))).T
+    scaled = fld.mul_arr(np.arange(1, q)[:, None, None], reps)  # every nonzero vector
+    table = np.full(q ** dim, len(reps), dtype=np.int64)
+    table[scaled @ q ** np.arange(dim - 1, -1, -1)] = np.arange(len(reps))
+    reps.setflags(write=False)
+    table.setflags(write=False)
+    return reps, table
+
+
+def _cover_scan(b: BlockingSet, s: int) -> np.ndarray:
+    """Canonical positions, sorted and distinct, of every failing
+    codimension-s subspace, found by projection cover.
+
+    For each quotient map Q of a codimension-(s+1) subspace H = ker Q, a
+    projective point y of PG(s, q) that no point of b maps to names the
+    failing L = H + span(x), Q x = y, whose hyperplane H holds all of b in L.
+    """
+    fld, k, q = b.field, b.k, b.field.q
+    reps, table = _projective_index(fld, s + 1)
+    points_t = np.ascontiguousarray(b.points.T)
+    step = max(1, COVER_CHUNK // ((s + 1) * b.size))
+    found = []
+    for pivots, block in rref_blocks(fld, k, s + 1):
+        for lo in range(0, len(block), step):
+            maps = block[lo:lo + step]
+            img = fld.matmul_arr(maps.reshape(-1, k), points_t).reshape(len(maps), s + 1, -1)
+            key = img[:, 0]
+            for row in range(1, s + 1):  # Horner, in place: base-q key of each image
+                key *= q
+                key += img[:, row]
+            where = table[key]
+            del img, key
+            hit = np.zeros((len(maps), len(reps) + 1), dtype=bool)
+            hit[np.arange(len(maps))[:, None], where] = True
+            m, y = np.nonzero(~hit[:, :-1])
+            if m.size:
+                basis = np.concatenate([_null_space(fld, maps[m], pivots),
+                                        np.zeros((m.size, 1, k), dtype=np.int64)], axis=1)
+                basis[:, -1, list(pivots)] = reps[y]  # x: y at the pivots, 0 elsewhere
+                found.append(np.unique(rref_index(fld, rref_stack(fld, basis)[0])))
+    return np.unique(np.concatenate(found)) if found else np.zeros(0, dtype=np.int64)
+
+
+def _prefers_cover(k: int, s: int, q: int) -> bool:
+    """Whether the projection-cover scan is cheaper than the meet-rank scan:
+    fewer quotient maps plus key-table entries than codimension-s subspaces."""
+    return gaussian_binomial(k, s + 1, q) + q ** (s + 1) < gaussian_binomial(k, s, q)
+
+
 def is_strong_blocking(b: BlockingSet, s: int, *,
                        budget: int = DEFAULT_BUDGETS.subspaces,
                        jobs: int = 1, count_all: bool = False) -> VerificationReport:
@@ -124,36 +197,38 @@ def is_strong_blocking(b: BlockingSet, s: int, *,
     spanning set.
 
     A failure reports the earliest counterexample in the canonical subspace
-    order together with the rank actually achieved.  With count_all the scan
-    never short-circuits and the total number of failing subspaces is
-    reported as well.  `jobs` contiguous shards of that order are scanned in
-    sequence; the report does not depend on it.
+    order together with the rank actually achieved.  With count_all the
+    total number of failing subspaces is reported as well.  The scan is the
+    projection cover when `_prefers_cover`, the meet-rank scan otherwise; the
+    report does not depend on which.  `jobs` is accepted for compatibility
+    and does not change the scan.
     """
     k = b.k
     if not 1 <= s < k:
         raise ValueError(f"need 1 <= s < k, got s={s}, k={k}")
-    q = b.field.q
-    total = gaussian_binomial(k, s, q)
+    fld = b.field
+    total = gaussian_binomial(k, s, fld.q)
     if total > budget:
         raise BudgetExceededError("subspaces", budget, total,
                                   "use is_strong_blocking_sampled")
     t0 = time.perf_counter()
-    jobs = max(1, int(jobs))
-    bounds = [(total * i) // jobs for i in range(jobs + 1)]
-    first = None
-    failures = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        if first is not None and not count_all:
-            break
-        shard_first, shard_failures = _scan_shard(b, s, lo, hi, count_all)
-        first = first or shard_first
-        failures += shard_failures
+    if _prefers_cover(k, s, fld.q):
+        failing = _cover_scan(b, s)
+        first, failures = None, failing.size
+        if failing.size:
+            i = int(failing[0])
+            pivots, block = next(rref_blocks(fld, k, k - s, i, i + 1))
+            achieved = int(_meet_ranks(fld, b.points, pivots, block)[0])
+            first = Counterexample(SubspaceBasis(k, MatrixGF(fld, block[0]), pivots),
+                                   achieved, i)
+    else:
+        first, failures = _meet_scan(b, s, count_all)
     wall = time.perf_counter() - t0
     if first is None:
         return VerificationReport("exhaustive", s, total, "pass", None, wall,
                                   failures if count_all else None)
     # Checked count is defined by the canonical order (work to the first
-    # failure), so reports do not depend on the shard count.
+    # failure), so reports do not depend on the scan.
     checked = total if count_all else first.index + 1
     return VerificationReport("exhaustive", s, checked, "fail", first, wall,
                               failures if count_all else None)

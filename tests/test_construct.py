@@ -16,7 +16,7 @@ from blockforge.expander import (Graph, Hypergraph, complete_graph, cycle_graph,
                                  path_graph)
 from blockforge.gf import field_create
 from blockforge.linalg import MatrixGF
-from blockforge.supply import PointSupply, supply_mds, normalize_column
+from blockforge.supply import PointSupply, is_canonical, supply_mds, normalize_column
 from blockforge.verify import is_strong_blocking
 
 
@@ -237,6 +237,40 @@ def test_neighborhood_flags_low_degree_vertices():
     star = Graph(5, [(0, i) for i in range(1, 5)])
     b = construct_neighborhood(star, sup, 3)  # r=4 > deg+1 for the leaves
     assert b.provenance["vertices_below_edge_size"] == 4
+
+
+def random_points(fld, seed, count=60, k=4):
+    rows = np.random.default_rng(seed).integers(0, fld.q, (count, k))
+    return BlockingSet.from_points(fld, rows[rows.any(axis=1)])
+
+
+def test_from_points_skips_the_sort_on_canonical_rows(monkeypatch):
+    fld = field_create(3)
+    canonical = random_points(fld, 0)
+    def fail(*args):
+        raise AssertionError("canonical rows were normalized or sorted again")
+    monkeypatch.setattr(construct, "normalize_rows", fail)
+    monkeypatch.setattr(construct, "distinct_rows", fail)
+    again = BlockingSet.from_points(fld, canonical.points)
+    assert again == canonical and again.points is canonical.points  # read-only: shared
+    writable = canonical.points.copy()
+    copied = BlockingSet.from_points(fld, writable)
+    assert copied == canonical and copied.points is not writable
+
+
+def test_from_points_canonicalizes_other_rows():
+    fld = field_create(3)
+    canonical = random_points(fld, 1)
+    pts = canonical.points
+    order = np.random.default_rng(2).permutation(len(pts))
+    scaled = pts.copy()
+    scaled[5] = fld.mul_arr(2, scaled[5])
+    out_of_range = pts.copy()
+    out_of_range[-1, -1] += 3  # reduced mod 3 by the normalization, not kept as is
+    assert is_canonical(fld, pts)
+    for rows in (pts[order], pts[::-1], scaled, np.vstack([pts, pts[:3]]), out_of_range):
+        assert not is_canonical(fld, rows)
+        assert BlockingSet.from_points(fld, rows) == canonical
 
 
 def test_blocking_set_rejects_zero():

@@ -26,6 +26,19 @@ def test_field_create_gf4():
     assert field_create(2, 2).modulus == (1, 1, 1)  # unique irreducible quadratic
 
 
+def test_default_modulus_searched_once_per_field(monkeypatch):
+    default_modulus.cache_clear()
+    calls = []
+    search = gf.poly_is_irreducible
+    monkeypatch.setattr(gf, "poly_is_irreducible",
+                        lambda coeffs, p: calls.append(p) or search(coeffs, p))
+    first = field_create(3, 5)
+    searched = len(calls)
+    assert searched > 0
+    assert field_create(3, 5) is first
+    assert len(calls) == searched  # neither the search nor the field build ran again
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         field_create(2, 2, [1, 0, 1])  # x^2 + 1 = (x+1)^2

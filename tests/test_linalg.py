@@ -11,8 +11,8 @@ from blockforge import linalg
 from blockforge.linalg import (MatrixGF, enumerate_subspaces, format_matrix,
                                gaussian_binomial, kernel_basis, matmul,
                                parse_matrix, projective_reps, quotient_map,
-                               rank, rank_product, rref, rref_stack,
-                               subspace_count, subspace_from_rows)
+                               rank, rank_product, rref, rref_blocks, rref_index,
+                               rref_stack, subspace_count, subspace_from_rows)
 
 
 def _naive_rank(fld, data):
@@ -265,6 +265,16 @@ def test_enumeration_sharding_is_a_partition():
         for lo, hi in zip(bounds, bounds[1:]):
             stitched.extend(enumerate_subspaces(f3, 4, 2, start=lo, stop=hi))
         assert stitched == whole
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 1, 5), (3, 1, 4), (2, 2, 3), (3, 2, 3), (5, 1, 3)])
+def test_rref_index_inverts_rref_blocks(p, m, k):
+    fld = field_create(p, m)
+    for dim in range(k + 1):
+        stack = np.concatenate([block for _, block in rref_blocks(fld, k, dim)])
+        assert rref_index(fld, stack).tolist() == list(range(gaussian_binomial(k, dim, fld.q)))
+        shuffled = np.random.default_rng(dim).permutation(len(stack))
+        assert rref_index(fld, stack[shuffled]).tolist() == shuffled.tolist()
 
 
 def test_enumeration_budget():

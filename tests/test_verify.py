@@ -7,9 +7,9 @@ from blockforge.construct import BlockingSet, lower_bound
 from blockforge.errors import BudgetExceededError
 from blockforge.expander import complete_graph
 from blockforge.gf import field_create
-from blockforge import linalg
+from blockforge import linalg, verify
 from blockforge.linalg import (MatrixGF, enumerate_subspaces, projective_reps,
-                               quotient_map, rank, subspace_count)
+                               quotient_map, rank, rref_blocks, subspace_count)
 from blockforge.mincode import LinearCode, blocking_to_code, is_s_minimal
 from blockforge.supply import supply_mds
 from blockforge.verify import (blocks_affine, is_strong_blocking,
@@ -170,6 +170,58 @@ def test_affine_blocking_check():
     # removing the origin breaks blocking at the single point {0}
     ok2, ce = blocks_affine(aff[1:], fld, 3)
     assert not ok2 and ce["label"] == 0
+
+
+def random_subsets(fld, k, seed):
+    """PG(k-1, q) itself, which passes for every s, and seeded random subsets
+    of it from sparse (failing, some L missing every point) to dense."""
+    pts = np.hstack(list(projective_reps(fld, k))).T
+    rng = np.random.default_rng(seed)
+    out = [BlockingSet.from_points(fld, pts, {"construction": "all"})]
+    for frac in (0.15, 0.4, 0.7, 0.9):
+        keep = rng.random(len(pts)) < frac
+        if keep.any():
+            out.append(BlockingSet.from_points(fld, pts[keep], {"construction": "random"}))
+    return out
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 1, 4), (3, 1, 4), (2, 2, 3), (3, 2, 3),
+                                   (5, 1, 3), (2, 1, 5), (2, 2, 4)])
+def test_cover_scan_matches_meet_rank_scan(monkeypatch, p, m, k):
+    fld = field_create(p, m)
+    verdicts, deficits = set(), set()
+    for b in random_subsets(fld, k, seed=p * 100 + m * 10 + k):
+        for s in range(1, k):
+            ranks = np.concatenate([verify._meet_ranks(fld, b.points, piv, block)
+                                    for piv, block in rref_blocks(fld, k, k - s)])
+            failing = np.nonzero(ranks < k - s)[0]
+            assert verify._cover_scan(b, s).tolist() == failing.tolist()
+            deficits.update((k - s - ranks[failing]).tolist())
+            reports = {}
+            for cover in (True, False):
+                monkeypatch.setattr(verify, "_prefers_cover", lambda *args, cover=cover: cover)
+                reports[cover] = [json.dumps(is_strong_blocking(b, s, count_all=c).to_dict())
+                                  for c in (False, True)]
+            assert reports[True] == reports[False]
+            verdicts.add(json.loads(reports[True][0])["result"])
+    assert verdicts == {"pass", "fail"}
+    if k > 3:  # some failing L has a rank deficit >= 2: several of its hyperplanes H miss it
+        assert max(deficits) >= 2
+
+
+def test_scan_choice_follows_the_family_sizes(monkeypatch):
+    assert verify._prefers_cover(4, 2, 13)  # [4,3] + 13^3 = 2380 + 2197 < [4,2] = 31110
+    assert not verify._prefers_cover(4, 1, 13)  # [4,2] + 13^2 = 31279 > [4,1] = 2380
+    assert not verify._prefers_cover(4, 3, 2)  # [4,4] + 2^4 = 17 > [4,3] = 15
+    b = all_projective_points(field_create(3), 4)
+
+    def refuse(*args):
+        raise AssertionError("the other scan ran")
+    monkeypatch.setattr(verify, "_meet_scan", refuse)
+    assert is_strong_blocking(b, 2).passed  # [4,3] + 27 = 67 < [4,2] = 130: cover
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "_cover_scan", refuse)
+    assert is_strong_blocking(b, 1).passed  # [4,2] + 9 = 139 > [4,1] = 40: meet ranks
 
 
 def _rref_block_outputs():

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import __version__
 from .budgets import Budgets
@@ -235,22 +234,6 @@ def _cmd_oracle(args, budgets, fmt) -> int:
     return 0
 
 
-def _cmd_bench(args, budgets, fmt) -> int:
-    b = _load_blocking(args.set)
-    t0 = time.perf_counter()
-    rep = is_strong_blocking(b, args.s, budget=budgets.subspaces, jobs=args.jobs)
-    elapsed = time.perf_counter() - t0
-    # Timing goes to stderr; the stdout report stays deterministic.
-    rate = rep.subspaces_checked / elapsed if elapsed > 0 else float("inf")
-    sys.stderr.write(f"bench: {rep.subspaces_checked} subspaces in "
-                     f"{elapsed:.3f}s ({rate:.0f}/s, jobs={args.jobs})\n")
-    env = _envelope("bench", {"set": args.set, "s": args.s, "jobs": args.jobs},
-                    {"subspaces_checked": rep.subspaces_checked,
-                     "result": rep.result, "points": b.size})
-    _emit_report(env, fmt)
-    return 0 if rep.passed else 1
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -325,10 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--budget", type=int, default=1_000_000)
 
-    p = sub.add_parser("bench", help="time the exhaustive verifier")
-    p.add_argument("--set", required=True)
-    p.add_argument("--s", type=int, required=True)
-
     return ap
 
 
@@ -341,7 +320,6 @@ _HANDLERS = {
     "convert": _cmd_convert,
     "mincheck": _cmd_mincheck,
     "oracle": _cmd_oracle,
-    "bench": _cmd_bench,
 }
 
 

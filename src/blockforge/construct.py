@@ -24,10 +24,10 @@ from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .expander import Graph, Hypergraph, ball, power_graph, clique_hypergraph
 from .gf import FieldSpec
-from .linalg import (MatrixGF, format_matrix, parse_matrix, projective_reps,
-                     read_matrix, write_matrix)
-from .supply import (GeneralPositionReport, PointSupply, distinct_rows, is_canonical,
-                     normalize_rows, verify_general_position)
+from .linalg import (MatrixGF, distinct_rows, format_matrix, parse_matrix,
+                     projective_reps, read_matrix, write_matrix)
+from .supply import (GeneralPositionReport, PointSupply, normalize_rows,
+                     verify_general_position)
 
 ASYMPTOTIC_PRESETS = {
     "cherry": {"alpha": 0.125, "d": 258},
@@ -53,10 +53,7 @@ class BlockingSet:
         rows = np.asarray(points, dtype=np.int64)
         if rows.size == 0:
             raise ValueError("a blocking set needs at least one point")
-        if not is_canonical(fld, rows):
-            data, _ = distinct_rows(normalize_rows(fld, rows))
-        else:  # as written by write_blocking_set; share a read-only array
-            data = rows.copy() if rows.flags.writeable else rows
+        data, _ = distinct_rows(normalize_rows(fld, rows))
         data.setflags(write=False)
         return cls(fld, rows.shape[1], data, dict(provenance or {}))
 

@@ -11,17 +11,18 @@ non-trivial spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .gf import is_prime
-from .linalg import format_rows, parse_rows, split_head
+from .linalg import distinct_rows, format_rows, parse_rows, split_head
 
 
 class Graph:
@@ -30,19 +31,21 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            u, v = int(u), int(v)
+        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = pairs.reshape(len(pairs), 2)
+        bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if bad.any():
+            u, v = pairs[bad.argmax()].tolist()
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            adj[u].add(v)
-            adj[v].add(u)
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         self.n = n
-        self.adjacency = tuple(tuple(sorted(s)) for s in adj)
-        self.neighbor_sets = tuple(frozenset(s) for s in adj)
-        self.m = sum(len(a) for a in self.adjacency) // 2
+        self._edge_array = distinct_rows(np.sort(pairs, axis=1))[0]  # rows u < v, sorted
+        self.m = len(self._edge_array)
+        both = distinct_rows(np.vstack([self._edge_array, self._edge_array[:, ::-1]]))[0]
+        heads = both[:, 1].tolist()
+        ends = np.cumsum(np.bincount(both[:, 0], minlength=n)).tolist()
+        self.adjacency = tuple(tuple(heads[a:b]) for a, b in zip([0] + ends, ends))
         self._neighbors = None
 
     def degrees(self):
@@ -59,10 +62,11 @@ class Graph:
         return len(self.adjacency[0]) if self.n else 0
 
     def edges(self):
-        for u in range(self.n):
-            for v in self.adjacency[u]:
-                if u < v:
-                    yield (u, v)
+        return map(tuple, self._edge_array.tolist())
+
+    @functools.cached_property
+    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(a) for a in self.adjacency)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbor_sets[u]
@@ -558,10 +562,7 @@ def clique_hypergraph(g: Graph, r: int, *, budget: int = DEFAULT_BUDGETS.cliques
 # ---------------------------------------------------------------------------
 
 def format_graph(g: Graph) -> str:
-    heads = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64, count=2 * g.m)
-    tails = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-    keep = tails < heads
-    return f"graph {g.n} {g.m}\n" + format_rows(np.stack([tails[keep], heads[keep]], axis=1))
+    return f"graph {g.n} {g.m}\n" + format_rows(g._edge_array)
 
 
 def parse_graph(text: str) -> Graph:

@@ -324,6 +324,29 @@ def projective_reps(field: FieldSpec, dim: int):
         yield block[:, 0, :].T
 
 
+def _row_keys(rows: np.ndarray) -> list[np.ndarray]:
+    """Each row of an (N, k) block of non-negative integers read as big-endian
+    digits in base max+1, as many digits per int64 word as stay below 2^63:
+    the words, most significant first, order the rows lexicographically."""
+    base = int(rows.max(initial=1)) + 1
+    digits = 1
+    while base ** (digits + 1) <= 1 << 63:
+        digits += 1
+    blocks = (rows[:, lo:lo + digits] for lo in range(0, rows.shape[1], digits))
+    return [b @ base ** np.arange(b.shape[1] - 1, -1, -1, dtype=np.int64) for b in blocks]
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct rows in lexicographic order, the ascending indices of
+    the rows that repeat an earlier row), for rows of non-negative integers."""
+    words = _row_keys(rows)
+    order = np.lexsort(words[::-1])  # stable, so equal rows keep input order
+    ordered = np.stack(words)[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    return rows[order[first]], np.sort(order[~first])
+
+
 # ---------------------------------------------------------------------------
 # Matrix file format
 # ---------------------------------------------------------------------------

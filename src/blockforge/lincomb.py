@@ -24,7 +24,7 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS
 from .errors import BudgetExceededError, CertificateError
 from .expander import Hypergraph
-from .linalg import (MatrixGF, kernel_basis, matmul, projective_reps,
+from .linalg import (MatrixGF, distinct_rows, kernel_basis, matmul, projective_reps,
                      quotient_map, rank, SubspaceBasis)
 from .supply import PointSupply
 
@@ -114,7 +114,7 @@ def plc_edge(supply: PointSupply, X, L: SubspaceBasis, *,
         cand = cand[(cand != 0).all(axis=1)]
         if len(cand):
             cand = fld.mul_arr(fld.inv_arr(cand[:, :1]), cand)  # first coefficient 1
-            least = tuple(int(c) for c in cand[np.lexsort(cand.T[::-1])[0]])
+            least = tuple(distinct_rows(cand)[0][0].tolist())
             best = least if best is None else min(best, least)
     if best is None:
         return None

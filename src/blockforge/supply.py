@@ -20,8 +20,8 @@ import numpy as np
 from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .gf import FieldSpec
-from .linalg import (MatrixGF, kernel_basis, projective_reps, rank, read_matrix,
-                     rref_stack, write_matrix)
+from .linalg import (MatrixGF, distinct_rows, kernel_basis, projective_reps, rank,
+                     read_matrix, rref_stack, write_matrix)
 
 RANK_CHUNK = 256  # column subsets per rref_stack call in _rank_deficient
 
@@ -44,30 +44,6 @@ def normalize_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
     if not lead.all():
         raise ValueError(f"vector {(lead == 0).argmax()} is zero, so it is not a projective point")
     return field.mul_arr(field.inv_arr(lead)[:, None], rows)
-
-
-def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the distinct rows in lexicographic order, the ascending indices of
-    the rows that repeat an earlier row)."""
-    order = np.lexsort(rows.T[::-1])  # stable, so equal rows keep input order
-    ordered = rows[order]
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return ordered[first], np.sort(order[~first])
-
-
-def is_canonical(field: FieldSpec, rows: np.ndarray) -> bool:
-    """Whether the rows of an (N, k) block are already what `normalize_rows`
-    and then `distinct_rows` would make of them: field elements, every
-    leading entry 1, and each row lexicographically greater than the one
-    before, so sorted and distinct."""
-    if rows.min() < 0 or rows.max() >= field.q:
-        return False
-    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-    differ = rows[1:] != rows[:-1]
-    at = np.arange(len(differ)), differ.argmax(axis=1)  # first differing column
-    return bool((lead == 1).all() and differ.any(axis=1).all()
-                and (rows[1:][at] > rows[:-1][at]).all())
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,9 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS
 from .construct import BlockingSet, lower_bound
 from .errors import BudgetExceededError
-from .linalg import (MatrixGF, SubspaceBasis, _null_space, gaussian_binomial, kernel_basis,
-                     projective_reps, rank, rref, rref_blocks, rref_index, rref_stack,
-                     subspace_from_rows)
+from .linalg import (MatrixGF, SubspaceBasis, _null_space, distinct_rows, gaussian_binomial,
+                     kernel_basis, projective_reps, rank, rref, rref_blocks, rref_index,
+                     rref_stack, subspace_from_rows)
 
 
 @dataclass(frozen=True)
@@ -279,10 +279,8 @@ def to_affine_blocking(b: BlockingSet) -> np.ndarray:
     pieces = [np.zeros((1, b.k), dtype=np.int64)]
     for lam in range(1, fld.q):
         pieces.append(fld.mul_arr(lam, b.points))
-    out = np.vstack(pieces)
-    out = np.unique(out, axis=0)
-    expected = (fld.q - 1) * b.size + 1
-    if out.shape[0] != expected:
+    out, repeats = distinct_rows(np.vstack(pieces))
+    if repeats.size:
         raise ValueError("scalar orbits collided; the points of b are not projectively distinct")
     return out
 

@@ -113,20 +113,6 @@ def test_spectra_text_format(tmp_path, capsys):
     assert "lambda_bound: 1.0" in out
 
 
-def test_bench_subcommand(tmp_path, capsys):
-    sup = tmp_path / "mds.pts"
-    run_cli(["supply", "--field", "5", "--k", "3", "--n", "4", "--out", str(sup)], capsys)
-    g = tmp_path / "k4.g"
-    run_cli(["graph", "complete", "--n", "4", "--out", str(g)], capsys)
-    b = tmp_path / "b.pts"
-    run_cli(["construct", "--recipe", "cherry", "--graph", str(g),
-             "--supply", str(sup), "--s", "2", "--out", str(b)], capsys)
-    code, out, err = run_cli(["bench", "--set", str(b), "--s", "2"], capsys)
-    assert code == 0
-    assert "subspaces" in err  # timing on stderr only
-    assert json.loads(out)["result"]["subspaces_checked"] == 31
-
-
 def test_pipe_graph_to_spectra():
     cmd = (f"{sys.executable} -m blockforge graph lps --p 5 --q 13 2>/dev/null | "
            f"{sys.executable} -m blockforge spectra --tol 1e-6")

@@ -16,7 +16,7 @@ from blockforge.expander import (Graph, Hypergraph, complete_graph, cycle_graph,
                                  path_graph)
 from blockforge.gf import field_create
 from blockforge.linalg import MatrixGF
-from blockforge.supply import PointSupply, is_canonical, supply_mds, normalize_column
+from blockforge.supply import PointSupply, supply_mds, normalize_column
 from blockforge.verify import is_strong_blocking
 
 
@@ -244,20 +244,6 @@ def random_points(fld, seed, count=60, k=4):
     return BlockingSet.from_points(fld, rows[rows.any(axis=1)])
 
 
-def test_from_points_skips_the_sort_on_canonical_rows(monkeypatch):
-    fld = field_create(3)
-    canonical = random_points(fld, 0)
-    def fail(*args):
-        raise AssertionError("canonical rows were normalized or sorted again")
-    monkeypatch.setattr(construct, "normalize_rows", fail)
-    monkeypatch.setattr(construct, "distinct_rows", fail)
-    again = BlockingSet.from_points(fld, canonical.points)
-    assert again == canonical and again.points is canonical.points  # read-only: shared
-    writable = canonical.points.copy()
-    copied = BlockingSet.from_points(fld, writable)
-    assert copied == canonical and copied.points is not writable
-
-
 def test_from_points_canonicalizes_other_rows():
     fld = field_create(3)
     canonical = random_points(fld, 1)
@@ -267,9 +253,7 @@ def test_from_points_canonicalizes_other_rows():
     scaled[5] = fld.mul_arr(2, scaled[5])
     out_of_range = pts.copy()
     out_of_range[-1, -1] += 3  # reduced mod 3 by the normalization, not kept as is
-    assert is_canonical(fld, pts)
-    for rows in (pts[order], pts[::-1], scaled, np.vstack([pts, pts[:3]]), out_of_range):
-        assert not is_canonical(fld, rows)
+    for rows in (pts, pts[order], pts[::-1], scaled, np.vstack([pts, pts[:3]]), out_of_range):
         assert BlockingSet.from_points(fld, rows) == canonical
 
 

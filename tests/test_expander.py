@@ -278,3 +278,54 @@ def test_graph_file_round_trip(lps_5_13):
         parse_graph("graph 3 1\n0 1 2\n")
     with pytest.raises(ValueError):
         parse_graph("graph 3 2\n0 1\n")
+
+
+def _loop_graph(n, edges):
+    """The reference: the per-edge loop `Graph` was built with before it worked
+    on arrays.  Returns (adjacency, edges, the graph file text)."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        adj[u].add(v)
+        adj[v].add(u)
+    adjacency = tuple(tuple(sorted(s)) for s in adj)
+    pairs = [(u, v) for u in range(n) for v in adjacency[u] if u < v]
+    return adjacency, pairs, f"graph {n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graph_matches_the_per_edge_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    used = max(1, n - 5)  # the top vertices stay isolated
+    edges = rng.integers(0, used, (int(rng.integers(0, 4 * n)), 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    edges = np.vstack([edges, edges[: len(edges) // 2, ::-1], edges[: len(edges) // 3]])
+    edges = edges[rng.permutation(len(edges))]
+    adjacency, pairs, text = _loop_graph(n, edges)
+    for given in (edges, edges.tolist(), (tuple(e) for e in edges.tolist())):
+        g = Graph(n, given)
+        assert g.adjacency == adjacency and g.m == len(pairs)
+        assert all(type(v) is int for a in g.adjacency for v in a)
+        assert list(g.edges()) == pairs
+        assert all(type(u) is int and type(v) is int for u, v in g.edges())
+        assert format_graph(g) == text
+        assert g.neighbor_sets == tuple(frozenset(a) for a in adjacency)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (0, 7), (2, 2)],   # out of range, then a self-loop
+    [(0, 1), (2, 2), (0, 7)],   # self-loop, then out of range
+    [(1, 2), (7, 7), (0, 9)],   # both at once: the self-loop is named
+    [(-1, 3), (4, 4)],
+])
+def test_graph_names_the_first_bad_edge(edges):
+    with pytest.raises(ValueError) as want:
+        _loop_graph(5, edges)
+    with pytest.raises(ValueError) as got:
+        Graph(5, edges)
+    assert str(got.value) == str(want.value)

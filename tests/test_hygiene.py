@@ -1,7 +1,9 @@
 """Source hygiene of the package, checked with `ast` alone.
 
 No module may import a name it never uses, and no module may rely on
-`assert`, which `python -O` strips.
+`assert`, which `python -O` strips.  Rows are sorted and deduplicated in one
+place: `np.lexsort` appears only in `linalg.distinct_rows`, and no call
+passes `axis=` to `np.unique`.
 """
 
 import ast
@@ -45,6 +47,25 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _numpy_calls(tree, name):
+    """(enclosing function or None, line, keyword names) of every `np.<name>(...)` call."""
+    found = []
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == name and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id in ("np", "numpy")):
+                found.append((owner, child.lineno, {kw.arg for kw in child.keywords}))
+            walk(child, owner)
+
+    walk(tree, None)
+    return found
+
+
 def test_package_modules_found():
     assert len(MODULES) >= 10
 
@@ -65,3 +86,23 @@ def test_no_assert_statements(path):
 def test_unused_import_scan_flags_a_dead_import():
     tree = ast.parse("import os\nfrom .x import a, b\ndef f(v: 'a') -> int:\n    return 1\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "b")]
+
+
+def test_lexsort_only_in_distinct_rows():
+    found = [(path.stem, owner) for path in MODULES
+             for owner, _, _ in _numpy_calls(ast.parse(path.read_text()), "lexsort")]
+    assert found == [("linalg", "distinct_rows")]
+
+
+def test_no_unique_by_axis():
+    found = [(path.name, line) for path in MODULES
+             for _, line, keywords in _numpy_calls(ast.parse(path.read_text()), "unique")
+             if "axis" in keywords]
+    assert found == []
+
+
+def test_row_sort_scan_flags_a_planted_lexsort():
+    tree = ast.parse("import numpy as np\ndef f(r):\n    return r[np.lexsort(r.T)]\n"
+                     "def distinct_rows(r):\n    return np.unique(r, axis=0)\n")
+    assert _numpy_calls(tree, "lexsort") == [("f", 3, set())]
+    assert _numpy_calls(tree, "unique") == [("distinct_rows", 5, {"axis"})]

@@ -419,3 +419,42 @@ def test_rref_preserves_row_space(q, r, c, seed):
     R, rk, piv = rref(m)
     assert subspace_from_rows(m) == subspace_from_rows(R)
     assert rk == len(piv) == _naive_rank(fld, data)
+
+
+def _lexsort_distinct_rows(rows):
+    """The reference: the lexsort over all k columns that `distinct_rows` used
+    before it sorted packed keys."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[first], np.sort(order[~first])
+
+
+def _rows_with_repeats(rng, q, k, count):
+    rows = rng.integers(0, q, (count, k))
+    rows = np.vstack([rows, rows[rng.integers(0, count, count // 3)]])
+    rows[rng.integers(0, len(rows))] = q - 1  # the largest entry sets the key base
+    return rows[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("k", [1, 3, 20, 41])
+@pytest.mark.parametrize("q", [2, 3, 13, 256, 65521, 1 << 31, (1 << 62) + 5])
+def test_distinct_rows_matches_the_column_lexsort(q, k):
+    rng = np.random.default_rng(q * 100 + k)
+    for rows in (_rows_with_repeats(rng, q, k, 300), np.zeros((0, k), dtype=np.int64)):
+        got, want = linalg.distinct_rows(rows), _lexsort_distinct_rows(rows)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    column_major = np.asfortranarray(_rows_with_repeats(rng, q, k, 50))
+    assert np.array_equal(linalg.distinct_rows(column_major)[0],
+                          _lexsort_distinct_rows(column_major)[0])
+
+
+@pytest.mark.parametrize("q,k,words", [(3, 20, 1), (13, 4, 1), (65521, 7, 3),
+                                       (3, 41, 2), (13, 41, 3), (256, 20, 3),
+                                       (65521, 20, 7), (2, 63, 1), (2, 64, 2)])
+def test_row_keys_pack_digits_below_2_63(q, k, words):
+    rows = np.array([[q - 1] * k, [0] * k, list(range(k))]) % q
+    keys = linalg._row_keys(rows)
+    assert len(keys) == words
+    assert all(key.dtype == np.int64 and (key >= 0).all() for key in keys)

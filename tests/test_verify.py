@@ -280,3 +280,13 @@ def test_minimum_size_search_budget_zero():
     res = minimum_size_search(fld, 3, 1, budget=0)
     assert not res.exact
     assert is_strong_blocking(res.blocking_set, 1).passed  # fallback is everything
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (3, 2)])
+def test_to_affine_matches_unique_of_the_orbits(p, m):
+    fld = field_create(p, m)
+    rows = np.random.default_rng(p * m).integers(0, fld.q, (40, 4))
+    b = BlockingSet.from_points(fld, rows[rows.any(axis=1)])
+    orbits = np.vstack([np.zeros((1, 4), dtype=np.int64)]
+                       + [fld.mul_arr(lam, b.points) for lam in range(1, fld.q)])
+    assert np.array_equal(to_affine_blocking(b), np.unique(orbits, axis=0))

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time both scans of the exhaustive verifier on the same instances.
+"""Time both scans of the exhaustive verifier, and the sampled verifier
+against its per-trial loop, on the same instances.
 
     PYTHONPATH=src python3 scripts/bench_verifier.py --repeat 5 > BENCH_verifier.json
 
@@ -11,8 +12,15 @@ workload (MDS supply in F_q^4, s = 2; the failing P5 set also with
 count_all) and on s = 1 rows of the same sets, where the rule picks the
 meet-rank scan.  Per case it records the family sizes, the scan the rule
 picks, the median and quartiles of --repeat timed calls after one warm-up
-call, and whether the two scans' reports are byte-identical.  BLAS runs
-single-threaded.  The JSON result goes to stdout.
+call, and whether the two scans' reports are byte-identical.
+
+The `sampled` row times `is_strong_blocking_sampled` on the cherry set of
+the benchmark's lps-sampled workload (seed 1: LPS X^{5,13}, a random
+20 x 2184 supply over GF(3), built by bench/workloads.py), with its 12
+trials and trial seed, against the per-trial loop it replaced (one
+kernel, subspace and meet rank per trial), and records whether the two
+reports are byte-identical.  BLAS runs single-threaded.  The JSON result
+goes to stdout.
 """
 
 from __future__ import annotations
@@ -28,13 +36,20 @@ import platform
 import statistics
 import sys
 import time
+from pathlib import Path
 
+import numpy as np
+
+import blockforge as bf
 from blockforge import verify
 from blockforge.construct import construct_cherry
 from blockforge.expander import complete_graph, path_graph
 from blockforge.gf import field_create
-from blockforge.linalg import gaussian_binomial
+from blockforge.linalg import (MatrixGF, gaussian_binomial, kernel_basis, rref,
+                               subspace_from_rows)
 from blockforge.supply import supply_mds
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # (label, (p, m), graph, n): the four instances of the exhaustive workload
 INSTANCES = [("GF(13) K10", (13, 1), complete_graph, 10),
@@ -80,6 +95,47 @@ def run_case(b, s, count_all, repeat):
     return out
 
 
+def per_trial_sampled(b, s, trials, seed):
+    """The sampled verifier as one loop of trials: draw the map, build its
+    kernel L, rank the points of B inside L; stop at the first failure."""
+    fld, k = b.field, b.k
+    rng = np.random.default_rng(seed)
+    for t in range(trials):
+        while True:
+            R, r, _ = rref(MatrixGF(fld, rng.integers(0, fld.q, size=(s, k))))
+            if r == s:
+                break
+        L = subspace_from_rows(kernel_basis(R))
+        achieved = int(verify._meet_ranks(fld, b.points, L.pivots, L.basis.data[None])[0])
+        if achieved < k - s:
+            return verify.VerificationReport("sampled", s, t + 1, "fail",
+                                             verify.Counterexample(L, achieved, t), 0.0)
+    return verify.VerificationReport("sampled", s, trials, "pass", None, 0.0)
+
+
+def run_sampled(repeat):
+    """The lps-sampled seed-1 cherry set, verified by both samplers."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    wl = workloads.load(str(ROOT / "bench" / "workloads.json"))["lps-sampled"]
+    inp = wl.setup(bf, 1)
+    g = bf.lps_graph(wl.LPS_P, wl.LPS_Q)
+    gp = bf.verify_general_position(inp["supply"], workloads.S, wl.SPAN_T,
+                                    samples=wl.GP_SAMPLES, seed=inp["seeds"]["gp"])
+    b = bf.construct_cherry(g, inp["supply"], report=gp)
+    args = (b, workloads.S, wl.TRIALS, inp["seeds"]["trials"])
+    out = {"instance": "lps-sampled seed 1", "size": b.size, "k": b.k, "s": workloads.S,
+           "trials": wl.TRIALS}
+    reports = {}
+    for name, fn in (("batched", verify.is_strong_blocking_sampled),
+                     ("per_trial", per_trial_sampled)):
+        rep, out[name] = _time(lambda: fn(*args), repeat)
+        reports[name] = json.dumps(rep.to_dict(), sort_keys=True)
+    out["result"] = json.loads(reports["batched"])["result"]
+    out["reports_identical"] = reports["batched"] == reports["per_trial"]
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -97,6 +153,8 @@ def main():
         case = {"instance": label, **run_case(sets[label], s, count_all, args.repeat)}
         print(json.dumps(case), file=sys.stderr)
         result["cases"].append(case)
+    result["sampled"] = run_sampled(args.repeat)
+    print(json.dumps(result["sampled"]), file=sys.stderr)
     print(json.dumps(result, indent=1))
 
 

@@ -24,7 +24,7 @@ from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .expander import Graph, Hypergraph, ball, power_graph, clique_hypergraph
 from .gf import FieldSpec
-from .linalg import (MatrixGF, distinct_rows, format_matrix, parse_matrix,
+from .linalg import (MatrixGF, _row_keys, distinct_rows, format_matrix, parse_matrix,
                      projective_reps, read_matrix, write_matrix)
 from .supply import (GeneralPositionReport, PointSupply, normalize_rows,
                      verify_general_position)
@@ -40,12 +40,35 @@ SPAN_CHUNK_ROWS = 1 << 18  # span points per field matmul in edge_span_union
 
 @dataclass(frozen=True)
 class BlockingSet:
-    """Normalized, sorted, deduplicated projective point set in PG(k-1, q)."""
+    """Normalized, sorted, deduplicated projective point set in PG(k-1, q).
+
+    The constructor checks this form in one O(N) pass, without a sort, and
+    raises a ValueError naming the first row that breaks it."""
 
     field: FieldSpec
     k: int
     points: np.ndarray  # (num_points, k), first nonzero coordinate of each row is 1
     provenance: dict = dataclass_field(default_factory=dict)
+
+    def __post_init__(self):
+        pts = self.points
+        if pts.ndim != 2 or pts.shape[1] != self.k:
+            raise ValueError(f"points have shape {pts.shape}, not (num_points, {self.k})")
+        if not len(pts):
+            raise ValueError("a blocking set needs at least one point")
+        if pts.min() < 0 or pts.max() >= self.field.q:
+            raise ValueError(f"point entries must lie in [0, {self.field.q})")
+        lead = pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)]
+        if (lead != 1).any():
+            raise ValueError(f"row {(lead != 1).argmax()} is not normalized: "
+                             f"its first nonzero entry is not 1")
+        after = np.zeros(len(pts) - 1, dtype=bool)  # row i+1 > row i, from the last word up
+        for word in reversed(_row_keys(pts)):
+            after = (word[1:] > word[:-1]) | ((word[1:] == word[:-1]) & after)
+        if not after.all():
+            i = int(after.argmin()) + 1
+            raise ValueError(f"row {i} does not follow row {i - 1}: the points are "
+                             f"unsorted or not projectively distinct")
 
     @classmethod
     def from_points(cls, fld: FieldSpec, points, provenance=None) -> "BlockingSet":
@@ -102,8 +125,6 @@ def edge_span_union(h: Hypergraph, supply: PointSupply, *,
             distinct, _ = distinct_rows(np.vstack([distinct, normalize_rows(fld, pts)]))
             if len(distinct) > point_cap:
                 raise BudgetExceededError("points", point_cap, len(distinct))
-    if not len(distinct):
-        raise ValueError("a blocking set needs at least one point")
     distinct.setflags(write=False)
     prov = dict(provenance or {})
     prov.setdefault("construction", "edge_span_union")

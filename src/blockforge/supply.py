@@ -38,11 +38,17 @@ def normalize_column(field: FieldSpec, col: np.ndarray) -> np.ndarray:
 
 
 def normalize_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
-    """Projective points in canonical form: every row of an (N, k) block scaled
-    so its first nonzero coordinate is 1.  The first zero row is a ValueError."""
+    """Projective points in canonical form, as a new array: every row of an
+    (N, k) block scaled so its first nonzero coordinate is 1.  A block
+    already in that form, with every entry in [0, q), is copied without a
+    field product.  The first zero row is a ValueError."""
     lead = rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)]
     if not lead.all():
         raise ValueError(f"vector {(lead == 0).argmax()} is zero, so it is not a projective point")
+    if rows.size and (lead == 1).all() and rows.min() >= 0 and rows.max() < field.q:
+        return np.array(rows, dtype=np.int64)
+    # Every row, not only those whose lead is not 1: scaling a gathered
+    # subset held half-size temporaries that raised the span dump's peak RSS.
     return field.mul_arr(field.inv_arr(lead)[:, None], rows)
 
 

@@ -36,7 +36,7 @@ from .budgets import DEFAULT_BUDGETS
 from .construct import BlockingSet, lower_bound
 from .errors import BudgetExceededError
 from .linalg import (MatrixGF, SubspaceBasis, _null_space, distinct_rows, gaussian_binomial,
-                     kernel_basis, projective_reps, rank, rref, rref_blocks, rref_index,
+                     kernel_basis, projective_reps, rank, rref_blocks, rref_index,
                      rref_stack, subspace_from_rows)
 
 
@@ -93,16 +93,22 @@ def _quotient_parts(fld, points: np.ndarray, pivots: tuple[int, ...], block: np.
     return points[:, free].T[:, None, :], span
 
 
+def _ragged_ranks(fld, groups: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """Rank of each group 0..count-1 of rows, given group-major (groups
+    ascending), ranked as one zero-padded stack."""
+    sizes = np.bincount(groups, minlength=count)
+    stack = np.zeros((count, sizes.max(initial=0), rows.shape[1]), dtype=np.int64)
+    slot = np.arange(len(groups)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    stack[groups, slot] = rows
+    return rref_stack(fld, stack)[1]
+
+
 def _meet_ranks(fld, points: np.ndarray, pivots: tuple[int, ...], block: np.ndarray):
     """Rank of the points inside each subspace L of a block of RREF bases, read
-    in L's basis (their pivot coordinates) and ranked as one zero-padded stack."""
+    in L's basis (their pivot coordinates)."""
     own, span = _quotient_parts(fld, points, pivots, block)
     which, where = np.nonzero((span == own).all(axis=0))  # (L, point) pairs, L-major
-    counts = np.bincount(which, minlength=len(block))
-    stack = np.zeros((len(block), counts.max(initial=0), len(pivots)), dtype=np.int64)
-    slot = np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts, counts)
-    stack[which, slot] = points[where][:, list(pivots)]
-    return rref_stack(fld, stack)[1]
+    return _ragged_ranks(fld, which, points[where][:, list(pivots)], len(block))
 
 
 def _meet_scan(b: BlockingSet, s: int, count_all: bool):
@@ -131,7 +137,9 @@ def _meet_scan(b: BlockingSet, s: int, count_all: bool):
     return first, failures
 
 
-COVER_CHUNK = 1 << 17  # image entries (maps x (s+1) x points) per field matmul in _cover_scan
+# Image entries (maps x map rows x points) per field matmul, in _cover_scan
+# and in the sampled verifier (at least one map per matmul).
+VERIFY_CHUNK = 1 << 17
 
 
 @functools.lru_cache(maxsize=16)
@@ -161,7 +169,7 @@ def _cover_scan(b: BlockingSet, s: int) -> np.ndarray:
     fld, k, q = b.field, b.k, b.field.q
     reps, table = _projective_index(fld, s + 1)
     points_t = np.ascontiguousarray(b.points.T)
-    step = max(1, COVER_CHUNK // ((s + 1) * b.size))
+    step = max(1, VERIFY_CHUNK // ((s + 1) * b.size))
     found = []
     for pivots, block in rref_blocks(fld, k, s + 1):
         for lo in range(0, len(block), step):
@@ -234,12 +242,61 @@ def is_strong_blocking(b: BlockingSet, s: int, *,
                               failures if count_all else None)
 
 
+def _sampled_map(fld, rng, s: int, k: int) -> np.ndarray:
+    """A uniformly random rank-s quotient map in canonical RREF (s x k):
+    draws are rejected until one has rank s."""
+    while True:
+        R, r = rref_stack(fld, rng.integers(0, fld.q, size=(s, k))[None])
+        if r[0] == s:
+            return R[0]
+
+
+def _sampled_ranks(fld, points: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Exact rank of the points inside each L = ker R, for a stack of RREF
+    quotient maps R (count x s x k).
+
+    One field matmul images every point under every map; x lies in L iff
+    R x = 0.  The points of L are read in R's free columns, onto which L
+    projects one to one.  Per L at most 2(k-s) of its points, evenly spaced in
+    point order, are ranked first; only the L whose sample falls short of
+    k - s get all their points ranked.
+    """
+    count, s, k = maps.shape
+    img = fld.matmul_arr(points, maps.reshape(count * s, k).T).reshape(-1, count, s)
+    inside = img[:, :, 0] == 0
+    for row in range(1, s):  # one compare per map row: a reduce over s is slower
+        inside &= img[:, :, row] == 0
+    del img
+    which, where = np.nonzero(inside.T)  # (L, point) pairs, L-major
+    free = np.ones((count, k), dtype=bool)
+    free[np.arange(count)[:, None], (maps != 0).argmax(axis=2)] = False
+    free = np.nonzero(free)[1].reshape(count, k - s)
+
+    def coords(pairs):
+        return points[where[pairs][:, None], free[which[pairs]]]
+
+    sizes = np.bincount(which, minlength=count)
+    take = np.minimum(sizes, 2 * (k - s))
+    group = np.repeat(np.arange(count), take)
+    j = np.arange(len(group)) - np.repeat(np.cumsum(take) - take, take)
+    sample = (np.cumsum(sizes) - sizes)[group] + j * sizes[group] // take[group]
+    ranks = _ragged_ranks(fld, group, coords(sample), count)
+    short = np.nonzero((ranks < k - s) & (sizes > take))[0]
+    if short.size:
+        pairs = np.nonzero(np.isin(which, short))[0]
+        ranks[short] = _ragged_ranks(fld, np.searchsorted(short, which[pairs]),
+                                     coords(pairs), short.size)
+    return ranks
+
+
 def is_strong_blocking_sampled(b: BlockingSet, s: int, trials: int,
                                seed: int = 0) -> VerificationReport:
     """Test uniformly random codimension-s subspaces.
 
     Never certifies: a pass only means no counterexample was found in
     `trials` draws.  The subspace sequence is a pure function of the seed.
+    Trials run in chunks of at most `VERIFY_CHUNK` image entries (at least
+    one trial); the earliest failing trial is reported.
     """
     k = b.k
     if not 1 <= s < k:
@@ -249,18 +306,17 @@ def is_strong_blocking_sampled(b: BlockingSet, s: int, trials: int,
     fld = b.field
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    for t in range(trials):
-        while True:
-            q_map = rng.integers(0, fld.q, size=(s, k))
-            R, r, _ = rref(MatrixGF(fld, q_map))
-            if r == s:
-                break
-        L = subspace_from_rows(kernel_basis(R))  # R: the canonical sampled quotient map
-        achieved = int(_meet_ranks(fld, b.points, L.pivots, L.basis.data[None])[0])
-        if achieved < k - s:
+    step = max(1, VERIFY_CHUNK // (s * b.size))
+    for lo in range(0, trials, step):
+        maps = np.stack([_sampled_map(fld, rng, s, k) for _ in range(min(step, trials - lo))])
+        ranks = _sampled_ranks(fld, b.points, maps)
+        bad = np.nonzero(ranks < k - s)[0]
+        if bad.size:
+            t = int(bad[0])
+            L = subspace_from_rows(kernel_basis(MatrixGF(fld, maps[t])))
             wall = time.perf_counter() - t0
-            return VerificationReport("sampled", s, t + 1, "fail",
-                                      Counterexample(L, achieved, t), wall)
+            return VerificationReport("sampled", s, lo + t + 1, "fail",
+                                      Counterexample(L, int(ranks[t]), lo + t), wall)
     wall = time.perf_counter() - t0
     return VerificationReport("sampled", s, trials, "pass", None, wall)
 
@@ -279,10 +335,7 @@ def to_affine_blocking(b: BlockingSet) -> np.ndarray:
     pieces = [np.zeros((1, b.k), dtype=np.int64)]
     for lam in range(1, fld.q):
         pieces.append(fld.mul_arr(lam, b.points))
-    out, repeats = distinct_rows(np.vstack(pieces))
-    if repeats.size:
-        raise ValueError("scalar orbits collided; the points of b are not projectively distinct")
-    return out
+    return distinct_rows(np.vstack(pieces))[0]
 
 
 def blocks_affine(points: np.ndarray, fld, codim: int, *,

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from blockforge import construct
+from blockforge import construct, linalg
 from blockforge.construct import (BlockingSet, cherry_hypergraph,
                                   ball_power_hypergraph, construct_ball_power,
                                   construct_cherry, construct_neighborhood,
@@ -255,6 +255,43 @@ def test_from_points_canonicalizes_other_rows():
     out_of_range[-1, -1] += 3  # reduced mod 3 by the normalization, not kept as is
     for rows in (pts, pts[order], pts[::-1], scaled, np.vstack([pts, pts[:3]]), out_of_range):
         assert BlockingSet.from_points(fld, rows) == canonical
+
+
+@pytest.mark.parametrize("p,k", [(3, 4), (65521, 7)])  # one and three key words per row
+def test_blocking_set_checks_its_rows(p, k):
+    fld = field_create(p)
+    good = random_points(fld, 4, k=k).points
+    assert BlockingSet(fld, k, good) == BlockingSet.from_points(fld, good)
+    scaled = good.copy()
+    scaled[3] = fld.mul_arr(2, scaled[3])
+    cases = [(scaled, "row 3 is not normalized"),
+             (good[[0, 2, 1, 3]], "row 2 does not follow row 1"),
+             (good[[0, 1, 1, 2]], "row 2 does not follow row 1"),
+             (good[::-1], "row 1 does not follow row 0"),
+             (np.vstack([np.zeros((1, k), dtype=np.int64), good]), "row 0 is not normalized"),
+             (good + np.eye(len(good), k, k - 1, dtype=np.int64) * p, r"must lie in \[0,"),
+             (good[:0], "needs at least one point"),
+             (good[:, :-1], "not \\(num_points"),
+             ]
+    for rows, message in cases:
+        with pytest.raises(ValueError, match=message):
+            BlockingSet(fld, k, rows)
+
+
+def test_blocking_set_orders_rows_by_their_first_different_word():
+    # entries up to 65520 put 3 digits in a key word: rows 0 and 1 agree in
+    # the first word, rows 1 and 2 differ in it, rows 2 and 3 only in the last
+    fld = field_create(65521)
+    rows = np.array([[1, 5, 65520, 0, 9, 9, 3], [1, 5, 65520, 1, 0, 0, 0],
+                     [1, 6, 0, 0, 0, 0, 0], [1, 6, 0, 0, 0, 0, 1]])
+    assert len(linalg._row_keys(rows)) == 3
+    BlockingSet(fld, 7, rows)
+    for order, message in [([1, 0, 2, 3], "row 1 does not follow row 0"),
+                           ([0, 2, 1, 3], "row 2 does not follow row 1"),
+                           ([0, 1, 3, 2], "row 3 does not follow row 2"),
+                           ([0, 1, 2, 2], "row 3 does not follow row 2")]:
+        with pytest.raises(ValueError, match=message):
+            BlockingSet(fld, 7, rows[order])
 
 
 def test_blocking_set_rejects_zero():

@@ -10,7 +10,7 @@ from blockforge.gf import field_create
 from blockforge.linalg import MatrixGF, projective_reps, rank
 from blockforge.supply import (GeneralPositionReport, PointSupply,
                                dual_distance_by_codewords,
-                               dual_distance_by_ranks, read_supply,
+                               dual_distance_by_ranks, normalize_rows, read_supply,
                                supply_mds, supply_random_verified,
                                verify_general_position, write_supply)
 
@@ -188,3 +188,32 @@ def test_rank_chunk_does_not_change_results(monkeypatch, chunk):
 def test_report_round_trip_dict():
     rep = GeneralPositionReport(2, 3, "exhaustive")
     assert GeneralPositionReport.from_dict(rep.to_dict()) == rep
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (2, 2), (3, 2)])
+def test_normalize_rows_copies_canonical_rows(monkeypatch, p, m):
+    fld = field_create(p, m)
+    rng = np.random.default_rng(p * m)
+    rows = rng.integers(0, fld.q, (200, 5))
+    rows = rows[rows.any(axis=1)]
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    want = fld.mul_arr(fld.inv_arr(lead)[:, None], rows)
+    cases = [(rows, True), (want, False)]
+    if m == 1:  # entries outside [0, p) are reduced mod p
+        wide = want.copy()
+        wide[::7, -1] += p * rng.integers(1, 3, len(wide[::7])) * rng.choice([-1, 1])
+        cases.append((wide, True))
+    mul = type(fld).mul_arr
+    calls = []
+
+    def spy(self, a, b):
+        calls.append(np.shape(b))
+        return mul(self, a, b)
+    monkeypatch.setattr(type(fld), "mul_arr", spy)
+    for given, multiplied in cases:
+        before = given.copy()
+        calls.clear()
+        out = normalize_rows(fld, given)
+        assert np.array_equal(out, want)
+        assert calls == ([given.shape] if multiplied else [])
+        assert not np.shares_memory(out, given) and np.array_equal(given, before)

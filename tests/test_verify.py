@@ -8,8 +8,9 @@ from blockforge.errors import BudgetExceededError
 from blockforge.expander import complete_graph
 from blockforge.gf import field_create
 from blockforge import linalg, verify
-from blockforge.linalg import (MatrixGF, enumerate_subspaces, projective_reps,
-                               quotient_map, rank, rref_blocks, subspace_count)
+from blockforge.linalg import (MatrixGF, enumerate_subspaces, kernel_basis, projective_reps,
+                               quotient_map, rank, rref, rref_blocks, subspace_count,
+                               subspace_from_rows)
 from blockforge.mincode import LinearCode, blocking_to_code, is_s_minimal
 from blockforge.supply import supply_mds
 from blockforge.verify import (blocks_affine, is_strong_blocking,
@@ -149,8 +150,8 @@ def test_to_affine_sizes():
 
 def test_to_affine_rejects_repeated_points():
     fld = field_create(5)
-    b = BlockingSet(fld, 3, np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0]]))
     with pytest.raises(ValueError, match="not projectively distinct"):
+        b = BlockingSet(fld, 3, np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0]]))
         to_affine_blocking(b)
 
 
@@ -290,3 +291,125 @@ def test_to_affine_matches_unique_of_the_orbits(p, m):
     orbits = np.vstack([np.zeros((1, 4), dtype=np.int64)]
                        + [fld.mul_arr(lam, b.points) for lam in range(1, fld.q)])
     assert np.array_equal(to_affine_blocking(b), np.unique(orbits, axis=0))
+
+
+def _meet_rank(b, L):
+    """Rank of the points of b inside L, by membership Q x = 0 and one rank."""
+    inside = b.points[~b.field.matmul_arr(quotient_map(L).data, b.points.T).any(axis=0)]
+    return rank(MatrixGF(b.field, inside)) if len(inside) else 0
+
+
+def _per_trial_sampled(b, s, trials, seed):
+    """The per-trial sampled verifier: one drawn map, one kernel, one subspace
+    and one meet rank per trial."""
+    fld, k = b.field, b.k
+    rng = np.random.default_rng(seed)
+    for t in range(trials):
+        while True:
+            R, r, _ = rref(MatrixGF(fld, rng.integers(0, fld.q, size=(s, k))))
+            if r == s:
+                break
+        L = subspace_from_rows(kernel_basis(R))
+        achieved = _meet_rank(b, L)
+        if achieved < k - s:
+            return verify.VerificationReport("sampled", s, t + 1, "fail",
+                                             verify.Counterexample(L, achieved, t), 0.0)
+    return verify.VerificationReport("sampled", s, trials, "pass", None, 0.0)
+
+
+@pytest.mark.parametrize("p,m,ks", [(2, 1, (3, 4, 5)), (3, 1, (3, 4, 5)), (5, 1, (3, 4)),
+                                    (7, 1, (3, 4)), (2, 2, (3, 4)), (3, 2, (3, 4))])
+def test_sampled_matches_the_per_trial_loop(p, m, ks):
+    fld = field_create(p, m)
+    verdicts = set()
+    for k in ks:
+        for b in random_subsets(fld, k, seed=p * 100 + m * 10 + k):
+            for s in range(1, k):
+                for seed in (0, 1):
+                    got = json.dumps(is_strong_blocking_sampled(b, s, 20, seed).to_dict())
+                    want = json.dumps(_per_trial_sampled(b, s, 20, seed).to_dict())
+                    assert got == want
+                    verdicts.add(json.loads(got)["result"])
+    assert verdicts == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("p,m,k", [(3, 1, 4), (2, 2, 4), (7, 1, 4), (2, 1, 5)])
+def test_sampled_ranks_are_exact_meet_ranks(p, m, k):
+    fld = field_create(p, m)
+    rng = np.random.default_rng(p + m + k)
+    for b in random_subsets(fld, k, seed=k):
+        for s in range(1, k):
+            maps = np.stack([verify._sampled_map(fld, rng, s, k) for _ in range(12)])
+            want = [_meet_rank(b, subspace_from_rows(kernel_basis(MatrixGF(fld, R))))
+                    for R in maps]
+            assert verify._sampled_ranks(fld, b.points, maps).tolist() == want
+
+
+def test_sampled_falls_back_when_the_sample_is_rank_deficient(monkeypatch):
+    # L = ker R has dimension 3; B meets it in a 2-dimensional P (8 points over
+    # GF(7)) and one more point, placed where the evenly spaced sample of 6 of
+    # the 9 points (positions 0, 1, 3, 4, 6, 7) does not look.
+    fld, k, s = field_create(7), 4, 1
+    R = verify._sampled_map(fld, np.random.default_rng(0), s, k)  # trial 0 of seed 0
+    L = subspace_from_rows(kernel_basis(MatrixGF(fld, R)))
+    allpts = np.hstack(list(projective_reps(fld, k))).T
+    in_L = allpts[~fld.matmul_arr(allpts, R.T).any(axis=1)]
+    plane = BlockingSet.from_points(fld, fld.matmul_arr(
+        np.hstack(list(projective_reps(fld, 2))).T, L.basis.data[:2])).points
+    for extra in in_L:
+        meet = BlockingSet.from_points(fld, np.vstack([plane, extra]))
+        if meet.size == 9 and np.nonzero((meet.points == extra).all(axis=1))[0][0] in (2, 5, 8):
+            break
+    else:
+        raise AssertionError("no point of L outside P lands at an unsampled position")
+    outside = allpts[fld.matmul_arr(allpts, R.T).any(axis=1)]
+    b = BlockingSet.from_points(fld, np.vstack([meet.points, outside]))
+    seen = []
+    ragged = verify._ragged_ranks
+
+    def spy(*args):
+        seen.append(ragged(*args).tolist())
+        return np.array(seen[-1])
+    monkeypatch.setattr(verify, "_ragged_ranks", spy)
+    assert verify._sampled_ranks(fld, b.points, R[None]).tolist() == [3]
+    assert seen == [[2], [3]]  # the sample falls short; all 9 points span L
+    assert _meet_rank(b, L) == 3
+    for trials in (1, 30):
+        assert (is_strong_blocking_sampled(b, s, trials, seed=0).to_dict()
+                == _per_trial_sampled(b, s, trials, seed=0).to_dict())
+
+
+def test_sampled_chunks_do_not_change_reports(monkeypatch):
+    fld = field_create(3)
+    late = 0
+    for k in (3, 4):
+        for b in random_subsets(fld, k, seed=7):
+            for s in range(1, k):
+                want = json.dumps(_per_trial_sampled(b, s, 50, seed=5).to_dict())
+                for step in (1, 7):  # one trial per chunk, and chunks that do not divide 50
+                    monkeypatch.setattr(verify, "VERIFY_CHUNK", step * s * b.size)
+                    rep = is_strong_blocking_sampled(b, s, 50, seed=5)
+                    assert json.dumps(rep.to_dict()) == want
+                    if not rep.passed and rep.counterexample.index >= step:
+                        late += 1
+                monkeypatch.undo()
+    assert late  # some first failure lies past the first chunk
+
+
+def test_sampled_matmuls_stay_within_the_chunk(monkeypatch):
+    fld = field_create(3)
+    b = all_projective_points(fld, 4)  # 40 points, passes for every s
+    sizes = []
+    matmul = type(fld).matmul_arr
+
+    def spy(self, a, c):
+        out = matmul(self, a, c)
+        sizes.append(out.size)
+        return out
+    monkeypatch.setattr(type(fld), "matmul_arr", spy)
+    for chunk, s in [(1, 2), (100, 1), (100, 3), (1 << 17, 2)]:
+        monkeypatch.setattr(verify, "VERIFY_CHUNK", chunk)
+        sizes.clear()
+        assert is_strong_blocking_sampled(b, s, 40, seed=2).passed
+        assert max(sizes) <= max(chunk, s * b.size)
+        assert sum(sizes) == 40 * s * b.size  # every trial imaged once

@@ -3,10 +3,14 @@ checks, the hypergraph edge-list type, and the graph operators (powers,
 blow-ups, clique hypergraphs, balls) used by the blocking-set constructions.
 
 Graphs are immutable after construction.  BFS-style operators shard naturally
-by start vertex; the spectral routines deflate the trivial eigenvectors
-analytically (the all-ones vector for regular graphs, the bipartition sign
-vector for bipartite ones) so the reported bound concerns only the
-non-trivial spectrum.
+by start vertex.  `second_eigenvalue` reports max |lambda| over the
+non-trivial adjacency spectrum (every eigenvalue but d, and -d for bipartite
+graphs) by one of three paths:
+
+* exact: a dense eigensolve, for graphs of at most `exact_threshold` vertices;
+* trace: a proved interval from exact closed-walk counts, for larger graphs
+  known to be Cayley graphs (only `lps_graph` marks one);
+* power iteration: an estimate, not a proof, for every other large graph.
 """
 
 from __future__ import annotations
@@ -26,9 +30,14 @@ from .linalg import distinct_rows, format_rows, parse_rows, split_head
 
 
 class Graph:
-    """Simple undirected graph, vertices 0..n-1, sorted adjacency lists."""
+    """Simple undirected graph, vertices 0..n-1, sorted adjacency lists.
 
-    def __init__(self, n: int, edges):
+    `cayley=True` records that the graph is a Cayley graph, so every vertex
+    sees the same closed-walk counts.  Only `lps_graph` passes it; the graph
+    file format does not carry it, and no derived graph inherits it.
+    """
+
+    def __init__(self, n: int, edges, *, cayley: bool = False):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
@@ -40,6 +49,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         self.n = n
+        self.cayley = cayley
         self._edge_array = distinct_rows(np.sort(pairs, axis=1))[0]  # rows u < v, sorted
         self.m = len(self._edge_array)
         both = distinct_rows(np.vstack([self._edge_array, self._edge_array[:, ::-1]]))[0]
@@ -275,7 +285,7 @@ def lps_graph(p: int, q2: int) -> Graph:
         expected //= 2
     if n != expected:  # pragma: no cover - sanity net
         raise RuntimeError(f"group closure has {n} elements, expected {expected}")
-    g = Graph(n, edges)
+    g = Graph(n, edges, cayley=True)
     if not g.is_regular() or g.degree != p + 1:  # pragma: no cover
         raise RuntimeError("LPS graph is not (p+1)-regular; parameters too small")
     return g
@@ -285,30 +295,109 @@ def lps_graph(p: int, q2: int) -> Graph:
 # Spectral bounds
 # ---------------------------------------------------------------------------
 
+TRACE_MAX_WALK = 512  # the trace path's longest walk; the bound reached there is reported
+
+
 @dataclass(frozen=True)
 class SpectralReport:
     n: int
     d: int
     lambda_bound: float
-    method: str  # "exact" | "power-iteration"
+    method: str  # "exact" | "trace" | "power-iteration"
     bipartite: bool
     tol: float
+    lambda_lower: float | None = None  # trace path only, like r
+    r: int | None = None
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "d": self.d, "lambda_bound": self.lambda_bound,
-                "method": self.method, "bipartite": self.bipartite}
+        out = {"n": self.n, "d": self.d, "lambda_bound": self.lambda_bound,
+               "method": self.method, "bipartite": self.bipartite}
+        if self.method == "trace":
+            out.update(lambda_lower=self.lambda_lower, r=self.r)
+        return out
+
+
+def _float_root(num: int, den: int, k: int, *, up: bool) -> float:
+    """A float b >= 0 with b^k * den >= num (up) or <= num (not up), for
+    integers num, den >= 0 (den > 0 when num > 0).  Starts from the
+    floating-point root and moves one ulp at a time until the inequality
+    holds exactly in integers."""
+    if num == 0:
+        return 0.0
+    b = 2.0 ** ((math.log2(num) - math.log2(den)) / k)
+    while True:
+        top, bottom = b.as_integer_ratio()
+        lhs, rhs = top ** k * den, num * bottom ** k
+        if (lhs >= rhs) if up else (lhs <= rhs):
+            return b
+        b = math.nextafter(b, math.inf if up else 0.0)
+
+
+def _trace_interval(g: Graph, d: int, bipartite: bool) -> tuple[float, float, int]:
+    """Proved bounds (lower, upper, r) on max |lambda| over the non-trivial
+    spectrum of a connected d-regular Cayley graph.
+
+    Every vertex of a Cayley graph closes the same number of walks, so with
+    x_r = A^r e_0 in exact integers, trace A^(2r) = n |x_r|^2 and
+    T_r = n |x_r|^2 - c d^(2r) (c = 2 if bipartite, else 1) is the sum of
+    lambda^(2r) over the non-trivial eigenvalues.  So max |lambda|^(2r) <= T_r
+    gives the upper bound, and T_(r+1) <= max |lambda|^2 T_r the lower one.
+    The upper bound is evaluated every 8 steps; the walk stops at the first
+    r where it is at most 2 sqrt(d-1), or at TRACE_MAX_WALK.
+    """
+    n, nbr = g.n, g.neighbors
+    c = 2 if bipartite else 1
+
+    def step(x, r):  # A^r e_0 -> A^(r+1) e_0, in int64 while d^(r+1) fits
+        if x.dtype != object and d ** (r + 1) >= 2 ** 63:
+            x = x.astype(object)
+        return np.add.reduce(x[nbr], axis=0)
+
+    def trace(x, r):
+        t = n * sum(v * v for v in x.tolist()) - c * d ** (2 * r)
+        if t < 0:
+            raise RuntimeError("closed-walk counts differ between vertices; "
+                               "the graph is not a Cayley graph")
+        return t
+
+    x = np.zeros(n, dtype=np.int64)
+    x[0] = 1
+    r = 0
+    while True:
+        for _ in range(8):
+            x = step(x, r)
+            r += 1
+        t = trace(x, r)
+        upper = _float_root(t, 1, 2 * r, up=True)
+        if upper <= 2 * math.sqrt(d - 1) or r >= TRACE_MAX_WALK:
+            break
+    lower = _float_root(trace(step(x, r), r + 1), t, 2, up=False)
+    return lower, upper, r
 
 
 def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
                       exact_threshold: int = 2000, seed: int = 0,
                       max_iter: int = 1_000_000) -> SpectralReport:
-    """Upper bound on |lambda| over all adjacency eigenvalues other than d
-    (and -d for bipartite graphs, which is flagged).
+    """max |lambda| over the adjacency eigenvalues other than d (and -d for
+    bipartite graphs, which is flagged).
 
-    Dense eigensolve for small graphs; otherwise power iteration on the
-    adjacency operator with the trivial eigenvectors projected out, run to
-    residual <= tol, reporting estimate + tol.
+    `method="auto"` runs the dense eigensolve ("exact") up to
+    `exact_threshold` vertices; above it, the trace path for a graph marked
+    Cayley and power iteration for any other.
+
+    * exact: `lambda_bound` is the eigensolver's value.
+    * trace: a proof.  `lambda_bound` and `lambda_lower` bracket the value,
+      both checked in exact integers against the closed-walk counts of
+      length 2r and 2r + 2 (see `_trace_interval`); `r` is reported.
+    * power iteration: an estimate, not a bound.  Power iteration on A'^2,
+      the adjacency operator with the trivial eigenvectors (all-ones, and
+      the bipartition signs) projected out, runs to residual <= tol;
+      `lambda_bound` is the Rayleigh estimate + tol.
     """
+    if method not in ("auto", "exact", "trace", "power"):
+        raise ValueError(f"unknown spectral method {method!r}")
+    if method == "trace" and not g.cayley:
+        raise ValueError("the trace path needs a graph marked as a Cayley graph")
     if g.n == 0:
         raise ValueError("empty graph")
     if not g.is_regular():
@@ -320,7 +409,10 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
     bipartite = coloring is not None
 
     if method == "auto":
-        method = "exact" if g.n <= exact_threshold else "power"
+        method = "exact" if g.n <= exact_threshold else "trace" if g.cayley else "power"
+    if method == "trace":
+        lower, upper, r = _trace_interval(g, d, bipartite)
+        return SpectralReport(g.n, d, upper, "trace", bipartite, tol, lower, r)
     if method == "exact":
         dense = np.zeros((g.n, g.n))
         dense[g.neighbors, np.arange(g.n)] = 1.0

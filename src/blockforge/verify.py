@@ -26,6 +26,7 @@ search used to produce ground truths for tests.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -73,6 +74,12 @@ class VerificationReport:
              "counterexample": None if self.counterexample is None
              else self.counterexample.to_dict(),
              "counterexample_count": self.counterexample_count}
+        if self.mode == "sampled" and self.passed:
+            # T uniform draws with no failure: a bad-subspace fraction f would
+            # have let that happen with probability (1 - f)^T, at most 5% for
+            # f >= 1 - 0.05^(1/T) (about 3/T).
+            below = -math.expm1(math.log(0.05) / self.subspaces_checked)
+            d["confidence"] = {"level": 0.95, "bad_fraction_below": below}
         if include_wall_time:
             d["wall_time"] = self.wall_time
         return d

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import deque
 from itertools import combinations
@@ -5,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from blockforge import expander
 from blockforge.errors import BudgetExceededError
 from blockforge.expander import (Graph, ball, blowup, check_mixing,
                                  clique_hypergraph, complete_graph,
@@ -101,6 +103,93 @@ def test_power_iteration_matches_exact():
 def test_lps_5_13_is_ramanujan(lps_5_13):
     rep = second_eigenvalue(lps_5_13, tol=1e-7)
     assert rep.lambda_bound <= 2 * math.sqrt(5) + 1e-6
+
+
+@pytest.fixture(scope="module")
+def lps_17_13():
+    return lps_graph(17, 13)  # PSL2(13): 17 = 2^2 mod 13, so not bipartite
+
+
+def _walk_traces(g, v, r_max):
+    """T_r = n |A^r e_v|^2 - c d^(2r) for r = 0..r_max, by a per-vertex loop
+    over Python ints from vertex v."""
+    n, d = g.n, g.degree
+    c = 2 if g.bipartition() is not None else 1
+    x = [0] * n
+    x[v] = 1
+    traces = []
+    for r in range(r_max + 1):
+        traces.append(n * sum(a * a for a in x) - c * d ** (2 * r))
+        x = [sum(x[u] for u in g.adjacency[w]) for w in range(n)]
+    return traces
+
+
+@pytest.mark.parametrize("graph, bipartite", [("lps_5_13", True), ("lps_17_13", False)])
+def test_trace_interval_brackets_the_dense_value(graph, bipartite, request):
+    g = request.getfixturevalue(graph)
+    rep = second_eigenvalue(g, method="trace")
+    assert rep.method == "trace" and rep.bipartite == bipartite
+    dense = second_eigenvalue(g, method="exact").lambda_bound
+    assert rep.lambda_lower <= dense <= rep.lambda_bound <= 2 * math.sqrt(g.degree - 1)
+    assert 0 < rep.r <= expander.TRACE_MAX_WALK and rep.r % 8 == 0
+    # The exact checks, on walk counts out of the last vertex rather than 0:
+    # b^(2r) >= T_r and lower^2 T_r <= T_(r+1), and the walk stopped at the
+    # first evaluated r whose bound meets 2 sqrt(d - 1).
+    traces = _walk_traces(g, g.n - 1, rep.r + 1)
+    t, t_next = traces[rep.r], traces[rep.r + 1]
+    top, bottom = rep.lambda_bound.as_integer_ratio()
+    assert top ** (2 * rep.r) >= t * bottom ** (2 * rep.r)
+    top, bottom = rep.lambda_lower.as_integer_ratio()
+    assert top ** 2 * t <= t_next * bottom ** 2
+    r_before = rep.r - 8
+    if r_before:
+        assert traces[r_before] > (2 * math.sqrt(g.degree - 1)) ** (2 * r_before)
+
+
+def test_trace_reports_the_bound_reached_at_the_walk_cap(lps_5_13, monkeypatch):
+    monkeypatch.setattr(expander, "TRACE_MAX_WALK", 16)
+    rep = second_eigenvalue(lps_5_13, method="trace")
+    assert rep.r == 16
+    assert rep.lambda_bound > 2 * math.sqrt(5)  # proved, but not yet Ramanujan
+    top, bottom = rep.lambda_bound.as_integer_ratio()
+    assert top ** 32 >= _walk_traces(lps_5_13, 0, 16)[16] * bottom ** 32
+    assert rep.lambda_lower <= 4.2498 < rep.lambda_bound
+
+
+def test_trace_needs_a_cayley_graph(lps_5_13):
+    assert lps_5_13.cayley
+    for g in (complete_graph(8), power_graph(cycle_graph(24), 2)):
+        assert not g.cayley
+        with pytest.raises(ValueError, match="Cayley"):
+            second_eigenvalue(g, method="trace")
+    with pytest.raises(ValueError, match="unknown spectral method"):
+        second_eigenvalue(complete_graph(8), method="lanczos")
+
+
+def test_graph_file_does_not_carry_the_cayley_mark(lps_5_13):
+    again = parse_graph(format_graph(lps_5_13))
+    assert not again.cayley and format_graph(again) == format_graph(lps_5_13)
+    assert second_eigenvalue(again, tol=1e-3).method == "power-iteration"
+    assert second_eigenvalue(lps_5_13).method == "trace"
+
+
+def test_trace_report_bytes(lps_5_13):
+    first, again = (second_eigenvalue(lps_5_13) for _ in range(2))
+    assert json.dumps(first.to_dict()) == json.dumps(again.to_dict()) == (
+        f'{{"n": 2184, "d": 6, "lambda_bound": {first.lambda_bound!r}, "method": "trace", '
+        f'"bipartite": true, "lambda_lower": {first.lambda_lower!r}, "r": 48}}')
+
+
+def test_exact_and_power_report_bytes():
+    exact = second_eigenvalue(complete_graph(8))
+    power = second_eigenvalue(cycle_graph(20), tol=1e-9, method="power")
+    assert json.dumps(exact.to_dict()) == (
+        f'{{"n": 8, "d": 7, "lambda_bound": {exact.lambda_bound!r}, "method": "exact", '
+        f'"bipartite": false}}')
+    assert json.dumps(power.to_dict()) == (
+        f'{{"n": 20, "d": 2, "lambda_bound": {power.lambda_bound!r}, '
+        f'"method": "power-iteration", "bipartite": true}}')
+    assert exact.lambda_lower is None and exact.r is None and power.r is None
 
 
 def test_check_mixing_complete_graph():

@@ -133,6 +133,24 @@ def test_sampled_failure_report_bytes():
     assert got == expected
 
 
+def test_sampled_pass_report_states_confidence():
+    fld = field_create(3)
+    b = all_projective_points(fld, 3)
+    for trials in (1, 12, 200):
+        rep = is_strong_blocking_sampled(b, 1, trials=trials, seed=0).to_dict()
+        below = rep.pop("confidence")
+        assert below["level"] == 0.95
+        assert below["bad_fraction_below"] == pytest.approx(1 - 0.05 ** (1 / trials), rel=1e-12)
+        # no failure in T draws is a 5% event once the bad fraction reaches the bound
+        assert (1 - below["bad_fraction_below"]) ** trials == pytest.approx(0.05, rel=1e-9)
+        assert rep == {"mode": "sampled", "s": 1, "subspaces_checked": trials, "result": "pass",
+                       "counterexample": None, "counterexample_count": None}
+    assert 0.0 < below["bad_fraction_below"] < 3 / 200
+    failing = is_strong_blocking_sampled(hyperplane_points(field_create(2), 3), 1, 500, seed=1)
+    exhaustive = is_strong_blocking(b, 1)
+    assert "confidence" not in failing.to_dict() and "confidence" not in exhaustive.to_dict()
+
+
 def test_exhaustive_and_sampled_agree():
     fld = field_create(5)
     good = construct_cherry(complete_graph(4), supply_mds(fld, 3, 4))

@@ -22,7 +22,7 @@ from .lincomb import (Certificate, EdgeWitness, EliminationOrder,
                       plc_edge, tree_like_order)
 from .linalg import (MatrixGF, SubspaceBasis, enumerate_subspaces,
                      gaussian_binomial, kernel_basis, matmul, quotient_map,
-                     rank, rank_product, rref, subspace_from_rows)
+                     rank, rref, subspace_from_rows)
 from .mincode import (LinearCode, MinimalityReport, blocking_to_code,
                       code_to_blocking, duality_check, is_s_minimal, support)
 from .supply import (GeneralPositionReport, PointSupply, supply_mds,

@@ -26,7 +26,7 @@ from .errors import BlockforgeError, BudgetExceededError
 from .expander import (blowup, complete_graph, format_graph, lps_graph,
                        parse_graph, power_graph, second_eigenvalue)
 from .gf import field_create
-from .linalg import format_matrix, parse_matrix
+from .linalg import format_matrix, parse_matrix, read_matrix, write_matrix
 from .mincode import LinearCode, blocking_to_code, is_s_minimal
 from .supply import (PointSupply, read_supply, supply_mds,
                      supply_random_verified, verify_general_position,
@@ -35,19 +35,19 @@ from .verify import (is_strong_blocking, is_strong_blocking_sampled,
                      minimum_size_search)
 
 
-def _read_text(path: str) -> str:
+def _read_graph(path: str):
     if path == "-":
-        return sys.stdin.read()
+        return parse_graph(sys.stdin.read())
     with open(path) as f:
-        return f.read()
+        return parse_graph(f.read())
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_graph(path: str | None, g) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(format_graph(g))
     else:
         with open(path, "w") as f:
-            f.write(text)
+            f.write(format_graph(g))
 
 
 def _parse_field_arg(spec: str):
@@ -96,7 +96,7 @@ def _load_supply(path: str):
 
 def _load_blocking(path: str):
     if path == "-":
-        return parse_blocking_set(_read_text(path))
+        return parse_blocking_set(sys.stdin.read())
     return read_blocking_set(path)
 
 
@@ -119,7 +119,7 @@ def _cmd_supply(args, budgets, fmt) -> int:
     if args.out and args.out != "-":
         write_supply(args.out, supply, report)
     else:
-        _write_text(args.out, format_matrix(supply.matrix))
+        sys.stdout.write(format_matrix(supply.matrix))
     env = _envelope("supply", {"field": args.field, "k": args.k, "n": args.n,
                                "mode": args.mode, "s": args.s, "t": args.t,
                                "seed": args.seed, "out": args.out},
@@ -136,15 +136,15 @@ def _cmd_graph(args, budgets, fmt) -> int:
         g = complete_graph(args.n)
         config = {"kind": "complete", "n": args.n}
     elif args.kind == "from-file":
-        g = parse_graph(_read_text(args.infile))
+        g = _read_graph(args.infile)
         config = {"kind": "from-file", "in": args.infile}
     elif args.kind == "power":
-        g = power_graph(parse_graph(_read_text(args.infile)), args.u)
+        g = power_graph(_read_graph(args.infile), args.u)
         config = {"kind": "power", "in": args.infile, "u": args.u}
     else:  # blowup
-        g = blowup(parse_graph(_read_text(args.infile)), args.D)
+        g = blowup(_read_graph(args.infile), args.D)
         config = {"kind": "blowup", "in": args.infile, "D": args.D}
-    _write_text(args.out, format_graph(g))
+    _write_graph(args.out, g)
     env = _envelope("graph", {**config, "out": args.out},
                     {"n": g.n, "m": g.m, "regular": g.is_regular()})
     _emit_report(env, fmt, sys.stderr)
@@ -152,7 +152,7 @@ def _cmd_graph(args, budgets, fmt) -> int:
 
 
 def _cmd_spectra(args, budgets, fmt) -> int:
-    g = parse_graph(_read_text(args.graph))
+    g = _read_graph(args.graph)
     rep = second_eigenvalue(g, tol=args.tol, seed=args.seed)
     env = _envelope("spectra", {"graph": args.graph, "tol": args.tol,
                                 "seed": args.seed}, rep.to_dict())
@@ -161,7 +161,7 @@ def _cmd_spectra(args, budgets, fmt) -> int:
 
 
 def _cmd_construct(args, budgets, fmt) -> int:
-    g = parse_graph(_read_text(args.graph))
+    g = _read_graph(args.graph)
     supply, report = _load_supply(args.supply)
     if report is None:
         report = verify_general_position(supply, budgets=budgets)
@@ -178,7 +178,7 @@ def _cmd_construct(args, budgets, fmt) -> int:
     if args.out and args.out != "-":
         write_blocking_set(args.out, b)
     else:
-        _write_text(args.out, format_blocking_set(b))
+        sys.stdout.write(format_blocking_set(b))
     env = _envelope("construct", {"recipe": args.recipe, "graph": args.graph,
                                   "supply": args.supply, "s": args.s,
                                   "variant": args.variant, "out": args.out},
@@ -207,7 +207,10 @@ def _cmd_verify(args, budgets, fmt) -> int:
 def _cmd_convert(args, budgets, fmt) -> int:
     b = _load_blocking(args.set)
     code = blocking_to_code(b)
-    _write_text(args.out, format_matrix(code.generator))
+    if args.out and args.out != "-":
+        write_matrix(args.out, code.generator, None)
+    else:
+        sys.stdout.write(format_matrix(code.generator))
     env = _envelope("convert", {"set": args.set, "out": args.out},
                     {"n": code.n, "k": code.k})
     _emit_report(env, fmt, sys.stderr)
@@ -215,7 +218,7 @@ def _cmd_convert(args, budgets, fmt) -> int:
 
 
 def _cmd_mincheck(args, budgets, fmt) -> int:
-    gen = parse_matrix(_read_text(args.code))
+    gen = parse_matrix(sys.stdin.read()) if args.code == "-" else read_matrix(args.code)[0]
     rep = is_s_minimal(LinearCode(gen), args.s, budget=budgets.minimal_subspaces)
     env = _envelope("mincheck", {"code": args.code, "s": args.s}, rep.to_dict())
     _emit_report(env, fmt)

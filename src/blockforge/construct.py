@@ -254,9 +254,18 @@ def format_blocking_set(b: BlockingSet) -> str:
     return format_matrix(MatrixGF(b.field, b.points))
 
 
+def _file_set(m: MatrixGF, provenance: dict) -> BlockingSet:
+    """The set of a file's rows: the rows themselves when the constructor's
+    check finds them canonical, as the writer stores them; any other rows
+    through `from_points`."""
+    try:
+        return BlockingSet(m.field, m.cols, m.data, provenance)
+    except ValueError:
+        return BlockingSet.from_points(m.field, m.data, provenance)
+
+
 def parse_blocking_set(text: str) -> BlockingSet:
-    m = parse_matrix(text)
-    return BlockingSet.from_points(m.field, m.data, {"construction": "file"})
+    return _file_set(parse_matrix(text), {"construction": "file"})
 
 
 def write_blocking_set(path, b: BlockingSet) -> None:
@@ -265,4 +274,4 @@ def write_blocking_set(path, b: BlockingSet) -> None:
 
 def read_blocking_set(path) -> BlockingSet:
     m, prov = read_matrix(path)
-    return BlockingSet.from_points(m.field, m.data, {"construction": "file", **(prov or {})})
+    return _file_set(m, {"construction": "file", **(prov or {})})

@@ -47,14 +47,6 @@ class MatrixGF:
     def shape(self):
         return self.data.shape
 
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "MatrixGF":
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "MatrixGF":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
     def __eq__(self, other):
         return (isinstance(other, MatrixGF) and self.field == other.field
                 and self.data.shape == other.data.shape
@@ -117,11 +109,6 @@ def rref(m: MatrixGF):
 
 def rank(m: MatrixGF) -> int:
     return rref(m)[1]
-
-
-def rank_product(a: MatrixGF, b: MatrixGF) -> int:
-    """rank(a @ b); always >= rank(a) + rank(b) - inner_dim (Sylvester)."""
-    return rank(matmul(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -351,27 +338,67 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Matrix file format
 # ---------------------------------------------------------------------------
 
-FORMAT_CHUNK_ROWS = 1 << 14  # rows per string join in format_rows
+FORMAT_CHUNK_ROWS = 1 << 14  # rows per uint8 buffer in format_rows
+
+
+def _row_chunks(data: np.ndarray):
+    """The text of `format_rows(data)`, one FORMAT_CHUNK_ROWS chunk at a time."""
+    rows, cols = data.shape
+    if not cols:
+        yield "\n" * rows
+        return
+    top = int(data.max(initial=0))
+    width = len(str(top))
+    # table[v]: the ASCII digits of v, NUL-padded to `width` bytes, then a space
+    table = np.full((top + 1, width + 1), ord(" "), dtype=np.uint8)
+    table[:, :width] = np.arange(top + 1).astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    cell = table.view(f"V{width + 1}").ravel()  # one item per value: gathers whole cells
+    for lo in range(0, rows, FORMAT_CHUNK_ROWS):
+        block = data[lo:lo + FORMAT_CHUNK_ROWS]
+        cells = cell[block.ravel()].view(np.uint8).reshape(len(block), cols, width + 1)
+        cells[:, -1, -1] = ord("\n")
+        if width > 1:
+            cells = cells[cells != 0]
+        yield str(cells, "ascii")
 
 
 def format_rows(data: np.ndarray) -> str:
     """Text of a 2-D array of non-negative integers: one line per row, entries
     separated by single spaces, every line ending in a newline."""
-    rows, cols = data.shape
-    words = np.arange(int(data.max()) + 1 if data.size else 0).astype(str).astype(object)
-    chunks = []
-    for lo in range(0, rows, FORMAT_CHUNK_ROWS):
-        block = data[lo:lo + FORMAT_CHUNK_ROWS]
-        cells = np.full((len(block), max(2 * cols, 1)), " ", dtype=object)
-        cells[:, 0:2 * cols:2] = words[block]
-        cells[:, -1] = "\n"
-        chunks.append("".join(cells.ravel().tolist()))
-    return "".join(chunks)
+    return "".join(_row_chunks(data))
+
+
+def _grid_rows(body, rows: int, cols: int) -> np.ndarray | None:
+    """The (rows, cols) int64 array of a body (str or bytes-like) in the
+    writer's single-digit layout: at most one newline, then every entry one
+    digit followed by a space, or by a newline at the end of its row.  None
+    for any other body, which leaves it to the general parser."""
+    size = rows * cols
+    if rows < 1 or cols < 1 or len(body) - 2 * size not in (0, 1):
+        return None
+    if isinstance(body, str):
+        if not body.isascii():
+            return None
+        body = body.encode("ascii")
+    buf = np.frombuffer(body, dtype=np.uint8)
+    if len(buf) > 2 * size and buf[0] != ord("\n"):
+        return None
+    cells = buf[len(buf) - 2 * size:].reshape(rows, cols, 2)
+    digits = cells[:, :, 0] - ord("0")  # uint8: bytes below "0" wrap past 9
+    if ((digits > 9).any() or (cells[:, :-1, 1] != ord(" ")).any()
+            or (cells[:, -1, 1] != ord("\n")).any()):
+        return None
+    return digits.astype(np.int64)
 
 
 def parse_rows(body: str, rows: int, cols: int) -> np.ndarray:
     """The (rows, cols) int64 array in `body`, one row per non-blank line and no
-    comments; any other shape or token is a ValueError."""
+    comments; any other shape or token is a ValueError.  The writer's
+    single-digit layout is read byte by byte; any other body goes through
+    `np.loadtxt`."""
+    data = _grid_rows(body, rows, cols)
+    if data is not None:
+        return data
     if not body or body.isspace():  # loadtxt warns on input without data
         data = np.zeros((0, cols), dtype=np.int64)
     else:
@@ -388,8 +415,12 @@ def split_head(text: str, count: int) -> tuple[tuple[str, ...], str]:
     return m.groups(), text[m.end():]
 
 
+def _matrix_head(m: MatrixGF) -> str:
+    return f"{m.field.header_line()}\ndims {m.rows} {m.cols}\n"
+
+
 def format_matrix(m: MatrixGF) -> str:
-    return f"{m.field.header_line()}\ndims {m.rows} {m.cols}\n" + format_rows(m.data)
+    return _matrix_head(m) + format_rows(m.data)
 
 
 def parse_matrix(text: str) -> MatrixGF:
@@ -400,19 +431,51 @@ def parse_matrix(text: str) -> MatrixGF:
     return MatrixGF(parse_field_header(header), parse_rows(body, int(dtoks[1]), int(dtoks[2])))
 
 
-def write_matrix(path, m: MatrixGF, sidecar: dict) -> None:
-    """Write m to `path` and `sidecar` as JSON to `<path>.json`."""
+def _grid_matrix(raw: bytes) -> MatrixGF | None:
+    """The matrix in a file's bytes when they are exactly the writer's layout
+    for single-digit entries: two ASCII head lines without a carriage return,
+    then the grid.  None otherwise.  Such bytes read as the same text in any
+    ASCII-compatible encoding, with or without universal newlines."""
+    end = raw.find(b"\n", raw.find(b"\n") + 1)
+    if end < 0:
+        return None
+    head = raw[:end]
+    if not head.isascii() or b"\r" in head:
+        return None
+    (header, dims), _ = split_head(head.decode("ascii"), 2)  # no rest: the head has one "\n"
+    dtoks = dims.split()
+    if len(dtoks) != 3 or dtoks[0] != "dims" or not all(t.isdigit() for t in dtoks[1:]):
+        return None
+    data = _grid_rows(memoryview(raw)[end:], int(dtoks[1]), int(dtoks[2]))
+    return None if data is None else MatrixGF(parse_field_header(header), data)
+
+
+def write_matrix(path, m: MatrixGF, sidecar: dict | None) -> None:
+    """Write m to `path` and, unless it is None, `sidecar` as JSON to `<path>.json`."""
     with open(path, "w") as f:
-        f.write(format_matrix(m))
+        f.write(_matrix_head(m))
+        f.writelines(_row_chunks(m.data))
+    if sidecar is None:
+        return
     with open(f"{path}.json", "w") as f:
         json.dump(sidecar, f, sort_keys=True, indent=2, default=str)
         f.write("\n")
 
 
 def read_matrix(path) -> tuple[MatrixGF, dict | None]:
-    """The matrix at `path` and its JSON sidecar (None when there is none)."""
-    with open(path) as f:
-        m = parse_matrix(f.read())
+    """The matrix at `path` and its JSON sidecar (None when there is none).
+
+    The file is read as bytes.  In the writer's single-digit layout the grid
+    is read from those bytes; any other file is decoded as a text-mode `open`
+    would (locale encoding, universal newlines) and goes through
+    `parse_matrix`."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    m = _grid_matrix(raw)
+    if m is None:
+        text = io.TextIOWrapper(io.BytesIO(raw)).read()
+        del raw  # while the general parser runs, hold the text alone, as a text-mode read did
+        m = parse_matrix(text)
     try:
         with open(f"{path}.json") as f:
             return m, json.load(f)

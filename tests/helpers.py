@@ -10,7 +10,7 @@ import numpy as np
 from blockforge.expander import Hypergraph
 from blockforge.gf import FieldSpec
 from blockforge.lincomb import EdgeWitness, EliminationOrder
-from blockforge.linalg import MatrixGF, rank, subspace_from_rows
+from blockforge.linalg import MatrixGF, matmul, rank, subspace_from_rows
 from blockforge.supply import PointSupply, normalize_column
 
 
@@ -21,6 +21,19 @@ PINNED_CODE = [[1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0],
                [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0],
                [0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0],
                [0, 1, 0, 1, 0, 1, 0, 0, 0, 1, 1, 1]]
+
+
+def identity_matrix(fld: FieldSpec, n: int) -> MatrixGF:
+    return MatrixGF(fld, np.eye(n, dtype=np.int64))
+
+
+def zero_matrix(fld: FieldSpec, rows: int, cols: int) -> MatrixGF:
+    return MatrixGF(fld, np.zeros((rows, cols), dtype=np.int64))
+
+
+def rank_product(a: MatrixGF, b: MatrixGF) -> int:
+    """rank(a @ b); always >= rank(a) + rank(b) - inner_dim (Sylvester)."""
+    return rank(matmul(a, b))
 
 
 def projective_point_count(q: int, k: int) -> int:

@@ -46,6 +46,24 @@ def test_supply_and_verify_round_trip(tmp_path, capsys):
     assert json.loads(out)["result"]["result"] == "pass"
 
 
+def test_convert_and_mincheck_files_match_stdout(tmp_path, capsys):
+    b = tmp_path / "b.pts"
+    b.write_text("field 3 1 0 1\ndims 4 3\n0 0 1\n0 1 0\n1 0 0\n1 1 1\n")
+    gen = tmp_path / "code.mat"
+    code, _, _ = run_cli(["convert", "--set", str(b), "--out", str(gen)], capsys)
+    assert code == 0 and not (tmp_path / "code.mat.json").exists()
+    code, out, _ = run_cli(["convert", "--set", str(b), "--out", "-"], capsys)
+    assert code == 0
+    assert out == gen.read_text() == "field 3 1 0 1\ndims 3 4\n0 0 1 1\n0 1 0 1\n1 0 0 1\n"
+    reports = []
+    for crlf in (False, True):
+        if crlf:
+            gen.write_bytes(gen.read_bytes().replace(b"\n", b"\r\n"))
+        code, out, _ = run_cli(["mincheck", "--code", str(gen), "--s", "1"], capsys)
+        reports.append((code, out))
+    assert reports[0] == reports[1]
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     # points of a single hyperplane of PG(2,2)
     b = tmp_path / "hyper.pts"

@@ -19,9 +19,11 @@ from blockforge.linalg import MatrixGF
 from blockforge.supply import PointSupply, supply_mds, normalize_column
 from blockforge.verify import is_strong_blocking
 
+from helpers import identity_matrix
+
 
 def identity_supply(fld, k):
-    return PointSupply(MatrixGF.identity(fld, k), "test")
+    return PointSupply(identity_matrix(fld, k), "test")
 
 
 def test_lower_bound_values():
@@ -317,3 +319,49 @@ def test_blocking_set_file_round_trip(tmp_path):
     (tmp_path / "b.pts.json").unlink()
     again3 = read_blocking_set(path)
     assert again3 == b and again3.provenance == {"construction": "file"}
+
+
+@pytest.mark.parametrize("p", [3, 13])  # the byte-level grid, and np.loadtxt
+def test_blocking_set_file_reads_back_with_any_newline(p, tmp_path):
+    b = random_points(field_create(p), 5, count=200, k=6)
+    path = tmp_path / "b.pts"
+    write_blocking_set(path, b)
+    raw = path.read_bytes()
+    assert raw.count(b"\n") == b.size + 2 and b"\r" not in raw
+    for newline in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(raw.replace(b"\n", newline))
+        again = read_blocking_set(path)
+        assert again == b and again.provenance == b.provenance | {"construction": "file"}
+
+
+def test_read_blocking_set_keeps_canonical_rows_as_stored(tmp_path, monkeypatch):
+    fld = field_create(3)
+    b = random_points(fld, 7, count=300, k=5)
+    path = tmp_path / "b.pts"
+    write_blocking_set(path, b)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("from_points called on canonical rows")
+
+    monkeypatch.setattr(BlockingSet, "from_points", classmethod(refuse))
+    assert read_blocking_set(path) == b
+    assert parse_blocking_set(format_blocking_set(b)) == b
+
+
+def test_read_blocking_set_canonicalizes_hand_written_rows(tmp_path):
+    fld = field_create(3)
+    b = random_points(fld, 9, count=100, k=4)
+    pts = b.points
+    scaled = pts.copy()
+    scaled[4] = fld.mul_arr(2, scaled[4])
+    repeated = np.vstack([pts, pts[:2]])
+    path = tmp_path / "b.pts"
+    for rows in (pts[::-1], scaled, repeated):
+        path.write_text(linalg.format_matrix(MatrixGF(fld, rows)))
+        assert read_blocking_set(path) == b
+        assert parse_blocking_set(path.read_text()) == b
+    for rows, message in [(np.vstack([pts, np.zeros((1, 4), dtype=np.int64)]), "is zero"),
+                          (pts[:0], "needs at least one point")]:
+        path.write_text(linalg.format_matrix(MatrixGF(fld, rows)))
+        with pytest.raises(ValueError, match=message):
+            read_blocking_set(path)

@@ -3,7 +3,11 @@
 No module may import a name it never uses, and no module may rely on
 `assert`, which `python -O` strips.  Rows are sorted and deduplicated in one
 place: `np.lexsort` appears only in `linalg.distinct_rows`, and no call
-passes `axis=` to `np.unique`.
+passes `axis=` to `np.unique`.  Matrix files are opened only by
+`linalg.read_matrix` and `linalg.write_matrix`, so every read takes the
+byte-level grid path when it applies, and `np.loadtxt` appears only in
+`linalg.parse_rows`.  The CLI's two graph-file helpers are the only other
+`open` calls.
 """
 
 import ast
@@ -47,23 +51,35 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def _numpy_calls(tree, name):
-    """(enclosing function or None, line, keyword names) of every `np.<name>(...)` call."""
+def _calls(tree, name, modules=("np", "numpy")):
+    """(enclosing function or None, line, keyword names) of every
+    `<module>.<name>(...)` call, or of every bare `<name>(...)` call when
+    `modules` is None."""
     found = []
+
+    def matches(func):
+        if modules is None:
+            return isinstance(func, ast.Name) and func.id == name
+        return (isinstance(func, ast.Attribute) and func.attr == name
+                and isinstance(func.value, ast.Name) and func.value.id in modules)
 
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 walk(child, child.name)
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == name and isinstance(child.func.value, ast.Name)
-                    and child.func.value.id in ("np", "numpy")):
+            if isinstance(child, ast.Call) and matches(child.func):
                 found.append((owner, child.lineno, {kw.arg for kw in child.keywords}))
             walk(child, owner)
 
     walk(tree, None)
     return found
+
+
+def _owners(name, modules=("np", "numpy")):
+    """The sorted (module, function) pairs that call `name` in the package."""
+    return sorted({(path.stem, owner) for path in MODULES
+                   for owner, _, _ in _calls(ast.parse(path.read_text()), name, modules)})
 
 
 def test_package_modules_found():
@@ -89,14 +105,12 @@ def test_unused_import_scan_flags_a_dead_import():
 
 
 def test_lexsort_only_in_distinct_rows():
-    found = [(path.stem, owner) for path in MODULES
-             for owner, _, _ in _numpy_calls(ast.parse(path.read_text()), "lexsort")]
-    assert found == [("linalg", "distinct_rows")]
+    assert _owners("lexsort") == [("linalg", "distinct_rows")]
 
 
 def test_no_unique_by_axis():
     found = [(path.name, line) for path in MODULES
-             for _, line, keywords in _numpy_calls(ast.parse(path.read_text()), "unique")
+             for _, line, keywords in _calls(ast.parse(path.read_text()), "unique")
              if "axis" in keywords]
     assert found == []
 
@@ -104,5 +118,23 @@ def test_no_unique_by_axis():
 def test_row_sort_scan_flags_a_planted_lexsort():
     tree = ast.parse("import numpy as np\ndef f(r):\n    return r[np.lexsort(r.T)]\n"
                      "def distinct_rows(r):\n    return np.unique(r, axis=0)\n")
-    assert _numpy_calls(tree, "lexsort") == [("f", 3, set())]
-    assert _numpy_calls(tree, "unique") == [("distinct_rows", 5, {"axis"})]
+    assert _calls(tree, "lexsort") == [("f", 3, set())]
+    assert _calls(tree, "unique") == [("distinct_rows", 5, {"axis"})]
+
+
+def test_loadtxt_only_in_parse_rows():
+    assert _owners("loadtxt") == [("linalg", "parse_rows")]
+
+
+def test_files_opened_only_by_the_matrix_codec_and_the_graph_helpers():
+    assert _owners("open", None) == [("cli", "_read_graph"), ("cli", "_write_graph"),
+                                     ("linalg", "read_matrix"), ("linalg", "write_matrix")]
+
+
+def test_codec_scan_flags_a_planted_loadtxt_and_open():
+    tree = ast.parse("import numpy as np\ndef read_supply(path):\n"
+                     "    with open(path) as f:\n        return np.loadtxt(f)\n"
+                     "def parse_rows(body):\n    return np.loadtxt(body, comments=None)\n")
+    assert _calls(tree, "loadtxt") == [("read_supply", 4, set()), ("parse_rows", 6, {"comments"})]
+    assert _calls(tree, "open", None) == [("read_supply", 3, set())]
+    assert _calls(tree, "open") == []

@@ -1,3 +1,4 @@
+import io
 import itertools
 import warnings
 
@@ -6,13 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockforge.errors import BudgetExceededError
-from blockforge.gf import field_create
+from blockforge.gf import field_create, parse_field_header
 from blockforge import linalg
 from blockforge.linalg import (MatrixGF, enumerate_subspaces, format_matrix,
                                gaussian_binomial, kernel_basis, matmul,
                                parse_matrix, projective_reps, quotient_map,
-                               rank, rank_product, rref, rref_blocks, rref_index,
+                               rank, rref, rref_blocks, rref_index,
                                rref_stack, subspace_count, subspace_from_rows)
+
+from helpers import identity_matrix, rank_product, zero_matrix
 
 
 def _naive_rank(fld, data):
@@ -42,7 +45,7 @@ def _naive_rank(fld, data):
 
 def test_rref_identity():
     f2 = field_create(2)
-    m = MatrixGF.identity(f2, 3)
+    m = identity_matrix(f2, 3)
     R, r, piv = rref(m)
     assert r == 3 and piv == (0, 1, 2) and R == m
 
@@ -102,14 +105,14 @@ def test_rref_stack_matches_naive_rank_and_single_rref(p, m):
 
 def test_rank_product_identity():
     f2 = field_create(2)
-    i3 = MatrixGF.identity(f2, 3)
+    i3 = identity_matrix(f2, 3)
     assert rank_product(i3, i3) == 3
 
 
 def test_rank_product_dimension_mismatch():
     f2 = field_create(2)
     with pytest.raises(ValueError):
-        rank_product(MatrixGF.identity(f2, 3), MatrixGF.identity(f2, 4))
+        rank_product(identity_matrix(f2, 3), identity_matrix(f2, 4))
 
 
 def test_rank_product_triangular_bound():
@@ -157,7 +160,7 @@ def test_subspace_from_rows_normalizes():
 
 def test_subspace_from_zero_matrix():
     f2 = field_create(2)
-    s = subspace_from_rows(MatrixGF.zeros(f2, 3, 4))
+    s = subspace_from_rows(zero_matrix(f2, 3, 4))
     assert s.dim == 0 and s.codim == 4
 
 
@@ -292,7 +295,7 @@ def test_quotient_map_coordinate_subspace():
 
 def test_quotient_map_full_space_errors():
     f3 = field_create(3)
-    L = subspace_from_rows(MatrixGF.identity(f3, 3))
+    L = subspace_from_rows(identity_matrix(f3, 3))
     with pytest.raises(ValueError):
         quotient_map(L)
 
@@ -362,6 +365,215 @@ def test_format_rows_matches_row_loop_across_chunks(monkeypatch):
     assert linalg.format_rows(data[:, :0]) == "\n" * 10
 
 
+def test_format_rows_matches_row_loop_for_every_width(monkeypatch):
+    monkeypatch.setattr(linalg, "FORMAT_CHUNK_ROWS", 4)
+    rng = np.random.default_rng(53)
+    for top in (1, 9, 10, 12, 99, 255, 1000, 65520):
+        data = rng.integers(0, top + 1, size=(11, 5))
+        data[0, 0] = top
+        reference = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in data)
+        for view in (data, np.asfortranarray(data), data[:, ::-1][:, ::-1]):
+            assert linalg.format_rows(view) == reference
+        assert linalg.format_rows(data[:0]) == ""
+
+
+def _loadtxt_rows(body, rows, cols):
+    """parse_rows before the byte-level grid path: np.loadtxt on every body."""
+    if not body or body.isspace():
+        data = np.zeros((0, cols), dtype=np.int64)
+    else:
+        data = np.loadtxt(io.StringIO(body, newline=None), dtype=np.int64,
+                          ndmin=2, comments=None)
+    if data.shape != (rows, cols):
+        raise ValueError(f"expected {rows} rows of {cols} entries, found {data.shape}")
+    return data
+
+
+def _outcome(fn, *args):
+    """fn(*args) as ("ok", value), or ("error", exception type, message)."""
+    try:
+        return ("ok", fn(*args))
+    except ValueError as exc:  # UnicodeDecodeError included
+        return ("error", type(exc), str(exc))
+
+
+def _same(a, b):
+    if a[0] != b[0]:
+        return False
+    if a[0] == "error":
+        return a == b
+    x, y = a[1], b[1]
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+    return x == y
+
+
+@pytest.mark.parametrize("q", range(2, 10))
+def test_parse_rows_grid_matches_loadtxt(q, monkeypatch):
+    monkeypatch.setattr(linalg, "FORMAT_CHUNK_ROWS", 5)
+    rng = np.random.default_rng(q)
+    shapes = [(1, 1), (1, 8), (9, 1), (0, 4), (23, 6)]
+    shapes += [tuple(int(n) for n in rng.integers(1, 30, size=2)) for _ in range(4)]
+    for rows, cols in shapes:
+        data = rng.integers(0, q, size=(rows, cols))
+        text = linalg.format_rows(data)
+        for body in (text, "\n" + text):
+            got = linalg.parse_rows(body, rows, cols)
+            assert got.dtype == np.int64 and got.shape == (rows, cols)
+            assert np.array_equal(got, data)
+            assert np.array_equal(got, _loadtxt_rows(body, rows, cols))
+            grid = linalg._grid_rows(body.encode(), rows, cols)
+            assert (grid is None) == (rows == 0)
+            assert grid is None or np.array_equal(grid, data)
+
+
+# The 2 x 3 grid "1 0 2\n2 1 0\n", changed in one place: each body is left to
+# np.loadtxt, which either reads it or raises.
+NEAR_GRID = {
+    "no final newline": "1 0 2\n2 1 0",
+    "trailing space": "1 0 2 \n2 1 0\n",
+    "leading space": " 1 0 2\n2 1 0\n",
+    "letter before the grid": "x1 0 2\n2 1 0\n",
+    "double space": "1  0 2\n2 1 0\n",
+    "crlf": "1 0 2\r\n2 1 0\r\n",
+    "cr": "1 0 2\r2 1 0\r",
+    "tab": "1\t0 2\n2 1 0\n",
+    "blank line": "1 0 2\n\n2 1 0\n",
+    "two blank lines first": "\n\n1 0 2\n2 1 0\n",
+    "two-digit entry": "1 0 2\n2 10 0\n",
+    "two-digit entry, same length": "10 2\n2 1 0\n\n",
+    "x": "1 0 2\n2 x 0\n",
+    "hash": "1 0 2\n2 # 0\n",
+    "minus": "1 0 2\n2 - 0\n",
+    "space for newline": "1 0 2 2 1 0\n",
+    "newline for space": "1\n0 2\n2 1 0\n",
+    "non-ASCII digit": "1 0 2\n2 ١ 0\n",
+    "fullwidth digit": "1 0 2\n2 １ 0\n",
+    "too few rows": "1 0 2\n",
+    "too many rows": "1 0 2\n2 1 0\n0 0 0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_GRID))
+def test_parse_rows_near_grid_takes_loadtxt(name, monkeypatch):
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    for body in (NEAR_GRID[name], "\n" + NEAR_GRID[name]):
+        assert linalg._grid_rows(body, 2, 3) is None
+        want = _outcome(_loadtxt_rows, body, 2, 3)
+        calls.clear()
+        got = _outcome(linalg.parse_rows, body, 2, 3)
+        assert _same(got, want), (got, want)
+        assert calls
+
+
+def test_parse_rows_reads_the_writer_grid_without_loadtxt(monkeypatch, tmp_path):
+    # the lps-sampled set's shape: 211,832 points of GF(3)^20
+    f3 = field_create(3)
+    data = np.random.default_rng(59).integers(0, 3, size=(211_832, 20))
+    text = linalg.format_rows(data)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("np.loadtxt called on the writer's grid")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert np.array_equal(linalg.parse_rows("\n" + text, *data.shape), data)
+    m = MatrixGF(f3, data)
+    assert parse_matrix(format_matrix(m)) == m
+    linalg.write_matrix(tmp_path / "m.pts", m, None)
+    assert not (tmp_path / "m.pts.json").exists()
+    assert linalg.read_matrix(tmp_path / "m.pts") == (m, None)
+
+
+def _text_mode_read(path):
+    """read_matrix's matrix before the byte-level path: a text-mode read, then
+    parse_matrix with np.loadtxt on every body."""
+    with open(path) as f:
+        text = f.read()
+    (header, dims), body = linalg.split_head(text, 2)
+    dtoks = dims.split()
+    if len(dtoks) != 3 or dtoks[0] != "dims":
+        raise ValueError(f"malformed dims line: {dims!r}")
+    return MatrixGF(parse_field_header(header), _loadtxt_rows(body, int(dtoks[1]), int(dtoks[2])))
+
+
+GRID_FILE = b"field 3 1 0 1\ndims 2 3\n1 0 2\n2 1 0\n"
+FILE_VARIANTS = [
+    GRID_FILE,
+    GRID_FILE.replace(b"\n", b"\r\n"),
+    GRID_FILE.replace(b"\n", b"\r"),
+    GRID_FILE.replace(b"\n", b"\r\n", 1),          # CRLF after the field line only
+    GRID_FILE.replace(b"dims 2 3\n", b"dims 2 3\r\n"),
+    GRID_FILE.replace(b"dims 2 3\n", b"dims 2 3\r"),
+    b"\n" + GRID_FILE,
+    b"  " + GRID_FILE,
+    GRID_FILE.replace(b"dims", b"\ndims"),
+    GRID_FILE.replace(b"dims 2 3", b"dims 2 3 "),
+    GRID_FILE.replace(b"dims 2 3", b"dims +2 3"),
+    GRID_FILE.replace(b"dims 2 3", b"dims 02 3"),
+    GRID_FILE.replace(b"dims 2 3", b"dims 2 x"),
+    GRID_FILE.replace(b"dims 2 3", b"dims 2"),
+    GRID_FILE.replace(b"dims 2 3", b"dimz 2 3"),
+    GRID_FILE.replace(b"dims 2 3", b"dims 0 3"),
+    GRID_FILE.replace(b"dims 2 3", b"dims -2 -3"),
+    GRID_FILE.replace(b"dims 2 3", b"dims 3 2"),
+    GRID_FILE.replace(b"field 3 1 0 1", b"field 3 1 0"),
+    GRID_FILE.replace(b"field 3 1 0 1\ndims 2 3", b"field 3 1 0\ndims 2 x"),  # header first
+    GRID_FILE.replace(b"field 3 1 0 1", b"field 5 1 0 1"),
+    GRID_FILE.replace(b"2 1 0\n", b"2 5 0\n"),      # out of range for GF(3)
+    GRID_FILE.replace(b"2 1 0\n", b"2 1 0"),
+    GRID_FILE.replace(b"2 1 0\n", b"2 1 0\n\n"),
+    GRID_FILE.replace(b"2 1 0\n", b"2\t1 0\n"),
+    GRID_FILE.replace(b"2 1 0\n", b"2 \xd9\xa1 0\n"),  # U+0661 ARABIC-INDIC DIGIT ONE
+    GRID_FILE.replace(b"2 1 0\n", b"2 \xff 0\n"),       # not UTF-8
+    GRID_FILE.replace(b"field", b"\xef\xbb\xbffield"),  # a byte order mark
+    GRID_FILE.replace(b"field", b"fi\xffeld"),
+    b"field 3 1 0 1\ndims 2 3",
+    b"field 3 1 0 1\n",
+    b"",
+]
+
+
+@pytest.mark.parametrize("raw", FILE_VARIANTS, ids=range(len(FILE_VARIANTS)))
+def test_read_matrix_reads_as_a_text_mode_read_did(raw, tmp_path):
+    path = tmp_path / "m.pts"
+    path.write_bytes(raw)
+    want = _outcome(_text_mode_read, path)
+    got = _outcome(lambda p: linalg.read_matrix(p)[0], path)
+    assert _same(got, want), (got, want)
+
+
+def test_read_matrix_matches_text_mode_read_on_mutated_files(tmp_path):
+    # one byte replaced, inserted or deleted, from an alphabet of the bytes
+    # that separate, end or break a grid entry
+    rng = np.random.default_rng(61)
+    alphabet = [bytes([c]) for c in b" \n\r\t0123456789x#-+."] + [b"\xff", b"\xd9\xa1"]
+    base = bytearray(format_matrix(MatrixGF(field_create(7), rng.integers(0, 7, size=(4, 5))))
+                     .encode())
+    path = tmp_path / "m.pts"
+    for _ in range(400):
+        raw = bytearray(base)
+        at = int(rng.integers(len(raw)))
+        kind = int(rng.integers(3))
+        piece = alphabet[int(rng.integers(len(alphabet)))]
+        if kind == 0:
+            raw[at:at + 1] = piece
+        elif kind == 1:
+            raw[at:at] = piece
+        else:
+            del raw[at]
+        path.write_bytes(bytes(raw))
+        want = _outcome(_text_mode_read, path)
+        got = _outcome(lambda p: linalg.read_matrix(p)[0], path)
+        assert _same(got, want), (bytes(raw), got, want)
+
+
 def test_matrix_parse_ignores_blank_lines_and_spacing():
     f13 = field_create(13)
     m = MatrixGF(f13, [[12, 0, 7], [10, 11, 1]])
@@ -373,7 +585,7 @@ def test_matrix_parse_ignores_blank_lines_and_spacing():
 
 def test_matrix_with_zero_rows():
     f3 = field_create(3)
-    m = MatrixGF.zeros(f3, 0, 4)
+    m = zero_matrix(f3, 0, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert format_matrix(m) == "field 3 1 0 1\ndims 0 4\n"

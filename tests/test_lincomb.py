@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import random_certificate_instance, random_subspace
+from helpers import (identity_matrix, random_certificate_instance, random_subspace,
+                     zero_matrix)
 
 from blockforge.errors import CertificateError
 from blockforge.expander import Hypergraph
@@ -17,7 +18,7 @@ from blockforge.supply import PointSupply, supply_mds
 
 
 def identity_supply(fld, k):
-    return PointSupply(MatrixGF.identity(fld, k), "test")
+    return PointSupply(identity_matrix(fld, k), "test")
 
 
 def brute_force_plc(supply, X, L):
@@ -107,7 +108,7 @@ def test_plc_edge_is_brute_force_first_hit():
 def test_build_plc_full_space_keeps_everything():
     f3 = field_create(3)
     sup = identity_supply(f3, 4)
-    L = subspace_from_rows(MatrixGF.identity(f3, 4))
+    L = subspace_from_rows(identity_matrix(f3, 4))
     cands = [(0,), (1, 2), (0, 2, 3)]
     h, wit = build_plc_hypergraph(sup, L, cands, size_cap=3)
     assert h.m == 3 and set(wit) == {(0,), (1, 2), (0, 2, 3)}
@@ -116,7 +117,7 @@ def test_build_plc_full_space_keeps_everything():
 def test_build_plc_zero_space_empty():
     f3 = field_create(3)
     sup = identity_supply(f3, 4)  # independent columns
-    L = subspace_from_rows(MatrixGF.zeros(f3, 1, 4))
+    L = subspace_from_rows(zero_matrix(f3, 1, 4))
     h, wit = build_plc_hypergraph(sup, L, [(0,), (0, 1), (1, 2, 3)], size_cap=3)
     assert h.m == 0 and not wit
 
@@ -198,7 +199,7 @@ def test_tree_like_backtracking_beats_greedy():
 def test_certificate_spanning_tree():
     # a spanning tree of proper-pair edges certifies dimension >= k - 1
     f2 = field_create(2)
-    sup = PointSupply(MatrixGF.identity(f2, 4), "test")
+    sup = PointSupply(identity_matrix(f2, 4), "test")
     L = subspace_from_rows(MatrixGF(f2, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
     h, wit = build_plc_hypergraph(sup, L, [(0, 1), (1, 2), (2, 3)])
     order = tree_like_order(h, 2)
@@ -209,7 +210,7 @@ def test_certificate_spanning_tree():
 def test_certificate_single_edge():
     f3 = field_create(3)
     sup = supply_mds(f3, 3, 3)
-    L = subspace_from_rows(MatrixGF.identity(f3, 3))
+    L = subspace_from_rows(identity_matrix(f3, 3))
     h, wit = build_plc_hypergraph(sup, L, [(0, 1, 2)], size_cap=3)
     order = tree_like_order(h, 3)
     cert = certify(sup, L, h, wit, order)
@@ -219,7 +220,7 @@ def test_certificate_single_edge():
 
 def test_certificate_missing_witness_and_bad_order():
     f2 = field_create(2)
-    sup = PointSupply(MatrixGF.identity(f2, 4), "test")
+    sup = PointSupply(identity_matrix(f2, 4), "test")
     L = subspace_from_rows(MatrixGF(f2, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
     h, wit = build_plc_hypergraph(sup, L, [(0, 1), (1, 2), (2, 3)])
     order = tree_like_order(h, 2)
@@ -268,7 +269,7 @@ def test_exactly_s_plus_one_edge_too_few_vertices():
 
 def test_exactly_s_plus_one_edge_q_le_s():
     fld = field_create(2)
-    sup = PointSupply(MatrixGF.identity(fld, 3), "test")
+    sup = PointSupply(identity_matrix(fld, 3), "test")
     rng = np.random.default_rng(19)
     L = random_subspace(fld, 3, 1, rng)
     with pytest.raises(ValueError):

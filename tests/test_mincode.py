@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import PINNED_CODE, random_admissible_columns, projective_point_count
+from helpers import (PINNED_CODE, identity_matrix, projective_point_count,
+                     random_admissible_columns, zero_matrix)
 
 from blockforge.construct import BlockingSet
 from blockforge.errors import BudgetExceededError
@@ -47,7 +48,7 @@ def test_support_examples():
     fld = field_create(2)
     x = subspace_from_rows(MatrixGF(fld, [[1, 1, 0]]))
     assert support(x) == {0, 1}
-    zero = subspace_from_rows(MatrixGF.zeros(fld, 1, 3))
+    zero = subspace_from_rows(zero_matrix(fld, 1, 3))
     assert support(zero) == frozenset()
 
 
@@ -73,7 +74,7 @@ def test_support_basis_invariant():
 
 def test_is_s_minimal_f2_square():
     fld = field_create(2)
-    code = LinearCode(MatrixGF.identity(fld, 2))
+    code = LinearCode(identity_matrix(fld, 2))
     rep = is_s_minimal(code, 1)
     assert not rep.passed
     x, y = rep.violating_pair
@@ -104,7 +105,7 @@ def test_is_s_minimal_repetition_code():
 
 def test_is_s_minimal_budget():
     fld = field_create(2)
-    code = LinearCode(MatrixGF.identity(fld, 5))
+    code = LinearCode(identity_matrix(fld, 5))
     with pytest.raises(BudgetExceededError):
         is_s_minimal(code, 2, budget=10)
 
@@ -137,7 +138,7 @@ def test_s1_matches_classical_codeword_definition():
 
 def test_duality_identity_columns():
     fld = field_create(2)
-    cols = MatrixGF.identity(fld, 3)
+    cols = identity_matrix(fld, 3)
     assert duality_check(cols, 1) == (False, False)
 
 

@@ -14,6 +14,8 @@ from blockforge.supply import (GeneralPositionReport, PointSupply,
                                supply_mds, supply_random_verified,
                                verify_general_position, write_supply)
 
+from helpers import identity_matrix
+
 
 def test_mds_gf5_every_triple_independent():
     fld = field_create(5)
@@ -38,7 +40,7 @@ def test_mds_extended_column():
 
 def test_verify_identity_columns():
     fld = field_create(3)
-    sup = PointSupply(MatrixGF.identity(fld, 4), "test")
+    sup = PointSupply(identity_matrix(fld, 4), "test")
     rep = verify_general_position(sup)
     assert rep.s_independence == 3
     assert rep.span_threshold == 4

@@ -26,7 +26,7 @@ from .errors import BlockforgeError, BudgetExceededError
 from .expander import (blowup, complete_graph, format_graph, lps_graph,
                        parse_graph, power_graph, second_eigenvalue)
 from .gf import field_create
-from .linalg import format_matrix, parse_matrix, read_matrix, write_matrix
+from .linalg import format_matrix, load_matrix, parse_matrix, write_matrix
 from .mincode import LinearCode, blocking_to_code, is_s_minimal
 from .supply import (PointSupply, read_supply, supply_mds,
                      supply_random_verified, verify_general_position,
@@ -218,7 +218,7 @@ def _cmd_convert(args, budgets, fmt) -> int:
 
 
 def _cmd_mincheck(args, budgets, fmt) -> int:
-    gen = parse_matrix(sys.stdin.read()) if args.code == "-" else read_matrix(args.code)[0]
+    gen = parse_matrix(sys.stdin.read()) if args.code == "-" else load_matrix(args.code)
     rep = is_s_minimal(LinearCode(gen), args.s, budget=budgets.minimal_subspaces)
     env = _envelope("mincheck", {"code": args.code, "s": args.s}, rep.to_dict())
     _emit_report(env, fmt)

@@ -423,12 +423,18 @@ def format_matrix(m: MatrixGF) -> str:
     return _matrix_head(m) + format_rows(m.data)
 
 
-def parse_matrix(text: str) -> MatrixGF:
-    (header, dims), body = split_head(text, 2)
+def _head(header: str, dims: str) -> tuple[FieldSpec, int, int]:
+    """The field, rows and columns named by a matrix's two head lines."""
     dtoks = dims.split()
     if len(dtoks) != 3 or dtoks[0] != "dims":
         raise ValueError(f"malformed dims line: {dims!r}")
-    return MatrixGF(parse_field_header(header), parse_rows(body, int(dtoks[1]), int(dtoks[2])))
+    return parse_field_header(header), int(dtoks[1]), int(dtoks[2])
+
+
+def parse_matrix(text: str) -> MatrixGF:
+    head, body = split_head(text, 2)
+    field, rows, cols = _head(*head)
+    return MatrixGF(field, parse_rows(body, rows, cols))
 
 
 def _grid_matrix(raw: bytes) -> MatrixGF | None:
@@ -442,12 +448,12 @@ def _grid_matrix(raw: bytes) -> MatrixGF | None:
     head = raw[:end]
     if not head.isascii() or b"\r" in head:
         return None
-    (header, dims), _ = split_head(head.decode("ascii"), 2)  # no rest: the head has one "\n"
-    dtoks = dims.split()
-    if len(dtoks) != 3 or dtoks[0] != "dims" or not all(t.isdigit() for t in dtoks[1:]):
+    try:  # a bad head raises again, with the same error, in parse_matrix
+        field, rows, cols = _head(*split_head(head.decode("ascii"), 2)[0])
+    except ValueError:
         return None
-    data = _grid_rows(memoryview(raw)[end:], int(dtoks[1]), int(dtoks[2]))
-    return None if data is None else MatrixGF(parse_field_header(header), data)
+    data = _grid_rows(memoryview(raw)[end:], rows, cols)
+    return None if data is None else MatrixGF(field, data)
 
 
 def write_matrix(path, m: MatrixGF, sidecar: dict | None) -> None:
@@ -462,8 +468,8 @@ def write_matrix(path, m: MatrixGF, sidecar: dict | None) -> None:
         f.write("\n")
 
 
-def read_matrix(path) -> tuple[MatrixGF, dict | None]:
-    """The matrix at `path` and its JSON sidecar (None when there is none).
+def load_matrix(path) -> MatrixGF:
+    """The matrix at `path`; its sidecar, if any, is not read.
 
     The file is read as bytes.  In the writer's single-digit layout the grid
     is read from those bytes; any other file is decoded as a text-mode `open`
@@ -476,6 +482,13 @@ def read_matrix(path) -> tuple[MatrixGF, dict | None]:
         text = io.TextIOWrapper(io.BytesIO(raw)).read()
         del raw  # while the general parser runs, hold the text alone, as a text-mode read did
         m = parse_matrix(text)
+    return m
+
+
+def read_matrix(path) -> tuple[MatrixGF, dict | None]:
+    """The matrix at `path` (`load_matrix`) and its JSON sidecar (None when
+    there is none)."""
+    m = load_matrix(path)
     try:
         with open(f"{path}.json") as f:
             return m, json.load(f)

@@ -64,6 +64,18 @@ def test_convert_and_mincheck_files_match_stdout(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+def test_mincheck_ignores_a_file_beside_the_code(tmp_path, capsys):
+    gen = tmp_path / "code.mat"
+    gen.write_text("field 3 1 0 1\ndims 3 4\n0 0 1 1\n0 1 0 1\n1 0 0 1\n")
+    code, out, _ = run_cli(["mincheck", "--code", str(gen), "--s", "1"], capsys)
+    side = tmp_path / "code.mat.json"
+    side.write_text("{not json")
+    assert run_cli(["mincheck", "--code", str(gen), "--s", "1"], capsys)[:2] == (code, out)
+    side.unlink()
+    side.mkdir()
+    assert run_cli(["mincheck", "--code", str(gen), "--s", "1"], capsys)[:2] == (code, out)
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     # points of a single hyperplane of PG(2,2)
     b = tmp_path / "hyper.pts"

@@ -2,11 +2,11 @@
 
 No module may import a name it never uses, and no module may rely on
 `assert`, which `python -O` strips.  Rows are sorted and deduplicated in one
-place: `np.lexsort` appears only in `linalg.distinct_rows`, and no call
-passes `axis=` to `np.unique`.  Matrix files are opened only by
-`linalg.read_matrix` and `linalg.write_matrix`, so every read takes the
-byte-level grid path when it applies, and `np.loadtxt` appears only in
-`linalg.parse_rows`.  The CLI's two graph-file helpers are the only other
+place: `np.lexsort` is called once, in `linalg.distinct_rows`, and no call
+passes `axis=` to `np.unique`.  Matrix files and their sidecars are opened
+only by `linalg.load_matrix`, `linalg.read_matrix` and `linalg.write_matrix`,
+so every read takes the byte-level grid path when it applies, and
+`np.loadtxt` is called once, in `linalg.parse_rows`.  The CLI's two graph-file helpers are the only other
 `open` calls.
 """
 
@@ -77,9 +77,10 @@ def _calls(tree, name, modules=("np", "numpy")):
 
 
 def _owners(name, modules=("np", "numpy")):
-    """The sorted (module, function) pairs that call `name` in the package."""
-    return sorted({(path.stem, owner) for path in MODULES
-                   for owner, _, _ in _calls(ast.parse(path.read_text()), name, modules)})
+    """The sorted (module, function) pair of every call of `name` in the
+    package, once per call."""
+    return sorted((path.stem, owner) for path in MODULES
+                  for owner, _, _ in _calls(ast.parse(path.read_text()), name, modules))
 
 
 def test_package_modules_found():
@@ -127,8 +128,16 @@ def test_loadtxt_only_in_parse_rows():
 
 
 def test_files_opened_only_by_the_matrix_codec_and_the_graph_helpers():
+    # read_matrix opens only the sidecar; write_matrix opens the matrix and its sidecar
     assert _owners("open", None) == [("cli", "_read_graph"), ("cli", "_write_graph"),
-                                     ("linalg", "read_matrix"), ("linalg", "write_matrix")]
+                                     ("linalg", "load_matrix"), ("linalg", "read_matrix"),
+                                     ("linalg", "write_matrix"), ("linalg", "write_matrix")]
+
+
+def test_owner_scan_counts_every_call():
+    tree = ast.parse("import numpy as np\ndef distinct_rows(r):\n"
+                     "    return np.lexsort(r.T), np.lexsort(r)\n")
+    assert [owner for owner, _, _ in _calls(tree, "lexsort")] == ["distinct_rows"] * 2
 
 
 def test_codec_scan_flags_a_planted_loadtxt_and_open():

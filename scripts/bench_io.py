@@ -97,7 +97,7 @@ def measure(name: str, q: int, src: str, repeat: int, path: str) -> dict:
 
 
 def _sha(b) -> str:
-    return hashlib.sha256(b.points.tobytes()).hexdigest()[:16]
+    return hashlib.sha256(b.points.astype("int64").tobytes()).hexdigest()[:16]
 
 
 def _fresh(name, q, src, repeat, path):

@@ -24,8 +24,8 @@ from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .expander import Graph, Hypergraph, ball, power_graph, clique_hypergraph
 from .gf import FieldSpec
-from .linalg import (MatrixGF, _row_keys, distinct_rows, format_matrix, parse_matrix,
-                     projective_reps, read_matrix, write_matrix)
+from .linalg import (MatrixGF, _row_keys, distinct_rows, format_matrix, load_rows,
+                     load_sidecar, parse_matrix, projective_reps, write_rows)
 from .supply import (GeneralPositionReport, PointSupply, normalize_rows,
                      verify_general_position)
 
@@ -43,7 +43,10 @@ class BlockingSet:
     """Normalized, sorted, deduplicated projective point set in PG(k-1, q).
 
     The constructor checks this form in one O(N) pass, without a sort, and
-    raises a ValueError naming the first row that breaks it."""
+    raises a ValueError naming the first row that breaks it.  It stores the
+    points in the field's storage type (`FieldSpec.dtype`: uint8 up to
+    q = 256, uint16 above), casting, to a read-only copy, only points of
+    another integer type, so that equal sets hash equal."""
 
     field: FieldSpec
     k: int
@@ -51,13 +54,19 @@ class BlockingSet:
     provenance: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
-        pts = self.points
+        pts = np.asarray(self.points)
         if pts.ndim != 2 or pts.shape[1] != self.k:
             raise ValueError(f"points have shape {pts.shape}, not (num_points, {self.k})")
         if not len(pts):
             raise ValueError("a blocking set needs at least one point")
+        if pts.dtype.kind not in "iu":
+            raise ValueError(f"point entries must be integers, not {pts.dtype}")
         if pts.min() < 0 or pts.max() >= self.field.q:
             raise ValueError(f"point entries must lie in [0, {self.field.q})")
+        if pts.dtype != self.field.dtype:
+            pts = pts.astype(self.field.dtype)
+            pts.setflags(write=False)
+            object.__setattr__(self, "points", pts)
         lead = pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)]
         if (lead != 1).any():
             raise ValueError(f"row {(lead != 1).argmax()} is not normalized: "
@@ -72,8 +81,12 @@ class BlockingSet:
 
     @classmethod
     def from_points(cls, fld: FieldSpec, points, provenance=None) -> "BlockingSet":
-        """The distinct projective points of the nonzero rows of `points`."""
-        rows = np.asarray(points, dtype=np.int64)
+        """The distinct projective points of the nonzero rows of `points`.
+        Rows in the field's storage type are normalized in it; any other
+        input is read as int64."""
+        rows = np.asarray(points)
+        if rows.dtype != fld.dtype:
+            rows = rows.astype(np.int64)
         if rows.size == 0:
             raise ValueError("a blocking set needs at least one point")
         data, _ = distinct_rows(normalize_rows(fld, rows))
@@ -110,21 +123,32 @@ def lower_bound(q: int, k: int, s: int) -> int:
 def edge_span_union(h: Hypergraph, supply: PointSupply, *,
                     point_cap: int = DEFAULT_BUDGETS.points,
                     provenance=None) -> BlockingSet:
-    """All projective points of span(f) over every edge f, deduplicated: one
-    field matmul per chunk of equal-size edges, point budget checked per chunk."""
+    """All projective points of span(f) over every edge f, deduplicated, in
+    the field's storage type: one field matmul per chunk of equal-size
+    edges, each chunk deduplicated on its own and the chunks merged once at
+    the end.  Once the chunk sizes add up past `point_cap`, the chunks so far
+    are merged early, and the budget is exceeded when the merged count is."""
     fld, k = supply.field, supply.k
-    distinct = np.zeros((0, k), dtype=np.int64)
+    columns = supply.matrix.data.T.astype(fld.dtype)  # n x k
+    chunks, held = [], 0
     for size in sorted({len(e) for e in h.edges}):
         edges = np.array([e for e in h.edges if len(e) == size]).T  # size x edges
-        coeffs = np.hstack(list(projective_reps(fld, size))).T  # reps x size
+        coeffs = np.hstack(list(projective_reps(fld, size))).T.astype(fld.dtype)  # reps x size
         step = max(1, SPAN_CHUNK_ROWS // len(coeffs))
         for lo in range(0, edges.shape[1], step):
-            flat = supply.matrix.data.T[edges[:, lo:lo + step]].reshape(size, -1)
+            flat = columns[edges[:, lo:lo + step]].reshape(size, -1)
             pts = fld.matmul_arr(coeffs, flat).reshape(-1, k)
             pts = pts[pts.any(axis=1)]  # dependent columns can cancel
-            distinct, _ = distinct_rows(np.vstack([distinct, normalize_rows(fld, pts)]))
-            if len(distinct) > point_cap:
-                raise BudgetExceededError("points", point_cap, len(distinct))
+            chunks.append(distinct_rows(normalize_rows(fld, pts))[0])
+            held += len(chunks[-1])
+            if held > point_cap:
+                chunks = [distinct_rows(np.concatenate(chunks))[0]]
+                held = len(chunks[0])
+                if held > point_cap:
+                    raise BudgetExceededError("points", point_cap, held)
+    if len(chunks) > 1:
+        chunks = [distinct_rows(np.concatenate(chunks))[0]]
+    distinct = chunks[0] if chunks else np.zeros((0, k), dtype=fld.dtype)
     distinct.setflags(write=False)
     prov = dict(provenance or {})
     prov.setdefault("construction", "edge_span_union")
@@ -254,24 +278,26 @@ def format_blocking_set(b: BlockingSet) -> str:
     return format_matrix(MatrixGF(b.field, b.points))
 
 
-def _file_set(m: MatrixGF, provenance: dict) -> BlockingSet:
-    """The set of a file's rows: the rows themselves when the constructor's
-    check finds them canonical, as the writer stores them; any other rows
-    through `from_points`."""
+def _file_set(fld: FieldSpec, rows: np.ndarray, provenance: dict) -> BlockingSet:
+    """The set of a file's rows, entries in [0, q): the rows themselves when
+    the constructor's check finds them canonical, as the writer stores them;
+    any other rows through `from_points`."""
+    rows.setflags(write=False)
     try:
-        return BlockingSet(m.field, m.cols, m.data, provenance)
+        return BlockingSet(fld, rows.shape[1], rows, provenance)
     except ValueError:
-        return BlockingSet.from_points(m.field, m.data, provenance)
+        return BlockingSet.from_points(fld, rows, provenance)
 
 
 def parse_blocking_set(text: str) -> BlockingSet:
-    return _file_set(parse_matrix(text), {"construction": "file"})
+    m = parse_matrix(text)
+    return _file_set(m.field, m.data, {"construction": "file"})
 
 
 def write_blocking_set(path, b: BlockingSet) -> None:
-    write_matrix(path, MatrixGF(b.field, b.points), b.provenance)
+    write_rows(path, b.field, b.points, b.provenance)
 
 
 def read_blocking_set(path) -> BlockingSet:
-    m, prov = read_matrix(path)
-    return _file_set(m, {"construction": "file", **(prov or {})})
+    fld, rows = load_rows(path)
+    return _file_set(fld, rows, {"construction": "file", **(load_sidecar(path) or {})})

@@ -4,10 +4,20 @@ Scalars are plain integers in [0, q) encoding polynomials over GF(p) in
 base p: value = a_0 + a_1*p + ... + a_{m-1}*p^(m-1).  A FieldSpec owns the
 modulus and the lookup tables; it is immutable after construction and safe
 to share across threads.  Scalar methods validate their operands and are the
-reference for the *_arr methods, the unchecked fast path for int64 arrays,
+reference for the *_arr methods, the unchecked fast path for integer arrays,
 which have one kernel per kind of field: mod-p arithmetic for prime fields,
 q x q add and mul tables up to TABLE_MAX_ORDER elements, and above it log/exp
 tables that multiply and a Zech-log table that adds.
+
+Dtype rule.  A field's storage type `dtype` is the smallest unsigned type
+that holds [0, q): uint8 up to q = 256, uint16 above.  The *_arr methods
+take arrays of any integer type holding entries in [0, q) (Python scalars
+count as int64) and return `np.result_type` of the operands and `dtype`:
+storage-type operands give storage-type results, int64 operands int64
+results.  Prime fields compute in the smallest of uint8, uint16, uint32 and
+int64 that holds both the operands and the largest unreduced value (for
+matmul_arr, inner * (p-1)^2), then reduce in place; table gathers widen only
+their index arithmetic.
 """
 
 from __future__ import annotations
@@ -24,6 +34,19 @@ MAX_ORDER = 1 << 16
 # q x q add and mul tables up to this order (1 MiB per field at the cap), Zech
 # logs above it: a property of the kernels, not a setting.
 TABLE_MAX_ORDER = 256
+
+
+def storage_dtype(q: int) -> np.dtype:
+    """The smallest unsigned integer type that holds [0, q)."""
+    return np.dtype(np.uint8 if q <= 256 else np.uint16)
+
+
+def _accumulator(bound: int, *operands) -> np.dtype:
+    """The smallest of uint8, uint16, uint32 and int64 that holds `bound`,
+    widened to the operands' common type."""
+    acc = next((t for t in (np.uint8, np.uint16, np.uint32) if bound <= np.iinfo(t).max),
+               np.int64)
+    return np.result_type(acc, *operands)
 
 
 def is_prime(n: int) -> bool:
@@ -131,6 +154,7 @@ class FieldSpec:
         self.m = m
         self.q = q
         self.modulus = modulus
+        self.dtype = storage_dtype(q)
         self._build_tables()
 
     # -- construction helpers ------------------------------------------------
@@ -179,26 +203,26 @@ class FieldSpec:
             rows = digits[[self._mul_raw(int(v), step) for v in pows]]
             exp = np.concatenate([exp, ((digits[exp] @ rows) % p) @ pows])
             step = self._mul_raw(step, step)
-        self._exp = exp[:order]
+        exp = exp[:order]
         log = np.full(q, -1, dtype=np.int64)
-        log[self._exp] = np.arange(order, dtype=np.int64)
+        log[exp] = np.arange(order, dtype=np.int64)
         self._log = log
-        inv = np.zeros(q, dtype=np.int64)
-        inv[self._exp] = self._exp[(-np.arange(order)) % order]
-        self._inv = inv
+        inv = np.zeros(q, dtype=self.dtype)
+        inv[exp] = exp[(-np.arange(order)) % order]
+        self._exp, self._inv = exp.astype(self.dtype), inv
         self._neg = self._add = self._mul = self._zech = None
         if m == 1:
             return
-        self._neg = ((-digits) % p) @ pows
+        self._neg = (((-digits) % p) @ pows).astype(self.dtype)
         if q <= TABLE_MAX_ORDER:
-            self._add = (((digits[:, None] + digits[None]) % p) @ pows).ravel()
+            self._add = (((digits[:, None] + digits[None]) % p) @ pows).astype(self.dtype).ravel()
             mul = self._exp[(log[:, None] + log[None]) % order]
             mul[0] = mul[:, 0] = 0
             self._mul = mul.ravel()
         else:
             # _zech[n] = log(1 + g^n), -1 where 1 + g^n = 0; adding 1 changes digit 0
-            low = self._exp % p
-            self._zech = log[self._exp - low + (low + 1) % p]
+            low = exp % p
+            self._zech = log[exp - low + (low + 1) % p]
 
     # -- identity ------------------------------------------------------------
 
@@ -261,57 +285,70 @@ class FieldSpec:
 
     # -- array operations (unchecked fast path) -------------------------------
 
+    def _operands(self, *arrays):
+        """The operands as arrays, and the dtype of the result (module docstring)."""
+        arrays = [np.asarray(x) for x in arrays]
+        return arrays, np.result_type(self.dtype, *arrays)
+
+    def _table(self, table, a, b, out):
+        idx = np.multiply(a, self.q, dtype=np.intp) + b  # overflows in a narrow type
+        return table[idx].astype(out, copy=False)
+
     def add_arr(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        (a, b), out = self._operands(a, b)
         if self.m == 1:
-            return (a + b) % self.p
+            acc = np.add(a, b, dtype=_accumulator(2 * (self.p - 1), a, b))
+            acc %= self.p
+            return acc.astype(out, copy=False)
         if self._zech is None:
-            return self._add[a * self.q + b]
+            return self._table(self._add, a, b, out)
         la, lb = self._log[a], self._log[b]  # g^i + g^j = g^(i + zech[j - i])
         z = self._zech[(lb - la) % (self.q - 1)]
-        out = np.where(z < 0, 0, self._exp[(la + z) % (self.q - 1)])
-        return np.where(la < 0, b, np.where(lb < 0, a, out))
+        s = np.where(z < 0, 0, self._exp[(la + z) % (self.q - 1)])
+        return np.where(la < 0, b, np.where(lb < 0, a, s)).astype(out, copy=False)
 
     def neg_arr(self, a):
-        a = np.asarray(a, dtype=np.int64)
+        (a,), out = self._operands(a)
         if self.m == 1:
-            return (-a) % self.p
-        return self._neg[a]
+            acc = np.subtract(self.p, a, dtype=_accumulator(self.p, a))
+            acc %= self.p
+            return acc.astype(out, copy=False)
+        return self._neg[a].astype(out, copy=False)
 
     def sub_arr(self, a, b):
         return self.add_arr(a, self.neg_arr(b))
 
     def mul_arr(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        (a, b), out = self._operands(a, b)
         if self.m == 1:
-            return (a * b) % self.p
+            acc = np.multiply(a, b, dtype=_accumulator((self.p - 1) ** 2, a, b))
+            acc %= self.p
+            return acc.astype(out, copy=False)
         if self._zech is None:
-            return self._mul[a * self.q + b]
+            return self._table(self._mul, a, b, out)
         la, lb = self._log[a], self._log[b]
-        return np.where((la < 0) | (lb < 0), 0, self._exp[(la + lb) % (self.q - 1)])
+        prod = np.where((la < 0) | (lb < 0), 0, self._exp[(la + lb) % (self.q - 1)])
+        return prod.astype(out, copy=False)
 
     def inv_arr(self, a):
-        a = np.asarray(a, dtype=np.int64)
+        (a,), out = self._operands(a)
         if (a == 0).any():
             raise ZeroDivisionError(f"0 has no inverse in {self!r}")
-        return self._inv[a]
+        return self._inv[a].astype(out, copy=False)
 
     def matmul_arr(self, a, b):
-        """(r x t) @ (t x c) over the field, plain int64 arrays in and out."""
-        a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-        b = np.atleast_2d(np.asarray(b, dtype=np.int64))
+        """(r x t) @ (t x c) over the field."""
+        (a, b), out = self._operands(np.atleast_2d(a), np.atleast_2d(b))
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
         if self.m == 1:
-            out = a @ b
-            out %= self.p  # in place: no second full-size array
-            return out
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+            acc = np.matmul(a, b, dtype=_accumulator(a.shape[1] * (self.p - 1) ** 2, a, b))
+            acc %= self.p  # in place: no second full-size array
+            return acc.astype(out, copy=False)
+        acc = np.zeros((a.shape[0], b.shape[1]), dtype=out)
         for t in range(a.shape[1]):
-            out = self.add_arr(out, self.mul_arr(a[:, t:t + 1], b[t:t + 1, :]))
-        return out
+            acc = self.add_arr(acc, self.mul_arr(a[:, t:t + 1], b[t:t + 1, :]))
+        return acc
 
     # -- file header ----------------------------------------------------------
 

@@ -29,8 +29,7 @@ class MatrixGF:
         arr = np.array(data, dtype=np.int64, ndmin=2)
         if arr.ndim != 2:
             raise ValueError(f"matrix data must be 2-D, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= field.q):
-            raise ValueError(f"entries out of range for {field!r}")
+        _check_entries(field, arr)
         arr.setflags(write=False)
         self.field = field
         self.data = arr
@@ -57,6 +56,11 @@ class MatrixGF:
 
     def __repr__(self):
         return f"MatrixGF({self.field!r}, {self.data.tolist()})"
+
+
+def _check_entries(field: FieldSpec, data: np.ndarray) -> None:
+    if data.size and (data.min() < 0 or data.max() >= field.q):
+        raise ValueError(f"entries out of range for {field!r}")
 
 
 def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
@@ -320,7 +324,9 @@ def _row_keys(rows: np.ndarray) -> list[np.ndarray]:
     while base ** (digits + 1) <= 1 << 63:
         digits += 1
     blocks = (rows[:, lo:lo + digits] for lo in range(0, rows.shape[1], digits))
-    return [b @ base ** np.arange(b.shape[1] - 1, -1, -1, dtype=np.int64) for b in blocks]
+    # einsum casts a narrow block to int64 in buffers; `@` would cast all of it first
+    return [np.einsum("ij,j->i", b, base ** np.arange(b.shape[1] - 1, -1, -1, dtype=np.int64),
+                      dtype=np.int64) for b in blocks]
 
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +375,7 @@ def format_rows(data: np.ndarray) -> str:
 
 
 def _grid_rows(body, rows: int, cols: int) -> np.ndarray | None:
-    """The (rows, cols) int64 array of a body (str or bytes-like) in the
+    """The (rows, cols) uint8 array of a body (str or bytes-like) in the
     writer's single-digit layout: at most one newline, then every entry one
     digit followed by a space, or by a newline at the end of its row.  None
     for any other body, which leaves it to the general parser."""
@@ -388,7 +394,7 @@ def _grid_rows(body, rows: int, cols: int) -> np.ndarray | None:
     if ((digits > 9).any() or (cells[:, :-1, 1] != ord(" ")).any()
             or (cells[:, -1, 1] != ord("\n")).any()):
         return None
-    return digits.astype(np.int64)
+    return digits
 
 
 def parse_rows(body: str, rows: int, cols: int) -> np.ndarray:
@@ -398,7 +404,7 @@ def parse_rows(body: str, rows: int, cols: int) -> np.ndarray:
     `np.loadtxt`."""
     data = _grid_rows(body, rows, cols)
     if data is not None:
-        return data
+        return data.astype(np.int64)
     if not body or body.isspace():  # loadtxt warns on input without data
         data = np.zeros((0, cols), dtype=np.int64)
     else:
@@ -415,12 +421,12 @@ def split_head(text: str, count: int) -> tuple[tuple[str, ...], str]:
     return m.groups(), text[m.end():]
 
 
-def _matrix_head(m: MatrixGF) -> str:
-    return f"{m.field.header_line()}\ndims {m.rows} {m.cols}\n"
+def _matrix_head(field: FieldSpec, rows: int, cols: int) -> str:
+    return f"{field.header_line()}\ndims {rows} {cols}\n"
 
 
 def format_matrix(m: MatrixGF) -> str:
-    return _matrix_head(m) + format_rows(m.data)
+    return _matrix_head(m.field, m.rows, m.cols) + format_rows(m.data)
 
 
 def _head(header: str, dims: str) -> tuple[FieldSpec, int, int]:
@@ -431,17 +437,22 @@ def _head(header: str, dims: str) -> tuple[FieldSpec, int, int]:
     return parse_field_header(header), int(dtoks[1]), int(dtoks[2])
 
 
-def parse_matrix(text: str) -> MatrixGF:
+def _parse(text: str) -> tuple[FieldSpec, np.ndarray]:
     head, body = split_head(text, 2)
     field, rows, cols = _head(*head)
-    return MatrixGF(field, parse_rows(body, rows, cols))
+    return field, parse_rows(body, rows, cols)
 
 
-def _grid_matrix(raw: bytes) -> MatrixGF | None:
-    """The matrix in a file's bytes when they are exactly the writer's layout
-    for single-digit entries: two ASCII head lines without a carriage return,
-    then the grid.  None otherwise.  Such bytes read as the same text in any
-    ASCII-compatible encoding, with or without universal newlines."""
+def parse_matrix(text: str) -> MatrixGF:
+    return MatrixGF(*_parse(text))
+
+
+def _grid_file(raw: bytes) -> tuple[FieldSpec, np.ndarray] | None:
+    """The field and the uint8 rows in a file's bytes when they are exactly
+    the writer's layout for single-digit entries: two ASCII head lines
+    without a carriage return, then the grid.  None otherwise.  Such bytes
+    read as the same text in any ASCII-compatible encoding, with or without
+    universal newlines."""
     end = raw.find(b"\n", raw.find(b"\n") + 1)
     if end < 0:
         return None
@@ -453,14 +464,15 @@ def _grid_matrix(raw: bytes) -> MatrixGF | None:
     except ValueError:
         return None
     data = _grid_rows(memoryview(raw)[end:], rows, cols)
-    return None if data is None else MatrixGF(field, data)
+    return None if data is None else (field, data)
 
 
-def write_matrix(path, m: MatrixGF, sidecar: dict | None) -> None:
-    """Write m to `path` and, unless it is None, `sidecar` as JSON to `<path>.json`."""
+def write_rows(path, field: FieldSpec, rows: np.ndarray, sidecar: dict | None) -> None:
+    """Write the matrix of `rows` over `field` (entries in [0, q), any integer
+    type) to `path` and, unless it is None, `sidecar` as JSON to `<path>.json`."""
     with open(path, "w") as f:
-        f.write(_matrix_head(m))
-        f.writelines(_row_chunks(m.data))
+        f.write(_matrix_head(field, *rows.shape))
+        f.writelines(_row_chunks(rows))
     if sidecar is None:
         return
     with open(f"{path}.json", "w") as f:
@@ -468,29 +480,44 @@ def write_matrix(path, m: MatrixGF, sidecar: dict | None) -> None:
         f.write("\n")
 
 
-def load_matrix(path) -> MatrixGF:
-    """The matrix at `path`; its sidecar, if any, is not read.
+def write_matrix(path, m: MatrixGF, sidecar: dict | None) -> None:
+    """Write m to `path` and, unless it is None, `sidecar` as JSON to `<path>.json`."""
+    write_rows(path, m.field, m.data, sidecar)
+
+
+def load_rows(path) -> tuple[FieldSpec, np.ndarray]:
+    """The field and the rows of the matrix at `path`, with its entries
+    checked against the field; its sidecar, if any, is not read.
 
     The file is read as bytes.  In the writer's single-digit layout the grid
-    is read from those bytes; any other file is decoded as a text-mode `open`
-    would (locale encoding, universal newlines) and goes through
-    `parse_matrix`."""
+    is read from those bytes and returned as that uint8 array; any other
+    file is decoded as a text-mode `open` would (locale encoding, universal
+    newlines) and parsed as by `parse_matrix`, into int64."""
     with open(path, "rb") as f:
         raw = f.read()
-    m = _grid_matrix(raw)
-    if m is None:
+    found = _grid_file(raw)
+    if found is None:
         text = io.TextIOWrapper(io.BytesIO(raw)).read()
         del raw  # while the general parser runs, hold the text alone, as a text-mode read did
-        m = parse_matrix(text)
-    return m
+        found = _parse(text)
+    _check_entries(*found)
+    return found
+
+
+def load_matrix(path) -> MatrixGF:
+    """The matrix at `path` (`load_rows`); its sidecar, if any, is not read."""
+    return MatrixGF(*load_rows(path))
+
+
+def load_sidecar(path) -> dict | None:
+    """The JSON sidecar `<path>.json` of the matrix at `path`, None when there is none."""
+    try:
+        with open(f"{path}.json") as f:
+            return json.load(f)
+    except FileNotFoundError:
+        return None
 
 
 def read_matrix(path) -> tuple[MatrixGF, dict | None]:
-    """The matrix at `path` (`load_matrix`) and its JSON sidecar (None when
-    there is none)."""
-    m = load_matrix(path)
-    try:
-        with open(f"{path}.json") as f:
-            return m, json.load(f)
-    except FileNotFoundError:
-        return m, None
+    """The matrix at `path` (`load_matrix`) and its sidecar (`load_sidecar`)."""
+    return load_matrix(path), load_sidecar(path)

@@ -38,15 +38,18 @@ def normalize_column(field: FieldSpec, col: np.ndarray) -> np.ndarray:
 
 
 def normalize_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
-    """Projective points in canonical form, as a new array: every row of an
-    (N, k) block scaled so its first nonzero coordinate is 1.  A block
-    already in that form, with every entry in [0, q), is copied without a
-    field product.  The first zero row is a ValueError."""
+    """Projective points in canonical form, as a new array of the rows' type:
+    every row of an (N, k) block scaled so its first nonzero coordinate is 1.
+    A block already in that form is copied without a field product.  A block
+    with an entry outside [0, q) is scaled in int64.  The first zero row is a
+    ValueError."""
     lead = rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)]
     if not lead.all():
         raise ValueError(f"vector {(lead == 0).argmax()} is zero, so it is not a projective point")
-    if rows.size and (lead == 1).all() and rows.min() >= 0 and rows.max() < field.q:
-        return np.array(rows, dtype=np.int64)
+    if not (rows.size and rows.min() >= 0 and rows.max() < field.q):
+        rows = rows.astype(np.int64, copy=False)  # the field kernels assume [0, q)
+    elif (lead == 1).all():
+        return rows.copy()
     # Every row, not only those whose lead is not 1: scaling a gathered
     # subset held half-size temporaries that raised the span dump's peak RSS.
     return field.mul_arr(field.inv_arr(lead)[:, None], rows)
@@ -75,9 +78,6 @@ class PointSupply:
     @property
     def n(self) -> int:
         return self.matrix.cols
-
-    def column(self, j: int) -> np.ndarray:
-        return self.matrix.data[:, j]
 
 
 @dataclass(frozen=True)

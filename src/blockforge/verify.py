@@ -269,7 +269,8 @@ def _sampled_ranks(fld, points: np.ndarray, maps: np.ndarray) -> np.ndarray:
     k - s get all their points ranked.
     """
     count, s, k = maps.shape
-    img = fld.matmul_arr(points, maps.reshape(count * s, k).T).reshape(-1, count, s)
+    flat = maps.reshape(count * s, k).T.astype(points.dtype)  # images in the points' type
+    img = fld.matmul_arr(points, flat).reshape(-1, count, s)
     inside = img[:, :, 0] == 0
     for row in range(1, s):  # one compare per map row: a reduce over s is slower
         inside &= img[:, :, row] == 0

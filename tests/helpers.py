@@ -7,11 +7,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from blockforge import construct
+from blockforge.errors import BudgetExceededError
 from blockforge.expander import Hypergraph
 from blockforge.gf import FieldSpec
 from blockforge.lincomb import EdgeWitness, EliminationOrder
-from blockforge.linalg import MatrixGF, matmul, rank, subspace_from_rows
-from blockforge.supply import PointSupply, normalize_column
+from blockforge.linalg import (MatrixGF, distinct_rows, matmul, projective_reps, rank,
+                               subspace_from_rows)
+from blockforge.supply import PointSupply, normalize_column, normalize_rows
 
 
 # A GF(2) [12, 4] code that is not 2-minimal: the supports of its 2-dim
@@ -34,6 +37,32 @@ def zero_matrix(fld: FieldSpec, rows: int, cols: int) -> MatrixGF:
 def rank_product(a: MatrixGF, b: MatrixGF) -> int:
     """rank(a @ b); always >= rank(a) + rank(b) - inner_dim (Sylvester)."""
     return rank(matmul(a, b))
+
+
+def supply_column(supply: PointSupply, j: int) -> np.ndarray:
+    """Column j of a supply (the removed `PointSupply.column`)."""
+    return supply.matrix.data[:, j]
+
+
+def span_union_resorting(h: Hypergraph, supply: PointSupply, point_cap: int) -> np.ndarray:
+    """The span dump as `construct.edge_span_union` computed it before each
+    chunk was deduplicated on its own: int64 rows, the growing set re-sorted
+    after every chunk of `construct.SPAN_CHUNK_ROWS` rows, and the budget
+    checked against its size there."""
+    fld, k = supply.field, supply.k
+    distinct = np.zeros((0, k), dtype=np.int64)
+    for size in sorted({len(e) for e in h.edges}):
+        edges = np.array([e for e in h.edges if len(e) == size]).T
+        coeffs = np.hstack(list(projective_reps(fld, size))).T
+        step = max(1, construct.SPAN_CHUNK_ROWS // len(coeffs))
+        for lo in range(0, edges.shape[1], step):
+            flat = supply.matrix.data.T[edges[:, lo:lo + step]].reshape(size, -1)
+            pts = fld.matmul_arr(coeffs, flat).reshape(-1, k)
+            pts = pts[pts.any(axis=1)]
+            distinct, _ = distinct_rows(np.vstack([distinct, normalize_rows(fld, pts)]))
+            if len(distinct) > point_cap:
+                raise BudgetExceededError("points", point_cap, len(distinct))
+    return distinct
 
 
 def projective_point_count(q: int, k: int) -> int:

@@ -19,7 +19,8 @@ from blockforge.linalg import MatrixGF
 from blockforge.supply import PointSupply, supply_mds, normalize_column
 from blockforge.verify import is_strong_blocking
 
-from helpers import identity_matrix
+from helpers import (identity_matrix, random_admissible_columns, span_union_resorting,
+                     supply_column)
 
 
 def identity_supply(fld, k):
@@ -43,7 +44,7 @@ def test_edge_span_single_vertex():
     h = Hypergraph.from_edges(4, [(2,)])
     b = edge_span_union(h, sup)
     assert b.size == 1
-    expect = normalize_column(fld, sup.column(2))
+    expect = normalize_column(fld, supply_column(sup, 2))
     assert np.array_equal(b.points[0], expect)
 
 
@@ -102,6 +103,53 @@ def test_edge_span_point_cap():
     with pytest.raises(BudgetExceededError) as err:
         edge_span_union(h, sup, point_cap=size - 1)
     assert err.value.required == size  # one chunk: the count at its merge
+
+
+def _mixed_span_instance(p, m, k, n=10):
+    """A random admissible supply of n columns and a hypergraph with edges of
+    sizes 1, 2 and 3: a few vertices, every pair and the cherries of K_n."""
+    fld = field_create(p, m)
+    sup = PointSupply(random_admissible_columns(fld, k, n, np.random.default_rng(p * m + k)),
+                      "test")
+    edges = ([(v,) for v in range(0, n, 3)] + list(itertools.combinations(range(n), 2))
+             + sorted(cherry_hypergraph(complete_graph(n)).edges))
+    return sup, Hypergraph.from_edges(n, edges, max_edge_size=3)
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 1, 6), (3, 1, 5), (3, 2, 4)],
+                         ids=["GF(2)", "GF(3)", "GF(9)"])
+def test_span_dump_merges_its_chunks_once(p, m, k, monkeypatch):
+    sup, h = _mixed_span_instance(p, m, k)
+    one = edge_span_union(h, sup)
+    monkeypatch.setattr(construct, "SPAN_CHUNK_ROWS", 40)
+    calls = []
+    dedup = construct.distinct_rows
+    monkeypatch.setattr(construct, "distinct_rows", lambda rows: calls.append(1) or dedup(rows))
+    many = edge_span_union(h, sup)
+    reps = {1: 1, 2: sup.field.q + 1, 3: sup.field.q ** 2 + sup.field.q + 1}
+    sizes = [len(e) for e in h.edges]
+    chunks = sum(-(-sizes.count(r) // max(1, 40 // reps[r])) for r in reps)
+    assert chunks > 20 and len(calls) == chunks + 1  # each chunk, then one merge
+    assert many == one and many.points.dtype == one.points.dtype == sup.field.dtype
+    assert np.array_equal(many.points, span_union_resorting(h, sup, one.size))
+
+
+@pytest.mark.parametrize("chunk_rows", [40, construct.SPAN_CHUNK_ROWS],
+                         ids=["many-chunks", "one-chunk"])
+@pytest.mark.parametrize("p,m,k", [(2, 1, 6), (3, 1, 5), (3, 2, 4)],
+                         ids=["GF(2)", "GF(3)", "GF(9)"])
+def test_span_dump_budget_matches_resorting_each_chunk(p, m, k, chunk_rows, monkeypatch):
+    sup, h = _mixed_span_instance(p, m, k)
+    monkeypatch.setattr(construct, "SPAN_CHUNK_ROWS", chunk_rows)
+    size = edge_span_union(h, sup).size
+    for cap in sorted(set(range(1, size, max(1, size // 25))) | {size - 1}):
+        with pytest.raises(BudgetExceededError) as want:
+            span_union_resorting(h, sup, cap)
+        with pytest.raises(BudgetExceededError) as got:
+            edge_span_union(h, sup, point_cap=cap)
+        assert ((got.value.budget, got.value.limit, got.value.required)
+                == (want.value.budget, want.value.limit, want.value.required)), cap
+    assert edge_span_union(h, sup, point_cap=size).size == size
 
 
 def test_edge_span_monotone():
@@ -259,6 +307,31 @@ def test_from_points_canonicalizes_other_rows():
         assert BlockingSet.from_points(fld, rows) == canonical
 
 
+def test_from_points_reduces_narrow_rows_past_q_as_int64():
+    fld = field_create(3)
+    rows = np.array([[2, 255, 7], [0, 1, 254], [0, 2, 2]], dtype=np.uint8)
+    want = BlockingSet.from_points(fld, rows.astype(np.int64))
+    assert want.points.tolist() == [[0, 1, 1], [0, 1, 2], [1, 0, 2]]
+    assert BlockingSet.from_points(fld, rows) == want
+
+
+@pytest.mark.parametrize("p,m,k", [(3, 1, 4), (2, 8, 3), (65521, 1, 3)],
+                         ids=["GF(3)", "GF(2^8)", "GF(65521)"])
+def test_equal_sets_of_any_integer_type_hash_equal(p, m, k):
+    fld = field_create(p, m)
+    pts = random_points(fld, 5, k=k).points
+    assert pts.dtype == fld.dtype and not pts.flags.writeable
+    stored = BlockingSet(fld, k, pts)
+    assert stored.points is pts  # already the storage type: kept as given
+    cast = [BlockingSet(fld, k, pts.astype(np.int64)), BlockingSet(fld, k, pts.tolist()),
+            BlockingSet(fld, k, pts.astype(np.uint32)), BlockingSet.from_points(fld, pts.tolist())]
+    for b in cast:
+        assert b.points.dtype == fld.dtype and not b.points.flags.writeable
+        assert b == stored and hash(b) == hash(stored)
+    with pytest.raises(ValueError, match="must be integers"):
+        BlockingSet(fld, k, pts.astype(float))
+
+
 @pytest.mark.parametrize("p,k", [(3, 4), (65521, 7)])  # one and three key words per row
 def test_blocking_set_checks_its_rows(p, k):
     fld = field_create(p)
@@ -346,6 +419,26 @@ def test_read_blocking_set_keeps_canonical_rows_as_stored(tmp_path, monkeypatch)
     monkeypatch.setattr(BlockingSet, "from_points", classmethod(refuse))
     assert read_blocking_set(path) == b
     assert parse_blocking_set(format_blocking_set(b)) == b
+
+
+@pytest.mark.parametrize("p", [3, 13], ids=["grid", "loadtxt"])
+def test_blocking_set_file_round_trip_builds_no_matrix(p, tmp_path, monkeypatch):
+    fld = field_create(p)
+    b = random_points(fld, 3, count=200, k=5)
+    path = tmp_path / "b.pts"
+    grids = []
+    grid_rows = linalg._grid_rows
+    monkeypatch.setattr(linalg, "_grid_rows", lambda *a: grids.append(grid_rows(*a)) or grids[-1])
+
+    def refuse(self, *args):
+        raise RuntimeError("a MatrixGF was built on the file path")
+
+    monkeypatch.setattr(MatrixGF, "__init__", refuse)
+    write_blocking_set(path, b)
+    again = read_blocking_set(path)
+    assert again == b and again.points.dtype == fld.dtype and not again.points.flags.writeable
+    if p < 10:  # the single-digit grid's uint8 array is the set's points
+        assert again.points is grids[-1]
 
 
 def test_read_blocking_set_canonicalizes_hand_written_rows(tmp_path):

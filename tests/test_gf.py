@@ -292,3 +292,81 @@ def test_matmul_arr_matches_scalar_ops(kfld, shape):
                 acc = kfld.add(acc, kfld.mul(int(a[i, k]), int(b[k, j])))
             assert out[i, j] == acc
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+# Narrow storage: each field's storage type against int64, every kernel kind.
+NARROW_FIELDS = [(2, 1), (3, 1), (13, 1), (3, 2), (2, 8), (65521, 1), (2, 16)]
+
+
+def _narrow_pairs(fld):
+    """Every pair for q <= 16; otherwise a sample plus the extremes 0, 1 and
+    q - 1 against each other, the all-(q-1) worst case included."""
+    q = fld.q
+    if q <= 16:
+        return np.repeat(np.arange(q), q), np.tile(np.arange(q), q)
+    rng = np.random.default_rng(q)
+    ends = np.array([0, 1, q - 1])
+    a = np.concatenate([rng.integers(0, q, size=400), np.repeat(ends, 3)])
+    b = np.concatenate([rng.integers(0, q, size=400), np.tile(ends, 3)])
+    return a, b
+
+
+@pytest.mark.parametrize("pm", NARROW_FIELDS, ids=lambda pm: f"GF({pm[0]}^{pm[1]})")
+def test_narrow_kernels_match_scalar_ops(pm):
+    fld = field_create(*pm)
+    assert fld.dtype == (np.uint8 if fld.q <= 256 else np.uint16)
+    a, b = _narrow_pairs(fld)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    want = {"add_arr": [fld.add(x, y) for x, y in pairs],
+            "sub_arr": [fld.sub(x, y) for x, y in pairs],
+            "mul_arr": [fld.mul(x, y) for x, y in pairs]}
+    for dtype in (fld.dtype, np.int64):
+        x, y = a.astype(dtype), b.astype(dtype)
+        for name, expected in want.items():
+            got = getattr(fld, name)(x, y)
+            assert got.dtype == dtype and got.tolist() == expected, (name, dtype)
+        neg = fld.neg_arr(x)
+        assert neg.dtype == dtype and neg.tolist() == [fld.neg(v) for v in a.tolist()]
+        inv = fld.inv_arr(x[x != 0])
+        assert inv.dtype == dtype
+        assert inv.tolist() == [fld.inv(v) for v in a[a != 0].tolist()]
+    mixed = fld.mul_arr(a.astype(fld.dtype), b)  # a narrow and an int64 operand
+    assert mixed.dtype == np.int64 and mixed.tolist() == want["mul_arr"]
+
+
+# Inner dimensions on both sides of each accumulate threshold of the prime
+# kernel, inner * (p-1)^2 against the uint8, uint16 and uint32 maxima; the
+# extension fields gather from tables and take any inner dimension.
+MATMUL_INNER = {(2, 1): (255, 256), (3, 1): (63, 64), (13, 1): (1, 2, 455, 456),
+                (65521, 1): (1, 2), (3, 2): (1, 7), (2, 8): (1, 7), (2, 16): (1, 7)}
+
+
+def test_matmul_inner_dimensions_straddle_the_thresholds():
+    for (p, m), inner in MATMUL_INNER.items():
+        if m == 1:
+            fld = field_create(p)
+            acc = [gf._accumulator(t * (p - 1) ** 2, fld.dtype) for t in inner]
+            assert all(lo != hi for lo, hi in zip(acc[::2], acc[1::2])), (p, acc)
+
+
+@pytest.mark.parametrize("pm,inner", [(pm, t) for pm, ts in MATMUL_INNER.items() for t in ts],
+                         ids=lambda v: f"GF({v[0]}^{v[1]})" if isinstance(v, tuple) else str(v))
+def test_narrow_matmul_matches_scalar_ops(pm, inner):
+    fld = field_create(*pm)
+    q = fld.q
+    rng = np.random.default_rng(inner)
+    a = rng.integers(0, q, size=(3, inner))
+    b = rng.integers(0, q, size=(inner, 2))
+    a[0], b[:, 0] = q - 1, q - 1  # entry (0, 0): the all-(q-1) worst case
+    want = []
+    for i in range(3):
+        row = []
+        for j in range(2):
+            acc = 0
+            for t in range(inner):
+                acc = fld.add(acc, fld.mul(int(a[i, t]), int(b[t, j])))
+            row.append(acc)
+        want.append(row)
+    for dtype in (fld.dtype, np.int64):
+        got = fld.matmul_arr(a.astype(dtype), b.astype(dtype))
+        assert got.dtype == dtype and got.tolist() == want, dtype

@@ -4,7 +4,7 @@ No module may import a name it never uses, and no module may rely on
 `assert`, which `python -O` strips.  Rows are sorted and deduplicated in one
 place: `np.lexsort` is called once, in `linalg.distinct_rows`, and no call
 passes `axis=` to `np.unique`.  Matrix files and their sidecars are opened
-only by `linalg.load_matrix`, `linalg.read_matrix` and `linalg.write_matrix`,
+only by `linalg.load_rows`, `linalg.load_sidecar` and `linalg.write_rows`,
 so every read takes the byte-level grid path when it applies, and
 `np.loadtxt` is called once, in `linalg.parse_rows`.  The CLI's two graph-file helpers are the only other
 `open` calls.
@@ -128,10 +128,10 @@ def test_loadtxt_only_in_parse_rows():
 
 
 def test_files_opened_only_by_the_matrix_codec_and_the_graph_helpers():
-    # read_matrix opens only the sidecar; write_matrix opens the matrix and its sidecar
+    # load_sidecar opens only the sidecar; write_rows opens the matrix and its sidecar
     assert _owners("open", None) == [("cli", "_read_graph"), ("cli", "_write_graph"),
-                                     ("linalg", "load_matrix"), ("linalg", "read_matrix"),
-                                     ("linalg", "write_matrix"), ("linalg", "write_matrix")]
+                                     ("linalg", "load_rows"), ("linalg", "load_sidecar"),
+                                     ("linalg", "write_rows"), ("linalg", "write_rows")]
 
 
 def test_owner_scan_counts_every_call():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (identity_matrix, random_certificate_instance, random_subspace,
-                     zero_matrix)
+                     supply_column, zero_matrix)
 
 from blockforge.errors import CertificateError
 from blockforge.expander import Hypergraph
@@ -28,7 +28,7 @@ def brute_force_plc(supply, X, L):
     for coeffs in itertools.product(range(1, q), repeat=len(X)):
         acc = np.zeros(supply.k, dtype=np.int64)
         for v, c in zip(X, coeffs):
-            acc = fld.add_arr(acc, fld.mul_arr(c, supply.column(v)))
+            acc = fld.add_arr(acc, fld.mul_arr(c, supply_column(supply, v)))
         if L.contains(acc):
             return coeffs
     return None

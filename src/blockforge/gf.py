@@ -36,11 +36,6 @@ MAX_ORDER = 1 << 16
 TABLE_MAX_ORDER = 256
 
 
-def storage_dtype(q: int) -> np.dtype:
-    """The smallest unsigned integer type that holds [0, q)."""
-    return np.dtype(np.uint8 if q <= 256 else np.uint16)
-
-
 def _accumulator(bound: int, *operands) -> np.dtype:
     """The smallest of uint8, uint16, uint32 and int64 that holds `bound`,
     widened to the operands' common type."""
@@ -154,7 +149,7 @@ class FieldSpec:
         self.m = m
         self.q = q
         self.modulus = modulus
-        self.dtype = storage_dtype(q)
+        self.dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)  # storage type
         self._build_tables()
 
     # -- construction helpers ------------------------------------------------

@@ -36,12 +36,18 @@ MAX_ORDER = 1 << 16
 TABLE_MAX_ORDER = 256
 
 
-def _accumulator(bound: int, *operands) -> np.dtype:
+@functools.lru_cache(maxsize=256)
+def _widest(*dtypes) -> np.dtype:
+    return functools.reduce(np.promote_types, dtypes)
+
+
+@functools.lru_cache(maxsize=256)
+def _accumulator(bound: int, *dtypes) -> np.dtype:
     """The smallest of uint8, uint16, uint32 and int64 that holds `bound`,
-    widened to the operands' common type."""
-    acc = next((t for t in (np.uint8, np.uint16, np.uint32) if bound <= np.iinfo(t).max),
-               np.int64)
-    return np.result_type(acc, *operands)
+    widened to the operands' types."""
+    acc = (np.uint8 if bound <= 0xFF else np.uint16 if bound <= 0xFFFF
+           else np.uint32 if bound <= 0xFFFFFFFF else np.int64)
+    return _widest(acc, *dtypes)
 
 
 def is_prime(n: int) -> bool:
@@ -282,8 +288,8 @@ class FieldSpec:
 
     def _operands(self, *arrays):
         """The operands as arrays, and the dtype of the result (module docstring)."""
-        arrays = [np.asarray(x) for x in arrays]
-        return arrays, np.result_type(self.dtype, *arrays)
+        arrays = tuple(map(np.asarray, arrays))
+        return arrays, _widest(self.dtype, *[x.dtype for x in arrays])
 
     def _table(self, table, a, b, out):
         idx = np.multiply(a, self.q, dtype=np.intp) + b  # overflows in a narrow type
@@ -292,7 +298,7 @@ class FieldSpec:
     def add_arr(self, a, b):
         (a, b), out = self._operands(a, b)
         if self.m == 1:
-            acc = np.add(a, b, dtype=_accumulator(2 * (self.p - 1), a, b))
+            acc = np.add(a, b, dtype=_accumulator(2 * (self.p - 1), a.dtype, b.dtype))
             acc %= self.p
             return acc.astype(out, copy=False)
         if self._zech is None:
@@ -305,7 +311,7 @@ class FieldSpec:
     def neg_arr(self, a):
         (a,), out = self._operands(a)
         if self.m == 1:
-            acc = np.subtract(self.p, a, dtype=_accumulator(self.p, a))
+            acc = np.subtract(self.p, a, dtype=_accumulator(self.p, a.dtype))
             acc %= self.p
             return acc.astype(out, copy=False)
         return self._neg[a].astype(out, copy=False)
@@ -316,7 +322,7 @@ class FieldSpec:
     def mul_arr(self, a, b):
         (a, b), out = self._operands(a, b)
         if self.m == 1:
-            acc = np.multiply(a, b, dtype=_accumulator((self.p - 1) ** 2, a, b))
+            acc = np.multiply(a, b, dtype=_accumulator((self.p - 1) ** 2, a.dtype, b.dtype))
             acc %= self.p
             return acc.astype(out, copy=False)
         if self._zech is None:
@@ -337,7 +343,7 @@ class FieldSpec:
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
         if self.m == 1:
-            acc = np.matmul(a, b, dtype=_accumulator(a.shape[1] * (self.p - 1) ** 2, a, b))
+            acc = np.matmul(a, b, dtype=_accumulator(a.shape[1] * (self.p - 1) ** 2, a.dtype, b.dtype))
             acc %= self.p  # in place: no second full-size array
             return acc.astype(out, copy=False)
         acc = np.zeros((a.shape[0], b.shape[1]), dtype=out)

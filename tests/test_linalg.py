@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -670,3 +671,16 @@ def test_row_keys_pack_digits_below_2_63(q, k, words):
     keys = linalg._row_keys(rows)
     assert len(keys) == words
     assert all(key.dtype == np.int64 and (key >= 0).all() for key in keys)
+
+
+def test_row_keys_of_narrow_rows_hold_no_int64_copy():
+    rows = np.random.default_rng(4).integers(0, 3, size=(20_000, 20)).astype(np.uint8)
+    want = [np.asarray(w) for w in linalg._row_keys(rows.astype(np.int64))]
+    tracemalloc.start()
+    try:
+        got = linalg._row_keys(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert peak < rows.size * 2  # the keys (8 bytes a row), far below an int64 copy (8 a cell)

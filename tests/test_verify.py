@@ -431,3 +431,19 @@ def test_sampled_matmuls_stay_within_the_chunk(monkeypatch):
         assert is_strong_blocking_sampled(b, s, 40, seed=2).passed
         assert max(sizes) <= max(chunk, s * b.size)
         assert sum(sizes) == 40 * s * b.size  # every trial imaged once
+
+
+def test_sampled_images_keep_the_points_type(monkeypatch):
+    fld = field_create(5)
+    b = construct_cherry(complete_graph(6), supply_mds(fld, 4, 6))
+    kinds = []
+    matmul = type(fld).matmul_arr
+
+    def spy(self, x, y):
+        out = matmul(self, x, y)
+        kinds.append((np.asarray(x).dtype, np.asarray(y).dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(type(fld), "matmul_arr", spy)
+    is_strong_blocking_sampled(b, 2, trials=5, seed=3)
+    assert kinds and all(kind == (np.uint8,) * 3 for kind in kinds)

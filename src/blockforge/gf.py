@@ -38,6 +38,7 @@ TABLE_MAX_ORDER = 256
 
 @functools.lru_cache(maxsize=256)
 def _widest(*dtypes) -> np.dtype:
+    """The smallest type that holds every one of `dtypes`."""
     return functools.reduce(np.promote_types, dtypes)
 
 
@@ -292,7 +293,7 @@ class FieldSpec:
         return arrays, _widest(self.dtype, *[x.dtype for x in arrays])
 
     def _table(self, table, a, b, out):
-        idx = np.multiply(a, self.q, dtype=np.intp) + b  # overflows in a narrow type
+        idx = np.multiply(a, self.q, dtype=np.intp) + b  # a * q + b overflows a narrow type
         return table[idx].astype(out, copy=False)
 
     def add_arr(self, a, b):
@@ -343,7 +344,8 @@ class FieldSpec:
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
         if self.m == 1:
-            acc = np.matmul(a, b, dtype=_accumulator(a.shape[1] * (self.p - 1) ** 2, a.dtype, b.dtype))
+            bound = a.shape[1] * (self.p - 1) ** 2
+            acc = np.matmul(a, b, dtype=_accumulator(bound, a.dtype, b.dtype))
             acc %= self.p  # in place: no second full-size array
             return acc.astype(out, copy=False)
         acc = np.zeros((a.shape[0], b.shape[1]), dtype=out)

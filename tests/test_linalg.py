@@ -675,7 +675,7 @@ def test_row_keys_pack_digits_below_2_63(q, k, words):
 
 def test_row_keys_of_narrow_rows_hold_no_int64_copy():
     rows = np.random.default_rng(4).integers(0, 3, size=(20_000, 20)).astype(np.uint8)
-    want = [np.asarray(w) for w in linalg._row_keys(rows.astype(np.int64))]
+    want = linalg._row_keys(rows.astype(np.int64))
     tracemalloc.start()
     try:
         got = linalg._row_keys(rows)

@@ -20,9 +20,8 @@ from .gf import FieldSpec, field_create
 from .lincomb import (Certificate, EdgeWitness, EliminationOrder,
                       build_plc_hypergraph, certify, exactly_s_plus_one_edge,
                       plc_edge, tree_like_order)
-from .linalg import (MatrixGF, SubspaceBasis, enumerate_subspaces,
-                     gaussian_binomial, kernel_basis, matmul, quotient_map,
-                     rank, rref, subspace_from_rows)
+from .linalg import (MatrixGF, SubspaceBasis, gaussian_binomial, kernel_basis,
+                     matmul, quotient_map, rank, rref, subspace_from_rows)
 from .mincode import (LinearCode, MinimalityReport, blocking_to_code,
                       code_to_blocking, duality_check, is_s_minimal, support)
 from .supply import (GeneralPositionReport, PointSupply, supply_mds,

@@ -131,8 +131,8 @@ def edge_span_union(h: Hypergraph, supply: PointSupply, *,
     fld, k = supply.field, supply.k
     columns = supply.matrix.data.T.astype(fld.dtype)  # n x k
     chunks, held = [], 0
-    for size in sorted({len(e) for e in h.edges}):
-        edges = np.array([e for e in h.edges if len(e) == size]).T  # size x edges
+    for size, edges in h.edge_arrays.items():
+        edges = edges.T  # size x edges
         coeffs = np.hstack(list(projective_reps(fld, size))).T.astype(fld.dtype)  # reps x size
         step = max(1, SPAN_CHUNK_ROWS // len(coeffs))
         for lo in range(0, edges.shape[1], step):
@@ -156,12 +156,22 @@ def edge_span_union(h: Hypergraph, supply: PointSupply, *,
 
 
 def cherry_hypergraph(g: Graph) -> Hypergraph:
-    """3-sets {x, y, z} with xy and xz both edges of g."""
-    cherries = set()
-    for x in range(g.n):
-        for y, z in combinations(g.adjacency[x], 2):
-            cherries.add(tuple(sorted((x, y, z))))
-    return Hypergraph.from_edges(g.n, cherries, max_edge_size=3)
+    """3-sets {x, y, z} with xy and xz both edges of g.
+
+    Built from the graph's CSR arrays, one degree class at a time: the rows
+    (x, y, z) for every vertex x of degree d and every pair of positions in
+    its neighbour list; `Hypergraph.from_edges` sorts and deduplicates them."""
+    degrees = np.diff(g._ends, prepend=0)
+    rows = [np.zeros((0, 3), dtype=np.int64)]
+    for d in sorted(set(degrees.tolist())):
+        if d < 2:
+            continue
+        xs = np.nonzero(degrees == d)[0]
+        nbrs = g._heads[(g._ends[xs] - d)[:, None] + np.arange(d)]  # len(xs) x d
+        i, j = np.array(list(combinations(range(d), 2))).T
+        rows.append(np.stack([np.repeat(xs, len(i)), nbrs[:, i].ravel(),
+                              nbrs[:, j].ravel()], axis=1))
+    return Hypergraph.from_edges(g.n, np.concatenate(rows), max_edge_size=3)
 
 
 def construct_cherry(g: Graph, supply: PointSupply, *,

@@ -53,8 +53,10 @@ class Graph:
         self._edge_array = distinct_rows(np.sort(pairs, axis=1))[0]  # rows u < v, sorted
         self.m = len(self._edge_array)
         both = distinct_rows(np.vstack([self._edge_array, self._edge_array[:, ::-1]]))[0]
-        heads = both[:, 1].tolist()
-        ends = np.cumsum(np.bincount(both[:, 0], minlength=n)).tolist()
+        # CSR form: the sorted neighbours of v are _heads[_ends[v] - deg v:_ends[v]]
+        self._heads = both[:, 1]
+        self._ends = np.cumsum(np.bincount(both[:, 0], minlength=n))
+        heads, ends = self._heads.tolist(), self._ends.tolist()
         self.adjacency = tuple(tuple(heads[a:b]) for a, b in zip([0] + ends, ends))
         self._neighbors = None
 
@@ -144,35 +146,80 @@ def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-@dataclass(frozen=True)
 class Hypergraph:
-    """Edge lists over vertices 0..n-1 (vertex i names column i of a supply)."""
+    """Edge lists over vertices 0..n-1 (vertex i names column i of a supply).
 
-    n: int
-    edges: tuple[tuple[int, ...], ...]
-    max_edge_size: int
+    The edges of each size r are held as one read-only (m_r, r) int64 array,
+    `edge_arrays[r]`: every row ascending, the rows distinct and in
+    lexicographic order.  `edges`, the tuple view of every edge in
+    lexicographic tuple order, is built on first use.  Use `from_edges`.
+    """
+
+    def __init__(self, n: int, edge_arrays: dict[int, np.ndarray], max_edge_size: int):
+        self.n = n
+        self.edge_arrays = edge_arrays
+        self.max_edge_size = max_edge_size
 
     @classmethod
     def from_edges(cls, n: int, edges, max_edge_size: int | None = None) -> "Hypergraph":
-        canon = sorted({tuple(sorted(int(v) for v in e)) for e in edges})
-        for e in canon:
-            if not e:
-                raise ValueError("empty hyperedge")
+        """The hypergraph of the distinct vertex sets in `edges`: an (m, r)
+        integer array, or an iterable of vertex sequences of any sizes."""
+        if isinstance(edges, np.ndarray):
+            if edges.ndim != 2:
+                raise ValueError(f"an edge array must be 2-D, not of shape {edges.shape}")
+            groups = {edges.shape[1]: edges}
+        else:
+            groups = {}
+            for e in edges:
+                e = tuple(e)
+                groups.setdefault(len(e), []).append(e)
+        rows = {r: np.sort(np.array(group, dtype=np.int64).reshape(len(group), r), axis=1)
+                for r, group in sorted(groups.items()) if len(group)}
+        if 0 in rows:
+            raise ValueError("empty hyperedge")
+        bad = []  # the least bad edge of each size
+        for a in rows.values():
+            hit = (a[:, 1:] == a[:, :-1]).any(axis=1) | (a[:, 0] < 0) | (a[:, -1] >= n)
+            if hit.any():
+                bad.append(min(map(tuple, a[hit].tolist())))
+        if bad:
+            e = min(bad)
             if len(set(e)) != len(e):
                 raise ValueError(f"repeated vertex in edge {e}")
-            if e[0] < 0 or e[-1] >= n:
-                raise ValueError(f"edge {e} out of range for n={n}")
-        width = max((len(e) for e in canon), default=0)
+            raise ValueError(f"edge {e} out of range for n={n}")
+        width = max(rows, default=0)
         if max_edge_size is not None and width > max_edge_size:
             raise ValueError(f"edge of size {width} exceeds the bound {max_edge_size}")
-        return cls(n, tuple(canon), max_edge_size if max_edge_size is not None else width)
+        arrays = {}
+        for r, a in rows.items():
+            arrays[r] = distinct_rows(a)[0]
+            arrays[r].setflags(write=False)
+        return cls(n, arrays, max_edge_size if max_edge_size is not None else width)
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(e for a in self.edge_arrays.values() for e in map(tuple, a.tolist())))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(len(a) for a in self.edge_arrays.values())
 
     def is_bounded(self, s: int) -> bool:
-        return all(len(e) <= s for e in self.edges)
+        return all(r <= s for r in self.edge_arrays)
+
+    def __eq__(self, other):
+        return (isinstance(other, Hypergraph) and self.n == other.n
+                and self.max_edge_size == other.max_edge_size
+                and self.edge_arrays.keys() == other.edge_arrays.keys()
+                and all(np.array_equal(a, other.edge_arrays[r])
+                        for r, a in self.edge_arrays.items()))
+
+    def __hash__(self):
+        return hash((self.n, self.max_edge_size,
+                     tuple((r, a.tobytes()) for r, a in self.edge_arrays.items())))
+
+    def __repr__(self):
+        return f"Hypergraph(n={self.n}, m={self.m}, max_edge_size={self.max_edge_size})"
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +262,14 @@ def _lps_quadruples(p: int) -> list[tuple[int, int, int, int]]:
     return sorted(set(sols))
 
 
-def _pgl_normalize(mat: tuple[int, int, int, int], q2: int) -> tuple[int, int, int, int]:
-    for entry in mat:
-        if entry % q2:
-            inv = pow(entry, q2 - 2, q2)
-            return tuple((x * inv) % q2 for x in mat)
-    raise ValueError("zero matrix cannot represent a PGL element")
-
-
-def _mat_mul(x, y, q2):
-    return ((x[0] * y[0] + x[1] * y[2]) % q2,
-            (x[0] * y[1] + x[1] * y[3]) % q2,
-            (x[2] * y[0] + x[3] * y[2]) % q2,
-            (x[2] * y[1] + x[3] * y[3]) % q2)
+def _pgl_normalize(mats: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Each row of an (N, 4) block of nonzero 2x2 matrices mod q2, scaled so
+    its first nonzero entry is 1; `inv` is the table of inverses mod q2."""
+    q2 = len(inv)
+    lead = mats[np.arange(len(mats)), (mats != 0).argmax(axis=1)]
+    if not lead.all():
+        raise ValueError("zero matrix cannot represent a PGL element")
+    return mats * inv[lead][:, None] % q2
 
 
 def lps_graph(p: int, q2: int) -> Graph:
@@ -238,6 +280,12 @@ def lps_graph(p: int, q2: int) -> Graph:
     over GF(q2).  The closure under right multiplication is PSL2(q2) when p
     is a quadratic residue mod q2 (non-bipartite) and PGL2(q2) otherwise
     (bipartite).  Always (p+1)-regular and connected.
+
+    The closure runs one BFS level at a time: the level's matrices times
+    every generator, normalized, keyed in base q2 and looked up in a table
+    of the keys seen; new keys are numbered in order of first occurrence
+    (level vertex, then generator), which is the numbering a vertex-by-vertex
+    BFS gives.
     """
     if not (is_prime(p) and is_prime(q2)):
         raise ValueError("p and q2 must both be prime")
@@ -252,40 +300,39 @@ def lps_graph(p: int, q2: int) -> Graph:
     if len(quads) != p + 1:  # pragma: no cover - Jacobi guarantees p+1
         raise RuntimeError(f"expected {p + 1} generator quadruples, found {len(quads)}")
     i_unit = _sqrt_minus_one(q2)
-    gens = []
-    for a, b, c, d in quads:
-        mat = ((a + i_unit * b) % q2, (c + i_unit * d) % q2,
-               (-c + i_unit * d) % q2, (a - i_unit * b) % q2)
-        gens.append(_pgl_normalize(mat, q2))
-    if len(set(gens)) != p + 1:  # pragma: no cover
+    inv = np.array([pow(x, -1, q2) if x else 0 for x in range(q2)], dtype=np.int64)
+    a, b, c, d = np.array(quads, dtype=np.int64).T
+    gens = _pgl_normalize(np.stack([a + i_unit * b, c + i_unit * d,
+                                    -c + i_unit * d, a - i_unit * b], axis=1) % q2, inv)
+    if distinct_rows(gens)[1].size:  # pragma: no cover
         raise RuntimeError("generators collide in PGL2; parameters too small")
 
-    identity = (1, 0, 0, 1)
-    index = {identity: 0}
-    order = [identity]
-    edges = []
-    dq = deque([identity])
-    while dq:
-        g = dq.popleft()
-        gi = index[g]
-        for s in gens:
-            h = _pgl_normalize(_mat_mul(g, s, q2), q2)
-            hi = index.get(h)
-            if hi is None:
-                hi = len(order)
-                index[h] = hi
-                order.append(h)
-                dq.append(h)
-            if gi < hi:
-                edges.append((gi, hi))
+    # A normalized matrix has a leading 1, so its base-q2 key is below 2 q2^3.
+    weights = q2 ** np.arange(3, -1, -1, dtype=np.int64)
+    index = np.full(2 * q2 ** 3, -1, dtype=np.int64)  # key -> vertex, -1 unseen
+    level = np.array([[1, 0, 0, 1]], dtype=np.int64)
+    index[level @ weights] = 0
+    n, tails, heads = 1, [], []
+    while len(level):  # the level holds vertices n - len(level) .. n - 1
+        prods = np.matmul(level.reshape(-1, 1, 2, 2), gens.reshape(1, -1, 2, 2)) % q2
+        prods = _pgl_normalize(prods.reshape(-1, 4), inv)
+        keys = prods @ weights
+        unseen = np.nonzero(index[keys] < 0)[0]
+        fresh = np.delete(unseen, distinct_rows(keys[unseen, None])[1])  # first occurrences
+        index[keys[fresh]] = np.arange(n, n + len(fresh))
+        tails.append(np.repeat(np.arange(n - len(level), n), p + 1))
+        heads.append(index[keys])
+        n += len(fresh)
+        level = prods[fresh]
+    tails, heads = np.concatenate(tails), np.concatenate(heads)
 
-    n = len(order)
     expected = q2 * (q2 * q2 - 1)
     if _legendre(p, q2) == 1:
         expected //= 2
     if n != expected:  # pragma: no cover - sanity net
         raise RuntimeError(f"group closure has {n} elements, expected {expected}")
-    g = Graph(n, edges, cayley=True)
+    forward = tails < heads
+    g = Graph(n, np.stack([tails[forward], heads[forward]], axis=1), cayley=True)
     if not g.is_regular() or g.degree != p + 1:  # pragma: no cover
         raise RuntimeError("LPS graph is not (p+1)-regular; parameters too small")
     return g

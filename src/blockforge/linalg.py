@@ -15,8 +15,6 @@ import re
 
 import numpy as np
 
-from .budgets import DEFAULT_BUDGETS
-from .errors import BudgetExceededError
 from .gf import FieldSpec, parse_field_header
 
 
@@ -80,8 +78,13 @@ def rref_stack(field: FieldSpec, a) -> tuple[np.ndarray, np.ndarray]:
     echelon form of a[i] and ranks[i] its rank.  Each column is eliminated
     only in the matrices that can still take a pivot and only in the rows
     where it is nonzero; the sweep ends once every matrix has full row rank.
+
+    The elimination runs in the field's storage type, so an entry outside
+    [0, q) is a ValueError; R is returned as int64.
     """
-    R = np.array(a, dtype=np.int64)
+    a = np.asarray(a)
+    _check_entries(field, a)
+    R = a.astype(field.dtype)
     _, rows, cols = R.shape
     ranks = np.zeros(len(R), dtype=np.int64)
     for c in range(cols):
@@ -100,7 +103,7 @@ def rref_stack(field: FieldSpec, a) -> tuple[np.ndarray, np.ndarray]:
         R[b[hb], hr, c:] = field.add_arr(R[b[hb], hr, c:],
                                          field.mul_arr(neg[hb, hr][:, None], piv[hb]))
         ranks[b] += 1
-    return R, ranks
+    return R.astype(np.int64), ranks
 
 
 def rref(m: MatrixGF):
@@ -252,25 +255,6 @@ def rref_index(field: FieldSpec, R) -> np.ndarray:
                      for pivots, base in _pivot_sets(q, k, dim)], dtype=np.int64)
     sets = sets[np.argsort(sets[:, 0])]  # by pivot-column bit mask
     return sets[np.searchsorted(sets[:, 0], np.left_shift(1, piv).sum(axis=1)), 1] + offs
-
-
-def enumerate_subspaces(field: FieldSpec, k: int, codim: int, *,
-                        budget: int | None = DEFAULT_BUDGETS.subspaces,
-                        start: int = 0, stop: int | None = None):
-    """Yield every codimension-`codim` subspace of F_q^k exactly once, in the
-    canonical order of `rref_blocks`.
-
-    The [start, stop) window selects a contiguous shard of that order.
-    """
-    if not 0 <= codim <= k:
-        raise ValueError(f"need 0 <= codim <= k, got codim={codim}, k={k}")
-    total = gaussian_binomial(k, k - codim, field.q)
-    if budget is not None and total > budget:
-        raise BudgetExceededError("subspaces", budget, total,
-                                  "switch to sampled verification or raise the budget")
-    for pivots, block in rref_blocks(field, k, k - codim, start, stop):
-        for mat in block:
-            yield SubspaceBasis(k, MatrixGF(field, mat), pivots)
 
 
 def _null_space(field: FieldSpec, R: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:

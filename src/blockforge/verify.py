@@ -104,7 +104,7 @@ def _ragged_ranks(fld, groups: np.ndarray, rows: np.ndarray, count: int) -> np.n
     """Rank of each group 0..count-1 of rows, given group-major (groups
     ascending), ranked as one zero-padded stack."""
     sizes = np.bincount(groups, minlength=count)
-    stack = np.zeros((count, sizes.max(initial=0), rows.shape[1]), dtype=np.int64)
+    stack = np.zeros((count, sizes.max(initial=0), rows.shape[1]), dtype=rows.dtype)
     slot = np.arange(len(groups)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     stack[groups, slot] = rows
     return rref_stack(fld, stack)[1]

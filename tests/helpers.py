@@ -5,15 +5,20 @@ Everything here is seeded by the caller, so test runs are reproducible.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import combinations
+
 import numpy as np
 
 from blockforge import construct
+from blockforge.budgets import DEFAULT_BUDGETS
 from blockforge.errors import BudgetExceededError
-from blockforge.expander import Hypergraph
+from blockforge.expander import (Graph, Hypergraph, _legendre, _lps_quadruples,
+                                 _sqrt_minus_one)
 from blockforge.gf import FieldSpec
 from blockforge.lincomb import EdgeWitness, EliminationOrder
-from blockforge.linalg import (MatrixGF, distinct_rows, matmul, projective_reps, rank,
-                               subspace_from_rows)
+from blockforge.linalg import (MatrixGF, SubspaceBasis, distinct_rows, gaussian_binomial,
+                               matmul, projective_reps, rank, rref_blocks, subspace_from_rows)
 from blockforge.supply import PointSupply, normalize_column, normalize_rows
 
 
@@ -63,6 +68,123 @@ def span_union_resorting(h: Hypergraph, supply: PointSupply, point_cap: int) -> 
             if len(distinct) > point_cap:
                 raise BudgetExceededError("points", point_cap, len(distinct))
     return distinct
+
+
+def enumerate_subspaces(field: FieldSpec, k: int, codim: int, *,
+                        budget: int | None = DEFAULT_BUDGETS.subspaces,
+                        start: int = 0, stop: int | None = None):
+    """Yield every codimension-`codim` subspace of F_q^k exactly once, in the
+    canonical order of `rref_blocks` (the removed `linalg.enumerate_subspaces`).
+
+    The [start, stop) window selects a contiguous shard of that order.
+    """
+    if not 0 <= codim <= k:
+        raise ValueError(f"need 0 <= codim <= k, got codim={codim}, k={k}")
+    total = gaussian_binomial(k, k - codim, field.q)
+    if budget is not None and total > budget:
+        raise BudgetExceededError("subspaces", budget, total,
+                                  "switch to sampled verification or raise the budget")
+    for pivots, block in rref_blocks(field, k, k - codim, start, stop):
+        for mat in block:
+            yield SubspaceBasis(k, MatrixGF(field, mat), pivots)
+
+
+def rref_stack_int64(field: FieldSpec, a) -> tuple[np.ndarray, np.ndarray]:
+    """`linalg.rref_stack` as it eliminated before it worked in the field's
+    storage type: the same column sweep, in int64 throughout."""
+    R = np.array(a, dtype=np.int64)
+    _, rows, cols = R.shape
+    ranks = np.zeros(len(R), dtype=np.int64)
+    for c in range(cols):
+        if (ranks == rows).all():
+            break
+        cand = (R[:, :, c] != 0) & (np.arange(rows) >= ranks[:, None])
+        b = np.nonzero(cand.any(axis=1))[0]
+        src, r = cand[b].argmax(axis=1), ranks[b]
+        piv = R[b, src, c:]
+        R[b, src, c:] = R[b, r, c:]
+        R[b, r, c:] = piv = field.mul_arr(field.inv_arr(piv[:, 0])[:, None], piv)
+        neg = field.neg_arr(R[b, :, c])
+        neg[np.arange(b.size), r] = 0
+        hb, hr = np.nonzero(neg)
+        R[b[hb], hr, c:] = field.add_arr(R[b[hb], hr, c:],
+                                         field.mul_arr(neg[hb, hr][:, None], piv[hb]))
+        ranks[b] += 1
+    return R, ranks
+
+
+def hypergraph_by_set(n: int, edges, max_edge_size: int | None = None):
+    """(edges, max_edge_size) as `Hypergraph.from_edges` built them before it
+    kept arrays: a set of sorted tuples, checked in sorted order."""
+    canon = sorted({tuple(sorted(int(v) for v in e)) for e in edges})
+    for e in canon:
+        if not e:
+            raise ValueError("empty hyperedge")
+        if len(set(e)) != len(e):
+            raise ValueError(f"repeated vertex in edge {e}")
+        if e[0] < 0 or e[-1] >= n:
+            raise ValueError(f"edge {e} out of range for n={n}")
+    width = max((len(e) for e in canon), default=0)
+    if max_edge_size is not None and width > max_edge_size:
+        raise ValueError(f"edge of size {width} exceeds the bound {max_edge_size}")
+    return tuple(canon), max_edge_size if max_edge_size is not None else width
+
+
+def cherries_by_set(g: Graph) -> tuple[tuple[int, int, int], ...]:
+    """The cherries of g as `construct.cherry_hypergraph` listed them before
+    it worked on arrays: a set of sorted vertex triples, in sorted order."""
+    cherries = set()
+    for x in range(g.n):
+        for y, z in combinations(g.adjacency[x], 2):
+            cherries.add(tuple(sorted((x, y, z))))
+    return tuple(sorted(cherries))
+
+
+def _pgl_normalize(mat: tuple[int, int, int, int], q2: int) -> tuple[int, int, int, int]:
+    for entry in mat:
+        if entry % q2:
+            inv = pow(entry, q2 - 2, q2)
+            return tuple((x * inv) % q2 for x in mat)
+    raise ValueError("zero matrix cannot represent a PGL element")
+
+
+def _mat_mul(x, y, q2):
+    return ((x[0] * y[0] + x[1] * y[2]) % q2,
+            (x[0] * y[1] + x[1] * y[3]) % q2,
+            (x[2] * y[0] + x[3] * y[2]) % q2,
+            (x[2] * y[1] + x[3] * y[3]) % q2)
+
+
+def lps_graph_by_bfs(p: int, q2: int) -> tuple[Graph, list[tuple[int, int, int, int]]]:
+    """X^{p,q2} as `expander.lps_graph` built it before its closure ran one
+    level at a time: a vertex-by-vertex BFS over normalized matrix tuples.
+    Returns the graph and the matrix of each vertex, in vertex order."""
+    i_unit = _sqrt_minus_one(q2)
+    gens = [_pgl_normalize(((a + i_unit * b) % q2, (c + i_unit * d) % q2,
+                            (-c + i_unit * d) % q2, (a - i_unit * b) % q2), q2)
+            for a, b, c, d in _lps_quadruples(p)]
+    identity = (1, 0, 0, 1)
+    index = {identity: 0}
+    order = [identity]
+    edges = []
+    dq = deque([identity])
+    while dq:
+        g = dq.popleft()
+        gi = index[g]
+        for s in gens:
+            h = _pgl_normalize(_mat_mul(g, s, q2), q2)
+            hi = index.get(h)
+            if hi is None:
+                hi = len(order)
+                index[h] = hi
+                order.append(h)
+                dq.append(h)
+            if gi < hi:
+                edges.append((gi, hi))
+    expected = q2 * (q2 * q2 - 1) // (2 if _legendre(p, q2) == 1 else 1)
+    if len(order) != expected:
+        raise RuntimeError(f"group closure has {len(order)} elements, expected {expected}")
+    return Graph(len(order), edges, cayley=True), order
 
 
 def projective_point_count(q: int, k: int) -> int:

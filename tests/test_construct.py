@@ -13,14 +13,15 @@ from blockforge.construct import (BlockingSet, cherry_hypergraph,
                                   write_blocking_set)
 from blockforge.errors import BudgetExceededError
 from blockforge.expander import (Graph, Hypergraph, complete_graph, cycle_graph,
-                                 path_graph)
+                                 lps_graph, path_graph)
 from blockforge.gf import field_create
 from blockforge.linalg import MatrixGF
-from blockforge.supply import PointSupply, supply_mds, normalize_column
+from blockforge.supply import (GeneralPositionReport, PointSupply, normalize_column,
+                               supply_mds)
 from blockforge.verify import is_strong_blocking
 
-from helpers import (identity_matrix, random_admissible_columns, span_union_resorting,
-                     supply_column)
+from helpers import (cherries_by_set, identity_matrix, random_admissible_columns,
+                     span_union_resorting, supply_column)
 
 
 def identity_supply(fld, k):
@@ -191,6 +192,41 @@ def test_cherry_point_count_bound():
     b = construct_cherry(g, sup)
     d = g.degree
     assert b.size * (5 - 1) <= 5 ** 3 * g.n * d * d  # projective size vs raw bound
+
+
+def _named_graph(name):
+    if name == "star":
+        return Graph(7, [(0, v) for v in range(1, 7)])
+    if name == "irregular":  # 7 and 8 isolated, 4, 5 and 6 of degree 1
+        return Graph(9, [(0, 1), (0, 2), (3, 0), (1, 2), (3, 4), (6, 5)])
+    if name.startswith("X"):
+        return lps_graph(*map(int, name[1:].split(",")))
+    return {"K": complete_graph, "P": path_graph, "C": cycle_graph}[name[0]](int(name[1:]))
+
+
+@pytest.mark.parametrize("name", ["K0", "K1", "K2", "K3", "K7", "P1", "P2", "P3", "P8",
+                                  "C3", "C4", "C9", "star", "irregular", "X5,13", "X5,29"])
+def test_cherries_match_the_set_of_tuples(name):
+    g = _named_graph(name)
+    want = cherries_by_set(g)
+    h = cherry_hypergraph(g)
+    assert h.edges == want and h.m == len(want) and h.n == g.n and h.max_edge_size == 3
+    assert list(h.edge_arrays) == ([3] if want else [])
+    if want:
+        assert h.edge_arrays[3].tolist() == [list(e) for e in want]
+
+
+def test_cherry_construction_never_builds_the_edge_tuples(monkeypatch):
+    g = lps_graph(5, 13)
+    fld = field_create(3)
+    sup = PointSupply(MatrixGF(fld, np.random.default_rng(13).integers(0, 3, size=(20, g.n))),
+                      "test")
+
+    def refuse(self):
+        raise AssertionError("Hypergraph.edges was built")
+    monkeypatch.setattr(Hypergraph, "edges", property(refuse))
+    b = construct_cherry(g, sup, report=GeneralPositionReport(2, 40, "sampled"))
+    assert b.size > lower_bound(3, 20, 2) and b.provenance["graph_n"] == g.n
 
 
 def test_cherry_rejects_matching():

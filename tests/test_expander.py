@@ -8,11 +8,13 @@ import pytest
 
 from blockforge import expander
 from blockforge.errors import BudgetExceededError
-from blockforge.expander import (Graph, ball, blowup, check_mixing,
+from blockforge.expander import (Graph, Hypergraph, ball, blowup, check_mixing,
                                  clique_hypergraph, complete_graph,
                                  cycle_graph, find_star_vertex, format_graph,
                                  largest_component, lps_graph, parse_graph,
                                  path_graph, power_graph, second_eigenvalue)
+
+from helpers import hypergraph_by_set, lps_graph_by_bfs
 
 
 def bfs_distances(g, src):
@@ -418,3 +420,83 @@ def test_graph_names_the_first_bad_edge(edges):
     with pytest.raises(ValueError) as got:
         Graph(5, edges)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("p, q2", [(5, 13), (5, 29), (17, 13)],
+                         ids=["X^{5,13} (PGL)", "X^{5,29} (PSL)", "X^{17,13} (PSL)"])
+def test_lps_closure_matches_the_tuple_bfs(p, q2):
+    """Equal adjacency tuples: the same graph under the same vertex numbering,
+    which is BFS order from the identity (vertex 0)."""
+    g = lps_graph(p, q2)
+    ref, order = lps_graph_by_bfs(p, q2)
+    assert g.n == ref.n == len(order) and g.m == ref.m and g.cayley
+    assert g.adjacency == ref.adjacency
+    assert list(g.edges()) == list(ref.edges())
+    dist = bfs_distances(g, 0)
+    assert [dist[v] for v in range(g.n)] == sorted(dist.values())
+
+
+FROM_EDGES_CASES = [  # (n, edges of one size, max_edge_size)
+    (4, [(1, 0), (0, 1), (3, 2), (0, 1)], None),
+    (6, [(5, 1, 3), (0, 4, 2), (3, 1, 5), (0, 1, 2)], 3),
+    (3, [(2,), (0,), (2,)], 4),
+    (3, [], 2),
+    (3, [(1, 2), (0, 0), (2, 2)], None),      # repeated vertex: (0, 0) comes first
+    (3, [(2, 5), (1, 0), (4, 1)], None),      # out of range: (1, 4) comes first
+    (3, [(0, -1), (1, 2)], None),             # negative
+    (3, [(3, 3), (0, 5)], None),              # out of range (0, 5) before repeated (3, 3)
+    (3, [(0, 0), (0, 5)], None),              # repeated (0, 0) before out of range (0, 5)
+    (3, [(0, 1, 2)], 2),                      # over the bound
+    (3, [(0, 1, 9)], 2),                      # out of range is named before the bound
+    (3, [(), ()], None),                      # empty
+]
+
+
+@pytest.mark.parametrize("n, edges, bound", FROM_EDGES_CASES)
+def test_from_edges_matches_the_set_of_tuples(n, edges, bound):
+    try:
+        want = hypergraph_by_set(n, edges, bound)
+    except ValueError as err:
+        want = str(err)
+    width = len(edges[0]) if edges else 0
+    array = np.array(edges, dtype=np.int64).reshape(len(edges), width)
+    given = {"array": array, "list": edges, "generator": (tuple(e) for e in edges),
+             "narrow array": array.astype(np.int16)}
+    for kind, value in given.items():
+        try:
+            h = Hypergraph.from_edges(n, value, bound)
+        except ValueError as err:
+            assert str(err) == want, kind
+            continue
+        assert (h.edges, h.max_edge_size) == want, kind
+        assert h.m == len(h.edges) and h.n == n
+        for r, rows in h.edge_arrays.items():
+            assert rows.dtype == np.int64 and not rows.flags.writeable
+            assert rows.tolist() == [list(e) for e in h.edges if len(e) == r]
+        assert h == Hypergraph.from_edges(n, edges, bound)
+        assert hash(h) == hash(Hypergraph.from_edges(n, edges, bound))
+
+
+@pytest.mark.parametrize("n, edges", [
+    (5, [(4,), (0, 1, 2), (0, 1), (2, 3), (1, 0), (3,), (1, 2, 4, 3)]),
+    (3, [(2, 2, 1), (0, 3)]),                 # out of range (0, 3) sorts first
+    (5, [(4,), (0, 1, 7)]),
+    (4, [(0, 1), (1, 2, 3), ()]),
+])
+def test_from_edges_of_mixed_sizes_matches_the_set_of_tuples(n, edges):
+    try:
+        want = hypergraph_by_set(n, edges)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            Hypergraph.from_edges(n, edges)
+        assert str(got.value) == str(err)
+        return
+    h = Hypergraph.from_edges(n, edges)
+    assert (h.edges, h.max_edge_size) == want  # one lexicographic order across sizes
+    assert list(h.edge_arrays) == sorted({len(e) for e in edges})
+    assert h.is_bounded(4) and not h.is_bounded(3)
+
+
+def test_from_edges_rejects_an_array_that_is_not_2d():
+    with pytest.raises(ValueError, match="2-D"):
+        Hypergraph.from_edges(3, np.array([0, 1, 2]))

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from blockforge.errors import BudgetExceededError
 from blockforge.gf import field_create, parse_field_header
 from blockforge import linalg
-from blockforge.linalg import (MatrixGF, enumerate_subspaces, format_matrix,
-                               gaussian_binomial, kernel_basis, matmul,
+from blockforge.linalg import (MatrixGF, format_matrix, gaussian_binomial, kernel_basis, matmul,
                                parse_matrix, projective_reps, quotient_map,
                                rank, rref, rref_blocks, rref_index,
                                rref_stack, subspace_count, subspace_from_rows)
 
-from helpers import identity_matrix, rank_product, zero_matrix
+from helpers import (enumerate_subspaces, identity_matrix, rank_product, rref_stack_int64,
+                     zero_matrix)
 
 
 def _naive_rank(fld, data):
@@ -102,6 +102,44 @@ def test_rref_stack_matches_naive_rank_and_single_rref(p, m):
             assert ranks[i] == r1 == len(piv) == _naive_rank(fld, mat)
             assert np.array_equal(R[i], R1.data)
             _check_rref_of(fld, R[i], r1, mat)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (13, 1), (3, 2), (2, 8), (65521, 1), (2, 16)],
+                         ids=["GF(2)", "GF(3)", "GF(13)", "GF(9)", "GF(2^8)", "GF(65521)",
+                              "GF(2^16)"])
+def test_rref_stack_in_the_storage_type_matches_the_int64_loop(p, m):
+    fld = field_create(p, m)
+    rng = np.random.default_rng(p + m)
+    deficient = 0
+    for rows, cols in [(0, 3), (3, 0), (1, 1), (2, 4), (4, 7), (7, 4), (6, 6), (18, 20)]:
+        a = rng.integers(0, fld.q, size=(12, rows, cols))
+        a[rng.random(a.shape) < 0.3] = 0
+        a[0] = 0
+        a[1] = fld.q - 1
+        if rows >= 2:
+            a[2::3, -1] = a[2::3, 0]  # a repeated row
+            a[3::3, rows // 2:] = 0  # zero padding, as in the verifier's stacks
+        want_R, want_ranks = rref_stack_int64(fld, a)
+        deficient += int((want_ranks < min(rows, cols)).sum())
+        for given in (a, a.astype(fld.dtype)):
+            R, ranks = rref_stack(fld, given)
+            assert R.dtype == np.int64 and np.array_equal(R, want_R)
+            assert np.array_equal(ranks, want_ranks)
+    assert deficient >= 12
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 8), (65521, 1)], ids=["GF(3)", "GF(2^8)", "GF(65521)"])
+def test_rref_stack_rejects_entries_outside_the_field(p, m):
+    fld = field_create(p, m)
+    wide = np.uint16 if fld.dtype == np.uint8 else np.uint32
+    for bad, dtype in [(-1, np.int64), (fld.q, np.int64), (fld.q, wide), (2 * fld.q, np.int64)]:
+        a = np.ones((3, 2, 4), dtype=dtype)
+        a[2, 1, 3] = bad  # in the storage type, q and 2q wrap to a field element
+        with pytest.raises(ValueError, match="out of range"):
+            rref_stack(fld, a)
+    if fld.q < 256:
+        with pytest.raises(ValueError, match="out of range"):
+            rref_stack(fld, np.full((1, 2, 2), fld.q, dtype=fld.dtype))
 
 
 def test_rank_product_identity():

@@ -4,14 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from helpers import (PINNED_CODE, identity_matrix, projective_point_count,
-                     random_admissible_columns, zero_matrix)
+from helpers import (PINNED_CODE, enumerate_subspaces, identity_matrix,
+                     projective_point_count, random_admissible_columns, zero_matrix)
 
 from blockforge.construct import BlockingSet
 from blockforge.errors import BudgetExceededError
 from blockforge.expander import complete_graph
 from blockforge.gf import field_create
-from blockforge.linalg import MatrixGF, enumerate_subspaces, subspace_from_rows
+from blockforge.linalg import MatrixGF, subspace_from_rows
 from blockforge.mincode import (LinearCode, blocking_to_code, code_to_blocking,
                                 duality_check, is_s_minimal, support)
 from blockforge.supply import supply_mds

@@ -8,7 +8,7 @@ from blockforge.errors import BudgetExceededError
 from blockforge.expander import complete_graph
 from blockforge.gf import field_create
 from blockforge import linalg, verify
-from blockforge.linalg import (MatrixGF, enumerate_subspaces, kernel_basis, projective_reps,
+from blockforge.linalg import (MatrixGF, kernel_basis, projective_reps,
                                quotient_map, rank, rref, rref_blocks, subspace_count,
                                subspace_from_rows)
 from blockforge.mincode import LinearCode, blocking_to_code, is_s_minimal
@@ -18,7 +18,7 @@ from blockforge.verify import (blocks_affine, is_strong_blocking,
                                to_affine_blocking)
 from blockforge.construct import construct_cherry
 
-from helpers import PINNED_CODE
+from helpers import PINNED_CODE, enumerate_subspaces
 
 
 def all_projective_points(fld, k):

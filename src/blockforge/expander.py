@@ -263,13 +263,10 @@ def _lps_quadruples(p: int) -> list[tuple[int, int, int, int]]:
 
 
 def _pgl_normalize(mats: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Each row of an (N, 4) block of nonzero 2x2 matrices mod q2, scaled so
-    its first nonzero entry is 1; `inv` is the table of inverses mod q2."""
-    q2 = len(inv)
+    """Each row of an (N, 4) block of invertible 2x2 matrices mod q2, scaled
+    so its first nonzero entry is 1; `inv` is the table of inverses mod q2."""
     lead = mats[np.arange(len(mats)), (mats != 0).argmax(axis=1)]
-    if not lead.all():
-        raise ValueError("zero matrix cannot represent a PGL element")
-    return mats * inv[lead][:, None] % q2
+    return mats * inv[lead][:, None] % len(inv)
 
 
 def lps_graph(p: int, q2: int) -> Graph:

@@ -10,6 +10,11 @@ with BLAS single-threaded; the order of the trees alternates from one
 measurement (or one RSS process) to the next.
 
 - `lps_graph_5_13`, `lps_graph_5_29`: `lps_graph(5, 13)` and `lps_graph(5, 29)`;
+- `graph_5_13`, `graph_5_29`: `Graph(n, edges)` from the edge array of
+  X^{5,13} and of X^{5,29};
+- `bfs_5_13`, `bfs_5_29`: `is_connected()` then `bipartition()` on each;
+- `power_graph_5_13`: `power_graph(X^{5,13}, 2)`;
+- `neighborhood_5_13`: `construct.neighborhood_hypergraph(X^{5,13}, 3)`;
 - `cherry_hypergraph`: `construct.cherry_hypergraph` on X^{5,13};
 - `general_position`: the sampled general-position gate of the benchmark's
   lps-sampled inputs (seed 1: a random 20 x 2184 supply over GF(3), 1000
@@ -46,8 +51,9 @@ SEED = 1
 RREF_MATRICES = 200
 RREF_SHAPES = {"rref_2x4_gf3": (3, 1, 2, 4), "rref_2x4_gf9": (3, 2, 2, 4),
                "rref_18x20_gf3": (3, 1, 18, 20)}  # p, m, rows, cols
-MEASURES = ("lps_graph_5_13", "lps_graph_5_29", "cherry_hypergraph", "general_position",
-            *RREF_SHAPES, "rss_after_construct")
+MEASURES = ("lps_graph_5_13", "lps_graph_5_29", "graph_5_13", "graph_5_29", "bfs_5_13",
+            "bfs_5_29", "power_graph_5_13", "neighborhood_5_13", "cherry_hypergraph",
+            "general_position", *RREF_SHAPES, "rss_after_construct")
 
 
 def _quartiles(values, digits):
@@ -79,6 +85,21 @@ def measure(name: str, src: str, repeat: int) -> dict:
     if name.startswith("lps_graph"):
         p, q = (int(x) for x in name.split("_")[2:])
         return {"n": bf.lps_graph(p, q).n, **_time(lambda: bf.lps_graph(p, q), repeat)}
+    if name.startswith(("graph_", "bfs_")):
+        import numpy as np
+        g = bf.lps_graph(5, int(name.split("_")[2]))
+        if name.startswith("graph_"):
+            edges = np.array(list(g.edges()), dtype=np.int64)
+            return {"m": g.m, **_time(lambda: bf.Graph(g.n, edges), repeat)}
+        return {"connected": g.is_connected(), "bipartite": g.bipartition() is not None,
+                **_time(lambda: (g.is_connected(), g.bipartition()), repeat)}
+    if name == "power_graph_5_13":
+        g = bf.lps_graph(5, 13)
+        return {"m": bf.power_graph(g, 2).m, **_time(lambda: bf.power_graph(g, 2), repeat)}
+    if name == "neighborhood_5_13":
+        g = bf.lps_graph(5, 13)
+        return {"edges": bf.construct.neighborhood_hypergraph(g, 3).m,
+                **_time(lambda: bf.construct.neighborhood_hypergraph(g, 3), repeat)}
     if name == "cherry_hypergraph":
         g = bf.lps_graph(5, 13)
         return {"edges": bf.construct.cherry_hypergraph(g).m,

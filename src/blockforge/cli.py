@@ -129,6 +129,10 @@ def _cmd_supply(args, budgets, fmt) -> int:
 
 
 def _cmd_graph(args, budgets, fmt) -> int:
+    needs = {"lps": ("p", "q"), "complete": ("n",), "power": ("u",), "blowup": ("D",)}
+    for flag in needs.get(args.kind, ()):
+        if getattr(args, flag) is None:
+            raise ValueError(f"graph {args.kind} needs --{flag}")
     if args.kind == "lps":
         g = lps_graph(args.p, args.q)
         config = {"kind": "lps", "p": args.p, "q": args.q}
@@ -189,7 +193,7 @@ def _cmd_construct(args, budgets, fmt) -> int:
 
 def _cmd_verify(args, budgets, fmt) -> int:
     b = _load_blocking(args.set)
-    if args.sampled:
+    if args.sampled is not None:
         rep = is_strong_blocking_sampled(b, args.s, args.sampled, seed=args.seed)
     else:
         rep = is_strong_blocking(b, args.s, budget=budgets.subspaces,

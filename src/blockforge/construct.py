@@ -22,10 +22,10 @@ import numpy as np
 
 from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
-from .expander import Graph, Hypergraph, ball, power_graph, clique_hypergraph
+from .expander import Graph, Hypergraph, power_graph, clique_hypergraph
 from .gf import FieldSpec
-from .linalg import (MatrixGF, _row_keys, distinct_rows, format_matrix, load_rows,
-                     load_sidecar, parse_matrix, projective_reps, write_rows)
+from .linalg import (_row_keys, distinct_rows, format_rows, load_rows, load_sidecar,
+                     matrix_head, parse_field_rows, projective_reps, write_rows)
 from .supply import (GeneralPositionReport, PointSupply, normalize_rows,
                      verify_general_position)
 
@@ -155,23 +155,37 @@ def edge_span_union(h: Hypergraph, supply: PointSupply, *,
     return BlockingSet(fld, k, distinct, prov)
 
 
-def cherry_hypergraph(g: Graph) -> Hypergraph:
-    """3-sets {x, y, z} with xy and xz both edges of g.
-
-    Built from the graph's CSR arrays, one degree class at a time: the rows
-    (x, y, z) for every vertex x of degree d and every pair of positions in
-    its neighbour list; `Hypergraph.from_edges` sorts and deduplicates them."""
-    degrees = np.diff(g._ends, prepend=0)
-    rows = [np.zeros((0, 3), dtype=np.int64)]
-    for d in sorted(set(degrees.tolist())):
-        if d < 2:
+def _local_subsets(lists: tuple[np.ndarray, np.ndarray], r: int, *,
+                   centred: bool = False, budget: int | None = None) -> np.ndarray:
+    """The rows f, or (x, f) when `centred`, for every vertex x and every
+    r-subset f of x's sorted list in `lists`, the CSR form (values, ends) of
+    `Graph.neighborhoods`; one list length at a time.  `budget` caps the row
+    count, sum C(len, r), and is checked before any row is built."""
+    values, ends = lists
+    lengths = np.diff(ends, prepend=0)
+    counts = np.bincount(lengths).tolist()  # counts[d]: the lists of length d
+    total = sum(c * math.comb(d, r) for d, c in enumerate(counts))
+    if budget is not None and total > budget:
+        raise BudgetExceededError("cliques", budget, total)
+    rows = [np.zeros((0, r + centred), dtype=np.int64)]
+    for d, c in enumerate(counts):
+        if d < r or not c:
             continue
-        xs = np.nonzero(degrees == d)[0]
-        nbrs = g._heads[(g._ends[xs] - d)[:, None] + np.arange(d)]  # len(xs) x d
-        i, j = np.array(list(combinations(range(d), 2))).T
-        rows.append(np.stack([np.repeat(xs, len(i)), nbrs[:, i].ravel(),
-                              nbrs[:, j].ravel()], axis=1))
-    return Hypergraph.from_edges(g.n, np.concatenate(rows), max_edge_size=3)
+        xs = np.nonzero(lengths == d)[0]
+        block = values[(ends[xs] - d)[:, None] + np.arange(d)]  # len(xs) x d
+        picks = np.array(list(combinations(range(d), r))).T  # r x C(d, r)
+        cols = [block[:, i].ravel() for i in picks]
+        if centred:
+            cols.insert(0, np.repeat(xs, picks.shape[1]))
+        rows.append(np.stack(cols, axis=1))
+    return np.concatenate(rows)
+
+
+def cherry_hypergraph(g: Graph) -> Hypergraph:
+    """3-sets {x, y, z} with xy and xz both edges of g: each vertex x with
+    every 2-subset of its neighbours."""
+    return Hypergraph.from_edges(g.n, _local_subsets(g.neighborhoods(), 2, centred=True),
+                                 max_edge_size=3)
 
 
 def construct_cherry(g: Graph, supply: PointSupply, *,
@@ -207,17 +221,8 @@ def ball_power_hypergraph(g: Graph, s: int, *, variant: str = "ball",
         return clique_hypergraph(power_graph(g, r), r, budget=budgets.cliques)
     if variant != "ball":
         raise ValueError(f"unknown variant {variant!r}")
-    edges = set()
-    for x in range(g.n):
-        bx = ball(g, x, r)
-        if len(bx) < r:
-            continue
-        if math.comb(len(bx), r) + len(edges) > budgets.cliques:
-            raise BudgetExceededError("cliques", budgets.cliques,
-                                      len(edges) + math.comb(len(bx), r))
-        for f in combinations(bx, r):
-            edges.add(f)
-    return Hypergraph.from_edges(g.n, edges, max_edge_size=r)
+    rows = _local_subsets(g.neighborhoods(r, closed=True), r, budget=budgets.cliques)
+    return Hypergraph.from_edges(g.n, rows, max_edge_size=r)
 
 
 def construct_ball_power(g: Graph, supply: PointSupply, s: int, *,
@@ -243,21 +248,8 @@ def construct_ball_power(g: Graph, supply: PointSupply, s: int, *,
 def neighborhood_hypergraph(g: Graph, s: int, *,
                             budgets: Budgets = DEFAULT_BUDGETS) -> Hypergraph:
     """(s+1)-subsets of closed neighborhoods N[x]."""
-    r = s + 1
-    edges = set()
-    skipped = 0
-    for x in range(g.n):
-        closed = sorted(set(g.adjacency[x]) | {x})
-        if len(closed) < r:
-            skipped += 1
-            continue
-        if math.comb(len(closed), r) + len(edges) > budgets.cliques:
-            raise BudgetExceededError("cliques", budgets.cliques,
-                                      len(edges) + math.comb(len(closed), r))
-        for f in combinations(closed, r):
-            edges.add(f)
-    h = Hypergraph.from_edges(g.n, edges, max_edge_size=r)
-    return h
+    rows = _local_subsets(g.neighborhoods(1, closed=True), s + 1, budget=budgets.cliques)
+    return Hypergraph.from_edges(g.n, rows, max_edge_size=s + 1)
 
 
 def construct_neighborhood(g: Graph, supply: PointSupply, s: int, *,
@@ -270,9 +262,8 @@ def construct_neighborhood(g: Graph, supply: PointSupply, s: int, *,
     if s < 1:
         raise ValueError("s must be >= 1")
     report = report or verify_general_position(supply, budgets=budgets)
-    r = s + 1
     h = neighborhood_hypergraph(g, s, budgets=budgets)
-    degenerate = sum(1 for x in range(g.n) if len(g.adjacency[x]) + 1 < r)
+    degenerate = int((g.degrees() < s).sum())  # |N[x]| < s + 1
     prov = {"construction": "neighborhood", "s": s, "graph_n": g.n, "graph_m": g.m,
             "span_threshold": report.span_threshold,
             "vertices_below_edge_size": degenerate,
@@ -285,7 +276,7 @@ def construct_neighborhood(g: Graph, supply: PointSupply, s: int, *,
 # ---------------------------------------------------------------------------
 
 def format_blocking_set(b: BlockingSet) -> str:
-    return format_matrix(MatrixGF(b.field, b.points))
+    return matrix_head(b.field, *b.points.shape) + format_rows(b.points)
 
 
 def _file_set(fld: FieldSpec, rows: np.ndarray, provenance: dict) -> BlockingSet:
@@ -300,8 +291,7 @@ def _file_set(fld: FieldSpec, rows: np.ndarray, provenance: dict) -> BlockingSet
 
 
 def parse_blocking_set(text: str) -> BlockingSet:
-    m = parse_matrix(text)
-    return _file_set(m.field, m.data, {"construction": "file"})
+    return _file_set(*parse_field_rows(text), {"construction": "file"})
 
 
 def write_blocking_set(path, b: BlockingSet) -> None:

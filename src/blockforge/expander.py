@@ -2,10 +2,12 @@
 checks, the hypergraph edge-list type, and the graph operators (powers,
 blow-ups, clique hypergraphs, balls) used by the blocking-set constructions.
 
-Graphs are immutable after construction.  BFS-style operators shard naturally
-by start vertex.  `second_eigenvalue` reports max |lambda| over the
-non-trivial adjacency spectrum (every eigenvalue but d, and -d for bipartite
-graphs) by one of three paths:
+Graphs are immutable and hold their adjacency in one form, a sorted edge
+array and its CSR arrays.  Connectivity, bipartition, balls, components and
+graph powers come from one BFS over those arrays, a level at a time, with
+many searches in one frontier.  `second_eigenvalue` reports max |lambda|
+over the non-trivial adjacency spectrum (every eigenvalue but d, and -d for
+bipartite graphs) by one of three paths:
 
 * exact: a dense eigensolve, for graphs of at most `exact_threshold` vertices;
 * trace: a proved interval from exact closed-walk counts, for larger graphs
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -29,8 +30,15 @@ from .gf import is_prime
 from .linalg import distinct_rows, format_rows, parse_rows, split_head
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an array of non-negative integers, ascending."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
 class Graph:
-    """Simple undirected graph, vertices 0..n-1, sorted adjacency lists.
+    """Simple undirected graph on vertices 0..n-1, held as its sorted edge
+    array and CSR arrays; `adjacency`, the tuple view, is built on first use.
 
     `cayley=True` records that the graph is a Cayley graph, so every vertex
     sees the same closed-walk counts.  Only `lps_graph` passes it; the graph
@@ -54,80 +62,104 @@ class Graph:
         self.m = len(self._edge_array)
         both = distinct_rows(np.vstack([self._edge_array, self._edge_array[:, ::-1]]))[0]
         # CSR form: the sorted neighbours of v are _heads[_ends[v] - deg v:_ends[v]]
-        self._heads = both[:, 1]
+        self._heads = np.ascontiguousarray(both[:, 1])
+        self._heads.setflags(write=False)
         self._ends = np.cumsum(np.bincount(both[:, 0], minlength=n))
-        heads, ends = self._heads.tolist(), self._ends.tolist()
-        self.adjacency = tuple(tuple(heads[a:b]) for a, b in zip([0] + ends, ends))
-        self._neighbors = None
+        self._ends.setflags(write=False)
 
-    def degrees(self):
-        return [len(a) for a in self.adjacency]
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        heads, ends = self._heads.tolist(), self._ends.tolist()
+        return tuple(tuple(heads[a:b]) for a, b in zip([0] + ends, ends))
+
+    def degrees(self) -> np.ndarray:
+        return np.diff(self._ends, prepend=0)
 
     def is_regular(self) -> bool:
-        degs = self.degrees()
-        return self.n == 0 or min(degs) == max(degs)
+        return self.n == 0 or bool(np.ptp(self.degrees()) == 0)
 
     @property
     def degree(self) -> int:
         if not self.is_regular():
             raise ValueError("graph is not regular")
-        return len(self.adjacency[0]) if self.n else 0
+        return int(self._ends[0]) if self.n else 0
 
     def edges(self):
         return map(tuple, self._edge_array.tolist())
 
-    @functools.cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(a) for a in self.adjacency)
+    def _row(self, v: int) -> np.ndarray:
+        """The sorted neighbours of v."""
+        return self._heads[(self._ends[v - 1] if v else 0):self._ends[v]]
+
+    def _rows(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbours of every vertex of `vs`, row after row, and the
+        position in `vs` of the row each one comes from."""
+        ends = self._ends[vs]
+        degs = ends - np.where(vs > 0, self._ends[vs - 1], 0)
+        at = np.repeat(np.arange(len(vs)), degs)
+        return self._heads[np.arange(len(at)) + (ends - np.cumsum(degs))[at]], at
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_sets[u]
+        return bool((self._row(u) == v).any())
 
-    @property
+    @functools.cached_property
     def neighbors(self) -> np.ndarray:
         """(d, n) int64 array of a d-regular graph; column v holds the sorted
         neighbours of v, so the adjacency matvec A @ x is
         np.add.reduce(x[neighbors], axis=0)."""
-        if self._neighbors is None:
-            d = self.degree
-            nbr = np.array(self.adjacency, dtype=np.int64).reshape(self.n, d)
-            self._neighbors = np.ascontiguousarray(nbr.T)
-        return self._neighbors
+        return np.ascontiguousarray(self._heads.reshape(self.n, self.degree).T)
+
+    def _bfs(self, sources, radius: int | None = None,
+             mask: np.ndarray | None = None) -> list[np.ndarray]:
+        """The sorted keys at BFS distance 0, 1, ... up to `radius` (None:
+        all), one frontier at a time, entering only vertices where `mask`
+        holds.  Key label * n + v is vertex v in the search `label`; the
+        `sources` (keys) of one label start one multi-source search.  A
+        neighbour of level i lies in level i - 1, i or i + 1, so the next
+        level is the frontier's neighbours minus the last two levels."""
+        levels = [_distinct(np.asarray(sources, dtype=np.int64))]
+        n = self.n
+        while len(levels[-1]) and len(levels) - 1 != radius:
+            labels, vs = np.divmod(levels[-1], n)
+            heads, at = self._rows(vs)
+            if mask is not None:
+                heads, at = heads[mask[heads]], at[mask[heads]]
+            reached = _distinct(labels[at] * n + heads)
+            for old in levels[-2:]:
+                i = np.minimum(np.searchsorted(old, reached), len(old) - 1)
+                reached = reached[old[i] != reached]
+            levels.append(reached)
+        return levels
+
+    def neighborhoods(self, radius: int = 1, *, closed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted list of the vertices at distance 1..radius from each
+        vertex (0..radius when `closed`), in CSR form (values, ends): the
+        list of v is values[ends[v - 1]:ends[v]], from 0 for v = 0.  The
+        open radius-1 lists are the graph's own read-only arrays."""
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        if radius == 1 and not closed:
+            return self._heads, self._ends
+        keys = np.sort(np.concatenate(self._bfs(np.arange(self.n) * (self.n + 1), radius)))
+        centres, values = np.divmod(keys, self.n)
+        if not closed:
+            centres, values = centres[centres != values], values[centres != values]
+        return values, np.cumsum(np.bincount(centres, minlength=self.n))
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = self._bfs_reach(0)
-        return len(seen) == self.n
-
-    def _bfs_reach(self, start: int) -> set[int]:
-        seen = {start}
-        dq = deque([start])
-        while dq:
-            u = dq.popleft()
-            for v in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    dq.append(v)
-        return seen
+        return self.n == 0 or sum(map(len, self._bfs([0]))) == self.n
 
     def bipartition(self):
-        """Return a +-1 coloring vector if the graph is bipartite, else None."""
+        """Return a +-1 coloring vector if the graph is bipartite, else None:
+        +1 at even BFS distance from the least vertex of its component."""
         color = np.zeros(self.n, dtype=np.int64)
-        for s in range(self.n):
-            if color[s]:
-                continue
-            color[s] = 1
-            dq = deque([s])
-            while dq:
-                u = dq.popleft()
-                for v in self.adjacency[u]:
-                    if color[v] == 0:
-                        color[v] = -color[u]
-                        dq.append(v)
-                    elif color[v] == color[u]:
-                        return None
-        return color
+        rest = np.arange(self.n)  # the uncoloured vertices, ascending
+        while rest.size:
+            for i, level in enumerate(self._bfs(rest[:1])):
+                color[level] = 1 - 2 * (i % 2)
+            rest = rest[color[rest] == 0]
+        u, v = self._edge_array.T
+        return None if (color[u] == color[v]).any() else color
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -524,16 +556,6 @@ class MixingReport:
                 "violations": self.violations, "max_ratio": self.max_ratio}
 
 
-def _edges_inside(g: Graph, mask: np.ndarray) -> int:
-    x = mask.astype(np.float64)
-    return int(round((x @ np.add.reduce(x[g.neighbors], axis=0)) / 2))
-
-
-def _edges_between(g: Graph, mu: np.ndarray, mv: np.ndarray) -> int:
-    y = mv.astype(np.float64)
-    return int(round(mu.astype(np.float64) @ np.add.reduce(y[g.neighbors], axis=0)))
-
-
 def check_mixing(g: Graph, lam: float, trials: int, seed: int = 0) -> MixingReport:
     """Sample vertex sets and test both mixing inequalities with the given
     lambda:
@@ -546,6 +568,7 @@ def check_mixing(g: Graph, lam: float, trials: int, seed: int = 0) -> MixingRepo
     if not g.is_regular():
         raise ValueError("mixing check requires a regular graph")
     d, n = g.degree, g.n
+    x, y = g._edge_array.T  # e(G[U]) and e(G[U, V]) are counted on the edge array
     rng = np.random.default_rng(seed)
     violations = 0
     max_ratio = 0.0
@@ -554,7 +577,7 @@ def check_mixing(g: Graph, lam: float, trials: int, seed: int = 0) -> MixingRepo
         mask = rng.random(n) < 0.5
         u = int(mask.sum())
         if u:
-            lhs = abs(2 * _edges_inside(g, mask) - d / n * u * u)
+            lhs = abs(2 * int((mask[x] & mask[y]).sum()) - d / n * u * u)
             rhs = lam * u
             max_ratio = max(max_ratio, lhs / rhs)
             if lhs > rhs + eps:
@@ -563,7 +586,7 @@ def check_mixing(g: Graph, lam: float, trials: int, seed: int = 0) -> MixingRepo
         mu, mv = c == 0, c == 1
         u, v = int(mu.sum()), int(mv.sum())
         if u and v:
-            lhs = abs(_edges_between(g, mu, mv) - d / n * u * v)
+            lhs = abs(int((mu[x] & mv[y]).sum() + (mv[x] & mu[y]).sum()) - d / n * u * v)
             rhs = lam * math.sqrt(u * v)
             max_ratio = max(max_ratio, lhs / rhs)
             if lhs > rhs + eps:
@@ -581,24 +604,15 @@ def largest_component(g: Graph, subset) -> tuple[int, ...]:
     Ties are broken toward the component containing the smallest vertex, so
     the result is deterministic.
     """
-    inside = set(int(v) for v in subset)
-    best: tuple[int, ...] = ()
-    seen: set[int] = set()
-    for s in sorted(inside):
-        if s in seen:
-            continue
-        comp = {s}
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for v in g.adjacency[u]:
-                if v in inside and v not in comp:
-                    comp.add(v)
-                    dq.append(v)
-        seen |= comp
-        if len(comp) > len(best):
-            best = tuple(sorted(comp))
-    return best
+    inside = np.zeros(g.n, dtype=bool)
+    inside[np.fromiter(subset, dtype=np.int64)] = True
+    rest = np.flatnonzero(inside)  # the vertices in no component yet, ascending
+    best = rest[:0]
+    while rest.size:
+        comp = np.sort(np.concatenate(g._bfs(rest[:1], mask=inside)))
+        best = comp if len(comp) > len(best) else best
+        rest = np.setdiff1d(rest, comp, assume_unique=True)
+    return tuple(best.tolist())
 
 
 def find_star_vertex(g: Graph, u0, *others):
@@ -612,7 +626,7 @@ def find_star_vertex(g: Graph, u0, *others):
         if a & b:
             raise ValueError("vertex sets must be pairwise disjoint")
     for x in sorted(sets[0]):
-        nbrs = g.neighbor_sets[x]
+        nbrs = set(g._row(x).tolist())
         if all(nbrs & s for s in sets[1:]):
             return x
     return None
@@ -622,37 +636,21 @@ def find_star_vertex(g: Graph, u0, *others):
 # Graph operators
 # ---------------------------------------------------------------------------
 
-def _bfs_within(g: Graph, start: int, radius: int) -> dict[int, int]:
-    dist = {start: 0}
-    dq = deque([start])
-    while dq:
-        u = dq.popleft()
-        if dist[u] == radius:
-            continue
-        for v in g.adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                dq.append(v)
-    return dist
-
-
 def ball(g: Graph, x: int, t: int) -> tuple[int, ...]:
     """All vertices at distance at most t from x (BFS)."""
     if t < 0:
         raise ValueError("radius must be >= 0")
-    return tuple(sorted(_bfs_within(g, x, t)))
+    return tuple(np.sort(np.concatenate(g._bfs([x], t))).tolist())
 
 
 def power_graph(g: Graph, u: int) -> Graph:
     """Edge xy iff 1 <= dist(x, y) <= u."""
     if u < 1:
         raise ValueError("power must be >= 1")
-    edges = []
-    for x in range(g.n):
-        for y in _bfs_within(g, x, u):
-            if x < y:
-                edges.append((x, y))
-    return Graph(g.n, edges)
+    values, ends = g.neighborhoods(u)
+    centres = np.repeat(np.arange(g.n), np.diff(ends, prepend=0))
+    forward = centres < values
+    return Graph(g.n, np.stack([centres[forward], values[forward]], axis=1))
 
 
 def blowup(g: Graph, d: int) -> Graph:
@@ -677,19 +675,20 @@ def clique_hypergraph(g: Graph, r: int, *, budget: int = DEFAULT_BUDGETS.cliques
         raise ValueError("clique size must be >= 2")
     edges: list[tuple[int, ...]] = []
 
-    def extend(clique: list[int], candidates: list[int]):
+    def extend(clique: list[int], candidates: np.ndarray):  # candidates sorted
         if len(clique) == r:
             if len(edges) >= budget:
                 raise BudgetExceededError("cliques", budget, len(edges) + 1)
             edges.append(tuple(clique))
             return
-        for idx, v in enumerate(candidates):
-            nxt = [w for w in candidates[idx + 1:] if g.has_edge(v, w)]
+        for idx, v in enumerate(candidates.tolist()):
+            nxt = np.intersect1d(candidates[idx + 1:], g._row(v), assume_unique=True)
             if len(clique) + 1 + len(nxt) >= r:
                 extend(clique + [v], nxt)
 
     for v in range(g.n):
-        extend([v], [w for w in g.adjacency[v] if w > v])
+        row = g._row(v)
+        extend([v], row[row > v])
     return Hypergraph.from_edges(g.n, edges, max_edge_size=r)
 
 

@@ -405,12 +405,13 @@ def split_head(text: str, count: int) -> tuple[tuple[str, ...], str]:
     return m.groups(), text[m.end():]
 
 
-def _matrix_head(field: FieldSpec, rows: int, cols: int) -> str:
+def matrix_head(field: FieldSpec, rows: int, cols: int) -> str:
+    """The two head lines of a matrix file: the field, then the dims."""
     return f"{field.header_line()}\ndims {rows} {cols}\n"
 
 
 def format_matrix(m: MatrixGF) -> str:
-    return _matrix_head(m.field, m.rows, m.cols) + format_rows(m.data)
+    return matrix_head(m.field, m.rows, m.cols) + format_rows(m.data)
 
 
 def _head(header: str, dims: str) -> tuple[FieldSpec, int, int]:
@@ -421,14 +422,17 @@ def _head(header: str, dims: str) -> tuple[FieldSpec, int, int]:
     return parse_field_header(header), int(dtoks[1]), int(dtoks[2])
 
 
-def _parse(text: str) -> tuple[FieldSpec, np.ndarray]:
+def parse_field_rows(text: str) -> tuple[FieldSpec, np.ndarray]:
+    """The field and the int64 rows of a matrix's text, entries checked."""
     head, body = split_head(text, 2)
     field, rows, cols = _head(*head)
-    return field, parse_rows(body, rows, cols)
+    data = parse_rows(body, rows, cols)
+    _check_entries(field, data)
+    return field, data
 
 
 def parse_matrix(text: str) -> MatrixGF:
-    return MatrixGF(*_parse(text))
+    return MatrixGF(*parse_field_rows(text))
 
 
 def _grid_file(raw: bytes) -> tuple[FieldSpec, np.ndarray] | None:
@@ -455,7 +459,7 @@ def write_rows(path, field: FieldSpec, rows: np.ndarray, sidecar: dict | None) -
     """Write the matrix of `rows` over `field` (entries in [0, q), any integer
     type) to `path` and, unless it is None, `sidecar` as JSON to `<path>.json`."""
     with open(path, "w") as f:
-        f.write(_matrix_head(field, *rows.shape))
+        f.write(matrix_head(field, *rows.shape))
         f.writelines(_row_chunks(rows))
     if sidecar is None:
         return
@@ -476,14 +480,14 @@ def load_rows(path) -> tuple[FieldSpec, np.ndarray]:
     The file is read as bytes.  In the writer's single-digit layout the grid
     is read from those bytes and returned as that uint8 array; any other
     file is decoded as a text-mode `open` would (locale encoding, universal
-    newlines) and parsed as by `parse_matrix`, into int64."""
+    newlines) and parsed by `parse_field_rows`, into int64."""
     with open(path, "rb") as f:
         raw = f.read()
     found = _grid_file(raw)
     if found is None:
         text = io.TextIOWrapper(io.BytesIO(raw)).read()
         del raw  # while the general parser runs, hold the text alone, as a text-mode read did
-        found = _parse(text)
+        return parse_field_rows(text)
     _check_entries(*found)
     return found
 

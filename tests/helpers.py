@@ -5,6 +5,7 @@ Everything here is seeded by the caller, so test runs are reproducible.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import combinations
 
@@ -138,6 +139,171 @@ def cherries_by_set(g: Graph) -> tuple[tuple[int, int, int], ...]:
         for y, z in combinations(g.adjacency[x], 2):
             cherries.add(tuple(sorted((x, y, z))))
     return tuple(sorted(cherries))
+
+
+# References: the graph operators as `expander` and `construct` ran them
+# before they worked on the CSR arrays, on the tuple view `g.adjacency`.
+
+def bfs_distances(g: Graph, start: int, radius: int | None = None) -> dict[int, int]:
+    """Distances from `start`, up to `radius` when given, by the per-vertex
+    deque BFS (`expander._bfs_reach` and `_bfs_within`)."""
+    dist = {start: 0}
+    dq = deque([start])
+    while dq:
+        u = dq.popleft()
+        if dist[u] == radius:
+            continue
+        for v in g.adjacency[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                dq.append(v)
+    return dist
+
+
+def is_connected_by_bfs(g: Graph) -> bool:
+    return g.n == 0 or len(bfs_distances(g, 0)) == g.n
+
+
+def bipartition_by_bfs(g: Graph):
+    """`Graph.bipartition`: a +-1 coloring vector, or None at the first edge
+    whose ends get one colour."""
+    color = np.zeros(g.n, dtype=np.int64)
+    for s in range(g.n):
+        if color[s]:
+            continue
+        color[s] = 1
+        dq = deque([s])
+        while dq:
+            u = dq.popleft()
+            for v in g.adjacency[u]:
+                if color[v] == 0:
+                    color[v] = -color[u]
+                    dq.append(v)
+                elif color[v] == color[u]:
+                    return None
+    return color
+
+
+def ball_by_bfs(g: Graph, x: int, t: int) -> tuple[int, ...]:
+    return tuple(sorted(bfs_distances(g, x, t)))
+
+
+def power_graph_by_bfs(g: Graph, u: int) -> Graph:
+    edges = []
+    for x in range(g.n):
+        for y in bfs_distances(g, x, u):
+            if x < y:
+                edges.append((x, y))
+    return Graph(g.n, edges)
+
+
+def largest_component_by_bfs(g: Graph, subset) -> tuple[int, ...]:
+    inside = set(int(v) for v in subset)
+    best: tuple[int, ...] = ()
+    seen: set[int] = set()
+    for s in sorted(inside):
+        if s in seen:
+            continue
+        comp = {s}
+        dq = deque([s])
+        while dq:
+            u = dq.popleft()
+            for v in g.adjacency[u]:
+                if v in inside and v not in comp:
+                    comp.add(v)
+                    dq.append(v)
+        seen |= comp
+        if len(comp) > len(best):
+            best = tuple(sorted(comp))
+    return best
+
+
+def find_star_vertex_by_sets(g: Graph, u0, *others):
+    sets = [set(int(v) for v in u0)] + [set(int(v) for v in s) for s in others]
+    for a, b in combinations(sets, 2):
+        if a & b:
+            raise ValueError("vertex sets must be pairwise disjoint")
+    for x in sorted(sets[0]):
+        nbrs = set(g.adjacency[x])
+        if all(nbrs & s for s in sets[1:]):
+            return x
+    return None
+
+
+def cliques_by_has_edge(g: Graph, r: int, budget: int) -> tuple[tuple[int, ...], ...]:
+    """`expander.clique_hypergraph`'s edges, testing one candidate at a time
+    against a neighbour set."""
+    nbrs = [set(a) for a in g.adjacency]
+    edges: list[tuple[int, ...]] = []
+
+    def extend(clique, candidates):
+        if len(clique) == r:
+            if len(edges) >= budget:
+                raise BudgetExceededError("cliques", budget, len(edges) + 1)
+            edges.append(tuple(clique))
+            return
+        for idx, v in enumerate(candidates):
+            nxt = [w for w in candidates[idx + 1:] if w in nbrs[v]]
+            if len(clique) + 1 + len(nxt) >= r:
+                extend(clique + [v], nxt)
+
+    for v in range(g.n):
+        extend([v], [w for w in g.adjacency[v] if w > v])
+    return tuple(sorted(edges))
+
+
+def mixing_by_matvec(g: Graph, lam: float, trials: int, seed: int = 0) -> dict:
+    """`expander.check_mixing(...).to_dict()` with e(G[U]) and e(G[U, V])
+    from float adjacency matvecs over `g.neighbors`, as it counted them
+    before it read the edge array."""
+    d, n = g.degree, g.n
+    rng = np.random.default_rng(seed)
+    violations, max_ratio, eps = 0, 0.0, 1e-9
+    for _ in range(trials):
+        mask = rng.random(n) < 0.5
+        u = int(mask.sum())
+        if u:
+            x = mask.astype(np.float64)
+            inside = int(round((x @ np.add.reduce(x[g.neighbors], axis=0)) / 2))
+            lhs, rhs = abs(2 * inside - d / n * u * u), lam * u
+            max_ratio = max(max_ratio, lhs / rhs)
+            violations += lhs > rhs + eps
+        c = rng.integers(0, 3, n)
+        mu, mv = c == 0, c == 1
+        u, v = int(mu.sum()), int(mv.sum())
+        if u and v:
+            y = mv.astype(np.float64)
+            between = int(round(mu.astype(np.float64) @ np.add.reduce(y[g.neighbors], axis=0)))
+            lhs, rhs = abs(between - d / n * u * v), lam * math.sqrt(u * v)
+            max_ratio = max(max_ratio, lhs / rhs)
+            violations += lhs > rhs + eps
+    return {"lambda": lam, "trials": trials, "violations": violations, "max_ratio": max_ratio}
+
+
+def _subsets_by_set(n: int, lists, r: int, budget: int) -> tuple[tuple[int, ...], ...]:
+    """The r-subsets of every vertex's sorted list, gathered in a set; the
+    budget is checked one vertex at a time against the distinct edges so far."""
+    edges: set[tuple[int, ...]] = set()
+    for x in range(n):
+        if len(lists[x]) < r:
+            continue
+        if math.comb(len(lists[x]), r) + len(edges) > budget:
+            raise BudgetExceededError("cliques", budget, len(edges) + math.comb(len(lists[x]), r))
+        edges.update(combinations(lists[x], r))
+    return tuple(sorted(edges))
+
+
+def neighborhood_edges_by_set(g: Graph, s: int, budget: int = DEFAULT_BUDGETS.cliques):
+    """`construct.neighborhood_hypergraph`'s edges: (s+1)-subsets of N[x]."""
+    closed = [sorted(set(g.adjacency[x]) | {x}) for x in range(g.n)]
+    return _subsets_by_set(g.n, closed, s + 1, budget)
+
+
+def ball_edges_by_set(g: Graph, s: int, budget: int = DEFAULT_BUDGETS.cliques):
+    """`construct.ball_power_hypergraph(variant="ball")`'s edges: (s+1)-subsets
+    of the radius-(s+1) balls."""
+    balls = [ball_by_bfs(g, x, s + 1) for x in range(g.n)]
+    return _subsets_by_set(g.n, balls, s + 1, budget)
 
 
 def _pgl_normalize(mat: tuple[int, int, int, int], q2: int) -> tuple[int, int, int, int]:

@@ -182,6 +182,29 @@ def test_graph_transform_subcommands(tmp_path, capsys):
     assert parse_graph(out).adjacency == parse_graph(g.read_text()).adjacency
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["lps", "--q", "13"], "--p"),
+    (["lps", "--p", "5"], "--q"),
+    (["complete"], "--n"),
+    (["power"], "--u"),
+    (["blowup"], "--D"),
+])
+def test_graph_names_a_missing_flag(argv, flag, tmp_path, capsys):
+    g = tmp_path / "c4.g"
+    g.write_text("graph 4 4\n0 1\n1 2\n2 3\n0 3\n")
+    code, out, err = run_cli(["graph", *argv, "--in", str(g)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: graph {argv[0]} needs {flag}\n"
+
+
+def test_verify_sampled_zero_is_an_argument_error(tmp_path, capsys):
+    b = tmp_path / "hyper.pts"
+    b.write_text("field 2 1 0 1\ndims 3 3\n1 0 0\n0 1 0\n1 1 0\n")
+    code, out, err = run_cli(["verify", "--set", str(b), "--s", "1", "--sampled", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: need at least one trial\n"
+
+
 def test_supply_random_mode(tmp_path, capsys):
     out_path = tmp_path / "r.pts"
     code, _, err = run_cli(["supply", "--field", "3", "--k", "4", "--n", "12",

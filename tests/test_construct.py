@@ -477,6 +477,31 @@ def test_blocking_set_file_round_trip_builds_no_matrix(p, tmp_path, monkeypatch)
         assert again.points is grids[-1]
 
 
+@pytest.mark.parametrize("p, m", [(3, 1), (13, 1), (2, 8), (65521, 1)])
+def test_blocking_set_text_matches_the_matrix_form(p, m, monkeypatch):
+    """The stdin/stdout form: the bytes and the set that `format_matrix` and
+    `parse_matrix` of a `MatrixGF` gave, with no `MatrixGF` built."""
+    fld = field_create(p, m)
+    b = random_points(fld, 11, count=150, k=5)
+    want_text = linalg.format_matrix(MatrixGF(fld, b.points))
+    shuffled = linalg.format_matrix(MatrixGF(fld, b.points[::-1]))
+    want = [construct._file_set(fld, np.array(linalg.parse_matrix(t).data), {"construction": "file"})
+            for t in (want_text, shuffled)]
+
+    def refuse(self, *args):
+        raise RuntimeError("a MatrixGF was built on the text path")
+
+    monkeypatch.setattr(MatrixGF, "__init__", refuse)
+    assert format_blocking_set(b) == want_text
+    for text, set_from_matrix in zip((want_text, shuffled), want):
+        again = parse_blocking_set(text)
+        assert again == set_from_matrix == b
+        assert again.provenance == set_from_matrix.provenance == {"construction": "file"}
+        assert again.points.dtype == fld.dtype and not again.points.flags.writeable
+    with pytest.raises(ValueError, match="entries out of range"):
+        parse_blocking_set(want_text.replace("\n1 ", f"\n{fld.q} ", 1))
+
+
 def test_read_blocking_set_canonicalizes_hand_written_rows(tmp_path):
     fld = field_create(3)
     b = random_points(fld, 9, count=100, k=4)

@@ -1,12 +1,14 @@
+import functools
 import json
 import math
-from collections import deque
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from blockforge import expander
+from blockforge.budgets import Budgets
+from blockforge.construct import ball_power_hypergraph, neighborhood_hypergraph
 from blockforge.errors import BudgetExceededError
 from blockforge.expander import (Graph, Hypergraph, ball, blowup, check_mixing,
                                  clique_hypergraph, complete_graph,
@@ -14,19 +16,10 @@ from blockforge.expander import (Graph, Hypergraph, ball, blowup, check_mixing,
                                  largest_component, lps_graph, parse_graph,
                                  path_graph, power_graph, second_eigenvalue)
 
-from helpers import hypergraph_by_set, lps_graph_by_bfs
-
-
-def bfs_distances(g, src):
-    dist = {src: 0}
-    dq = deque([src])
-    while dq:
-        u = dq.popleft()
-        for v in g.adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                dq.append(v)
-    return dist
+from helpers import (ball_by_bfs, ball_edges_by_set, bfs_distances, bipartition_by_bfs,
+                     cliques_by_has_edge, find_star_vertex_by_sets, hypergraph_by_set,
+                     is_connected_by_bfs, largest_component_by_bfs, lps_graph_by_bfs,
+                     mixing_by_matvec, neighborhood_edges_by_set, power_graph_by_bfs)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +200,21 @@ def test_check_mixing_adversarial_disjoint_cliques():
     g = Graph(2 * m, edges)
     rep = check_mixing(g, lam=0.1, trials=30, seed=2)
     assert rep.violations > 0 and rep.max_ratio > 1.0
+
+
+@pytest.mark.parametrize("graph", ["K12", "C30", "C40^3", "two K10", "X5,13"])
+def test_check_mixing_counts_match_the_adjacency_matvec(graph):
+    if graph == "two K10":
+        edges = list(combinations(range(10), 2))
+        g = Graph(20, edges + [(a + 10, b + 10) for a, b in edges])
+    else:
+        g = {"K12": lambda: complete_graph(12), "C30": lambda: cycle_graph(30),
+             "C40^3": lambda: power_graph(cycle_graph(40), 3),
+             "X5,13": lambda: lps_graph(5, 13)}[graph]()
+    for lam, seed in [(0.1, 2), (1.0, 1), (2 * math.sqrt(5), 3)]:
+        got = check_mixing(g, lam, trials=25, seed=seed).to_dict()
+        assert got == mixing_by_matvec(g, lam, 25, seed)
+        assert type(got["violations"]) is int
 
 
 def test_check_mixing_certified_lambda(lps_5_13):
@@ -405,7 +413,6 @@ def test_graph_matches_the_per_edge_loop(seed):
         assert list(g.edges()) == pairs
         assert all(type(u) is int and type(v) is int for u, v in g.edges())
         assert format_graph(g) == text
-        assert g.neighbor_sets == tuple(frozenset(a) for a in adjacency)
 
 
 @pytest.mark.parametrize("edges", [
@@ -500,3 +507,153 @@ def test_from_edges_of_mixed_sizes_matches_the_set_of_tuples(n, edges):
 def test_from_edges_rejects_an_array_that_is_not_2d():
     with pytest.raises(ValueError, match="2-D"):
         Hypergraph.from_edges(3, np.array([0, 1, 2]))
+
+
+# ---------------------------------------------------------------------------
+# The CSR operators against the per-vertex Python references in helpers.py
+# ---------------------------------------------------------------------------
+
+def _random_graph(n, p, seed, isolated=0):
+    rng = np.random.default_rng(seed)
+    used = n - isolated
+    return Graph(n, [(u, v) for u, v in combinations(range(used), 2) if rng.random() < p])
+
+
+@functools.lru_cache(maxsize=None)
+def _graph(name):
+    if name.startswith("X"):
+        return lps_graph(*map(int, name[1:].split(",")))
+    named = {
+        "star": lambda: Graph(7, [(0, v) for v in range(1, 7)]),
+        "empty5": lambda: Graph(5, []),
+        # two triangles, a path and two isolated vertices
+        "components": lambda: Graph(12, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                         (6, 7), (7, 8), (8, 9)]),
+        "sparse": lambda: _random_graph(40, 0.04, 1, isolated=4),
+        "irregular": lambda: _random_graph(30, 0.2, 2, isolated=2),
+        "dense": lambda: _random_graph(16, 0.6, 3),
+        # random bipartite: even vertices against odd ones
+        "bipartite": lambda: Graph(24, [(u, v) for u, v in _random_graph(24, 0.3, 4).edges()
+                                        if (u + v) % 2]),
+    }
+    if name in named:
+        return named[name]()
+    return {"K": complete_graph, "P": path_graph, "C": cycle_graph}[name[0]](int(name[1:]))
+
+
+SMALL_GRAPHS = ["K0", "K1", "K2", "K5", "P1", "P6", "C7", "C8", "star", "empty5", "components",
+                "sparse", "irregular", "dense", "bipartite"]
+LPS_GRAPHS = ["X5,13", "X5,29"]  # bipartite, and not bipartite
+
+
+def _adjacency_by_loop(g):
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+@pytest.mark.parametrize("name", SMALL_GRAPHS + LPS_GRAPHS)
+def test_graph_views_match_the_tuple_adjacency(name):
+    g = _graph(name)
+    assert g.adjacency == _adjacency_by_loop(g)
+    assert all(type(v) is int for a in g.adjacency for v in a)
+    assert g.degrees().tolist() == [len(a) for a in g.adjacency]
+    if not g.is_regular():
+        with pytest.raises(ValueError, match="not regular"):
+            g.neighbors
+        return
+    want = np.array(g.adjacency, dtype=np.int64).reshape(g.n, g.degree).T
+    assert g.neighbors.dtype == np.int64 and g.neighbors.flags.c_contiguous
+    assert np.array_equal(g.neighbors, want) and type(g.degree) is int
+
+
+@pytest.mark.parametrize("name", SMALL_GRAPHS + LPS_GRAPHS)
+def test_bfs_operators_match_the_python_bfs(name):
+    g = _graph(name)
+    assert g.is_connected() == is_connected_by_bfs(g)
+    want, got = bipartition_by_bfs(g), g.bipartition()
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    rng = np.random.default_rng(g.n)
+    for x in rng.permutation(g.n)[:10].tolist():
+        for t in range(4):
+            assert ball(g, x, t) == ball_by_bfs(g, x, t)
+    for density in (0.0, 0.2, 0.5, 0.9, 1.0):
+        subset = np.flatnonzero(rng.random(g.n) < density)
+        got = largest_component(g, subset)
+        assert got == largest_component_by_bfs(g, subset)
+        assert all(type(v) is int for v in got)
+    for parts in (1, 2, 3):
+        cut = np.sort(rng.choice(g.n + 1, parts, replace=True))
+        sets = np.split(rng.permutation(g.n), cut[1:])
+        assert find_star_vertex(g, *sets) == find_star_vertex_by_sets(g, *sets)
+
+
+@pytest.mark.parametrize("name", SMALL_GRAPHS + LPS_GRAPHS)
+def test_power_graph_matches_the_python_bfs(name):
+    g = _graph(name)
+    for u in (2,) if name in LPS_GRAPHS else (1, 2, 3):
+        got, want = power_graph(g, u), power_graph_by_bfs(g, u)
+        assert got.n == want.n and got.m == want.m
+        assert np.array_equal(got._edge_array, want._edge_array)
+
+
+@pytest.mark.parametrize("name", SMALL_GRAPHS)
+def test_clique_hypergraph_matches_the_per_candidate_check(name):
+    g = _graph(name)
+    for r in (2, 3, 4):
+        want = cliques_by_has_edge(g, r, 10 ** 6)
+        assert clique_hypergraph(g, r).edges == want
+        if want:  # the budget is hit when the edge past it is listed
+            assert clique_hypergraph(g, r, budget=len(want)).edges == want
+            with pytest.raises(BudgetExceededError) as err:
+                clique_hypergraph(g, r, budget=len(want) - 1)
+            assert err.value.required == len(want)
+
+
+@pytest.mark.parametrize("name", SMALL_GRAPHS + LPS_GRAPHS)
+def test_local_subset_hypergraphs_match_the_set_of_tuples(name):
+    g = _graph(name)  # cherries: test_construct.py::test_cherries_match_the_set_of_tuples
+    for s in {"X5,13": (3,), "X5,29": (2,)}.get(name, (1, 2, 3)):
+        h = neighborhood_hypergraph(g, s)
+        assert h.edges == neighborhood_edges_by_set(g, s) and h.max_edge_size == s + 1
+    if name not in LPS_GRAPHS:  # at LPS scale the ball recipe exceeds the default budget
+        for s in (1, 2):
+            h = ball_power_hypergraph(g, s)
+            assert h.edges == ball_edges_by_set(g, s) and h.max_edge_size == s + 1
+
+
+def _rows_before_dedup(lists, r):
+    return sum(math.comb(len(a), r) for a in lists)
+
+
+@pytest.mark.parametrize("recipe", ["neighborhood", "ball"])
+@pytest.mark.parametrize("name", ["K5", "C8", "star", "components", "sparse", "irregular",
+                                  "bipartite", "X5,13"])
+def test_clique_budget_is_checked_once_against_the_rows_before_dedup(recipe, name):
+    """The budget raises exactly when sum C(|list|, r) exceeds it, with that
+    sum as the count, so whenever the vertex-by-vertex check on distinct
+    edges raised; at the boundary the hypergraph is the reference's."""
+    g = _graph(name)
+    s = 2 if recipe == "neighborhood" else 1
+    if recipe == "neighborhood":
+        build, reference = neighborhood_hypergraph, neighborhood_edges_by_set
+        total = _rows_before_dedup([set(a) | {x} for x, a in enumerate(g.adjacency)], s + 1)
+    else:
+        build, reference = ball_power_hypergraph, ball_edges_by_set
+        total = _rows_before_dedup([ball_by_bfs(g, x, s + 1) for x in range(g.n)], s + 1)
+    with pytest.raises(BudgetExceededError) as err:
+        build(g, s, budgets=Budgets(cliques=total - 1))
+    assert (err.value.budget, err.value.limit, err.value.required) == ("cliques", total - 1, total)
+    if name in LPS_GRAPHS:
+        return
+    assert build(g, s, budgets=Budgets(cliques=total)).edges == reference(g, s, total)
+    for budget in range(1, total, max(1, total // 40)):
+        try:
+            reference(g, s, budget)
+        except BudgetExceededError:
+            with pytest.raises(BudgetExceededError):
+                build(g, s, budgets=Budgets(cliques=budget))

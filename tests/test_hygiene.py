@@ -7,7 +7,8 @@ passes `axis=` to `np.unique`.  Matrix files and their sidecars are opened
 only by `linalg.load_rows`, `linalg.load_sidecar` and `linalg.write_rows`,
 so every read takes the byte-level grid path when it applies, and
 `np.loadtxt` is called once, in `linalg.parse_rows`.  The CLI's two graph-file helpers are the only other
-`open` calls.
+`open` calls.  A graph's stored form (`_edge_array`, and the CSR arrays
+`_heads` and `_ends`) is read only in `expander`.
 """
 
 import ast
@@ -147,3 +148,25 @@ def test_codec_scan_flags_a_planted_loadtxt_and_open():
     assert _calls(tree, "loadtxt") == [("read_supply", 4, set()), ("parse_rows", 6, {"comments"})]
     assert _calls(tree, "open", None) == [("read_supply", 3, set())]
     assert _calls(tree, "open") == []
+
+
+GRAPH_FORM = ("_heads", "_ends", "_edge_array")
+
+
+def _attribute_reads(tree, names):
+    """(line, name) of every `<expr>.<name>` in the tree, for `name` in `names`."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in names)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "expander.py"],
+                         ids=lambda p: p.name)
+def test_graph_form_read_only_in_expander(path):
+    assert _attribute_reads(ast.parse(path.read_text()), GRAPH_FORM) == []
+
+
+def test_graph_form_scan_flags_a_planted_read():
+    tree = ast.parse("def degrees(g):\n    return np.diff(g._ends, prepend=0)\n"
+                     "def first(g):\n    return g._heads[0], g.m, g._edge_array\n")
+    assert _attribute_reads(tree, GRAPH_FORM) == [(2, "_ends"), (4, "_edge_array"),
+                                                  (4, "_heads")]

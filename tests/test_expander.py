@@ -626,6 +626,21 @@ def test_local_subset_hypergraphs_match_the_set_of_tuples(name):
             assert h.edges == ball_edges_by_set(g, s) and h.max_edge_size == s + 1
 
 
+def test_graph_operators_never_build_the_tuple_view():
+    g = lps_graph(5, 13)  # fresh: no other test has read its adjacency
+    second_eigenvalue(g)
+    second_eigenvalue(parse_graph(format_graph(g)), tol=1e-3)
+    check_mixing(g, 2 * math.sqrt(5), trials=2)
+    ball(g, 0, 2)
+    largest_component(g, range(0, g.n, 3))
+    find_star_vertex(g, [0], [1])
+    power_graph(g, 2)
+    clique_hypergraph(g, 2)
+    neighborhood_hypergraph(g, 2)
+    assert g.is_regular() and g.has_edge(*next(g.edges()))
+    assert "adjacency" not in vars(g)
+
+
 def _rows_before_dedup(lists, r):
     return sum(math.comb(len(a), r) for a in lists)
 

@@ -15,6 +15,11 @@ measurement (or one RSS process) to the next.
 - `bfs_5_13`, `bfs_5_29`: `is_connected()` then `bipartition()` on each;
 - `power_graph_5_13`: `power_graph(X^{5,13}, 2)`;
 - `neighborhood_5_13`: `construct.neighborhood_hypergraph(X^{5,13}, 3)`;
+- `cliques_power_5_13`: `clique_hypergraph(power_graph(X^{5,13}, 2), 2)`, the
+  edge builder of `ballpower --variant pairwise` at s = 1;
+- `ball_budget_5_29`: `construct.ball_power_hypergraph(X^{5,29}, 2)` until it
+  raises `BudgetExceededError` (C(187, 3) rows for vertex 0 alone, past the
+  default 10^6);
 - `cherry_hypergraph`: `construct.cherry_hypergraph` on X^{5,13};
 - `general_position`: the sampled general-position gate of the benchmark's
   lps-sampled inputs (seed 1: a random 20 x 2184 supply over GF(3), 1000
@@ -52,7 +57,8 @@ RREF_MATRICES = 200
 RREF_SHAPES = {"rref_2x4_gf3": (3, 1, 2, 4), "rref_2x4_gf9": (3, 2, 2, 4),
                "rref_18x20_gf3": (3, 1, 18, 20)}  # p, m, rows, cols
 MEASURES = ("lps_graph_5_13", "lps_graph_5_29", "graph_5_13", "graph_5_29", "bfs_5_13",
-            "bfs_5_29", "power_graph_5_13", "neighborhood_5_13", "cherry_hypergraph",
+            "bfs_5_29", "power_graph_5_13", "neighborhood_5_13", "cliques_power_5_13",
+            "ball_budget_5_29", "cherry_hypergraph",
             "general_position", *RREF_SHAPES, "rss_after_construct")
 
 
@@ -100,6 +106,19 @@ def measure(name: str, src: str, repeat: int) -> dict:
         g = bf.lps_graph(5, 13)
         return {"edges": bf.construct.neighborhood_hypergraph(g, 3).m,
                 **_time(lambda: bf.construct.neighborhood_hypergraph(g, 3), repeat)}
+    if name == "cliques_power_5_13":
+        g = bf.power_graph(bf.lps_graph(5, 13), 2)
+        return {"edges": bf.clique_hypergraph(g, 2).m,
+                **_time(lambda: bf.clique_hypergraph(g, 2), repeat)}
+    if name == "ball_budget_5_29":
+        g = bf.lps_graph(5, 29)
+
+        def doomed():
+            try:
+                bf.construct.ball_power_hypergraph(g, 2)
+            except bf.BudgetExceededError as err:
+                return err.required
+        return {"required": doomed(), **_time(doomed, repeat)}
     if name == "cherry_hypergraph":
         g = bf.lps_graph(5, 13)
         return {"edges": bf.construct.cherry_hypergraph(g).m,

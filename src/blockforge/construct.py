@@ -155,20 +155,23 @@ def edge_span_union(h: Hypergraph, supply: PointSupply, *,
     return BlockingSet(fld, k, distinct, prov)
 
 
-def _local_subsets(lists: tuple[np.ndarray, np.ndarray], r: int, *,
-                   centred: bool = False, budget: int | None = None) -> np.ndarray:
+def _local_subsets(lists, r: int, *, centred: bool = False,
+                   budget: int | None = None) -> np.ndarray:
     """The rows f, or (x, f) when `centred`, for every vertex x and every
-    r-subset f of x's sorted list in `lists`, the CSR form (values, ends) of
-    `Graph.neighborhoods`; one list length at a time.  `budget` caps the row
-    count, sum C(len, r), and is checked before any row is built."""
-    values, ends = lists
-    lengths = np.diff(ends, prepend=0)
-    counts = np.bincount(lengths).tolist()  # counts[d]: the lists of length d
-    total = sum(c * math.comb(d, r) for d, c in enumerate(counts))
-    if budget is not None and total > budget:
-        raise BudgetExceededError("cliques", budget, total)
+    r-subset f of x's sorted list, one list length at a time; `lists` yields
+    the lists of vertices 0, 1, ... in runs, in the CSR form of
+    `Graph.neighborhoods`.  `budget` caps the row count, sum C(len, r), as
+    each run arrives; no row is built before every run has passed."""
+    runs, total = [(np.zeros(0, dtype=np.int64),) * 2], 0
+    for values, ends in lists:
+        runs.append((values, np.diff(ends, prepend=0)))
+        total += sum(c * math.comb(d, r) for d, c in enumerate(np.bincount(runs[-1][1]).tolist()))
+        if budget is not None and total > budget:
+            raise BudgetExceededError("cliques", budget, total)
+    values, lengths = map(np.concatenate, zip(*runs))
+    ends = np.cumsum(lengths)
     rows = [np.zeros((0, r + centred), dtype=np.int64)]
-    for d, c in enumerate(counts):
+    for d, c in enumerate(np.bincount(lengths).tolist()):
         if d < r or not c:
             continue
         xs = np.nonzero(lengths == d)[0]
@@ -184,7 +187,7 @@ def _local_subsets(lists: tuple[np.ndarray, np.ndarray], r: int, *,
 def cherry_hypergraph(g: Graph) -> Hypergraph:
     """3-sets {x, y, z} with xy and xz both edges of g: each vertex x with
     every 2-subset of its neighbours."""
-    return Hypergraph.from_edges(g.n, _local_subsets(g.neighborhoods(), 2, centred=True),
+    return Hypergraph.from_edges(g.n, _local_subsets([g.neighborhoods()], 2, centred=True),
                                  max_edge_size=3)
 
 
@@ -221,7 +224,11 @@ def ball_power_hypergraph(g: Graph, s: int, *, variant: str = "ball",
         return clique_hypergraph(power_graph(g, r), r, budget=budgets.cliques)
     if variant != "ball":
         raise ValueError(f"unknown variant {variant!r}")
-    rows = _local_subsets(g.neighborhoods(r, closed=True), r, budget=budgets.cliques)
+    # the balls of the centres in [0, 1), [1, 2), [2, 4), [4, 8), ...: the budget
+    # raises having built those of at most twice the centres that passed it
+    runs = (g.neighborhoods(r, closed=True, centres=np.arange(1 << i >> 1, min(1 << i, g.n)))
+            for i in range(g.n.bit_length() + 1))
+    rows = _local_subsets(runs, r, budget=budgets.cliques)
     return Hypergraph.from_edges(g.n, rows, max_edge_size=r)
 
 
@@ -248,7 +255,7 @@ def construct_ball_power(g: Graph, supply: PointSupply, s: int, *,
 def neighborhood_hypergraph(g: Graph, s: int, *,
                             budgets: Budgets = DEFAULT_BUDGETS) -> Hypergraph:
     """(s+1)-subsets of closed neighborhoods N[x]."""
-    rows = _local_subsets(g.neighborhoods(1, closed=True), s + 1, budget=budgets.cliques)
+    rows = _local_subsets([g.neighborhoods(1, closed=True)], s + 1, budget=budgets.cliques)
     return Hypergraph.from_edges(g.n, rows, max_edge_size=s + 1)
 
 

@@ -2,12 +2,11 @@
 checks, the hypergraph edge-list type, and the graph operators (powers,
 blow-ups, clique hypergraphs, balls) used by the blocking-set constructions.
 
-Graphs are immutable and hold their adjacency in one form, a sorted edge
-array and its CSR arrays.  Connectivity, bipartition, balls, components and
-graph powers come from one BFS over those arrays, a level at a time, with
-many searches in one frontier.  `second_eigenvalue` reports max |lambda|
-over the non-trivial adjacency spectrum (every eigenvalue but d, and -d for
-bipartite graphs) by one of three paths:
+Graphs are immutable and hold their adjacency as a sorted edge array and
+its CSR arrays; components and bipartition come from root hooking over the
+edges, balls and powers from a BFS a level at a time.  `second_eigenvalue`
+reports max |lambda| over the non-trivial adjacency spectrum (every
+eigenvalue but d, and -d for bipartite graphs) by one of three paths:
 
 * exact: a dense eigensolve, for graphs of at most `exact_threshold` vertices;
 * trace: a proved interval from exact closed-walk counts, for larger graphs
@@ -109,21 +108,16 @@ class Graph:
         np.add.reduce(x[neighbors], axis=0)."""
         return np.ascontiguousarray(self._heads.reshape(self.n, self.degree).T)
 
-    def _bfs(self, sources, radius: int | None = None,
-             mask: np.ndarray | None = None) -> list[np.ndarray]:
+    def _bfs(self, sources, radius: int | None = None) -> list[np.ndarray]:
         """The sorted keys at BFS distance 0, 1, ... up to `radius` (None:
-        all), one frontier at a time, entering only vertices where `mask`
-        holds.  Key label * n + v is vertex v in the search `label`; the
-        `sources` (keys) of one label start one multi-source search.  A
-        neighbour of level i lies in level i - 1, i or i + 1, so the next
-        level is the frontier's neighbours minus the last two levels."""
+        all); key label * n + v is v in the search from that label's
+        `sources`.  A neighbour of level i lies in level i - 1, i or i + 1,
+        so the next level is the frontier's neighbours minus the last two."""
         levels = [_distinct(np.asarray(sources, dtype=np.int64))]
         n = self.n
         while len(levels[-1]) and len(levels) - 1 != radius:
             labels, vs = np.divmod(levels[-1], n)
             heads, at = self._rows(vs)
-            if mask is not None:
-                heads, at = heads[mask[heads]], at[mask[heads]]
             reached = _distinct(labels[at] * n + heads)
             for old in levels[-2:]:
                 i = np.minimum(np.searchsorted(old, reached), len(old) - 1)
@@ -131,35 +125,53 @@ class Graph:
             levels.append(reached)
         return levels
 
-    def neighborhoods(self, radius: int = 1, *, closed: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted list of the vertices at distance 1..radius from each
-        vertex (0..radius when `closed`), in CSR form (values, ends): the
-        list of v is values[ends[v - 1]:ends[v]], from 0 for v = 0.  The
-        open radius-1 lists are the graph's own read-only arrays."""
+    def neighborhoods(self, radius: int = 1, *, closed: bool = False,
+                      centres=None) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted lists of the vertices at distance 1..radius (0..radius
+        when `closed`) from each of the `centres` (None: all), in CSR form
+        (values, ends); the open radius-1 lists are the graph's own arrays."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        if radius == 1 and not closed:
-            return self._heads, self._ends
-        keys = np.sort(np.concatenate(self._bfs(np.arange(self.n) * (self.n + 1), radius)))
-        centres, values = np.divmod(keys, self.n)
+        if centres is None:
+            if radius == 1 and not closed:
+                return self._heads, self._ends
+            centres = np.arange(self.n)
+        keys = np.sort(np.concatenate(self._bfs(np.arange(len(centres)) * self.n + centres, radius)))
+        labels, values = np.divmod(keys, self.n)
         if not closed:
-            centres, values = centres[centres != values], values[centres != values]
-        return values, np.cumsum(np.bincount(centres, minlength=self.n))
+            keep = values != centres[labels]
+            labels, values = labels[keep], values[keep]
+        return values, np.cumsum(np.bincount(labels, minlength=len(centres)))
 
     def is_connected(self) -> bool:
-        return self.n == 0 or sum(map(len, self._bfs([0]))) == self.n
+        return not self._components()[0].any()
 
     def bipartition(self):
         """Return a +-1 coloring vector if the graph is bipartite, else None:
-        +1 at even BFS distance from the least vertex of its component."""
-        color = np.zeros(self.n, dtype=np.int64)
-        rest = np.arange(self.n)  # the uncoloured vertices, ascending
-        while rest.size:
-            for i, level in enumerate(self._bfs(rest[:1])):
-                color[level] = 1 - 2 * (i % 2)
-            rest = rest[color[rest] == 0]
-        u, v = self._edge_array.T
-        return None if (color[u] == color[v]).any() else color
+        +1 at even distance from the least vertex of its component."""
+        return self._components()[1]
+
+    def _components(self, inside=None) -> tuple[np.ndarray, np.ndarray | None]:
+        """The least vertex of each vertex's component (in G[inside], for a
+        vertex where the mask holds; any other is its own) and `bipartition`.
+        Each round every root takes the least key 2 w + parity over its
+        tree's edges to a root w, then pointers are followed to the roots,
+        adding up the parities of walks.  The least vertex's tree takes in
+        every tree next to it: at most diameter + 1 rounds."""
+        edges = self._edge_array
+        if inside is not None:
+            edges = edges[inside[edges].all(axis=1)]
+        u, v = np.concatenate([edges, edges[:, ::-1]]).T
+        root, parity = np.arange(self.n), np.zeros(self.n, dtype=np.int64)
+        while True:
+            key = 2 * root + parity  # a root's own key is 2 root
+            np.minimum.at(key, root[u], 2 * root[v] + (parity[u] ^ parity[v] ^ 1))
+            to, step = np.divmod(key, 2)
+            if np.array_equal(to, root):
+                return root, None if (parity[u] == parity[v]).any() else 1 - 2 * parity
+            while not np.array_equal(to[to], to):
+                to, step = to[to], step ^ step[to]
+            root, parity = to, step
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -272,26 +284,16 @@ def _sqrt_minus_one(q2: int) -> int:
 
 
 def _lps_quadruples(p: int) -> list[tuple[int, int, int, int]]:
-    # All (a,b,c,d) with a^2+b^2+c^2+d^2 = p, a odd positive, b,c,d even.
-    sols = []
+    # All (a,b,c,d) with a^2+b^2+c^2+d^2 = p, a odd positive, b,c,d even; the
+    # (a, b, c) grid has ~p^1.5/2 points, fewer than any X^{p,q2} has vertices.
     lim = math.isqrt(p)
-    for a in range(1, lim + 1, 2):
-        r1 = p - a * a
-        bl = math.isqrt(r1)
-        for b in range(-bl - (bl % 2), bl + 1, 2):
-            r2 = r1 - b * b
-            if r2 < 0:
-                continue
-            cl = math.isqrt(r2)
-            for c in range(-cl - (cl % 2), cl + 1, 2):
-                r3 = r2 - c * c
-                if r3 < 0:
-                    continue
-                d = math.isqrt(r3)
-                if d * d == r3 and d % 2 == 0:
-                    for dd in ({d, -d} if d else {0}):
-                        sols.append((a, b, c, dd))
-    return sorted(set(sols))
+    even = np.arange(lim % 2 - lim, lim + 1, 2)
+    a, b, c = np.meshgrid(np.arange(1, lim + 1, 2), even, even, indexing="ij")
+    rest = p - a * a - b * b - c * c
+    d = np.rint(np.sqrt(np.maximum(rest, 0))).astype(np.int64)
+    hit = (d * d == rest) & (d % 2 == 0)
+    a, b, c, d = (t[hit].tolist() for t in (a, b, c, d))
+    return sorted({(x, y, z, sign * w) for x, y, z, w in zip(a, b, c, d) for sign in (1, -1)})
 
 
 def _pgl_normalize(mats: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -478,10 +480,10 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
         raise ValueError("empty graph")
     if not g.is_regular():
         raise ValueError("spectral report requires a regular graph")
-    if not g.is_connected():
+    least, coloring = g._components()
+    if least.any():
         raise ValueError("spectral report requires a connected graph")
     d = g.degree
-    coloring = g.bipartition()
     bipartite = coloring is not None
 
     if method == "auto":
@@ -606,13 +608,9 @@ def largest_component(g: Graph, subset) -> tuple[int, ...]:
     """
     inside = np.zeros(g.n, dtype=bool)
     inside[np.fromiter(subset, dtype=np.int64)] = True
-    rest = np.flatnonzero(inside)  # the vertices in no component yet, ascending
-    best = rest[:0]
-    while rest.size:
-        comp = np.sort(np.concatenate(g._bfs(rest[:1], mask=inside)))
-        best = comp if len(comp) > len(best) else best
-        rest = np.setdiff1d(rest, comp, assume_unique=True)
-    return tuple(best.tolist())
+    least = g._components(inside)[0]
+    sizes = np.bincount(least[inside], minlength=g.n)  # by least vertex; argmax takes the first
+    return tuple(np.flatnonzero(inside & (least == sizes.argmax())).tolist()) if inside.any() else ()
 
 
 def find_star_vertex(g: Graph, u0, *others):
@@ -658,37 +656,34 @@ def blowup(g: Graph, d: int) -> Graph:
     across original edges.  n*d vertices."""
     if d < 1:
         raise ValueError("blow-up factor must be >= 1")
-    edges = []
-    for v in range(g.n):
-        for i, j in combinations(range(d), 2):
-            edges.append((v * d + i, v * d + j))
-    for u, v in g.edges():
-        for i in range(d):
-            for j in range(d):
-                edges.append((u * d + i, v * d + j))
-    return Graph(g.n * d, edges)
+    cliques = np.arange(g.n)[:, None, None] * d + np.stack(np.triu_indices(d, 1), axis=1)
+    i, j = np.divmod(np.arange(d * d), d)
+    u, v = g._edge_array.T[:, :, None] * d
+    across = np.stack([u + i, v + j], axis=2)
+    return Graph(g.n * d, np.concatenate([cliques.reshape(-1, 2), across.reshape(-1, 2)]))
 
 
 def clique_hypergraph(g: Graph, r: int, *, budget: int = DEFAULT_BUDGETS.cliques) -> Hypergraph:
     """The r-uniform hypergraph of all r-cliques of g."""
     if r < 2:
         raise ValueError("clique size must be >= 2")
+    heads, ends = g._heads.tolist(), g._ends.tolist()
+    sets = [set(heads[a:b]) for a, b in zip([0] + ends, ends)]
     edges: list[tuple[int, ...]] = []
 
-    def extend(clique: list[int], candidates: np.ndarray):  # candidates sorted
-        if len(clique) == r:
-            if len(edges) >= budget:
-                raise BudgetExceededError("cliques", budget, len(edges) + 1)
-            edges.append(tuple(clique))
-            return
-        for idx, v in enumerate(candidates.tolist()):
-            nxt = np.intersect1d(candidates[idx + 1:], g._row(v), assume_unique=True)
+    def extend(clique: list[int], candidates: list[int]):
+        for idx, v in enumerate(candidates):
+            if len(clique) + 1 == r:
+                if len(edges) >= budget:
+                    raise BudgetExceededError("cliques", budget, len(edges) + 1)
+                edges.append((*clique, v))
+                continue
+            nxt = [w for w in candidates[idx + 1:] if w in sets[v]]
             if len(clique) + 1 + len(nxt) >= r:
                 extend(clique + [v], nxt)
 
     for v in range(g.n):
-        row = g._row(v)
-        extend([v], row[row > v])
+        extend([v], sorted(w for w in sets[v] if w > v))
     return Hypergraph.from_edges(g.n, edges, max_edge_size=r)
 
 

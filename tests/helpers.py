@@ -14,8 +14,7 @@ import numpy as np
 from blockforge import construct
 from blockforge.budgets import DEFAULT_BUDGETS
 from blockforge.errors import BudgetExceededError
-from blockforge.expander import (Graph, Hypergraph, _legendre, _lps_quadruples,
-                                 _sqrt_minus_one)
+from blockforge.expander import Graph, Hypergraph, _legendre, _sqrt_minus_one
 from blockforge.gf import FieldSpec
 from blockforge.lincomb import EdgeWitness, EliminationOrder
 from blockforge.linalg import (MatrixGF, SubspaceBasis, distinct_rows, gaussian_binomial,
@@ -321,6 +320,43 @@ def _mat_mul(x, y, q2):
             (x[2] * y[1] + x[3] * y[3]) % q2)
 
 
+def blowup_by_loop(g: Graph, d: int) -> Graph:
+    """`expander.blowup` as a loop over the vertices and the edges of g."""
+    edges = []
+    for v in range(g.n):
+        for i, j in combinations(range(d), 2):
+            edges.append((v * d + i, v * d + j))
+    for u, v in g.edges():
+        for i in range(d):
+            for j in range(d):
+                edges.append((u * d + i, v * d + j))
+    return Graph(g.n * d, edges)
+
+
+def lps_quadruples_by_loop(p: int) -> list[tuple[int, int, int, int]]:
+    """`expander._lps_quadruples` as a loop over a, b and c: every (a, b, c,
+    d) with a^2 + b^2 + c^2 + d^2 = p, a odd positive, b, c, d even."""
+    sols = []
+    lim = math.isqrt(p)
+    for a in range(1, lim + 1, 2):
+        r1 = p - a * a
+        bl = math.isqrt(r1)
+        for b in range(-bl - (bl % 2), bl + 1, 2):
+            r2 = r1 - b * b
+            if r2 < 0:
+                continue
+            cl = math.isqrt(r2)
+            for c in range(-cl - (cl % 2), cl + 1, 2):
+                r3 = r2 - c * c
+                if r3 < 0:
+                    continue
+                d = math.isqrt(r3)
+                if d * d == r3 and d % 2 == 0:
+                    for dd in ({d, -d} if d else {0}):
+                        sols.append((a, b, c, dd))
+    return sorted(set(sols))
+
+
 def lps_graph_by_bfs(p: int, q2: int) -> tuple[Graph, list[tuple[int, int, int, int]]]:
     """X^{p,q2} as `expander.lps_graph` built it before its closure ran one
     level at a time: a vertex-by-vertex BFS over normalized matrix tuples.
@@ -328,7 +364,7 @@ def lps_graph_by_bfs(p: int, q2: int) -> tuple[Graph, list[tuple[int, int, int, 
     i_unit = _sqrt_minus_one(q2)
     gens = [_pgl_normalize(((a + i_unit * b) % q2, (c + i_unit * d) % q2,
                             (-c + i_unit * d) % q2, (a - i_unit * b) % q2), q2)
-            for a, b, c, d in _lps_quadruples(p)]
+            for a, b, c, d in lps_quadruples_by_loop(p)]
     identity = (1, 0, 0, 1)
     index = {identity: 0}
     order = [identity]

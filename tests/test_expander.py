@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -17,9 +18,10 @@ from blockforge.expander import (Graph, Hypergraph, ball, blowup, check_mixing,
                                  path_graph, power_graph, second_eigenvalue)
 
 from helpers import (ball_by_bfs, ball_edges_by_set, bfs_distances, bipartition_by_bfs,
-                     cliques_by_has_edge, find_star_vertex_by_sets, hypergraph_by_set,
-                     is_connected_by_bfs, largest_component_by_bfs, lps_graph_by_bfs,
-                     mixing_by_matvec, neighborhood_edges_by_set, power_graph_by_bfs)
+                     blowup_by_loop, cliques_by_has_edge, find_star_vertex_by_sets,
+                     hypergraph_by_set, is_connected_by_bfs, largest_component_by_bfs,
+                     lps_graph_by_bfs, lps_quadruples_by_loop, mixing_by_matvec,
+                     neighborhood_edges_by_set, power_graph_by_bfs)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,13 @@ def test_lps_5_29_shape():
     assert g.is_regular() and g.degree == 6
     assert g.is_connected()
     assert g.bipartition() is None
+
+
+def test_lps_quadruples_match_the_loop():
+    for p in range(2, 2000):
+        got = expander._lps_quadruples(p)
+        assert got == lps_quadruples_by_loop(p), p
+        assert all(type(v) is int for quad in got for v in quad)
 
 
 def test_lps_parameter_validation():
@@ -532,6 +541,11 @@ def _graph(name):
         "sparse": lambda: _random_graph(40, 0.04, 1, isolated=4),
         "irregular": lambda: _random_graph(30, 0.2, 2, isolated=2),
         "dense": lambda: _random_graph(16, 0.6, 3),
+        # P30, C9 and C6 under a random relabelling, so no component's least
+        # vertex lies at an end of its vertex order
+        "shuffled": lambda: Graph(45, np.random.default_rng(5).permutation(45)[
+            [(i, i + 1) for i in range(29)] + [(30 + i, 30 + (i + 1) % 9) for i in range(9)]
+            + [(39 + i, 39 + (i + 1) % 6) for i in range(6)]]),
         # random bipartite: even vertices against odd ones
         "bipartite": lambda: Graph(24, [(u, v) for u, v in _random_graph(24, 0.3, 4).edges()
                                         if (u + v) % 2]),
@@ -542,7 +556,7 @@ def _graph(name):
 
 
 SMALL_GRAPHS = ["K0", "K1", "K2", "K5", "P1", "P6", "C7", "C8", "star", "empty5", "components",
-                "sparse", "irregular", "dense", "bipartite"]
+                "sparse", "irregular", "dense", "shuffled", "bipartite"]
 LPS_GRAPHS = ["X5,13", "X5,29"]  # bipartite, and not bipartite
 
 
@@ -602,6 +616,14 @@ def test_power_graph_matches_the_python_bfs(name):
 
 
 @pytest.mark.parametrize("name", SMALL_GRAPHS)
+def test_blowup_matches_the_loop(name):
+    g = _graph(name)
+    for d in (1, 2, 3):
+        got, want = blowup(g, d), blowup_by_loop(g, d)
+        assert got.n == want.n and np.array_equal(got._edge_array, want._edge_array)
+
+
+@pytest.mark.parametrize("name", SMALL_GRAPHS)
 def test_clique_hypergraph_matches_the_per_candidate_check(name):
     g = _graph(name)
     for r in (2, 3, 4):
@@ -641,6 +663,44 @@ def test_graph_operators_never_build_the_tuple_view():
     assert "adjacency" not in vars(g)
 
 
+def test_components_take_one_pass_not_one_search_each():
+    """Twenty thousand isolated vertices, or ten thousand single edges, cost
+    one hooking pass each, not one search per component."""
+    empty, matching = Graph(20000, []), Graph(20000, np.arange(20000).reshape(-1, 2))
+    start = time.perf_counter()
+    assert not empty.is_connected() and not matching.is_connected()
+    assert np.array_equal(empty.bipartition(), np.ones(20000, dtype=np.int64))
+    assert np.array_equal(matching.bipartition(), np.tile([1, -1], 10000))
+    assert largest_component(empty, range(20000)) == (0,)
+    assert largest_component(matching, range(1, 20000)) == (2, 3)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_ball_budget_raises_before_every_ball_is_built(monkeypatch):
+    """The ball recipe gathers its balls in runs of 1, 1, 2, 4, ... centres
+    and raises at the first run that takes sum C(|B_r(x)|, r) past the
+    budget.  On X^{5,29} with s = 5, vertex 0 alone is past it; with s = 1
+    each ball holds 37 vertices, C(37, 2) = 666 rows, and the run that ends
+    at 2048 centres is the first past 10^6."""
+    g = _graph("X5,29")
+    built = []
+    neighborhoods = Graph.neighborhoods
+
+    def counted(self, radius=1, *, closed=False, centres=None):
+        assert centres is not None and len(centres) < self.n, "every ball built at once"
+        built.extend(centres.tolist())
+        return neighborhoods(self, radius, closed=closed, centres=centres)
+
+    monkeypatch.setattr(Graph, "neighborhoods", counted)
+    with pytest.raises(BudgetExceededError) as err:
+        ball_power_hypergraph(g, 5)
+    assert built == [0] and err.value.required == math.comb(len(ball(g, 0, 6)), 6)
+    built.clear()
+    with pytest.raises(BudgetExceededError) as err:
+        ball_power_hypergraph(g, 1)
+    assert built == list(range(2048)) and err.value.required == 2048 * 666
+
+
 def _rows_before_dedup(lists, r):
     return sum(math.comb(len(a), r) for a in lists)
 
@@ -648,10 +708,11 @@ def _rows_before_dedup(lists, r):
 @pytest.mark.parametrize("recipe", ["neighborhood", "ball"])
 @pytest.mark.parametrize("name", ["K5", "C8", "star", "components", "sparse", "irregular",
                                   "bipartite", "X5,13"])
-def test_clique_budget_is_checked_once_against_the_rows_before_dedup(recipe, name):
+def test_clique_budget_counts_the_rows_before_dedup(recipe, name):
     """The budget raises exactly when sum C(|list|, r) exceeds it, with that
-    sum as the count, so whenever the vertex-by-vertex check on distinct
-    edges raised; at the boundary the hypergraph is the reference's."""
+    sum as the count at the boundary, so whenever the vertex-by-vertex check
+    on distinct edges raised; at the boundary the hypergraph is the
+    reference's."""
     g = _graph(name)
     s = 2 if recipe == "neighborhood" else 1
     if recipe == "neighborhood":

@@ -9,10 +9,13 @@ quotient maps when that family plus its key table is smaller than the
 [k, s] family of subspaces, and the meet-rank scan otherwise.  This script
 forces each scan in turn on the cherry sets of the benchmark's exhaustive
 workload (MDS supply in F_q^4, s = 2; the failing P5 set also with
-count_all) and on s = 1 rows of the same sets, where the rule picks the
-meet-rank scan.  Per case it records the family sizes, the scan the rule
-picks, the median and quartiles of --repeat timed calls after one warm-up
-call, and whether the two scans' reports are byte-identical.
+count_all), on s = 1 rows of the same sets, where the rule picks the
+meet-rank scan, and on the failing cherry set of the 9-cycle over a seeded
+random 6 x 9 supply in GF(3) (s = 2, where the rule also picks the meet-rank
+scan; with count_all, so every block holding one of its 171 failing
+subspaces is ranked).  Per case it records the family sizes, the scan the
+rule picks, the median and quartiles of --repeat timed calls after one
+warm-up call, and whether the two scans' reports are byte-identical.
 
 The `sampled` row times `is_strong_blocking_sampled` on the cherry set of
 the benchmark's lps-sampled workload (seed 1: LPS X^{5,13}, a random
@@ -43,24 +46,36 @@ import numpy as np
 import blockforge as bf
 from blockforge import verify
 from blockforge.construct import construct_cherry
-from blockforge.expander import complete_graph, path_graph
+from blockforge.expander import complete_graph, cycle_graph, path_graph
 from blockforge.gf import field_create
-from blockforge.linalg import (MatrixGF, gaussian_binomial, kernel_basis, rref,
+from blockforge.linalg import (MatrixGF, gaussian_binomial, kernel_basis, quotient_map, rref,
                                subspace_from_rows)
-from blockforge.supply import supply_mds
+from blockforge.supply import supply_mds, supply_random_verified
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (label, (p, m), graph, n): the four instances of the exhaustive workload
-INSTANCES = [("GF(13) K10", (13, 1), complete_graph, 10),
-             ("GF(7) K6", (7, 1), complete_graph, 6),
-             ("GF(9) K7", (3, 2), complete_graph, 7),
-             ("GF(13) P5", (13, 1), path_graph, 5)]
+
+def _mds_cherry(p, m, graph, n):
+    return construct_cherry(graph(n), supply_mds(field_create(p, m), 4, n))
+
+
+def _random_cherry():
+    supply, report = supply_random_verified(field_create(3), 6, 9, s=2, t=8, seed=1)
+    return construct_cherry(cycle_graph(9), supply, report=report)
+
+
+# label -> builder: the four instances of the exhaustive workload (k = 4),
+# and a k = 6 set with 171 failing subspaces at s = 2
+INSTANCES = {"GF(13) K10": lambda: _mds_cherry(13, 1, complete_graph, 10),
+             "GF(7) K6": lambda: _mds_cherry(7, 1, complete_graph, 6),
+             "GF(9) K7": lambda: _mds_cherry(3, 2, complete_graph, 7),
+             "GF(13) P5": lambda: _mds_cherry(13, 1, path_graph, 5),
+             "GF(3) k=6 C9": _random_cherry}
 # (instance, s, count_all)
 CASES = [("GF(13) K10", 2, False), ("GF(7) K6", 2, False), ("GF(9) K7", 2, False),
          ("GF(13) P5", 2, False), ("GF(13) P5", 2, True),
-         ("GF(13) K10", 1, False), ("GF(9) K7", 1, False)]
-K = 4
+         ("GF(13) K10", 1, False), ("GF(9) K7", 1, False), ("GF(7) K6", 1, False),
+         ("GF(13) P5", 1, False), ("GF(3) k=6 C9", 2, True)]
 
 
 def _time(fn, repeat):
@@ -75,11 +90,11 @@ def _time(fn, repeat):
 
 
 def run_case(b, s, count_all, repeat):
-    q = b.field.q
-    out = {"size": b.size, "s": s, "count_all": count_all,
-           "meets": gaussian_binomial(K, s, q), "maps": gaussian_binomial(K, s + 1, q),
+    q, k = b.field.q, b.k
+    out = {"size": b.size, "k": k, "s": s, "count_all": count_all,
+           "meets": gaussian_binomial(k, s, q), "maps": gaussian_binomial(k, s + 1, q),
            "keys": q ** (s + 1),
-           "chosen": "cover" if verify._prefers_cover(K, s, q) else "meet"}
+           "chosen": "cover" if verify._prefers_cover(k, s, q) else "meet"}
     chosen = verify._prefers_cover
     reports = {}
     try:
@@ -106,7 +121,8 @@ def per_trial_sampled(b, s, trials, seed):
             if r == s:
                 break
         L = subspace_from_rows(kernel_basis(R))
-        achieved = int(verify._meet_ranks(fld, b.points, L.pivots, L.basis.data[None])[0])
+        achieved = int(verify._meet_ranks(fld, b.points, quotient_map(L).data[None],
+                                          L.pivots)[0])
         if achieved < k - s:
             return verify.VerificationReport("sampled", s, t + 1, "fail",
                                              verify.Counterexample(L, achieved, t), 0.0)
@@ -142,13 +158,10 @@ def main():
     ap.add_argument("--repeat", type=int, default=5, help="timed calls per scan and case")
     args = ap.parse_args()
 
-    sets = {}
-    for label, (p, m), graph, n in INSTANCES:
-        fld = field_create(p, m)
-        sets[label] = construct_cherry(graph(n), supply_mds(fld, K, n))
+    sets = {label: build() for label, build in INSTANCES.items()}
     result = {"machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                           "blas_threads": 1},
-              "repeat": args.repeat, "k": K, "cases": []}
+              "repeat": args.repeat, "cases": []}
     for label, s, count_all in CASES:
         case = {"instance": label, **run_case(sets[label], s, count_all, args.repeat)}
         print(json.dumps(case), file=sys.stderr)

@@ -22,7 +22,7 @@ from .construct import (construct_ball_power, construct_cherry,
                         construct_neighborhood, format_blocking_set,
                         parse_blocking_set, read_blocking_set,
                         write_blocking_set)
-from .errors import BlockforgeError, BudgetExceededError
+from .errors import BlockforgeError
 from .expander import (blowup, complete_graph, format_graph, lps_graph,
                        parse_graph, power_graph, second_eigenvalue)
 from .gf import field_create
@@ -340,9 +340,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return _HANDLERS[args.command](args, budgets, args.format)
-    except BudgetExceededError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (ValueError, BlockforgeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -8,7 +8,7 @@ edges, balls and powers from a BFS a level at a time.  `second_eigenvalue`
 reports max |lambda| over the non-trivial adjacency spectrum (every
 eigenvalue but d, and -d for bipartite graphs) by one of three paths:
 
-* exact: a dense eigensolve, for graphs of at most `exact_threshold` vertices;
+* exact: a dense eigensolve, for graphs of at most `EXACT_MAX_VERTICES` vertices;
 * trace: a proved interval from exact closed-walk counts, for larger graphs
   known to be Cayley graphs (only `lps_graph` marks one);
 * power iteration: an estimate, not a proof, for every other large graph.
@@ -373,7 +373,9 @@ def lps_graph(p: int, q2: int) -> Graph:
 # Spectral bounds
 # ---------------------------------------------------------------------------
 
+EXACT_MAX_VERTICES = 2000  # largest graph that method="auto" eigensolves densely
 TRACE_MAX_WALK = 512  # the trace path's longest walk; the bound reached there is reported
+POWER_MAX_ITER = 1_000_000  # power iteration raises if it has not converged by then
 
 
 @dataclass(frozen=True)
@@ -454,13 +456,12 @@ def _trace_interval(g: Graph, d: int, bipartite: bool) -> tuple[float, float, in
 
 
 def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
-                      exact_threshold: int = 2000, seed: int = 0,
-                      max_iter: int = 1_000_000) -> SpectralReport:
+                      seed: int = 0) -> SpectralReport:
     """max |lambda| over the adjacency eigenvalues other than d (and -d for
     bipartite graphs, which is flagged).
 
     `method="auto"` runs the dense eigensolve ("exact") up to
-    `exact_threshold` vertices; above it, the trace path for a graph marked
+    `EXACT_MAX_VERTICES` vertices; above it, the trace path for a graph marked
     Cayley and power iteration for any other.
 
     * exact: `lambda_bound` is the eigensolver's value.
@@ -487,7 +488,7 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
     bipartite = coloring is not None
 
     if method == "auto":
-        method = "exact" if g.n <= exact_threshold else "trace" if g.cayley else "power"
+        method = "exact" if g.n <= EXACT_MAX_VERTICES else "trace" if g.cayley else "power"
     if method == "trace":
         lower, upper, r = _trace_interval(g, d, bipartite)
         return SpectralReport(g.n, d, upper, "trace", bipartite, tol, lower, r)
@@ -525,7 +526,7 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
     x /= np.linalg.norm(x)
 
     theta = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         z = apply(apply(x))  # one step of power iteration on A'^2
         theta = float(x @ z)
         resid = float(np.linalg.norm(z - theta * x))
@@ -537,7 +538,7 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
             break
     else:
         raise RuntimeError(f"power iteration did not reach residual {tol} "
-                           f"in {max_iter} iterations")
+                           f"in {POWER_MAX_ITER} iterations")
     estimate = math.sqrt(max(theta, 0.0))
     return SpectralReport(g.n, d, estimate + tol, "power-iteration", bipartite, tol)
 

@@ -24,17 +24,7 @@ from .linalg import (MatrixGF, distinct_rows, kernel_basis, projective_reps, ran
                      read_matrix, rref_stack, write_matrix)
 
 RANK_CHUNK = 256  # column subsets per rref_stack call in _rank_deficient
-
-
-def normalize_column(field: FieldSpec, col: np.ndarray) -> np.ndarray:
-    """Scale so the first nonzero coordinate is 1."""
-    nz = np.nonzero(col)[0]
-    if nz.size == 0:
-        raise ValueError("cannot normalize the zero vector")
-    lead = int(col[nz[0]])
-    if lead == 1:
-        return col.astype(np.int64)
-    return field.mul_arr(field.inv(lead), col)
+RANDOM_MAX_TRIES = 50  # candidate supplies supply_random_verified draws before it gives up
 
 
 def normalize_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
@@ -120,13 +110,28 @@ def supply_mds(field: FieldSpec, k: int, n: int) -> PointSupply:
     return PointSupply(MatrixGF(field, data), provenance="mds")
 
 
+def _random_columns(field: FieldSpec, k: int, n: int, rng) -> np.ndarray | None:
+    """n nonzero, projectively distinct random vectors of F_q^k as rows, in
+    draw order, within 100 n draws (None if they run out).  Each round draws
+    exactly the missing rows in one call, which is the same stream as one
+    draw per row, and drops the zero rows and the repeats of earlier rows."""
+    cols = np.zeros((0, k), dtype=np.int64)
+    draws = 0
+    while len(cols) < n and draws < 100 * n:
+        m = min(n - len(cols), 100 * n - draws)
+        draws += m
+        new = rng.integers(0, field.q, size=(m, k))
+        cols = np.vstack([cols, new[new.any(axis=1)]])
+        cols = np.delete(cols, distinct_rows(normalize_rows(field, cols))[1], axis=0)
+    return cols if len(cols) == n else None
+
+
 def supply_random_verified(field: FieldSpec, k: int, n: int, s: int, t: int,
-                           seed: int = 0, max_tries: int = 50,
-                           budgets: Budgets = DEFAULT_BUDGETS):
+                           seed: int = 0, budgets: Budgets = DEFAULT_BUDGETS):
     """Seeded random supply certified by verify_general_position.
 
-    Returns (PointSupply, GeneralPositionReport).  Raises after max_tries
-    failed candidates; deterministic for a given seed.
+    Returns (PointSupply, GeneralPositionReport).  Raises after
+    RANDOM_MAX_TRIES failed candidates; deterministic for a given seed.
     """
     if s >= k:
         raise ValueError(f"s={s} is impossible: {k + 1} vectors in F_q^{k} are never independent")
@@ -137,29 +142,17 @@ def supply_random_verified(field: FieldSpec, k: int, n: int, s: int, t: int,
     if n > n_projective:
         raise ValueError(f"n={n} exceeds the {n_projective} projective points available")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        cols = []
-        seen = set()
-        attempts = 0
-        while len(cols) < n and attempts < 100 * n:
-            attempts += 1
-            cand = rng.integers(0, q, size=k)
-            if not cand.any():
-                continue
-            key = tuple(int(v) for v in normalize_column(field, cand))
-            if key in seen:
-                continue
-            seen.add(key)
-            cols.append(cand)
-        if len(cols) < n:
+    for _ in range(RANDOM_MAX_TRIES):
+        cols = _random_columns(field, k, n, rng)
+        if cols is None:
             continue
-        supply = PointSupply(MatrixGF(field, np.array(cols, dtype=np.int64).T),
-                             provenance="random-verified")
+        supply = PointSupply(MatrixGF(field, cols.T), provenance="random-verified")
         report = verify_general_position(supply, s, t, budgets=budgets)
         if (report.s_independence >= s and report.span_threshold is not None
                 and report.span_threshold <= t):
             return supply, report
-    raise ValueError(f"no supply with s={s}, t={t} found in {max_tries} tries (seed={seed})")
+    raise ValueError(f"no supply with s={s}, t={t} found in {RANDOM_MAX_TRIES} tries "
+                     f"(seed={seed})")
 
 
 # ---------------------------------------------------------------------------

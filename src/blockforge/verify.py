@@ -1,10 +1,17 @@
 """Ground-truth verification of strong s-blocking sets.
 
+Every verifier asks for the rank of the points of B inside a subspace L, and
+one kernel answers it: `_meet_ranks` takes a stack of quotient maps Q
+(L = ker Q) and, per L, k - s columns onto which L projects one to one.  One field matmul images every
+point under every map (x lies in L iff Q x = 0); per L an evenly spaced
+sample of at most 2(k-s) of its points is ranked first, and only an L whose
+sample falls short gets all its points ranked.
+
 The exhaustive verifier decides whether B meets every codimension-s
 subspace L in a spanning set (rank k-s), with one of two scans:
 
-* Meet ranks.  For a block of subspaces L, one field matmul tests all points
-  for membership, and the points that land in each L are ranked.
+* Meet ranks.  A block of RREF bases R of subspaces L goes to the kernel as
+  their null-space maps, read at R's pivots (x = x[pivots] @ R on L).
 * Projection cover.  L fails exactly when a hyperplane H of L holds all of
   B in L, that is, when the nonzero images of B under the quotient map Q of
   the codimension-(s+1) subspace H miss a point y of PG(s, q); then
@@ -14,13 +21,15 @@ subspace L in a spanning set (rank k-s), with one of two scans:
 
 The cover scan runs when its [k, s+1] maps plus the q^(s+1) key table are
 fewer than the [k, s] subspaces, which holds for k/2 <= s <= k-2; the
-meet-rank scan runs otherwise.  The report is defined purely in terms of the
-canonical order of the subspaces L (earliest counterexample wins, failures
-counted once each), so both scans give byte-identical reports.
+meet-rank scan runs otherwise.  The cover scan ranks its earliest
+counterexample with the kernel.  The report is defined purely in terms of
+the canonical order of the subspaces L (earliest counterexample wins,
+failures counted once each), so both scans give byte-identical reports.
 
-Also here: sampled verification for larger instances, the scalar-orbit affine
-conversion with its exhaustive coset check, and a small-case minimum-size
-search used to produce ground truths for tests.
+Also here: sampled verification for larger instances (random RREF maps R,
+read at R's free columns), the scalar-orbit affine conversion with its
+exhaustive coset check (labels Q x from the same null-space maps), and a
+small-case minimum-size search used to produce ground truths for tests.
 """
 
 from __future__ import annotations
@@ -85,21 +94,6 @@ class VerificationReport:
         return d
 
 
-def _quotient_parts(fld, points: np.ndarray, pivots: tuple[int, ...], block: np.ndarray):
-    """The two halves of Q x = x[free] - x[pivots] @ R[:, free], the image of
-    every point x under the quotient map Q of every subspace L in a block of
-    RREF bases R (x lies in L iff x == x[pivots] @ R, as R[:, pivots] = I).
-
-    Returns x[free] (c x 1 x N) and x[pivots] @ R[:, free] (c x count x N),
-    the latter from one field matmul of inner dimension dim L.
-    """
-    free = [j for j in range(points.shape[1]) if j not in pivots]
-    shape = (len(free), len(block), len(points))
-    r_free = block[:, :, free].transpose(2, 0, 1).reshape(shape[0] * shape[1], len(pivots))
-    span = fld.matmul_arr(r_free, points[:, list(pivots)].T).reshape(shape)
-    return points[:, free].T[:, None, :], span
-
-
 def _ragged_ranks(fld, groups: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     """Rank of each group 0..count-1 of rows, given group-major (groups
     ascending), ranked as one zero-padded stack."""
@@ -110,12 +104,42 @@ def _ragged_ranks(fld, groups: np.ndarray, rows: np.ndarray, count: int) -> np.n
     return rref_stack(fld, stack)[1]
 
 
-def _meet_ranks(fld, points: np.ndarray, pivots: tuple[int, ...], block: np.ndarray):
-    """Rank of the points inside each subspace L of a block of RREF bases, read
-    in L's basis (their pivot coordinates)."""
-    own, span = _quotient_parts(fld, points, pivots, block)
-    which, where = np.nonzero((span == own).all(axis=0))  # (L, point) pairs, L-major
-    return _ragged_ranks(fld, which, points[where][:, list(pivots)], len(block))
+def _meet_ranks(fld, points: np.ndarray, maps: np.ndarray, coords) -> np.ndarray:
+    """Exact rank of the points inside each L = ker Q, for a stack of rank-s
+    quotient maps Q (count x s x k).
+
+    One field matmul images every point under every map; x lies in L iff
+    Q x = 0.  The points of L are read in `coords`, k - s columns onto which
+    L projects one to one (count x (k-s), or one row for every L).  Per L at
+    most 2(k-s) of its points, evenly spaced in point order, are ranked
+    first; only the L whose sample falls short of k - s get all their points
+    ranked.
+    """
+    count, s, k = maps.shape
+    flat = maps.reshape(count * s, k).T.astype(points.dtype)  # images in the points' type
+    img = fld.matmul_arr(points, flat).reshape(-1, count, s)
+    inside = img[:, :, 0] == 0
+    for row in range(1, s):  # one compare per map row: a reduce over s is slower
+        inside &= img[:, :, row] == 0
+    del img
+    which, where = np.nonzero(inside.T)  # (L, point) pairs, L-major
+    coords = np.broadcast_to(coords, (count, k - s))
+
+    def read(pairs):
+        return points[where[pairs][:, None], coords[which[pairs]]]
+
+    sizes = np.bincount(which, minlength=count)
+    take = np.minimum(sizes, 2 * (k - s))
+    group = np.repeat(np.arange(count), take)
+    j = np.arange(len(group)) - np.repeat(np.cumsum(take) - take, take)
+    sample = (np.cumsum(sizes) - sizes)[group] + j * sizes[group] // take[group]
+    ranks = _ragged_ranks(fld, group, read(sample), count)
+    short = np.nonzero((ranks < k - s) & (sizes > take))[0]
+    if short.size:
+        pairs = np.nonzero(np.isin(which, short))[0]
+        ranks[short] = _ragged_ranks(fld, np.searchsorted(short, which[pairs]),
+                                     read(pairs), short.size)
+    return ranks
 
 
 def _meet_scan(b: BlockingSet, s: int, count_all: bool):
@@ -131,7 +155,8 @@ def _meet_scan(b: BlockingSet, s: int, count_all: bool):
     failures = 0
     idx = 0
     for pivots, block in rref_blocks(fld, k, k - s):
-        ranks = _meet_ranks(fld, b.points, pivots, block)
+        # x = x[pivots] @ R on L, so L projects one to one onto its pivots
+        ranks = _meet_ranks(fld, b.points, _null_space(fld, block, pivots), pivots)
         bad = np.nonzero(ranks < k - s)[0]
         if bad.size and first is None:
             i = int(bad[0])
@@ -233,7 +258,8 @@ def is_strong_blocking(b: BlockingSet, s: int, *,
         if failing.size:
             i = int(failing[0])
             pivots, block = next(rref_blocks(fld, k, k - s, i, i + 1))
-            achieved = int(_meet_ranks(fld, b.points, pivots, block)[0])
+            achieved = int(_meet_ranks(fld, b.points, _null_space(fld, block, pivots),
+                                       pivots)[0])
             first = Counterexample(SubspaceBasis(k, MatrixGF(fld, block[0]), pivots),
                                    achieved, i)
     else:
@@ -258,45 +284,6 @@ def _sampled_map(fld, rng, s: int, k: int) -> np.ndarray:
             return R[0]
 
 
-def _sampled_ranks(fld, points: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Exact rank of the points inside each L = ker R, for a stack of RREF
-    quotient maps R (count x s x k).
-
-    One field matmul images every point under every map; x lies in L iff
-    R x = 0.  The points of L are read in R's free columns, onto which L
-    projects one to one.  Per L at most 2(k-s) of its points, evenly spaced in
-    point order, are ranked first; only the L whose sample falls short of
-    k - s get all their points ranked.
-    """
-    count, s, k = maps.shape
-    flat = maps.reshape(count * s, k).T.astype(points.dtype)  # images in the points' type
-    img = fld.matmul_arr(points, flat).reshape(-1, count, s)
-    inside = img[:, :, 0] == 0
-    for row in range(1, s):  # one compare per map row: a reduce over s is slower
-        inside &= img[:, :, row] == 0
-    del img
-    which, where = np.nonzero(inside.T)  # (L, point) pairs, L-major
-    free = np.ones((count, k), dtype=bool)
-    free[np.arange(count)[:, None], (maps != 0).argmax(axis=2)] = False
-    free = np.nonzero(free)[1].reshape(count, k - s)
-
-    def coords(pairs):
-        return points[where[pairs][:, None], free[which[pairs]]]
-
-    sizes = np.bincount(which, minlength=count)
-    take = np.minimum(sizes, 2 * (k - s))
-    group = np.repeat(np.arange(count), take)
-    j = np.arange(len(group)) - np.repeat(np.cumsum(take) - take, take)
-    sample = (np.cumsum(sizes) - sizes)[group] + j * sizes[group] // take[group]
-    ranks = _ragged_ranks(fld, group, coords(sample), count)
-    short = np.nonzero((ranks < k - s) & (sizes > take))[0]
-    if short.size:
-        pairs = np.nonzero(np.isin(which, short))[0]
-        ranks[short] = _ragged_ranks(fld, np.searchsorted(short, which[pairs]),
-                                     coords(pairs), short.size)
-    return ranks
-
-
 def is_strong_blocking_sampled(b: BlockingSet, s: int, trials: int,
                                seed: int = 0) -> VerificationReport:
     """Test uniformly random codimension-s subspaces.
@@ -317,7 +304,9 @@ def is_strong_blocking_sampled(b: BlockingSet, s: int, trials: int,
     step = max(1, VERIFY_CHUNK // (s * b.size))
     for lo in range(0, trials, step):
         maps = np.stack([_sampled_map(fld, rng, s, k) for _ in range(min(step, trials - lo))])
-        ranks = _sampled_ranks(fld, b.points, maps)
+        free = np.ones((len(maps), k), dtype=bool)  # L = ker R projects one to one onto these
+        free[np.arange(len(maps))[:, None], (maps != 0).argmax(axis=2)] = False
+        ranks = _meet_ranks(fld, b.points, maps, np.nonzero(free)[1].reshape(len(maps), k - s))
         bad = np.nonzero(ranks < k - s)[0]
         if bad.size:
             t = int(bad[0])
@@ -365,8 +354,9 @@ def blocks_affine(points: np.ndarray, fld, codim: int, *,
         raise BudgetExceededError("subspaces", budget, total * q ** codim)
     weights = q ** np.arange(codim, dtype=np.int64)
     for pivots, block in rref_blocks(fld, k, k - codim):
-        own, span = _quotient_parts(fld, points, pivots, block)
-        labels = np.tensordot(weights, fld.sub_arr(own, span), axes=1)  # count x N
+        maps = _null_space(fld, block, pivots).reshape(-1, k).T.astype(points.dtype)
+        img = fld.matmul_arr(points, maps).reshape(len(points), len(block), codim)
+        labels = (img @ weights).T  # count x N
         hit = np.zeros((len(block), q ** codim), dtype=bool)
         hit[np.arange(len(block))[:, None], labels] = True
         missed = np.nonzero(~hit.all(axis=1))[0]

@@ -19,7 +19,8 @@ from blockforge.gf import FieldSpec
 from blockforge.lincomb import EdgeWitness, EliminationOrder
 from blockforge.linalg import (MatrixGF, SubspaceBasis, distinct_rows, gaussian_binomial,
                                matmul, projective_reps, rank, rref_blocks, subspace_from_rows)
-from blockforge.supply import PointSupply, normalize_column, normalize_rows
+from blockforge.supply import PointSupply, normalize_rows
+from blockforge.verify import _ragged_ranks
 
 
 # A GF(2) [12, 4] code that is not 2-minimal: the supports of its 2-dim
@@ -42,6 +43,63 @@ def zero_matrix(fld: FieldSpec, rows: int, cols: int) -> MatrixGF:
 def rank_product(a: MatrixGF, b: MatrixGF) -> int:
     """rank(a @ b); always >= rank(a) + rank(b) - inner_dim (Sylvester)."""
     return rank(matmul(a, b))
+
+
+def normalize_column(field: FieldSpec, col: np.ndarray) -> np.ndarray:
+    """Scale so the first nonzero coordinate is 1 (the removed
+    `supply.normalize_column`)."""
+    nz = np.nonzero(col)[0]
+    if nz.size == 0:
+        raise ValueError("cannot normalize the zero vector")
+    lead = int(col[nz[0]])
+    if lead == 1:
+        return col.astype(np.int64)
+    return field.mul_arr(field.inv(lead), col)
+
+
+def random_columns_by_loop(field: FieldSpec, k: int, n: int, rng) -> np.ndarray | None:
+    """The candidate draw of `supply.supply_random_verified` as it was: one
+    `rng.integers` call per vector, skipping zero vectors and projective
+    repeats by tuple keys, at most 100 n draws."""
+    cols = []
+    seen = set()
+    attempts = 0
+    while len(cols) < n and attempts < 100 * n:
+        attempts += 1
+        cand = rng.integers(0, field.q, size=k)
+        if not cand.any():
+            continue
+        key = tuple(int(v) for v in normalize_column(field, cand))
+        if key in seen:
+            continue
+        seen.add(key)
+        cols.append(cand)
+    return np.array(cols, dtype=np.int64) if len(cols) == n else None
+
+
+def quotient_parts(fld, points: np.ndarray, pivots: tuple[int, ...], block: np.ndarray):
+    """The two halves of Q x = x[free] - x[pivots] @ R[:, free], the image of
+    every point x under the quotient map Q of every subspace L in a block of
+    RREF bases R (x lies in L iff x == x[pivots] @ R, as R[:, pivots] = I);
+    the removed `verify._quotient_parts`.
+
+    Returns x[free] (c x 1 x N) and x[pivots] @ R[:, free] (c x count x N),
+    the latter from one field matmul of inner dimension dim L.
+    """
+    free = [j for j in range(points.shape[1]) if j not in pivots]
+    shape = (len(free), len(block), len(points))
+    r_free = block[:, :, free].transpose(2, 0, 1).reshape(shape[0] * shape[1], len(pivots))
+    span = fld.matmul_arr(r_free, points[:, list(pivots)].T).reshape(shape)
+    return points[:, free].T[:, None, :], span
+
+
+def meet_ranks_by_basis(fld, points: np.ndarray, pivots: tuple[int, ...], block: np.ndarray):
+    """Rank of the points inside each subspace L of a block of RREF bases, read
+    in L's basis (their pivot coordinates), every point of L ranked; the
+    basis-side meet ranks that `verify._meet_ranks` replaced."""
+    own, span = quotient_parts(fld, points, pivots, block)
+    which, where = np.nonzero((span == own).all(axis=0))  # (L, point) pairs, L-major
+    return _ragged_ranks(fld, which, points[where][:, list(pivots)], len(block))
 
 
 def supply_column(supply: PointSupply, j: int) -> np.ndarray:

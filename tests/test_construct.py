@@ -16,12 +16,11 @@ from blockforge.expander import (Graph, Hypergraph, complete_graph, cycle_graph,
                                  lps_graph, path_graph)
 from blockforge.gf import field_create
 from blockforge.linalg import MatrixGF
-from blockforge.supply import (GeneralPositionReport, PointSupply, normalize_column,
-                               supply_mds)
+from blockforge.supply import GeneralPositionReport, PointSupply, supply_mds
 from blockforge.verify import is_strong_blocking
 
-from helpers import (cherries_by_set, identity_matrix, random_admissible_columns,
-                     span_union_resorting, supply_column)
+from helpers import (cherries_by_set, identity_matrix, normalize_column,
+                     random_admissible_columns, span_union_resorting, supply_column)
 
 
 def identity_supply(fld, k):

@@ -8,7 +8,10 @@ only by `linalg.load_rows`, `linalg.load_sidecar` and `linalg.write_rows`,
 so every read takes the byte-level grid path when it applies, and
 `np.loadtxt` is called once, in `linalg.parse_rows`.  The CLI's two graph-file helpers are the only other
 `open` calls.  A graph's stored form (`_edge_array`, and the CSR arrays
-`_heads` and `_ends`) is read only in `expander`.
+`_heads` and `_ends`) is read only in `expander`.  Points inside subspaces
+are ranked in one place: `_ragged_ranks` is called only by
+`verify._meet_ranks`, and the removed helpers that are test references now
+(`normalize_column`, `_quotient_parts`) are defined nowhere in the package.
 """
 
 import ast
@@ -170,3 +173,33 @@ def test_graph_form_scan_flags_a_planted_read():
                      "def first(g):\n    return g._heads[0], g.m, g._edge_array\n")
     assert _attribute_reads(tree, GRAPH_FORM) == [(2, "_ends"), (4, "_edge_array"),
                                                   (4, "_heads")]
+
+
+REMOVED = ("normalize_column", "_quotient_parts")
+
+
+def _definitions(tree, names):
+    """(line, name) of every function defined in the tree, at any depth, whose
+    name is in `names`."""
+    return sorted((node.lineno, node.name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name in names)
+
+
+def test_meet_ranks_only_in_the_kernel():
+    assert _owners("_ragged_ranks", None) == [("verify", "_meet_ranks")] * 2
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_removed_helpers_stay_out_of_the_package(path):
+    assert _definitions(ast.parse(path.read_text()), REMOVED) == []
+
+
+def test_kernel_scan_flags_a_planted_rank_and_helper():
+    tree = ast.parse("def _meet_ranks(f, g, r, c):\n    return _ragged_ranks(f, g, r, c)\n"
+                     "def _meet_scan(b):\n    def _quotient_parts(x):\n        return x\n"
+                     "    return _ragged_ranks(b, 0, 1, 2)\n"
+                     "def normalize_column(field, col):\n    return col\n")
+    assert _calls(tree, "_ragged_ranks", None) == [("_meet_ranks", 2, set()),
+                                                    ("_meet_scan", 6, set())]
+    assert _definitions(tree, REMOVED) == [(4, "_quotient_parts"), (7, "normalize_column")]

@@ -14,7 +14,7 @@ from blockforge.supply import (GeneralPositionReport, PointSupply,
                                supply_mds, supply_random_verified,
                                verify_general_position, write_supply)
 
-from helpers import identity_matrix
+from helpers import identity_matrix, random_columns_by_loop
 
 
 def test_mds_gf5_every_triple_independent():
@@ -107,6 +107,39 @@ def test_random_verified_identity_scale():
     fld = field_create(5)
     sup, rep = supply_random_verified(fld, 3, 3, s=2, t=3, seed=0)
     assert rep.s_independence == 2 and rep.span_threshold == 3
+
+
+@pytest.mark.parametrize("p,m,k,n", [(2, 1, 3, 7), (2, 1, 4, 15), (2, 1, 4, 9), (2, 1, 5, 20),
+                                     (3, 1, 3, 13), (3, 1, 4, 30), (2, 2, 3, 21), (5, 1, 3, 12),
+                                     (7, 1, 2, 8), (3, 2, 3, 40), (13, 1, 4, 60), (3, 1, 6, 200)])
+def test_block_draw_matches_the_draw_at_a_time_loop(p, m, k, n):
+    # (2, 1, 3, 7) and (2, 1, 4, 15) draw all of PG(2, 2) and PG(3, 2): many
+    # rounds of repeats; the generator must be left in the same state as well.
+    fld = field_create(p, m)
+    for seed in range(4):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = supply._random_columns(fld, k, n, got_rng)
+        want = random_columns_by_loop(fld, k, n, want_rng)
+        assert np.array_equal(got, want)
+        assert got_rng.integers(0, 1 << 30, size=4).tolist() == \
+            want_rng.integers(0, 1 << 30, size=4).tolist()
+
+
+@pytest.mark.parametrize("q,k,n,s,t,seed", [(3, 4, 12, 2, 10, 1), (3, 4, 12, 1, 12, 1),
+                                            (5, 3, 3, 2, 3, 0), (2, 5, 12, 2, 10, 3),
+                                            (7, 3, 10, 2, 8, 5)])
+def test_random_verified_matches_the_draw_at_a_time_loop(monkeypatch, q, k, n, s, t, seed):
+    fld = field_create(q)
+
+    def run():
+        try:
+            sup, rep = supply_random_verified(fld, k, n, s=s, t=t, seed=seed)
+            return sup.matrix.data.tolist(), rep.to_dict()
+        except ValueError as exc:
+            return str(exc)
+    got = run()
+    monkeypatch.setattr(supply, "_random_columns", random_columns_by_loop)
+    assert got == run()
 
 
 def test_dual_distance_paths_agree():

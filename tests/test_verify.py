@@ -18,7 +18,7 @@ from blockforge.verify import (blocks_affine, is_strong_blocking,
                                to_affine_blocking)
 from blockforge.construct import construct_cherry
 
-from helpers import PINNED_CODE, enumerate_subspaces
+from helpers import PINNED_CODE, enumerate_subspaces, meet_ranks_by_basis
 
 
 def all_projective_points(fld, k):
@@ -211,7 +211,7 @@ def test_cover_scan_matches_meet_rank_scan(monkeypatch, p, m, k):
     verdicts, deficits = set(), set()
     for b in random_subsets(fld, k, seed=p * 100 + m * 10 + k):
         for s in range(1, k):
-            ranks = np.concatenate([verify._meet_ranks(fld, b.points, piv, block)
+            ranks = np.concatenate([meet_ranks_by_basis(fld, b.points, piv, block)
                                     for piv, block in rref_blocks(fld, k, k - s)])
             failing = np.nonzero(ranks < k - s)[0]
             assert verify._cover_scan(b, s).tolist() == failing.tolist()
@@ -226,6 +226,53 @@ def test_cover_scan_matches_meet_rank_scan(monkeypatch, p, m, k):
     assert verdicts == {"pass", "fail"}
     if k > 3:  # some failing L has a rank deficit >= 2: several of its hyperplanes H miss it
         assert max(deficits) >= 2
+
+
+def _kernel_sets(fld, k, seed):
+    """Point sets for the kernel checks: a hyperplane, whose large deficient
+    meets outgrow the kernel's sample, and for small spaces PG(k-1, q) and
+    random subsets of it (`random_subsets`), otherwise random draws of 40,
+    400 and 4000 vectors, whose meets range from empty to spanning."""
+    if (fld.q ** k - 1) // (fld.q - 1) <= 2000:
+        return random_subsets(fld, k, seed) + [hyperplane_points(fld, k)]
+    rng = np.random.default_rng(seed)
+    draws = (rng.integers(0, fld.q, size=(m, k)) for m in (40, 400, 4000))
+    return ([BlockingSet.from_points(fld, d[d.any(axis=1)]) for d in draws]
+            + [hyperplane_points(fld, k)])
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+def test_meet_ranks_match_the_basis_side_ranks(monkeypatch, p, m):
+    # Q x = 0 through the null-space maps, read at L's pivots, against
+    # x == x[pivots] @ R with every point of L ranked; in blocks of
+    # RREF_BLOCK subspaces and of one.
+    fld = field_create(p, m)
+    rng = np.random.default_rng(p * 10 + m)
+    calls = []  # one entry per elimination; a second one in a call is the fallback
+    ragged = verify._ragged_ranks
+
+    def spy(*args):
+        calls.append(None)
+        return ragged(*args)
+    monkeypatch.setattr(verify, "_ragged_ranks", spy)
+    full = deficient = fallbacks = 0
+    for k in range(3, 7):
+        for b in _kernel_sets(fld, k, seed=k):
+            for s in range(1, k):
+                total = subspace_count(k, s, fld.q)
+                starts = rng.integers(0, total, size=3)
+                windows = [(0, linalg.RREF_BLOCK)] + [(int(i), int(i) + 1) for i in starts]
+                for lo, hi in windows:
+                    for pivots, block in rref_blocks(fld, k, k - s, lo, hi):
+                        want = meet_ranks_by_basis(fld, b.points, pivots, block).tolist()
+                        calls.clear()
+                        maps = linalg._null_space(fld, block, pivots)
+                        got = verify._meet_ranks(fld, b.points, maps, pivots).tolist()
+                        assert got == want
+                        fallbacks += len(calls) > 1
+                        full += want.count(k - s)
+                        deficient += len(want) - want.count(k - s)
+    assert full and deficient and fallbacks
 
 
 def test_scan_choice_follows_the_family_sizes(monkeypatch):
@@ -351,6 +398,15 @@ def test_sampled_matches_the_per_trial_loop(p, m, ks):
     assert verdicts == {"pass", "fail"}
 
 
+def _free_columns(maps):
+    """The k - s non-pivot columns of each RREF map of a (count, s, k) stack,
+    onto which its null space projects one to one."""
+    count, s, k = maps.shape
+    free = np.ones((count, k), dtype=bool)
+    free[np.arange(count)[:, None], (maps != 0).argmax(axis=2)] = False
+    return np.nonzero(free)[1].reshape(count, k - s)
+
+
 @pytest.mark.parametrize("p,m,k", [(3, 1, 4), (2, 2, 4), (7, 1, 4), (2, 1, 5)])
 def test_sampled_ranks_are_exact_meet_ranks(p, m, k):
     fld = field_create(p, m)
@@ -360,7 +416,7 @@ def test_sampled_ranks_are_exact_meet_ranks(p, m, k):
             maps = np.stack([verify._sampled_map(fld, rng, s, k) for _ in range(12)])
             want = [_meet_rank(b, subspace_from_rows(kernel_basis(MatrixGF(fld, R))))
                     for R in maps]
-            assert verify._sampled_ranks(fld, b.points, maps).tolist() == want
+            assert verify._meet_ranks(fld, b.points, maps, _free_columns(maps)).tolist() == want
 
 
 def test_sampled_falls_back_when_the_sample_is_rank_deficient(monkeypatch):
@@ -389,7 +445,7 @@ def test_sampled_falls_back_when_the_sample_is_rank_deficient(monkeypatch):
         seen.append(ragged(*args).tolist())
         return np.array(seen[-1])
     monkeypatch.setattr(verify, "_ragged_ranks", spy)
-    assert verify._sampled_ranks(fld, b.points, R[None]).tolist() == [3]
+    assert verify._meet_ranks(fld, b.points, R[None], _free_columns(R[None])).tolist() == [3]
     assert seen == [[2], [3]]  # the sample falls short; all 9 points span L
     assert _meet_rank(b, L) == 3
     for trials in (1, 30):

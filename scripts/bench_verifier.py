@@ -5,11 +5,11 @@ against its per-trial loop, on the same instances.
     PYTHONPATH=src python3 scripts/bench_verifier.py --repeat 5 > BENCH_verifier.json
 
 `is_strong_blocking` runs the projection-cover scan over the [k, s+1]
-quotient maps when that family plus its key table is smaller than the
-[k, s] family of subspaces, and the meet-rank scan otherwise.  This script
-forces each scan in turn on the cherry sets of the benchmark's exhaustive
-workload (MDS supply in F_q^4, s = 2; the failing P5 set also with
-count_all), on s = 1 rows of the same sets, where the rule picks the
+quotient maps when that family plus the q^(s+1) keys of a map is smaller
+than the [k, s] family of subspaces, and the meet-rank scan otherwise.  This
+script forces each scan in turn on the cherry sets of the benchmark's
+exhaustive workload (MDS supply in F_q^4, s = 2; the failing P5 set also
+with count_all), on s = 1 rows of the same sets, where the rule picks the
 meet-rank scan, and on the failing cherry set of the 9-cycle over a seeded
 random 6 x 9 supply in GF(3) (s = 2, where the rule also picks the meet-rank
 scan; with count_all, so every block holding one of its 171 failing
@@ -22,8 +22,11 @@ the benchmark's lps-sampled workload (seed 1: LPS X^{5,13}, a random
 20 x 2184 supply over GF(3), built by bench/workloads.py), with its 12
 trials and trial seed, against the per-trial loop it replaced (one
 kernel, subspace and meet rank per trial), and records whether the two
-reports are byte-identical.  BLAS runs single-threaded.  The JSON result
-goes to stdout.
+reports are byte-identical.  Each scan of each case, and the sampled row,
+is built and timed in a fresh spawned process of its own, so no time
+depends on what ran before it in the same process; `chosen_is_faster`
+records whether the rule's scan had the lower median.  BLAS runs
+single-threaded.  The JSON result goes to stdout.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import json
+import multiprocessing
 import platform
 import statistics
 import sys
@@ -89,25 +93,19 @@ def _time(fn, repeat):
     return result, {"median_s": round(med, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4)}
 
 
-def run_case(b, s, count_all, repeat):
+def time_scan(index, scan, repeat):
+    """CASES[index] verified by one scan ("cover" or "meet"), forced, in
+    this process: (the case's facts, the timing, the report as JSON)."""
+    label, s, count_all = CASES[index]
+    b = INSTANCES[label]()
     q, k = b.field.q, b.k
-    out = {"size": b.size, "k": k, "s": s, "count_all": count_all,
-           "meets": gaussian_binomial(k, s, q), "maps": gaussian_binomial(k, s + 1, q),
-           "keys": q ** (s + 1),
-           "chosen": "cover" if verify._prefers_cover(k, s, q) else "meet"}
-    chosen = verify._prefers_cover
-    reports = {}
-    try:
-        for name, cover in (("cover", True), ("meet", False)):
-            verify._prefers_cover = lambda *args, cover=cover: cover
-            rep, out[name] = _time(
-                lambda: verify.is_strong_blocking(b, s, count_all=count_all), repeat)
-            reports[name] = json.dumps(rep.to_dict(), sort_keys=True)
-    finally:
-        verify._prefers_cover = chosen
-    out["result"] = json.loads(reports["meet"])["result"]
-    out["reports_identical"] = reports["cover"] == reports["meet"]
-    return out
+    facts = {"size": b.size, "k": k, "s": s, "count_all": count_all,
+             "meets": gaussian_binomial(k, s, q), "maps": gaussian_binomial(k, s + 1, q),
+             "keys": q ** (s + 1),
+             "chosen": "cover" if verify._prefers_cover(k, s, q) else "meet"}
+    verify._prefers_cover = lambda *args: scan == "cover"
+    rep, timing = _time(lambda: verify.is_strong_blocking(b, s, count_all=count_all), repeat)
+    return facts, timing, json.dumps(rep.to_dict(), sort_keys=True)
 
 
 def per_trial_sampled(b, s, trials, seed):
@@ -152,21 +150,33 @@ def run_sampled(repeat):
     return out
 
 
+def _fresh(fn, *args):
+    """fn(*args) in a fresh spawned process."""
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(fn, args)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--repeat", type=int, default=5, help="timed calls per scan and case")
     args = ap.parse_args()
 
-    sets = {label: build() for label, build in INSTANCES.items()}
     result = {"machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
-                          "blas_threads": 1},
+                          "blas_threads": 1, "process_per_scan": True},
               "repeat": args.repeat, "cases": []}
-    for label, s, count_all in CASES:
-        case = {"instance": label, **run_case(sets[label], s, count_all, args.repeat)}
+    for index, (label, _, _) in enumerate(CASES):
+        case, reports = {"instance": label}, {}
+        for scan in ("cover", "meet"):
+            facts, case[scan], reports[scan] = _fresh(time_scan, index, scan, args.repeat)
+        case = {"instance": label, **facts, "cover": case["cover"], "meet": case["meet"],
+                "result": json.loads(reports["meet"])["result"],
+                "reports_identical": reports["cover"] == reports["meet"]}
+        other = "meet" if case["chosen"] == "cover" else "cover"
+        case["chosen_is_faster"] = case[case["chosen"]]["median_s"] <= case[other]["median_s"]
         print(json.dumps(case), file=sys.stderr)
         result["cases"].append(case)
-    result["sampled"] = run_sampled(args.repeat)
+    result["sampled"] = _fresh(run_sampled, args.repeat)
     print(json.dumps(result["sampled"]), file=sys.stderr)
     print(json.dumps(result, indent=1))
 

@@ -57,13 +57,16 @@ class Graph:
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         self.n = n
         self.cayley = cayley
-        self._edge_array = distinct_rows(np.sort(pairs, axis=1))[0]  # rows u < v, sorted
+        # both directions of every edge as keys u * n + v, sorted once
+        u, v = pairs.T
+        tails, heads = np.divmod(_distinct(np.concatenate([u * n + v, v * n + u])), n)
+        forward = tails < heads
+        self._edge_array = np.stack([tails[forward], heads[forward]], axis=1)  # u < v, sorted
         self.m = len(self._edge_array)
-        both = distinct_rows(np.vstack([self._edge_array, self._edge_array[:, ::-1]]))[0]
         # CSR form: the sorted neighbours of v are _heads[_ends[v] - deg v:_ends[v]]
-        self._heads = np.ascontiguousarray(both[:, 1])
+        self._heads = heads
         self._heads.setflags(write=False)
-        self._ends = np.cumsum(np.bincount(both[:, 0], minlength=n))
+        self._ends = np.cumsum(np.bincount(tails, minlength=n))
         self._ends.setflags(write=False)
 
     @functools.cached_property
@@ -349,7 +352,7 @@ def lps_graph(p: int, q2: int) -> Graph:
         prods = _pgl_normalize(prods.reshape(-1, 4), inv)
         keys = prods @ weights
         unseen = np.nonzero(index[keys] < 0)[0]
-        fresh = np.delete(unseen, distinct_rows(keys[unseen, None])[1])  # first occurrences
+        fresh = unseen[np.sort(np.unique(keys[unseen], return_index=True)[1])]  # first occurrences
         index[keys[fresh]] = np.arange(n, n + len(fresh))
         tails.append(np.repeat(np.arange(n - len(level), n), p + 1))
         heads.append(index[keys])

@@ -20,7 +20,7 @@ import numpy as np
 from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .gf import FieldSpec
-from .linalg import (MatrixGF, distinct_rows, kernel_basis, projective_reps, rank,
+from .linalg import (MatrixGF, distinct_rows, projective_reps, rank,
                      read_matrix, rref_stack, write_matrix)
 
 RANK_CHUNK = 256  # column subsets per rref_stack call in _rank_deficient
@@ -188,16 +188,6 @@ def dual_distance_by_ranks(matrix: MatrixGF, *,
         if _rank_deficient(matrix, itertools.combinations(range(n), j), j):
             return j
     return k + 1 if n > k else None
-
-
-def dual_distance_by_codewords(matrix: MatrixGF, *,
-                               budget: int = DEFAULT_BUDGETS.codewords):
-    """Same value computed the other way: minimum weight over the null space
-    of the matrix (enumerated projectively)."""
-    kern = kernel_basis(matrix)  # nullity x n
-    if kern.rows == 0:
-        return None
-    return min_distance(kern, budget=budget)
 
 
 def min_distance(matrix: MatrixGF, *, budget: int) -> int | None:

@@ -2,10 +2,10 @@
 
 Every verifier asks for the rank of the points of B inside a subspace L, and
 one kernel answers it: `_meet_ranks` takes a stack of quotient maps Q
-(L = ker Q) and, per L, k - s columns onto which L projects one to one.  One field matmul images every
-point under every map (x lies in L iff Q x = 0); per L an evenly spaced
-sample of at most 2(k-s) of its points is ranked first, and only an L whose
-sample falls short gets all its points ranked.
+(L = ker Q) and, per L, k - s columns onto which L projects one to one.  One
+field matmul images every point under every map (x lies in L iff Q x = 0);
+per L an evenly spaced sample of at most 2(k-s) of its points is ranked
+first, and only an L whose sample falls short gets all its points ranked.
 
 The exhaustive verifier decides whether B meets every codimension-s
 subspace L in a spanning set (rank k-s), with one of two scans:
@@ -15,11 +15,13 @@ subspace L in a spanning set (rank k-s), with one of two scans:
 * Projection cover.  L fails exactly when a hyperplane H of L holds all of
   B in L, that is, when the nonzero images of B under the quotient map Q of
   the codimension-(s+1) subspace H miss a point y of PG(s, q); then
-  L = H + span(x) with Q x = y.  For a chunk of maps Q, one field matmul
-  images all points, each image is folded into its base-q key and looked up
-  in a table of projective positions, and no rank is computed.
+  L = H + span(x) with Q x = y.  No rank is computed and no map is imaged
+  whole: per pivot set, the rows of the RREF maps vary independently (the
+  map at offset m is a mixed-radix tuple of row digits), each row's vectors
+  are imaged once into a table of base-q key digits, and a map's point keys
+  are sums of table rows (`_cover_scan` has the chunk rule).
 
-The cover scan runs when its [k, s+1] maps plus the q^(s+1) key table are
+The cover scan runs when its [k, s+1] maps plus the q^(s+1) keys of a map are
 fewer than the [k, s] subspaces, which holds for k/2 <= s <= k-2; the
 meet-rank scan runs otherwise.  The cover scan ranks its earliest
 counterexample with the kernel.  The report is defined purely in terms of
@@ -45,9 +47,9 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS
 from .construct import BlockingSet, lower_bound
 from .errors import BudgetExceededError
-from .linalg import (MatrixGF, SubspaceBasis, _null_space, distinct_rows, gaussian_binomial,
-                     kernel_basis, projective_reps, rank, rref_blocks, rref_index,
-                     rref_stack, subspace_from_rows)
+from .linalg import (MatrixGF, SubspaceBasis, _null_space, _pivot_sets, distinct_rows,
+                     gaussian_binomial, kernel_basis, projective_reps, rank, rref_blocks,
+                     rref_index, rref_stack, subspace_from_rows)
 
 
 @dataclass(frozen=True)
@@ -169,25 +171,35 @@ def _meet_scan(b: BlockingSet, s: int, count_all: bool):
     return first, failures
 
 
-# Image entries (maps x map rows x points) per field matmul, in _cover_scan
-# and in the sampled verifier (at least one map per matmul).
+# Entries per array of a chunk: the sampled verifier's image entries (trials
+# x map rows x points, at least one trial), and _cover_scan's row tables and
+# per-chunk keys (at least one map's keys).
 VERIFY_CHUNK = 1 << 17
 
 
 @functools.lru_cache(maxsize=16)
 def _projective_index(fld, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(reps, table): the projective points of F_q^dim as rows, in
-    `projective_reps` order, and a table from the base-q key of a vector
-    (first coordinate most significant) to the position of its point in
-    reps; the zero vector maps to len(reps)."""
+    """(reps, keys): the projective points of F_q^dim as rows, in
+    `projective_reps` order, and keys[l - 1, i] the base-q key (first
+    coordinate most significant) of l * reps[i], for l = 1 .. q-1."""
     q = fld.q
     reps = np.hstack(list(projective_reps(fld, dim))).T
-    scaled = fld.mul_arr(np.arange(1, q)[:, None, None], reps)  # every nonzero vector
-    table = np.full(q ** dim, len(reps), dtype=np.int64)
-    table[scaled @ q ** np.arange(dim - 1, -1, -1)] = np.arange(len(reps))
+    keys = fld.mul_arr(np.arange(1, q)[:, None, None], reps) @ q ** np.arange(dim - 1, -1, -1)
     reps.setflags(write=False)
-    table.setflags(write=False)
-    return reps, table
+    keys.setflags(write=False)
+    return reps, keys
+
+
+def _cover_misses(prefix: np.ndarray, tail: np.ndarray, mults: np.ndarray,
+                  span: int) -> np.ndarray:
+    """missed[i * len(tail) + j, y]: whether the map whose point keys are
+    prefix[i] + tail[j] (keys in [0, span)) misses the projective point
+    reps[y], that is, none of those keys is one of mults[:, y]."""
+    pre = prefix + (np.arange(len(prefix)) * (len(tail) * span))[:, None]
+    post = tail + (np.arange(len(tail)) * span)[:, None]
+    hit = np.zeros(len(prefix) * len(tail) * span, dtype=bool)
+    hit[pre[:, None] + post[None]] = True  # each map's keys in a span of their own
+    return ~hit.reshape(-1, span)[:, mults].any(axis=1)
 
 
 def _cover_scan(b: BlockingSet, s: int) -> np.ndarray:
@@ -197,36 +209,70 @@ def _cover_scan(b: BlockingSet, s: int) -> np.ndarray:
     For each quotient map Q of a codimension-(s+1) subspace H = ker Q, a
     projective point y of PG(s, q) that no point of b maps to names the
     failing L = H + span(x), Q x = y, whose hyperplane H holds all of b in L.
+
+    Within one pivot set, row r of Q is e_(pivot r) plus f_r free entries,
+    so the map at offset m is the mixed-radix tuple (d_0, ..., d_s) of its
+    rows' free entries read in base q, row 0 most significant.  A point's
+    key sum_r q^(s-r) (Q_r x) holds each row's image in a base-q digit of its
+    own, so keys add as integers: each row's q^(f_r) vectors are imaged once
+    into a table of scaled keys, and a chunk of maps sums table rows, the
+    last row broadcast against the sums of the others.  A table of more than
+    VERIFY_CHUNK entries is imaged per chunk instead, for the vectors that
+    chunk uses.  Only failing maps are rebuilt from their digits.
     """
     fld, k, q = b.field, b.k, b.field.q
-    reps, table = _projective_index(fld, s + 1)
+    reps, mults = _projective_index(fld, s + 1)
+    span = q ** (s + 1)  # keys per map
     points_t = np.ascontiguousarray(b.points.T)
-    step = max(1, VERIFY_CHUNK // ((s + 1) * b.size))
+    step = max(1, VERIFY_CHUNK // max(b.size, span))  # maps per chunk
     found = []
-    for pivots, block in rref_blocks(fld, k, s + 1):
-        for lo in range(0, len(block), step):
-            maps = block[lo:lo + step]
-            img = fld.matmul_arr(maps.reshape(-1, k), points_t).reshape(len(maps), s + 1, -1)
-            key = img[:, 0]
-            for row in range(1, s + 1):  # Horner, in place: base-q key of each image
-                key *= q
-                key += img[:, row]
-            where = table[key]
-            del img, key
-            hit = np.zeros((len(maps), len(reps) + 1), dtype=bool)
-            hit[np.arange(len(maps))[:, None], where] = True
-            m, y = np.nonzero(~hit[:, :-1])
-            if m.size:
-                basis = np.concatenate([_null_space(fld, maps[m], pivots),
-                                        np.zeros((m.size, 1, k), dtype=np.int64)], axis=1)
-                basis[:, -1, list(pivots)] = reps[y]  # x: y at the pivots, 0 elsewhere
-                found.append(np.unique(rref_index(fld, rref_stack(fld, basis)[0])))
+    for pivots, _ in _pivot_sets(q, k, s + 1):
+        free = [[j for j in range(p + 1, k) if j not in pivots] for p in pivots]
+        radix = np.array([q ** len(cols) for cols in free])  # vectors per row
+
+        def vectors(r, digits):
+            out = np.zeros((len(digits), k), dtype=b.points.dtype)
+            out[:, pivots[r]] = 1
+            out[:, free[r]] = digits[:, None] // q ** np.arange(len(free[r]) - 1, -1, -1) % q
+            return out
+
+        def image(r, digits):  # q^(s-r) (v x) for each vector v, one row per digit
+            used, slot = np.unique(digits, return_inverse=True)
+            img = fld.matmul_arr(vectors(r, used), points_t).astype(np.intp)
+            img *= q ** (s - r)
+            return img if np.array_equal(used, digits) else img[slot]
+
+        tables = [image(r, np.arange(radix[r])) if radix[r] * b.size <= VERIFY_CHUNK
+                  else None for r in range(s + 1)]
+
+        def keys(r, digits):
+            return image(r, digits) if tables[r] is None else tables[r][digits]
+
+        # a group is the digits of rows 0..s-1: m = group * radix[s] + d_s
+        weight = np.array([radix[r + 1:s].prod() for r in range(s)])
+        groups = radix[:s].prod()
+        per = max(1, step // radix[s])  # groups per chunk
+        width = min(step, radix[s])  # last-row digits per chunk
+        for j0 in range(0, radix[s], width):  # last row outside: each block imaged once
+            last = np.arange(j0, min(j0 + width, radix[s]))
+            tail = keys(s, last)
+            for g0 in range(0, groups, per):
+                digits = np.arange(g0, min(g0 + per, groups))[:, None] // weight % radix[:s]
+                prefix = sum(keys(r, digits[:, r]) for r in range(s))
+                m, y = np.nonzero(_cover_misses(prefix, tail, mults, span))
+                if m.size:
+                    d = np.c_[digits[m // len(last)], last[m % len(last)]]
+                    maps = np.stack([vectors(r, d[:, r]) for r in range(s + 1)], axis=1)
+                    basis = np.concatenate([_null_space(fld, maps, pivots),
+                                            np.zeros((m.size, 1, k), dtype=np.int64)], axis=1)
+                    basis[:, -1, list(pivots)] = reps[y]  # x: y at the pivots, 0 elsewhere
+                    found.append(np.unique(rref_index(fld, rref_stack(fld, basis)[0])))
     return np.unique(np.concatenate(found)) if found else np.zeros(0, dtype=np.int64)
 
 
 def _prefers_cover(k: int, s: int, q: int) -> bool:
     """Whether the projection-cover scan is cheaper than the meet-rank scan:
-    fewer quotient maps plus key-table entries than codimension-s subspaces."""
+    fewer quotient maps plus keys per map than codimension-s subspaces."""
     return gaussian_binomial(k, s + 1, q) + q ** (s + 1) < gaussian_binomial(k, s, q)
 
 

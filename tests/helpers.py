@@ -18,8 +18,9 @@ from blockforge.expander import Graph, Hypergraph, _legendre, _sqrt_minus_one
 from blockforge.gf import FieldSpec
 from blockforge.lincomb import EdgeWitness, EliminationOrder
 from blockforge.linalg import (MatrixGF, SubspaceBasis, distinct_rows, gaussian_binomial,
-                               matmul, projective_reps, rank, rref_blocks, subspace_from_rows)
-from blockforge.supply import PointSupply, normalize_rows
+                               kernel_basis, matmul, projective_reps, rank, rref_blocks,
+                               subspace_from_rows)
+from blockforge.supply import PointSupply, min_distance, normalize_rows
 from blockforge.verify import _ragged_ranks
 
 
@@ -100,6 +101,18 @@ def meet_ranks_by_basis(fld, points: np.ndarray, pivots: tuple[int, ...], block:
     own, span = quotient_parts(fld, points, pivots, block)
     which, where = np.nonzero((span == own).all(axis=0))  # (L, point) pairs, L-major
     return _ragged_ranks(fld, which, points[where][:, list(pivots)], len(block))
+
+
+def dual_distance_by_codewords(matrix: MatrixGF, *,
+                               budget: int = DEFAULT_BUDGETS.codewords):
+    """The smallest number of dependent columns computed the other way, as
+    the minimum weight over the null space of the matrix (enumerated
+    projectively): the cross-check of `supply.dual_distance_by_ranks`, moved
+    here from `supply`."""
+    kern = kernel_basis(matrix)  # nullity x n
+    if kern.rows == 0:
+        return None
+    return min_distance(kern, budget=budget)
 
 
 def supply_column(supply: PointSupply, j: int) -> np.ndarray:

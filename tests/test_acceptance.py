@@ -12,15 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (projective_point_count, random_admissible_columns,
-                     random_certificate_instance, random_subspace)
+from helpers import (dual_distance_by_codewords, projective_point_count,
+                     random_admissible_columns, random_certificate_instance, random_subspace)
 
 import blockforge as bf
 from blockforge.expander import complete_graph
 from blockforge.linalg import matmul, rank, subspace_count
 from blockforge.mincode import blocking_to_code, is_s_minimal
-from blockforge.supply import (dual_distance_by_codewords,
-                               dual_distance_by_ranks)
+from blockforge.supply import dual_distance_by_ranks
 
 CHERRY_CASES = [(5, 3, 4), (7, 3, 5), (7, 4, 6)]
 

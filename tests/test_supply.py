@@ -9,12 +9,11 @@ from blockforge.budgets import Budgets
 from blockforge.gf import field_create
 from blockforge.linalg import MatrixGF, projective_reps, rank
 from blockforge.supply import (GeneralPositionReport, PointSupply,
-                               dual_distance_by_codewords,
                                dual_distance_by_ranks, normalize_rows, read_supply,
                                supply_mds, supply_random_verified,
                                verify_general_position, write_supply)
 
-from helpers import identity_matrix, random_columns_by_loop
+from helpers import dual_distance_by_codewords, identity_matrix, random_columns_by_loop
 
 
 def test_mds_gf5_every_triple_independent():

@@ -8,7 +8,7 @@ from blockforge.errors import BudgetExceededError
 from blockforge.expander import complete_graph
 from blockforge.gf import field_create
 from blockforge import linalg, verify
-from blockforge.linalg import (MatrixGF, kernel_basis, projective_reps,
+from blockforge.linalg import (MatrixGF, gaussian_binomial, kernel_basis, projective_reps,
                                quotient_map, rank, rref, rref_blocks, subspace_count,
                                subspace_from_rows)
 from blockforge.mincode import LinearCode, blocking_to_code, is_s_minimal
@@ -226,6 +226,97 @@ def test_cover_scan_matches_meet_rank_scan(monkeypatch, p, m, k):
     assert verdicts == {"pass", "fail"}
     if k > 3:  # some failing L has a rank deficit >= 2: several of its hyperplanes H miss it
         assert max(deficits) >= 2
+
+
+def _failing_by_basis(b, s):
+    """Canonical positions of the codimension-s subspaces whose meet with b
+    does not span them, by the basis-side meet ranks."""
+    fld, k = b.field, b.k
+    ranks = np.concatenate([meet_ranks_by_basis(fld, b.points, piv, block)
+                            for piv, block in rref_blocks(fld, k, k - s)])
+    return np.nonzero(ranks < k - s)[0].tolist()
+
+
+def _cover_images(monkeypatch, fld):
+    """Record the left operand of every field matmul, and the prefix and tail
+    key blocks of every `_cover_misses` call; returns (lefts, blocks)."""
+    lefts, blocks = [], []
+    matmul, misses = type(fld).matmul_arr, verify._cover_misses
+
+    def spy_matmul(self, a, c):
+        lefts.append(np.array(a))
+        return matmul(self, a, c)
+
+    def spy_misses(prefix, tail, mults, span):
+        blocks.append((prefix.shape, tail.shape, span))
+        return misses(prefix, tail, mults, span)
+    monkeypatch.setattr(type(fld), "matmul_arr", spy_matmul)
+    monkeypatch.setattr(verify, "_cover_misses", spy_misses)
+    return lefts, blocks
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 1, 5), (3, 1, 4), (2, 2, 4), (3, 2, 3), (5, 1, 3)])
+def test_cover_scan_chunks_match_the_basis_side_ranks(monkeypatch, p, m, k):
+    # Chunks of one map, chunks that divide no row table, and tables of the
+    # leading row too large to hold: every one gives the basis-side positions.
+    fld = field_create(p, m)
+    q = fld.q
+    lefts, _ = _cover_images(monkeypatch, fld)
+    per_chunk_leads = 0
+    for b in random_subsets(fld, k, seed=p * 100 + m * 10 + k):
+        for s in range(1, k):
+            want = _failing_by_basis(b, s)
+            one = max(b.size, q ** (s + 1))  # VERIFY_CHUNK entries per map
+            lead = q ** (k - 1 - s)  # vectors of row 0 when its pivot is column 0
+            for chunk in (1, (q + 1) * one, lead * b.size - 1):
+                monkeypatch.setattr(verify, "VERIFY_CHUNK", chunk)
+                lefts.clear()
+                assert verify._cover_scan(b, s).tolist() == want
+                # row 0 with its pivot at column 0, imaged for a chunk's vectors only
+                per_chunk_leads += any(a[:, 0].all() and len(a) < lead for a in lefts)
+    assert per_chunk_leads
+
+
+@pytest.mark.parametrize("p,k", [(3, 4), (2, 5)])
+def test_cover_scan_arrays_stay_within_the_chunk(monkeypatch, p, k):
+    fld = field_create(p)
+    lefts, blocks = _cover_images(monkeypatch, fld)
+    for b in random_subsets(fld, k, seed=11):
+        for s in range(1, k):
+            span = fld.q ** (s + 1)
+            for chunk in (1, 3 * b.size, 1 << 17):
+                monkeypatch.setattr(verify, "VERIFY_CHUNK", chunk)
+                lefts.clear()
+                blocks.clear()
+                verify._cover_scan(b, s)
+                bound = max(chunk, b.size, span)  # or one map's N keys, or its key span
+                assert blocks and lefts
+                assert max(len(a) * b.size for a in lefts) <= bound  # the images
+                for (groups, n), (last, n2), got_span in blocks:
+                    assert n == n2 == b.size and got_span == span
+                    assert groups * n <= bound and last * n <= bound
+                    assert groups * last * n <= bound  # the chunk's keys
+                    assert groups * last * span <= bound  # its hit flags
+
+
+def test_cover_scan_images_each_row_vector_once(monkeypatch):
+    # One row per imaged vector, never a map's s+1 rows: with tables that
+    # fit, each row's q^(f_r) vectors are imaged once per pivot set, far
+    # fewer rows than the old scan's (s+1) per map.
+    fld = field_create(13)
+    b = construct_cherry(complete_graph(10), supply_mds(fld, 4, 10))
+    lefts, _ = _cover_images(monkeypatch, fld)
+    k, s, q = 4, 2, 13
+    verify._cover_scan(b, s)
+    want = sum(q ** (k - 1 - piv - (s - r))
+               for piv_set, _ in linalg._pivot_sets(q, k, s + 1)
+               for r, piv in enumerate(piv_set))
+    assert sum(len(a) for a in lefts) == want == 39 + 27 + 15 + 3
+    for a in lefts:
+        assert a.shape[1] == k and len(np.unique(a, axis=0)) == len(a)
+        lead = (a != 0).argmax(axis=1)
+        assert (a[np.arange(len(a)), lead] == 1).all() and len(set(lead.tolist())) == 1
+    assert want < gaussian_binomial(k, s + 1, q)
 
 
 def _kernel_sets(fld, k, seed):

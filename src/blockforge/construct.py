@@ -2,9 +2,11 @@
 
 Each recipe builds an (s+1)-uniform hypergraph on the vertices of a graph
 whose vertices carry general-position supply columns, then dumps every
-projective point in the span of every edge.  Cherries (paths of length two)
-give strong 2-blocking sets; for general s the edges are r-subsets of balls
-(radius r = s+1 around a common center) or of closed neighborhoods.
+projective point in the span of every edge: it images each face (a distinct
+subset of an edge) once, with its proper combinations.  Cherries (paths of
+length two) give strong 2-blocking sets; for general s the edges are
+r-subsets of balls (radius r = s+1 around a common center) or of closed
+neighborhoods.
 
 The asymptotic parameter schedules from the analysis (alpha = 1/8, d = 258
 for cherries; p > 64 r^2 for the ball recipe; p > 16 q^(4s)/eps^2 for the
@@ -15,7 +17,7 @@ instances cannot meet them, and the verifier is the source of truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations
+from itertools import combinations, product
 import math
 
 import numpy as np
@@ -25,7 +27,7 @@ from .errors import BudgetExceededError
 from .expander import Graph, Hypergraph, power_graph, clique_hypergraph
 from .gf import FieldSpec
 from .linalg import (_row_keys, distinct_rows, format_rows, load_rows, load_sidecar,
-                     matrix_head, parse_field_rows, projective_reps, write_rows)
+                     matrix_head, parse_field_rows, write_rows)
 from .supply import (GeneralPositionReport, PointSupply, normalize_rows,
                      verify_general_position)
 
@@ -120,32 +122,54 @@ def lower_bound(q: int, k: int, s: int) -> int:
 # Span dumps
 # ---------------------------------------------------------------------------
 
+def _faces(h: Hypergraph, j: int) -> np.ndarray:
+    """The distinct j-subsets of the edges of h, each row ascending, the rows
+    in lexicographic order."""
+    subsets = [a[:, list(pick)] for r, a in h.edge_arrays.items() if r >= j
+               for pick in combinations(range(r), j)]
+    return distinct_rows(np.concatenate(subsets))[0]
+
+
+def _chunk_points(fld: FieldSpec, coeffs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The distinct projective points among coeffs @ cols[:, i] for every
+    face i, where cols (j x faces x k) holds each face's columns.  A function
+    of its own so that the chunk's images are freed on return, before the
+    final merge."""
+    pts = fld.matmul_arr(coeffs, cols.reshape(len(cols), -1)).reshape(-1, cols.shape[-1])
+    pts = pts[pts.any(axis=1)]  # dependent columns can cancel
+    return distinct_rows(normalize_rows(fld, pts))[0]
+
+
 def edge_span_union(h: Hypergraph, supply: PointSupply, *,
                     point_cap: int = DEFAULT_BUDGETS.points,
                     provenance=None) -> BlockingSet:
     """All projective points of span(f) over every edge f, deduplicated, in
-    the field's storage type: one field matmul per chunk of equal-size
-    edges, each chunk deduplicated on its own and the chunks merged once at
-    the end.  Once the chunk sizes add up past `point_cap`, the chunks so far
-    are merged early, and the budget is exceeded when the merged count is."""
+    the field's storage type.  Each such point is a proper combination
+    (1, a_2, ..., a_j), every a_i nonzero, of the columns of a face: a
+    distinct j-subset of some edge (of exactly one face when the columns are
+    in general position).  So the faces of each size j are imaged once each,
+    (q-1)^(j-1) vectors per face, in one field matmul per chunk of faces,
+    built only when size j's turn comes; each chunk is deduplicated on its
+    own and the chunks are merged once at the end.  Once the chunk sizes add
+    up past `point_cap`, the chunks so far are merged early, and the budget
+    is exceeded when the merged count is."""
     fld, k = supply.field, supply.k
     columns = supply.matrix.data.T.astype(fld.dtype)  # n x k
     chunks, held = [], 0
-    for size, edges in h.edge_arrays.items():
-        edges = edges.T  # size x edges
-        coeffs = np.hstack(list(projective_reps(fld, size))).T.astype(fld.dtype)  # reps x size
+    for j in range(1, max(h.edge_arrays, default=0) + 1):
+        faces = _faces(h, j).T  # j x faces
+        coeffs = np.array([(1, *a) for a in product(range(1, fld.q), repeat=j - 1)],
+                          dtype=fld.dtype)  # (q-1)^(j-1) x j
         step = max(1, SPAN_CHUNK_ROWS // len(coeffs))
-        for lo in range(0, edges.shape[1], step):
-            flat = columns[edges[:, lo:lo + step]].reshape(size, -1)
-            pts = fld.matmul_arr(coeffs, flat).reshape(-1, k)
-            pts = pts[pts.any(axis=1)]  # dependent columns can cancel
-            chunks.append(distinct_rows(normalize_rows(fld, pts))[0])
+        for lo in range(0, faces.shape[1], step):
+            chunks.append(_chunk_points(fld, coeffs, columns[faces[:, lo:lo + step]]))
             held += len(chunks[-1])
             if held > point_cap:
                 chunks = [distinct_rows(np.concatenate(chunks))[0]]
                 held = len(chunks[0])
                 if held > point_cap:
                     raise BudgetExceededError("points", point_cap, held)
+        del faces  # before the next size's faces, or the final merge
     if len(chunks) > 1:
         chunks = [distinct_rows(np.concatenate(chunks))[0]]
     distinct = chunks[0] if chunks else np.zeros((0, k), dtype=fld.dtype)

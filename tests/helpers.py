@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -120,19 +120,63 @@ def supply_column(supply: PointSupply, j: int) -> np.ndarray:
     return supply.matrix.data[:, j]
 
 
-def span_union_resorting(h: Hypergraph, supply: PointSupply, point_cap: int) -> np.ndarray:
-    """The span dump as `construct.edge_span_union` computed it before each
-    chunk was deduplicated on its own: int64 rows, the growing set re-sorted
-    after every chunk of `construct.SPAN_CHUNK_ROWS` rows, and the budget
-    checked against its size there."""
+def span_union_by_edges(h: Hypergraph, supply: PointSupply, *,
+                        point_cap: int = DEFAULT_BUDGETS.points) -> construct.BlockingSet:
+    """The span dump as `construct.edge_span_union` computed it before it
+    imaged faces: every projective point of each edge's whole span, one field
+    matmul per chunk of equal-size edges, each chunk deduplicated on its own
+    and the chunks merged once at the end, under the same budget rule."""
     fld, k = supply.field, supply.k
-    distinct = np.zeros((0, k), dtype=np.int64)
-    for size in sorted({len(e) for e in h.edges}):
-        edges = np.array([e for e in h.edges if len(e) == size]).T
-        coeffs = np.hstack(list(projective_reps(fld, size))).T
+    columns = supply.matrix.data.T.astype(fld.dtype)  # n x k
+    chunks, held = [], 0
+    for size, edges in h.edge_arrays.items():
+        edges = edges.T  # size x edges
+        coeffs = np.hstack(list(projective_reps(fld, size))).T.astype(fld.dtype)  # reps x size
         step = max(1, construct.SPAN_CHUNK_ROWS // len(coeffs))
         for lo in range(0, edges.shape[1], step):
-            flat = supply.matrix.data.T[edges[:, lo:lo + step]].reshape(size, -1)
+            flat = columns[edges[:, lo:lo + step]].reshape(size, -1)
+            pts = fld.matmul_arr(coeffs, flat).reshape(-1, k)
+            pts = pts[pts.any(axis=1)]  # dependent columns can cancel
+            chunks.append(distinct_rows(normalize_rows(fld, pts))[0])
+            held += len(chunks[-1])
+            if held > point_cap:
+                chunks = [distinct_rows(np.concatenate(chunks))[0]]
+                held = len(chunks[0])
+                if held > point_cap:
+                    raise BudgetExceededError("points", point_cap, held)
+    if len(chunks) > 1:
+        chunks = [distinct_rows(np.concatenate(chunks))[0]]
+    distinct = chunks[0] if chunks else np.zeros((0, k), dtype=fld.dtype)
+    distinct.setflags(write=False)
+    return construct.BlockingSet(fld, k, distinct, {"construction": "edge_span_union"})
+
+
+def faces_by_set(h: Hypergraph, j: int) -> list[tuple[int, ...]]:
+    """The distinct j-subsets of the edges of h in lexicographic order, from a
+    Python set of tuples."""
+    return sorted({f for e in h.edges if len(e) >= j for f in combinations(e, j)})
+
+
+def proper_combinations(fld: FieldSpec, j: int) -> np.ndarray:
+    """The (q-1)^(j-1) coefficient vectors (1, a_2, ..., a_j), every a_i
+    nonzero, in base-(q-1) order of (a_2, ..., a_j)."""
+    return np.array([(1, *a) for a in product(range(1, fld.q), repeat=j - 1)], dtype=np.int64)
+
+
+def span_union_resorting(h: Hypergraph, supply: PointSupply, point_cap: int) -> np.ndarray:
+    """The face-order span dump of `construct.edge_span_union` with the
+    growing set re-sorted after every chunk: int64 rows, chunks of
+    max(1, `construct.SPAN_CHUNK_ROWS` // (q-1)^(j-1)) faces of each size j
+    in lexicographic order, and the budget checked against the set's size
+    after every chunk."""
+    fld, k = supply.field, supply.k
+    distinct = np.zeros((0, k), dtype=np.int64)
+    for j in range(1, max((len(e) for e in h.edges), default=0) + 1):
+        faces = np.array(faces_by_set(h, j)).T
+        coeffs = proper_combinations(fld, j)
+        step = max(1, construct.SPAN_CHUNK_ROWS // len(coeffs))
+        for lo in range(0, faces.shape[1], step):
+            flat = supply.matrix.data.T[faces[:, lo:lo + step]].reshape(j, -1)
             pts = fld.matmul_arr(coeffs, flat).reshape(-1, k)
             pts = pts[pts.any(axis=1)]
             distinct, _ = distinct_rows(np.vstack([distinct, normalize_rows(fld, pts)]))

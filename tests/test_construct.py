@@ -14,13 +14,14 @@ from blockforge.construct import (BlockingSet, cherry_hypergraph,
 from blockforge.errors import BudgetExceededError
 from blockforge.expander import (Graph, Hypergraph, complete_graph, cycle_graph,
                                  lps_graph, path_graph)
-from blockforge.gf import field_create
+from blockforge.gf import FieldSpec, field_create
 from blockforge.linalg import MatrixGF
 from blockforge.supply import GeneralPositionReport, PointSupply, supply_mds
 from blockforge.verify import is_strong_blocking
 
-from helpers import (cherries_by_set, identity_matrix, normalize_column,
-                     random_admissible_columns, span_union_resorting, supply_column)
+from helpers import (cherries_by_set, faces_by_set, identity_matrix, normalize_column,
+                     random_admissible_columns, span_union_by_edges, span_union_resorting,
+                     supply_column)
 
 
 def identity_supply(fld, k):
@@ -102,7 +103,7 @@ def test_edge_span_point_cap():
     assert edge_span_union(h, sup, point_cap=size).size == size
     with pytest.raises(BudgetExceededError) as err:
         edge_span_union(h, sup, point_cap=size - 1)
-    assert err.value.required == size  # one chunk: the count at its merge
+    assert err.value.required == size  # crossed at the last chunk: the count at its merge
 
 
 def _mixed_span_instance(p, m, k, n=10):
@@ -121,15 +122,16 @@ def _mixed_span_instance(p, m, k, n=10):
 def test_span_dump_merges_its_chunks_once(p, m, k, monkeypatch):
     sup, h = _mixed_span_instance(p, m, k)
     one = edge_span_union(h, sup)
-    monkeypatch.setattr(construct, "SPAN_CHUNK_ROWS", 40)
+    monkeypatch.setattr(construct, "SPAN_CHUNK_ROWS", 8)
     calls = []
     dedup = construct.distinct_rows
     monkeypatch.setattr(construct, "distinct_rows", lambda rows: calls.append(1) or dedup(rows))
     many = edge_span_union(h, sup)
-    reps = {1: 1, 2: sup.field.q + 1, 3: sup.field.q ** 2 + sup.field.q + 1}
-    sizes = [len(e) for e in h.edges]
-    chunks = sum(-(-sizes.count(r) // max(1, 40 // reps[r])) for r in reps)
-    assert chunks > 20 and len(calls) == chunks + 1  # each chunk, then one merge
+    vectors = {j: (sup.field.q - 1) ** (j - 1) for j in (1, 2, 3)}  # per face of size j
+    faces = {j: len(faces_by_set(h, j)) for j in vectors}
+    chunks = sum(-(-faces[j] // max(1, 8 // vectors[j])) for j in vectors)
+    # each size's faces, each chunk, then one merge
+    assert chunks > 20 and len(calls) == len(faces) + chunks + 1
     assert many == one and many.points.dtype == one.points.dtype == sup.field.dtype
     assert np.array_equal(many.points, span_union_resorting(h, sup, one.size))
 
@@ -150,6 +152,100 @@ def test_span_dump_budget_matches_resorting_each_chunk(p, m, k, chunk_rows, monk
         assert ((got.value.budget, got.value.limit, got.value.required)
                 == (want.value.budget, want.value.limit, want.value.required)), cap
     assert edge_span_union(h, sup, point_cap=size).size == size
+
+
+FACE_FIELDS = pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (13, 1)],
+                                      ids=["GF(2)", "GF(3)", "GF(4)", "GF(9)", "GF(13)"])
+
+
+def _shared_face_instance(fld, case):
+    """A supply and a hypergraph with edges of sizes 1 to 4 that share faces.
+    "mixed": random admissible columns and random edges on 8 vertices.
+    "dependent": column 2 = c0 + c1 and column 5 = c0 + c1 + c3, with every
+    subset of {0, ..., 5} of size at most 4 as an edge, so that proper
+    combinations cancel ({0, 1, 2} over GF(2)) and coincide ((1, 1) on {0, 1}
+    is column 2)."""
+    rng = np.random.default_rng(fld.q)
+    if case == "mixed":
+        sup = PointSupply(random_admissible_columns(fld, 5, 8, rng), "test")
+        edges = [tuple(rng.choice(8, size=r, replace=False)) for r in rng.integers(1, 5, size=20)]
+        edges += [(0, 1, 2, 3), (0, 1, 2), (1, 2, 4), (1, 2), (2,)]
+        return sup, Hypergraph.from_edges(8, edges, max_edge_size=4)
+    while True:
+        cols = random_admissible_columns(fld, 5, 6, rng).data.copy()
+        cols[:, 2] = fld.add_arr(cols[:, 0], cols[:, 1])
+        cols[:, 5] = fld.add_arr(cols[:, 2], cols[:, 3])
+        try:
+            sup = PointSupply(MatrixGF(fld, cols), "test")
+        except ValueError:  # a sum repeated a column projectively: draw again
+            continue
+        edges = [e for r in range(1, 5) for e in itertools.combinations(range(6), r)]
+        return sup, Hypergraph.from_edges(6, edges, max_edge_size=4)
+
+
+@pytest.mark.parametrize("chunk_rows", [construct.SPAN_CHUNK_ROWS, 7],
+                         ids=["one-chunk", "chunks-of-7"])
+@pytest.mark.parametrize("case", ["mixed", "dependent"])
+@FACE_FIELDS
+def test_face_dump_matches_the_edge_dump(p, m, case, chunk_rows, monkeypatch):
+    monkeypatch.setattr(construct, "SPAN_CHUNK_ROWS", chunk_rows)
+    sup, h = _shared_face_instance(field_create(p, m), case)
+    got, want = edge_span_union(h, sup), span_union_by_edges(h, sup)
+    assert got == want and got.points.dtype == want.points.dtype
+    assert got.points.tobytes() == want.points.tobytes()
+    with pytest.raises(BudgetExceededError) as err:
+        edge_span_union(h, sup, point_cap=want.size - 1)
+    assert err.value.required == want.size  # the dump ends by merging every chunk
+
+
+@FACE_FIELDS
+def test_face_dump_matches_the_edge_dump_for_neighborhoods(p, m):
+    fld = field_create(p, m)
+    g = Graph(9, [(i, (i + d) % 9) for i in range(9) for d in (1, 3)])  # closed N[x] of size 5
+    sup = PointSupply(random_admissible_columns(fld, 6, 9, np.random.default_rng(p * m)), "test")
+    got = construct_neighborhood(g, sup, 3)
+    want = span_union_by_edges(neighborhood_hypergraph(g, 3), sup)
+    assert got == want and got.points.tobytes() == want.points.tobytes()
+
+
+def _imaged_rows(monkeypatch, k):
+    """Spy on the field matmul: (proper combinations, faces) of every call."""
+    calls = []
+    matmul = FieldSpec.matmul_arr
+
+    def spy(self, a, b):
+        calls.append((np.shape(a), np.shape(b)[1] // k))
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "matmul_arr", spy)
+    return calls
+
+
+@pytest.mark.parametrize("chunk_rows", [construct.SPAN_CHUNK_ROWS, 7],
+                         ids=["one-chunk", "chunks-of-7"])
+@pytest.mark.parametrize("case", ["mixed", "dependent"])
+@FACE_FIELDS
+def test_span_dump_images_each_face_once(p, m, case, chunk_rows, monkeypatch):
+    monkeypatch.setattr(construct, "SPAN_CHUNK_ROWS", chunk_rows)
+    fld = field_create(p, m)
+    sup, h = _shared_face_instance(fld, case)
+    calls = _imaged_rows(monkeypatch, sup.k)
+    edge_span_union(h, sup)
+    want = sum(len(faces_by_set(h, j)) * (fld.q - 1) ** (j - 1) for j in range(1, 5))
+    assert sum(vectors * faces for (vectors, _), faces in calls) == want
+    for (vectors, j), faces in calls:
+        assert vectors == (fld.q - 1) ** (j - 1)
+        assert vectors * faces <= max(chunk_rows, vectors)
+
+
+@pytest.mark.parametrize("p,m,n", [(5, 1, 6), (7, 1, 8), (3, 2, 10), (13, 1, 10)],
+                         ids=["GF(5)", "GF(7)", "GF(9)", "GF(13)"])
+def test_span_dump_of_cherries_in_general_position_images_each_point_once(p, m, n, monkeypatch):
+    fld = field_create(p, m)
+    sup = supply_mds(fld, 6, n)  # every 6 columns, the union of any two faces, independent
+    calls = _imaged_rows(monkeypatch, 6)
+    b = edge_span_union(cherry_hypergraph(complete_graph(n)), sup)
+    assert sum(vectors * faces for (vectors, _), faces in calls) == b.size
 
 
 def test_edge_span_monotone():

@@ -53,9 +53,10 @@ class LinearCode:
 def blocking_to_code(b: BlockingSet) -> LinearCode:
     """Generator matrix whose columns are the points of b (must span)."""
     gen = MatrixGF(b.field, b.points.T)
-    if rank(gen) < b.k:
-        raise ValueError("point set does not span; the code would be rank-deficient")
-    return LinearCode(gen)
+    try:
+        return LinearCode(gen)  # ranks the generator once
+    except ValueError:
+        raise ValueError("point set does not span; the code would be rank-deficient") from None
 
 
 def code_to_blocking(code: LinearCode, provenance=None) -> BlockingSet:
@@ -98,11 +99,19 @@ def is_s_minimal(code: LinearCode, s: int, *,
                  budget: int = DEFAULT_BUDGETS.minimal_subspaces) -> MinimalityReport:
     """Brute-force antichain check over every s-dimensional subspace.
 
-    Subspaces are enumerated in the k-dimensional message space and pushed
-    through the generator a block at a time, so the work is q^k-sized, never
-    q^n-sized.  Supports are rows of a boolean matrix S; supp(X_i) is inside
-    supp(X_j) iff row i of S @ (~S).T is 0 at j, and the first such pair
-    i != j in (i, j) order is reported.
+    Subspaces are enumerated in the k-dimensional message space a block at a
+    time, and only the projective points of that space are pushed through
+    the generator, so the work is q^k-sized, never q^n-sized.  Supports are
+    rows of a boolean matrix S (see `_support_matrix`); supp(X_i) is inside
+    supp(X_j) iff the 0/1 product of S[i] and ~S[j] is 0, and the least such
+    pair i != j in (i, j) order is reported.
+
+    Only candidate pairs are multiplied: if supp(X_i) is inside supp(X_j),
+    X_i vanishes wherever X_j does, in particular at the first zero z_j of
+    X_j.  So the j sharing a first zero z are checked together against the
+    rows i with S[i, z] = 0 (about 1/q^s of them), in products of at most
+    RREF_BLOCK * total entries, and a j of full support pairs with every
+    i != j.
     """
     fld = code.field
     k = code.k
@@ -115,27 +124,79 @@ def is_s_minimal(code: LinearCode, s: int, *,
     if total > budget:
         raise BudgetExceededError("minimal_subspaces", budget, total)
     gen = code.generator.data
-    supports = np.vstack([
-        fld.matmul_arr(block.reshape(-1, k), gen).reshape(len(block), s, -1).any(axis=1)
-        for _, block in rref_blocks(fld, k, s)])  # total x n
+    pair = _first_contained_pair(_support_matrix(fld, gen, s), linalg.RREF_BLOCK * total)
+    if pair is None:
+        return MinimalityReport(s, total, "pass", None, time.perf_counter() - t0)
+    # Rebuild the rows of X_i and X_j from their indices and recount their
+    # supports directly before reporting.
+    ri, rj = (fld.matmul_arr(next(rref_blocks(fld, k, s, x, x + 1))[1][0], gen) for x in pair)
+    if not set(np.nonzero(ri.any(axis=0))[0]) <= set(np.nonzero(rj.any(axis=0))[0]):
+        raise RuntimeError("the support matrix disagrees with a direct recount")
+    return MinimalityReport(s, total, "fail", (ri, rj), time.perf_counter() - t0)
+
+
+def _support_matrix(fld: FieldSpec, gen: np.ndarray, s: int) -> np.ndarray:
+    """Boolean matrix whose row i is the support of the i-th s-dimensional
+    subspace of the message space (the order of `rref_blocks`) in the code
+    generated by `gen`.
+
+    Each row of an RREF matrix is itself a 1 x k RREF matrix, a projective
+    point, and supp(X) is the union of the supports of its rows, so only the
+    points are pushed through the generator.
+    """
+    k = len(gen)
+    points = np.vstack([fld.matmul_arr(block[:, 0], gen) != 0
+                        for _, block in rref_blocks(fld, k, 1)])
+    if s == 1:  # the subspaces are the points
+        return points
+    return np.vstack([
+        points[linalg.rref_index(fld, block.reshape(-1, 1, k))].reshape(len(block), s, -1)
+        .any(axis=1) for _, block in rref_blocks(fld, k, s)])
+
+
+def _first_contained_pair(supports: np.ndarray, block: int) -> tuple[int, int] | None:
+    """The least (i, j), i != j, with row i of the boolean matrix `supports`
+    inside row j, or None; no product computed has more than `block` entries.
+    """
+    best = None
+    zeros = ~supports
+    has_zero = zeros.any(axis=1)
+    full = np.flatnonzero(~has_zero)  # a full support j holds every i != j
+    if len(supports) > 1 and full.size:
+        j = int(full[0] if full[0] or full.size == 1 else full[1])
+        best = (int(j == 0), j)  # (0, j), or (1, 0) when 0 is the only full j
+    first_zero = zeros.argmax(axis=1)
+    js = np.flatnonzero(has_zero)
+    js = js[np.argsort(first_zero[js], kind="stable")]  # grouped by first zero, j ascending
+    for grp in np.split(js, np.flatnonzero(np.diff(first_zero[js])) + 1) if js.size else ():
+        ii = np.flatnonzero(zeros[:, first_zero[grp[0]]])
+        if best is not None:
+            ii = ii[ii <= best[0]]
+        if not ii.size:
+            continue
+        inside = supports[ii].astype(np.float32)
+        width = max(1, block // ii.size)
+        for lo in range(0, grp.size, width):
+            pair = _least_pair(inside, ii, zeros, grp[lo:lo + width])
+            if pair is not None:
+                best = pair if best is None else min(best, pair)
+        del inside  # before the next group's copy is made
+    return best
+
+
+def _least_pair(inside: np.ndarray, ii: np.ndarray, zeros: np.ndarray,
+                chunk: np.ndarray) -> tuple[int, int] | None:
+    """The least (i, j), i in ii, j in chunk, i != j, with supp X_i inside
+    supp X_j, or None.  `inside` holds the support rows ii as 0/1 float32,
+    `zeros` is the complement of the whole support matrix, and every j of
+    the chunk up to ii[-1] is in ii.  The product is freed on return."""
     # 0/1 products summed in float32 are 0 exactly when every term is 0
-    outside = (~supports).astype(np.float32).T
-    for lo in range(0, total, linalg.RREF_BLOCK):
-        inside = supports[lo:lo + linalg.RREF_BLOCK].astype(np.float32)
-        missing = inside @ outside  # |supp X_i - supp X_j|
-        rows = np.arange(len(missing))
-        missing[rows, lo + rows] = 1  # i == j is not a pair
-        pairs = np.argwhere(missing == 0)
-        if pairs.size:
-            i, j = lo + int(pairs[0, 0]), int(pairs[0, 1])
-            # Rebuild the rows of X_i and X_j from their indices and recount
-            # their supports directly before reporting.
-            ri, rj = (fld.matmul_arr(next(rref_blocks(fld, k, s, x, x + 1))[1][0], gen)
-                      for x in (i, j))
-            if not set(np.nonzero(ri.any(axis=0))[0]) <= set(np.nonzero(rj.any(axis=0))[0]):
-                raise RuntimeError("the support matrix disagrees with a direct recount")
-            return MinimalityReport(s, total, "fail", (ri, rj), time.perf_counter() - t0)
-    return MinimalityReport(s, total, "pass", None, time.perf_counter() - t0)
+    missing = inside @ zeros[chunk].T.astype(np.float32)  # |supp X_i - supp X_j|
+    at = np.searchsorted(ii, chunk)
+    own = at < ii.size
+    missing[at[own], own.nonzero()[0]] = 1  # i == j is not a pair
+    pairs = np.argwhere(missing == 0)  # row-major: its first is the least
+    return (int(ii[pairs[0, 0]]), int(chunk[pairs[0, 1]])) if pairs.size else None
 
 
 def duality_check(columns: MatrixGF, s: int, *,

@@ -17,9 +17,11 @@ from blockforge.errors import BudgetExceededError
 from blockforge.expander import Graph, Hypergraph, _legendre, _sqrt_minus_one
 from blockforge.gf import FieldSpec
 from blockforge.lincomb import EdgeWitness, EliminationOrder
+from blockforge import linalg
 from blockforge.linalg import (MatrixGF, SubspaceBasis, distinct_rows, gaussian_binomial,
                                kernel_basis, matmul, projective_reps, rank, rref_blocks,
                                subspace_from_rows)
+from blockforge.mincode import LinearCode, MinimalityReport
 from blockforge.supply import PointSupply, min_distance, normalize_rows
 from blockforge.verify import _ragged_ranks
 
@@ -113,6 +115,46 @@ def dual_distance_by_codewords(matrix: MatrixGF, *,
     if kern.rows == 0:
         return None
     return min_distance(kern, budget=budget)
+
+
+def minimal_pair_dense(supports: np.ndarray) -> tuple[int, int] | None:
+    """The first pair (i, j), i != j, in (i, j) order with row i of the
+    boolean matrix `supports` inside row j, by the dense scan that
+    `mincode.is_s_minimal` ran before its candidate-pair scan: every row
+    against every complement, RREF_BLOCK rows at a time."""
+    # 0/1 products summed in float32 are 0 exactly when every term is 0
+    outside = (~supports).astype(np.float32).T
+    for lo in range(0, len(supports), linalg.RREF_BLOCK):
+        inside = supports[lo:lo + linalg.RREF_BLOCK].astype(np.float32)
+        missing = inside @ outside  # |supp X_i - supp X_j|
+        rows = np.arange(len(missing))
+        missing[rows, lo + rows] = 1  # i == j is not a pair
+        pairs = np.argwhere(missing == 0)
+        if pairs.size:
+            return lo + int(pairs[0, 0]), int(pairs[0, 1])
+    return None
+
+
+def is_s_minimal_dense(code: LinearCode, s: int) -> MinimalityReport:
+    """`mincode.is_s_minimal` with the dense pair scan (no budget; wall time
+    0): the reference its reports must equal byte for byte."""
+    fld, k = code.field, code.k
+    if s > k:
+        return MinimalityReport(s, 0, "pass", None, 0.0)
+    total = gaussian_binomial(k, s, fld.q)
+    gen = code.generator.data
+    supports = np.vstack([
+        fld.matmul_arr(block.reshape(-1, k), gen).reshape(len(block), s, -1).any(axis=1)
+        for _, block in rref_blocks(fld, k, s)])  # total x n
+    pair = minimal_pair_dense(supports)
+    if pair is None:
+        return MinimalityReport(s, total, "pass", None, 0.0)
+    # Rebuild the rows of X_i and X_j from their indices and recount their
+    # supports directly before reporting.
+    ri, rj = (fld.matmul_arr(next(rref_blocks(fld, k, s, x, x + 1))[1][0], gen) for x in pair)
+    if not set(np.nonzero(ri.any(axis=0))[0]) <= set(np.nonzero(rj.any(axis=0))[0]):
+        raise RuntimeError("the support matrix disagrees with a direct recount")
+    return MinimalityReport(s, total, "fail", (ri, rj), 0.0)
 
 
 def supply_column(supply: PointSupply, j: int) -> np.ndarray:

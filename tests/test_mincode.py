@@ -1,19 +1,21 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import (PINNED_CODE, enumerate_subspaces, identity_matrix,
-                     projective_point_count, random_admissible_columns, zero_matrix)
+from helpers import (PINNED_CODE, enumerate_subspaces, identity_matrix, is_s_minimal_dense,
+                     minimal_pair_dense, projective_point_count, random_admissible_columns,
+                     zero_matrix)
 
 from blockforge.construct import BlockingSet
 from blockforge.errors import BudgetExceededError
-from blockforge.expander import complete_graph
+from blockforge.expander import complete_graph, path_graph
 from blockforge.gf import field_create
-from blockforge.linalg import MatrixGF, subspace_from_rows
-from blockforge.mincode import (LinearCode, blocking_to_code, code_to_blocking,
-                                duality_check, is_s_minimal, support)
+from blockforge.linalg import RREF_BLOCK, MatrixGF, gaussian_binomial, subspace_from_rows
+from blockforge.mincode import (LinearCode, _first_contained_pair, blocking_to_code,
+                                code_to_blocking, duality_check, is_s_minimal, support)
 from blockforge.supply import supply_mds
 from blockforge.construct import construct_cherry
 from blockforge.verify import is_strong_blocking
@@ -95,6 +97,99 @@ def test_is_s_minimal_pinned_violating_pair():
     code = LinearCode(MatrixGF(field_create(2), PINNED_CODE))
     rep = is_s_minimal(code, 2)
     assert json.dumps(rep.to_dict(), sort_keys=True) == PINNED_REPORT
+
+
+def _report_json(rep):
+    return json.dumps(rep.to_dict(), sort_keys=True)
+
+
+def test_is_s_minimal_matches_dense_scan_on_random_codes():
+    # q in {2, 3, 4, 5, 7}, k 3-5, every s in 1..k-1 (up to 3,000 subspaces)
+    rng = np.random.default_rng(17)
+    fields = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1)}
+    cases = [(q, k, s) for q in fields for k in (3, 4, 5) for s in range(1, k)
+             if gaussian_binomial(k, s, q) <= 3000]
+    results = set()
+    for index in range(260):
+        q, k, s = cases[index % len(cases)]
+        fld = field_create(*fields[q])
+        n = int(rng.integers(k, min(projective_point_count(q, k) * 2 // 3, 4 * k) + 1))
+        code = LinearCode(random_admissible_columns(fld, k, n, rng))
+        rep = is_s_minimal(code, s)
+        assert _report_json(rep) == _report_json(is_s_minimal_dense(code, s)), (q, k, s, n)
+        results.add(rep.result)
+    assert {q for q, _, _ in cases} == set(fields)
+    assert {(k, s) for _, k, s in cases} == {(k, s) for k in (3, 4, 5) for s in range(1, k)}
+    assert results == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("rows, pair", [
+    # a full-support row j = 1 holds every other row; the least pair is (0, 1)
+    ([[1, 0, 1], [1, 1, 1], [0, 1, 1]], (0, 1)),
+    # full support only at j = 0: the least pair is (1, 0)
+    ([[1, 1, 1], [1, 0, 0], [0, 1, 0]], (1, 0)),
+    # two rows with equal supports hold each other
+    ([[1, 1, 0], [0, 1, 1], [1, 1, 0]], (0, 2)),
+    # j = 1's only zero is the last coordinate
+    ([[0, 1, 1, 0], [1, 1, 1, 0], [0, 0, 1, 1]], (0, 1)),
+    # every j is a candidate for itself (S[j, z_j] = 0), which is not a pair
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], None),
+    ([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]], (0, 3)),
+    ([[1, 0]], None),
+    ([[1, 1]], None),
+])
+def test_first_contained_pair_hand_built(rows, pair):
+    supports = np.array(rows, dtype=bool)
+    assert minimal_pair_dense(supports) == pair
+    assert _first_contained_pair(supports, RREF_BLOCK * len(supports)) == pair
+    assert _first_contained_pair(supports, 1) == pair  # one column of products at a time
+
+
+@pytest.mark.parametrize("q, gen, s", [
+    (2, np.eye(3, dtype=np.int64), 2),  # span(e0 + e1, e1 + e2) has full support
+    (3, np.eye(2, dtype=np.int64), 1),  # <(1, 1)> and <(1, 2)> have equal supports
+    (5, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]], 1),  # supports zero only at 3
+])
+def test_is_s_minimal_hand_built_codes(q, gen, s):
+    code = LinearCode(MatrixGF(field_create(q), gen))
+    assert _report_json(is_s_minimal(code, s)) == _report_json(is_s_minimal_dense(code, s))
+
+
+def test_is_s_minimal_near_budget_gf2():
+    # GF(2), k = 13, s = 1: 8,191 subspaces, the densest candidate sets
+    # (each coordinate vanishes on about half of them)
+    rng = np.random.default_rng(4)
+    fld = field_create(2)
+    for n in (20, 73):
+        code = LinearCode(random_admissible_columns(fld, 13, n, rng))
+        rep = is_s_minimal(code, 1)
+        assert rep.subspaces_examined == 8191
+        assert _report_json(rep) == _report_json(is_s_minimal_dense(code, 1))
+
+
+def test_is_s_minimal_memory_is_a_few_support_matrices():
+    # GF(7) K6 cherry code: 2,850 subspaces x 398 positions.  The scan may
+    # hold the boolean support matrix, its complement and one product block,
+    # never a float32 copy of either matrix (4 bytes per entry).
+    code = blocking_to_code(construct_cherry(complete_graph(6), supply_mds(field_create(7), 4, 6)))
+    support_bytes = 2850 * code.n
+    assert code.n == 398
+    is_s_minimal(code, 2)  # warm caches
+    tracemalloc.start()
+    try:
+        rep = is_s_minimal(code, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 3 * support_bytes
+
+
+def test_is_s_minimal_failing_cherry_code_matches_dense_scan():
+    code = blocking_to_code(construct_cherry(path_graph(5), supply_mds(field_create(7), 4, 5)))
+    rep = is_s_minimal(code, 2)
+    assert not rep.passed
+    assert _report_json(rep) == _report_json(is_s_minimal_dense(code, 2))
 
 
 def test_is_s_minimal_repetition_code():

@@ -123,6 +123,8 @@ def is_s_minimal(code: LinearCode, s: int, *,
     total = gaussian_binomial(k, s, fld.q)
     if total > budget:
         raise BudgetExceededError("minimal_subspaces", budget, total)
+    if total == 1:  # s == k: the whole space, and one subspace makes no pair
+        return MinimalityReport(s, total, "pass", None, time.perf_counter() - t0)
     gen = code.generator.data
     pair = _first_contained_pair(_support_matrix(fld, gen, s), linalg.RREF_BLOCK * total)
     if pair is None:
@@ -138,20 +140,33 @@ def is_s_minimal(code: LinearCode, s: int, *,
 def _support_matrix(fld: FieldSpec, gen: np.ndarray, s: int) -> np.ndarray:
     """Boolean matrix whose row i is the support of the i-th s-dimensional
     subspace of the message space (the order of `rref_blocks`) in the code
-    generated by `gen`.
+    generated by `gen`; needs s < k, so that there are no more points than
+    subspaces.
 
     Each row of an RREF matrix is itself a 1 x k RREF matrix, a projective
     point, and supp(X) is the union of the supports of its rows, so only the
-    points are pushed through the generator.
+    points are pushed through the generator; a row is found among the points
+    by its entries read in base q.
     """
-    k = len(gen)
-    points = np.vstack([fld.matmul_arr(block[:, 0], gen) != 0
-                        for _, block in rref_blocks(fld, k, 1)])
+    k, n = gen.shape
+    digits = fld.q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    points, codes = [], []
+    for _, block in rref_blocks(fld, k, 1):
+        points.append(fld.matmul_arr(block[:, 0], gen) != 0)
+        codes.append(block[:, 0] @ digits)
+    points = np.vstack(points)
     if s == 1:  # the subspaces are the points
         return points
-    return np.vstack([
-        points[linalg.rref_index(fld, block.reshape(-1, 1, k))].reshape(len(block), s, -1)
-        .any(axis=1) for _, block in rref_blocks(fld, k, s)])
+    codes = np.concatenate(codes)
+    order = np.argsort(codes)
+    codes = codes[order]
+    out = np.empty((gaussian_binomial(k, s, fld.q), n), dtype=bool)
+    lo = 0
+    for _, block in rref_blocks(fld, k, s):
+        rows = order[np.searchsorted(codes, block @ digits)]  # (count, s) point indices
+        np.any(points[rows], axis=1, out=out[lo:lo + len(block)])
+        lo += len(block)
+    return out
 
 
 def _first_contained_pair(supports: np.ndarray, block: int) -> tuple[int, int] | None:

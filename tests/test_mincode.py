@@ -145,26 +145,51 @@ def test_first_contained_pair_hand_built(rows, pair):
     assert _first_contained_pair(supports, 1) == pair  # one column of products at a time
 
 
-@pytest.mark.parametrize("q, gen, s", [
-    (2, np.eye(3, dtype=np.int64), 2),  # span(e0 + e1, e1 + e2) has full support
-    (3, np.eye(2, dtype=np.int64), 1),  # <(1, 1)> and <(1, 2)> have equal supports
-    (5, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]], 1),  # supports zero only at 3
-])
-def test_is_s_minimal_hand_built_codes(q, gen, s):
-    code = LinearCode(MatrixGF(field_create(q), gen))
-    assert _report_json(is_s_minimal(code, s)) == _report_json(is_s_minimal_dense(code, s))
+def _code(q, gen):
+    return lambda: LinearCode(MatrixGF(field_create(q), gen))
 
 
-def test_is_s_minimal_near_budget_gf2():
-    # GF(2), k = 13, s = 1: 8,191 subspaces, the densest candidate sets
-    # (each coordinate vanishes on about half of them)
-    rng = np.random.default_rng(4)
-    fld = field_create(2)
-    for n in (20, 73):
-        code = LinearCode(random_admissible_columns(fld, 13, n, rng))
-        rep = is_s_minimal(code, 1)
-        assert rep.subspaces_examined == 8191
-        assert _report_json(rep) == _report_json(is_s_minimal_dense(code, 1))
+def _random_gf2_code(k, n, seed):
+    return lambda: LinearCode(random_admissible_columns(field_create(2), k, n,
+                                                        np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("build, s, examined, passed", [
+    (_code(2, np.eye(3, dtype=np.int64)), 2, 7, False),  # span(e0 + e1, e1 + e2) has full support
+    (_code(3, np.eye(2, dtype=np.int64)), 1, 4, False),  # <(1, 1)> and <(1, 2)> have equal supports
+    (_code(5, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]), 1, 31, False),  # zero only at 3
+    # GF(2), k = 13, s = 1: 8,191 subspaces near the budget, the densest
+    # candidate sets (each coordinate vanishes on about half of them)
+    (_random_gf2_code(13, 20, 4), 1, 8191, None),
+    (_random_gf2_code(13, 73, 5), 1, 8191, None),
+    # a failing cherry code
+    (lambda: blocking_to_code(construct_cherry(path_graph(5), supply_mds(field_create(7), 4, 5))),
+     2, None, False),
+], ids=["full-support", "equal-supports", "last-zero", "gf2-k13-n20", "gf2-k13-n73",
+        "failing-cherry"])
+def test_is_s_minimal_matches_dense_scan(build, s, examined, passed):
+    code = build()
+    rep = is_s_minimal(code, s)
+    assert _report_json(rep) == _report_json(is_s_minimal_dense(code, s))
+    if examined is not None:
+        assert rep.subspaces_examined == examined
+    if passed is not None:
+        assert rep.passed == passed
+
+
+def test_is_s_minimal_whole_space_images_no_points():
+    # s == k: the one subspace is the whole message space, and no point of
+    # F_2^20 (there are 2^20 - 1) may be pushed through the generator
+    code = _random_gf2_code(20, 40, 6)()
+    tracemalloc.start()
+    try:
+        rep = is_s_minimal(code, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.subspaces_examined == 1
+    assert _report_json(rep) == _report_json(is_s_minimal_dense(code, 20))
+    assert peak < 100_000
 
 
 def test_is_s_minimal_memory_is_a_few_support_matrices():
@@ -183,13 +208,6 @@ def test_is_s_minimal_memory_is_a_few_support_matrices():
         tracemalloc.stop()
     assert rep.passed
     assert peak < 3 * support_bytes
-
-
-def test_is_s_minimal_failing_cherry_code_matches_dense_scan():
-    code = blocking_to_code(construct_cherry(path_graph(5), supply_mds(field_create(7), 4, 5)))
-    rep = is_s_minimal(code, 2)
-    assert not rep.passed
-    assert _report_json(rep) == _report_json(is_s_minimal_dense(code, 2))
 
 
 def test_is_s_minimal_repetition_code():

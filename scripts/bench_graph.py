@@ -37,21 +37,11 @@ call.  The JSON result goes to stdout.
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse
 import json
-import platform
-import statistics
-import subprocess
 import sys
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import benchkit
+
 SEED = 1
 RREF_MATRICES = 200
 RREF_SHAPES = {"rref_2x4_gf3": (3, 1, 2, 4), "rref_2x4_gf9": (3, 2, 2, 4),
@@ -62,54 +52,31 @@ MEASURES = ("lps_graph_5_13", "lps_graph_5_29", "graph_5_13", "graph_5_29", "bfs
             "general_position", *RREF_SHAPES, "rss_after_construct")
 
 
-def _quartiles(values, digits):
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(med, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
-
-
-def _time(fn, repeat, scale=1.0, digits=4):
-    fn()
-    times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - t0) * scale)
-    return _quartiles(times, digits)
-
-
-def _lps_inputs(bf):
-    """The lps-sampled workload of bench/workloads.py and its seed-1 inputs."""
-    sys.path.insert(0, str(ROOT / "bench"))
-    import workloads
-    wl = workloads.load(str(ROOT / "bench" / "workloads.json"))["lps-sampled"]
-    return workloads, wl, wl.setup(bf, SEED)
-
-
-def measure(name: str, src: str, repeat: int) -> dict:
-    sys.path.insert(0, src)
+def measure(name: str, repeat: int) -> dict:
     import blockforge as bf
+    timed = benchkit.timed
     if name.startswith("lps_graph"):
         p, q = (int(x) for x in name.split("_")[2:])
-        return {"n": bf.lps_graph(p, q).n, **_time(lambda: bf.lps_graph(p, q), repeat)}
+        return {"n": bf.lps_graph(p, q).n, **timed(lambda: bf.lps_graph(p, q), repeat)}
     if name.startswith(("graph_", "bfs_")):
         import numpy as np
         g = bf.lps_graph(5, int(name.split("_")[2]))
         if name.startswith("graph_"):
             edges = np.array(list(g.edges()), dtype=np.int64)
-            return {"m": g.m, **_time(lambda: bf.Graph(g.n, edges), repeat)}
+            return {"m": g.m, **timed(lambda: bf.Graph(g.n, edges), repeat)}
         return {"connected": g.is_connected(), "bipartite": g.bipartition() is not None,
-                **_time(lambda: (g.is_connected(), g.bipartition()), repeat)}
+                **timed(lambda: (g.is_connected(), g.bipartition()), repeat)}
     if name == "power_graph_5_13":
         g = bf.lps_graph(5, 13)
-        return {"m": bf.power_graph(g, 2).m, **_time(lambda: bf.power_graph(g, 2), repeat)}
+        return {"m": bf.power_graph(g, 2).m, **timed(lambda: bf.power_graph(g, 2), repeat)}
     if name == "neighborhood_5_13":
         g = bf.lps_graph(5, 13)
         return {"edges": bf.construct.neighborhood_hypergraph(g, 3).m,
-                **_time(lambda: bf.construct.neighborhood_hypergraph(g, 3), repeat)}
+                **timed(lambda: bf.construct.neighborhood_hypergraph(g, 3), repeat)}
     if name == "cliques_power_5_13":
         g = bf.power_graph(bf.lps_graph(5, 13), 2)
         return {"edges": bf.clique_hypergraph(g, 2).m,
-                **_time(lambda: bf.clique_hypergraph(g, 2), repeat)}
+                **timed(lambda: bf.clique_hypergraph(g, 2), repeat)}
     if name == "ball_budget_5_29":
         g = bf.lps_graph(5, 29)
 
@@ -118,11 +85,11 @@ def measure(name: str, src: str, repeat: int) -> dict:
                 bf.construct.ball_power_hypergraph(g, 2)
             except bf.BudgetExceededError as err:
                 return err.required
-        return {"required": doomed(), **_time(doomed, repeat)}
+        return {"required": doomed(), **timed(doomed, repeat)}
     if name == "cherry_hypergraph":
         g = bf.lps_graph(5, 13)
         return {"edges": bf.construct.cherry_hypergraph(g).m,
-                **_time(lambda: bf.construct.cherry_hypergraph(g), repeat)}
+                **timed(lambda: bf.construct.cherry_hypergraph(g), repeat)}
     if name in RREF_SHAPES:
         import numpy as np
         p, m, rows, cols = RREF_SHAPES[name]
@@ -135,59 +102,28 @@ def measure(name: str, src: str, repeat: int) -> dict:
             for mat in mats:
                 bf.rref(mat)
         return {"matrices": RREF_MATRICES, "unit": "us per call",
-                **_time(run, repeat, 1e6 / RREF_MATRICES, 1)}
-    workloads, wl, inp = _lps_inputs(bf)
-
-    def gate():
-        return bf.verify_general_position(inp["supply"], workloads.S, wl.SPAN_T,
-                                          samples=wl.GP_SAMPLES, seed=inp["seeds"]["gp"])
+                **timed(run, repeat, 1, scale=1e6 / RREF_MATRICES)}
+    lps = benchkit.lps_sampled(bf, SEED)
     if name == "general_position":
-        return {"report": gate().to_dict(), **_time(gate, repeat)}
-    import resource
-    b = bf.construct_cherry(bf.lps_graph(wl.LPS_P, wl.LPS_Q), inp["supply"], report=gate())
-    return {"points": b.size,
-            "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
-
-
-def _fresh(name, src, repeat):
-    out = subprocess.run([sys.executable, __file__, "--one", name, src, "--repeat", str(repeat)],
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+        return {"report": benchkit.lps_gate(bf, *lps).to_dict(),
+                **timed(lambda: benchkit.lps_gate(bf, *lps), repeat)}
+    return {"points": benchkit.lps_cherry(bf, *lps).size,
+            "ru_maxrss_mb": round(benchkit.rss_mb(), 1)}
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("trees", nargs="*", metavar="LABEL=SRC")
-    ap.add_argument("--repeat", type=int, default=5,
-                    help="timed calls per measurement, or processes for the RSS reading")
-    ap.add_argument("--one", nargs=2, metavar=("MEASURE", "SRC"), help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.repeat < 2:
-        ap.error("--repeat must be >= 2, for quartiles")
-    if args.one:
-        print(json.dumps(measure(*args.one, args.repeat)))
-        return
-    trees = list(dict(tree.split("=", 1) for tree in args.trees or ["change=src"]).items())
-    result = {"machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
-                          "blas_threads": 1},
-              "repeat": args.repeat, "seed": SEED, "measures": {}}
-    turn = 0
+    args = benchkit.parse(benchkit.parser(
+        __doc__, 5, "timed calls per measurement, or processes for the RSS reading"), measure)
+    result = {**benchkit.header(args.repeat), "seed": SEED, "measures": {}}
     for name in MEASURES:
+        def fresh(src):
+            return benchkit.run(__file__, src, name, args.repeat)
         if name == "rss_after_construct":
-            runs = {label: [] for label, _ in trees}
-            for _ in range(args.repeat):
-                for label, src in trees[::-1 if turn % 2 else 1]:
-                    runs[label].append(_fresh(name, src, args.repeat))
-                turn += 1
-            out = {label: {"points": r[0]["points"],
-                           "ru_maxrss_mb": _quartiles([x["ru_maxrss_mb"] for x in r], 1)}
-                   for label, r in runs.items()}
+            out = {label: {**benchkit.agree(r, ("points",)),
+                           "ru_maxrss_mb": benchkit.quartiles([x["ru_maxrss_mb"] for x in r], 1)}
+                   for label, r in args.trees.runs(args.repeat, fresh).items()}
         else:
-            ran = {label: _fresh(name, src, args.repeat)
-                   for label, src in trees[::-1 if turn % 2 else 1]}
-            out = {label: ran[label] for label, _ in trees}
-            turn += 1
+            out = args.trees.once(fresh)
         print(json.dumps({name: out}), file=sys.stderr)
         result["measures"][name] = out
     print(json.dumps(result, indent=1))

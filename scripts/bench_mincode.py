@@ -30,67 +30,34 @@ across trees and runs.  The JSON result goes to stdout.
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse
 import hashlib
 import json
-import platform
-import resource
-import statistics
-import subprocess
 import sys
 import time
+
+import benchkit
 
 CASES = {"dual_gf7_k6": 2, "gf2_k13_s1": 1, "fail_gf7_p5": 2}  # case: s
 SEED = 7
 
 
-def _quartiles(values, digits):
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(med, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
-
-
-def _rss_mb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-
-
-def _random_code(bf, fld, k, n, rng):
-    """A k x n code with nonzero, projectively distinct random columns
-    (offending columns are redrawn)."""
-    cols = rng.integers(0, fld.q, size=(n, k))
-    while True:
-        bad = ~cols.any(axis=1)
-        if not bad.any():
-            _, repeats = bf.linalg.distinct_rows(bf.supply.normalize_rows(fld, cols))
-            bad[repeats] = True
-        if not bad.any():
-            return bf.LinearCode(bf.MatrixGF(fld, cols.T))
-        cols[bad] = rng.integers(0, fld.q, size=(int(bad.sum()), k))
-
-
 def _code(bf, case):
     if case == "gf2_k13_s1":
-        import numpy as np
-        return _random_code(bf, bf.field_create(2), 13, 73, np.random.default_rng(SEED))
+        return bf.LinearCode(benchkit.distinct_columns(bf, bf.field_create(2), 13, 73, SEED))
     fld = bf.field_create(7)
     graph = bf.complete_graph(6) if case == "dual_gf7_k6" else bf.path_graph(5)
     b = bf.construct_cherry(graph, bf.supply_mds(fld, 4, graph.n))
     return bf.blocking_to_code(b)
 
 
-def measure(src: str, case: str) -> dict:
+def measure(case: str) -> dict:
     """Two checks of `case` in this process; the second is timed."""
-    sys.path.insert(0, src)
     import blockforge as bf
     s = CASES[case]
     code = _code(bf, case)
-    setup_mb = _rss_mb()
+    setup_mb = benchkit.rss_mb()
     bf.is_s_minimal(code, s)
-    peak_mb = _rss_mb()
+    peak_mb = benchkit.rss_mb()
     t = time.perf_counter()
     rep = bf.is_s_minimal(code, s)
     check_s = time.perf_counter() - t
@@ -101,53 +68,25 @@ def measure(src: str, case: str) -> dict:
             "report_sha": hashlib.sha256(report.encode()).hexdigest()[:16]}
 
 
-def _fresh(src, case):
-    out = subprocess.run([sys.executable, __file__, "--one", src, case],
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
-
-
 def _summary(runs):
-    first = runs[0]
-    out = {key: first[key] for key in ("n", "subspaces", "result", "report_sha")}
-    for key in out:
-        if any(run[key] != out[key] for run in runs):
-            raise SystemExit(f"runs disagree on {key}")
-    out["check_s"] = _quartiles([r["check_s"] for r in runs], 4)
+    out = benchkit.agree(runs, ("n", "subspaces", "result", "report_sha"))
+    out["check_s"] = benchkit.quartiles([r["check_s"] for r in runs], 4)
     for key in ("setup_rss_mb", "peak_rss_mb", "check_rss_rise_mb"):
-        out[key] = _quartiles([r[key] for r in runs], 1)
+        out[key] = benchkit.quartiles([r[key] for r in runs], 1)
     return out
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("trees", nargs="*", metavar="LABEL=SRC")
-    ap.add_argument("--repeat", type=int, default=7, help="fresh processes per tree and case")
+    ap = benchkit.parser(__doc__, 7, "fresh processes per tree and case")
     ap.add_argument("--cases", nargs="+", default=list(CASES), choices=list(CASES))
-    ap.add_argument("--one", nargs=2, metavar=("SRC", "CASE"), help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.repeat < 2:
-        ap.error("--repeat must be >= 2, for quartiles")
-    if args.one:
-        print(json.dumps(measure(*args.one)))
-        return
-    trees = dict(tree.split("=", 1) for tree in args.trees or ["change=src"])
-    result = {"machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
-                          "blas_threads": 1},
-              "repeat": args.repeat, "seed": SEED, "cases": {}}
-    labels = list(trees)
+    args = benchkit.parse(ap, measure)
+    result = {**benchkit.header(args.repeat), "seed": SEED, "cases": {}}
     for case in args.cases:
-        runs = {label: [] for label in labels}
-        for i in range(args.repeat):
-            for label in labels[i % 2:] + labels[:i % 2]:  # alternate which tree runs first
-                runs[label].append(_fresh(trees[label], case))
-        out = {label: _summary(runs[label]) for label in labels}
-        if len({out[label]["report_sha"] for label in labels}) > 1:
-            raise SystemExit(f"trees disagree on the report for {case}")
-        print(json.dumps({case: {label: (out[label]["check_s"]["median"],
-                                         out[label]["peak_rss_mb"]["median"])
-                                 for label in labels}}), file=sys.stderr)
+        runs = args.trees.runs(args.repeat, lambda src: benchkit.run(__file__, src, case))
+        out = {label: _summary(r) for label, r in runs.items()}
+        benchkit.agree(out.values(), ("report_sha",), f"trees on {case}")
+        print(json.dumps({case: {label: (o["check_s"]["median"], o["peak_rss_mb"]["median"])
+                                 for label, o in out.items()}}), file=sys.stderr)
         result["cases"][case] = {"s": CASES[case], **out}
     print(json.dumps(result, indent=1))
 

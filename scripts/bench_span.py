@@ -26,57 +26,26 @@ runs.  The JSON result goes to stdout.
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse
 import hashlib
 import json
-import platform
-import resource
-import statistics
-import subprocess
 import sys
 import time
+
+import benchkit
 
 CASES = {"cherry_k20": (2, 20), "neighborhood_s3_k20": (3, 20), "neighborhood_s3_k40": (3, 40)}
 LPS_P, LPS_Q, FIELD, SEED = 5, 13, 3, 7
 
 
-def _quartiles(values, digits):
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(med, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
-
-
-def _rss_mb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-
-
-def _supply(bf, fld, k, n, rng):
-    """A k x n supply with nonzero, projectively distinct random columns
-    (offending columns are redrawn)."""
-    cols = rng.integers(0, fld.q, size=(n, k))
-    while True:
-        bad = ~cols.any(axis=1)
-        if not bad.any():
-            _, repeats = bf.linalg.distinct_rows(bf.supply.normalize_rows(fld, cols))
-            bad[repeats] = True
-        if not bad.any():
-            return bf.PointSupply(bf.MatrixGF(fld, cols.T), provenance="random")
-        cols[bad] = rng.integers(0, fld.q, size=(int(bad.sum()), k))
-
-
-def measure(src: str, case: str) -> dict:
+def measure(case: str) -> dict:
     """One dump of `case` in this process."""
     s, k = CASES[case]
-    sys.path.insert(0, src)
     import numpy as np
     import blockforge as bf
     fld = bf.field_create(FIELD)
     g = bf.lps_graph(LPS_P, LPS_Q)
-    supply = _supply(bf, fld, k, g.n, np.random.default_rng(SEED + k))
+    supply = bf.PointSupply(benchkit.distinct_columns(bf, fld, k, g.n, SEED + k),
+                            provenance="random")
     h = (bf.construct.cherry_hypergraph(g) if s == 2
          else bf.construct.neighborhood_hypergraph(g, s))
     rows = [0]
@@ -87,66 +56,37 @@ def measure(src: str, case: str) -> dict:
         return matmul(self, a, b)
 
     type(fld).matmul_arr = counted
-    setup_mb = _rss_mb()
+    setup_mb = benchkit.rss_mb()
     t = time.perf_counter()
     b = bf.edge_span_union(h, supply)
     dump_s = time.perf_counter() - t
-    peak_mb = _rss_mb()
+    peak_mb = benchkit.rss_mb()
     digest = hashlib.sha256(np.ascontiguousarray(b.points, dtype=np.int64).tobytes())
     return {"dump_s": dump_s, "setup_rss_mb": setup_mb, "peak_rss_mb": peak_mb,
             "dump_rss_rise_mb": peak_mb - setup_mb, "rows_imaged": rows[0],
             "size": b.size, "points_sha": digest.hexdigest()[:16]}
 
 
-def _fresh(src, case):
-    out = subprocess.run([sys.executable, __file__, "--one", src, case],
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
-
-
 def _summary(runs):
-    first = runs[0]
-    out = {key: first[key] for key in ("rows_imaged", "size", "points_sha")}
-    for key in out:
-        if any(run[key] != out[key] for run in runs):
-            raise SystemExit(f"runs disagree on {key}")
-    out["dump_s"] = _quartiles([r["dump_s"] for r in runs], 4)
+    out = benchkit.agree(runs, ("rows_imaged", "size", "points_sha"))
+    out["dump_s"] = benchkit.quartiles([r["dump_s"] for r in runs], 4)
     for key in ("setup_rss_mb", "peak_rss_mb", "dump_rss_rise_mb"):
-        out[key] = _quartiles([r[key] for r in runs], 1)
+        out[key] = benchkit.quartiles([r[key] for r in runs], 1)
     return out
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("trees", nargs="*", metavar="LABEL=SRC")
-    ap.add_argument("--repeat", type=int, default=7, help="fresh processes per tree and case")
+    ap = benchkit.parser(__doc__, 7, "fresh processes per tree and case")
     ap.add_argument("--cases", nargs="+", default=list(CASES), choices=list(CASES))
-    ap.add_argument("--one", nargs=2, metavar=("SRC", "CASE"), help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.repeat < 2:
-        ap.error("--repeat must be >= 2, for quartiles")
-    if args.one:
-        print(json.dumps(measure(*args.one)))
-        return
-    trees = dict(tree.split("=", 1) for tree in args.trees or ["change=src"])
-    result = {"machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
-                          "blas_threads": 1},
-              "repeat": args.repeat, "seed": SEED, "graph": f"X^{{{LPS_P},{LPS_Q}}}",
+    args = benchkit.parse(ap, measure)
+    result = {**benchkit.header(args.repeat), "seed": SEED, "graph": f"X^{{{LPS_P},{LPS_Q}}}",
               "field": FIELD, "cases": {}}
-    labels = list(trees)
     for case in args.cases:
-        runs = {label: [] for label in labels}
-        for i in range(args.repeat):
-            for label in labels[i % 2:] + labels[:i % 2]:  # alternate which tree runs first
-                runs[label].append(_fresh(trees[label], case))
-        out = {label: _summary(runs[label]) for label in labels}
-        for key in ("size", "points_sha"):
-            if len({out[label][key] for label in labels}) > 1:
-                raise SystemExit(f"trees disagree on {key} for {case}")
-        print(json.dumps({case: {label: (out[label]["dump_s"]["median"],
-                                         out[label]["peak_rss_mb"]["median"])
-                                 for label in labels}}), file=sys.stderr)
+        runs = args.trees.runs(args.repeat, lambda src: benchkit.run(__file__, src, case))
+        out = {label: _summary(r) for label, r in runs.items()}
+        benchkit.agree(out.values(), ("size", "points_sha"), f"trees on {case}")
+        print(json.dumps({case: {label: (o["dump_s"]["median"], o["peak_rss_mb"]["median"])
+                                 for label, o in out.items()}}), file=sys.stderr)
         s, k = CASES[case]
         result["cases"][case] = {"s": s, "k": k, **out}
     print(json.dumps(result, indent=1))

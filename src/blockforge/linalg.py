@@ -193,10 +193,6 @@ def gaussian_binomial(k: int, s: int, q: int) -> int:
     return num // den
 
 
-def subspace_count(k: int, codim: int, q: int) -> int:
-    return gaussian_binomial(k, k - codim, q)
-
-
 RREF_BLOCK = 64  # matrices per block yielded by rref_blocks
 
 

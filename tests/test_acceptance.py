@@ -17,7 +17,7 @@ from helpers import (dual_distance_by_codewords, projective_point_count,
 
 import blockforge as bf
 from blockforge.expander import complete_graph
-from blockforge.linalg import matmul, rank, subspace_count
+from blockforge.linalg import gaussian_binomial, matmul, rank
 from blockforge.mincode import blocking_to_code, is_s_minimal
 from blockforge.supply import dual_distance_by_ranks
 
@@ -75,7 +75,7 @@ def test_criterion_2_cherry_pipeline(cherry_sets):
     details = []
     for (q, k, n), b in cherry_sets.items():
         rep = bf.is_strong_blocking(b, 2)
-        total = subspace_count(k, 2, q)
+        total = gaussian_binomial(k, k - 2, q)
         lb = bf.lower_bound(q, k, 2)
         good = rep.passed and rep.subspaces_checked == total and b.size >= lb
         ok &= good

@@ -11,7 +11,11 @@ so every read takes the byte-level grid path when it applies, and
 `_heads` and `_ends`) is read only in `expander`.  Points inside subspaces
 are ranked in one place: `_ragged_ranks` is called only by
 `verify._meet_ranks`, and the removed helpers that are test references now
-(`normalize_column`, `_quotient_parts`) are defined nowhere in the package.
+(`normalize_column`, `_quotient_parts`), and the removed alias
+`subspace_count`, are defined nowhere in the package.  The bench scripts
+share one harness: every `scripts/bench_*.py` imports `benchkit` and
+defines no quartile, timing, RSS, fresh-process or supply helper of its
+own, nor names a `*_NUM_THREADS` variable.
 """
 
 import ast
@@ -175,7 +179,7 @@ def test_graph_form_scan_flags_a_planted_read():
                                                   (4, "_heads")]
 
 
-REMOVED = ("normalize_column", "_quotient_parts")
+REMOVED = ("normalize_column", "_quotient_parts", "subspace_count")
 
 
 def _definitions(tree, names):
@@ -203,3 +207,46 @@ def test_kernel_scan_flags_a_planted_rank_and_helper():
     assert _calls(tree, "_ragged_ranks", None) == [("_meet_ranks", 2, set()),
                                                     ("_meet_scan", 6, set())]
     assert _definitions(tree, REMOVED) == [(4, "_quotient_parts"), (7, "normalize_column")]
+
+
+BENCH_SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("bench_*.py"))
+HARNESS = ("_quartiles", "_time", "_rss_mb", "_fresh", "spawn", "_supply")
+
+
+def _thread_variables(tree):
+    """(line, name) of every string constant or keyword naming a
+    `*_NUM_THREADS` variable."""
+    names = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    names += [(node.lineno, node.arg) for node in ast.walk(tree)
+              if isinstance(node, ast.keyword) and node.arg]
+    return sorted((line, name) for line, name in names if name.endswith("_NUM_THREADS"))
+
+
+def _imports(tree, module):
+    return any(alias.name == module for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names)
+
+
+def test_bench_scripts_found():
+    assert len(BENCH_SCRIPTS) == 9
+
+
+@pytest.mark.parametrize("path", BENCH_SCRIPTS, ids=lambda p: p.name)
+def test_bench_scripts_leave_the_harness_to_benchkit(path):
+    tree = ast.parse(path.read_text())
+    assert _imports(tree, "benchkit")
+    assert _definitions(tree, HARNESS) == []
+    assert _thread_variables(tree) == []
+
+
+def test_harness_scan_flags_a_planted_copy():
+    tree = ast.parse("import os\nimport benchmark\n"
+                     "for v in ('OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n    os.environ[v] = '1'\n"
+                     "def _quartiles(xs):\n    return xs\n"
+                     "def main():\n    def _fresh(src):\n        return src\n"
+                     "    return dict(PYTHONPATH='src', OPENBLAS_NUM_THREADS='1')\n")
+    assert not _imports(tree, "benchkit")
+    assert _definitions(tree, HARNESS) == [(5, "_quartiles"), (8, "_fresh")]
+    assert _thread_variables(tree) == [(3, "MKL_NUM_THREADS"), (3, "OMP_NUM_THREADS"),
+                                       (10, "OPENBLAS_NUM_THREADS")]

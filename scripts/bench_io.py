@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
-"""Time the matrix text codec and the blocking-set file round trip in one or
+"""Time the blocking-set codec on a binary stream and on a file, in one or
 more source trees.
 
-    python3 scripts/bench_io.py --repeat 5 parent=/path/to/old/src change=src > BENCH_io.json
+    python3 scripts/bench_io.py --repeat 5 change=src > BENCH_io.json
 
 Each positional argument is LABEL=SRC, a `src` directory holding the
 `blockforge` package.  For each field order q in 3, 13, 256 and 65521 the
 input is a canonical set of 211,832 random points of GF(q)^20, the size and
 dimension of the benchmark's lps-sampled cherry set, and the measures are:
 
-- `format_rows`: `linalg.format_rows` on its points;
-- `parse_rows`: `linalg.parse_rows` on that text, with the newline that
-  precedes it in a matrix file;
+- `write_stream`: `write_blocking_set` of the set to an `io.BytesIO`;
+- `read_stream`: `read_blocking_set` of those bytes, from an `io.BytesIO`;
 - `write_blocking_set`: writing the set to a file;
 - `read_blocking_set`: reading that file back, in a process that has done
   nothing else (another fresh process wrote the file), so its `ru_maxrss`
@@ -26,6 +25,7 @@ calls after one warm-up call.  The JSON result goes to stdout.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import sys
@@ -34,7 +34,7 @@ import tempfile
 import benchkit
 
 FIELDS = {3: (3, 1), 13: (13, 1), 256: (2, 8), 65521: (65521, 1)}  # q: (p, m)
-MEASURES = ("format_rows", "parse_rows", "write_blocking_set", "read_blocking_set")
+MEASURES = ("write_stream", "read_stream", "write_blocking_set", "read_blocking_set")
 POINTS, DIM, SEED = 211_832, 20, 1
 
 
@@ -61,11 +61,15 @@ def measure(name: str, q: int, repeat: int, path: str) -> dict:
     if name == "write_file":
         bf.construct.write_blocking_set(path, b)
         return {**out, "points_sha": _sha(b), "file_bytes": os.path.getsize(path)}
-    if name == "format_rows":
-        return {**out, **timed(lambda: bf.linalg.format_rows(b.points), repeat)}
-    if name == "parse_rows":
-        body = "\n" + bf.linalg.format_rows(b.points)
-        return {**out, **timed(lambda: bf.linalg.parse_rows(body, b.size, b.k), repeat)}
+    if name == "write_stream":
+        return {**out, **timed(lambda: bf.construct.write_blocking_set(io.BytesIO(), b), repeat)}
+    if name == "read_stream":
+        stream = io.BytesIO()
+        bf.construct.write_blocking_set(stream, b)
+        raw = stream.getvalue()
+        if bf.construct.read_blocking_set(io.BytesIO(raw)) != b:
+            raise SystemExit(f"read_blocking_set does not give back the set for q={q}")
+        return {**out, **timed(lambda: bf.construct.read_blocking_set(io.BytesIO(raw)), repeat)}
     return {**out, **timed(lambda: bf.construct.write_blocking_set(path, b), repeat)}
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the row sort and the code around it in one or more source trees.
 
-    python3 scripts/bench_rows.py --repeat 5 parent=/path/to/old/src change=src > BENCH_rows.json
+    python3 scripts/bench_rows.py --repeat 5 change=src > BENCH_rows.json
 
 Each positional argument is LABEL=SRC, a `src` directory holding the
 `blockforge` package.  Every measurement runs in a fresh process per tree
@@ -13,7 +13,8 @@ Each positional argument is LABEL=SRC, a `src` directory holding the
   GF(3)), and the time `distinct_rows` takes on it;
 - `from_points`: `BlockingSet.from_points` on a writable copy of that set's
   canonical points, as `read_blocking_set` hands them over;
-- `parse_graph`: `parse_graph` of the LPS graph X^{5,29};
+- `read_graph`: `read_graph` of the LPS graph X^{5,29} from the bytes
+  `write_graph` wrote for it, in an `io.BytesIO`;
 - `rss_after_construct`: `ru_maxrss` right after `construct_cherry` on the
   lps-sampled inputs, in a process that does nothing else (--repeat
   processes per tree, not --repeat calls).
@@ -24,12 +25,13 @@ call.  The JSON result goes to stdout.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 
 import benchkit
 
-MEASURES = ("span_merge", "from_points", "parse_graph", "rss_after_construct")
+MEASURES = ("span_merge", "from_points", "read_graph", "rss_after_construct")
 SEED = 1
 
 
@@ -43,10 +45,12 @@ def measure(name: str, repeat: int) -> dict:
     if name == "rss_after_construct":
         b = _lps_cherry(bf)
         return {"points": b.size, "ru_maxrss_mb": round(benchkit.rss_mb(), 1)}
-    if name == "parse_graph":
-        text = bf.expander.format_graph(bf.lps_graph(5, 29))
+    if name == "read_graph":
+        stream = io.BytesIO()
+        bf.expander.write_graph(stream, bf.lps_graph(5, 29))
+        raw = stream.getvalue()
         return {"graph": "X^{5,29}",
-                **benchkit.timed(lambda: bf.expander.parse_graph(text), repeat)}
+                **benchkit.timed(lambda: bf.expander.read_graph(io.BytesIO(raw)), repeat)}
     if name == "from_points":
         b = _lps_cherry(bf)
         points = b.points.copy()

@@ -5,9 +5,10 @@ in one or more source trees.
     python3 scripts/bench_rss.py --repeat 3 parent=/path/to/old/src change=src > BENCH_rss.json
 
 Each positional argument is LABEL=SRC, a `src` directory holding the
-`blockforge` package.  For each k in --dims (default 20, 40, 80 and 200) the
-input is the LPS graph X^{5,13} (n = 2184) and a seeded random k x 2184
-supply over GF(3) with projectively distinct columns, and the stages are:
+`blockforge` package.  For each k given by --dims (once per k; default 20,
+40, 80 and 200) the input is the LPS graph X^{5,13} (n = 2184) and a seeded
+random k x 2184 supply over GF(3) with projectively distinct columns, and
+the stages are:
 
 - `setup`: importing blockforge, building the graph and the supply;
 - `dump`: `edge_span_union` over the cherries of the graph;
@@ -79,11 +80,12 @@ def _summary(runs):
 
 def main():
     ap = benchkit.parser(__doc__, 3, "fresh processes per tree and k")
-    ap.add_argument("--dims", type=int, nargs="+", default=list(DIMS))
+    ap.add_argument("--dims", type=int, action="append",
+                    help="a dimension k to run; repeat for more (default: every k in DIMS)")
     args = benchkit.parse(ap, measure)
     result = {**benchkit.header(args.repeat), "seed": SEED, "graph": f"X^{{{LPS_P},{LPS_Q}}}",
               "field": FIELD, "trials": TRIALS, "dims": {}}
-    for k in args.dims:
+    for k in args.dims or DIMS:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "b.pts")
             runs = args.trees.runs(args.repeat, lambda src: benchkit.run(__file__, src, k, path))

@@ -14,26 +14,30 @@ meet-rank scan, and on the failing cherry set of the 9-cycle over a seeded
 random 6 x 9 supply in GF(3) (s = 2, where the rule also picks the meet-rank
 scan; with count_all, so every block holding one of its 171 failing
 subspaces is ranked).  Per case it records the family sizes, the scan the
-rule picks, the median and quartiles of --repeat timed calls after one
-warm-up call, and whether the two scans' reports are byte-identical.
+rule picks, each scan's median and quartiles over --repeat fresh processes,
+and whether the two scans' reports are byte-identical.  Each of those
+processes builds the case, runs the scan once to warm up and times one more
+call; the rounds alternate which scan runs first, and the trees alternate
+within each scan.  `chosen_is_faster` is true or false when the two scans'
+quartile ranges are apart, and "unresolved" when they overlap.
 
 The `sampled` row times `is_strong_blocking_sampled` on the cherry set of
 the benchmark's lps-sampled workload (seed 1: LPS X^{5,13}, a random
 20 x 2184 supply over GF(3), built by bench/workloads.py), with its 12
 trials and trial seed, against the per-trial loop it replaced (one
-kernel, subspace and meet rank per trial), and records whether the two
-reports are byte-identical.  Each scan of each case, and the sampled row,
-is built and timed in a fresh process of its own, per source tree (each
-positional argument is LABEL=SRC; the trees alternate), so no time
-depends on what ran before it in the same process; `chosen_is_faster`
-records whether the rule's scan had the lower median.  BLAS runs
-single-threaded.  The JSON result goes to stdout.
+kernel, subspace and meet rank per trial), by the median and quartiles of
+--repeat timed calls after one warm-up call in one fresh process per source
+tree, and records whether the two reports are byte-identical.  Each
+positional argument is LABEL=SRC; no time depends on what ran before it in
+the same process.  BLAS runs single-threaded.  The JSON result goes to
+stdout.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -66,9 +70,10 @@ def _report_and_time(fn, repeat):
     return json.dumps(reports[0].to_dict(), sort_keys=True), timing
 
 
-def time_scan(index, scan, repeat):
+def time_scan(index, scan):
     """CASES[index] verified by one scan ("cover" or "meet"), forced, in
-    this process: (the case's facts, the timing, the report as JSON)."""
+    this process: (the case's facts, the seconds of one call after a warm-up
+    call, the report as JSON)."""
     import blockforge as bf
     from blockforge import verify
     from blockforge.linalg import gaussian_binomial
@@ -80,9 +85,11 @@ def time_scan(index, scan, repeat):
              "keys": q ** (s + 1),
              "chosen": "cover" if verify._prefers_cover(k, s, q) else "meet"}
     verify._prefers_cover = lambda *args: scan == "cover"
-    report, timing = _report_and_time(
-        lambda: verify.is_strong_blocking(b, s, count_all=count_all), repeat)
-    return facts, timing, report
+    verify.is_strong_blocking(b, s, count_all=count_all)
+    t0 = time.perf_counter()
+    report = verify.is_strong_blocking(b, s, count_all=count_all)
+    seconds = time.perf_counter() - t0
+    return facts, seconds, json.dumps(report.to_dict(), sort_keys=True)
 
 
 def per_trial_sampled(b, s, trials, seed):
@@ -127,23 +134,48 @@ def measure(what, *args):
     return {"scan": time_scan, "sampled": run_sampled}[what](*args)
 
 
+def _faster(chosen: dict, other: dict):
+    """Whether the chosen scan's times lie below the other's: "unresolved"
+    when the two quartile ranges overlap."""
+    if chosen["q1_s"] <= other["q3_s"] and other["q1_s"] <= chosen["q3_s"]:
+        return "unresolved"
+    return chosen["median_s"] < other["median_s"]
+
+
+def _case(trees, index, repeat):
+    """{label: the case's row} from `repeat` rounds of one fresh process per
+    scan and tree."""
+    scans = ("cover", "meet")
+    ran = {scan: {} for scan in scans}
+    for turn in range(repeat):
+        for scan in scans[::-1] if turn % 2 else scans:
+            got = trees.once(lambda src: benchkit.run(__file__, src, "scan", index, scan))
+            for label, out in got.items():
+                ran[scan].setdefault(label, []).append(out)
+    rows = {}
+    for label in ran["cover"]:
+        runs = ran["cover"][label] + ran["meet"][label]
+        row = benchkit.agree([facts for facts, _, _ in runs], runs[0][0], f"runs of {label}")
+        for scan in scans:
+            row[scan] = benchkit.quartiles([s for _, s, _ in ran[scan][label]], 4, "_s")
+        reports = {report for _, _, report in runs}
+        row["result"] = json.loads(runs[0][2])["result"]
+        row["reports_identical"] = len(reports) == 1
+        other = "meet" if row["chosen"] == "cover" else "cover"
+        row["chosen_is_faster"] = _faster(row[row["chosen"]], row[other])
+        rows[label] = row
+    return rows
+
+
 def main():
-    args = benchkit.parse(benchkit.parser(__doc__, 5, "timed calls per scan and case"), measure)
+    args = benchkit.parse(benchkit.parser(
+        __doc__, 5, "fresh processes per scan and case; timed calls for the sampled row"),
+        measure)
     result = benchkit.header(args.repeat)
     result["machine"]["process_per_scan"] = True
     result["cases"] = []
     for index, (label, _, _) in enumerate(CASES):
-        ran = {scan: args.trees.once(
-                   lambda src: benchkit.run(__file__, src, "scan", index, scan, args.repeat))
-               for scan in ("cover", "meet")}
-        case = {"instance": label}
-        for tree in ran["cover"]:
-            (facts, cover, by_cover), (_, meet, by_meet) = ran["cover"][tree], ran["meet"][tree]
-            run = case[tree] = {**facts, "cover": cover, "meet": meet,
-                                "result": json.loads(by_meet)["result"],
-                                "reports_identical": by_cover == by_meet}
-            other = "meet" if run["chosen"] == "cover" else "cover"
-            run["chosen_is_faster"] = run[run["chosen"]]["median_s"] <= run[other]["median_s"]
+        case = {"instance": label, **_case(args.trees, index, args.repeat)}
         print(json.dumps(case), file=sys.stderr)
         result["cases"].append(case)
     result["sampled"] = {"instance": "lps-sampled seed 1", **args.trees.once(

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Data artifacts (matrix/graph files) go to --out or stdout so subcommands can
-be piped; the JSON run report goes to stdout for checking commands (verify,
-mincheck, spectra, oracle) and to stderr for data-producing ones.  Reports
+Data artifacts (matrix/graph files) go to --out or stdout and come from a
+path or "-" for stdin, so subcommands can be piped; both ends are bytes,
+read and written by the file codec alone.  The JSON run report goes to
+stdout for checking commands (verify, mincheck, spectra, oracle) and to
+stderr for data-producing ones.  Reports
 deliberately exclude wall-clock fields: an identical invocation (flags,
 seeds, budgets) must produce byte-identical JSON.
 
@@ -19,35 +21,30 @@ import sys
 from . import __version__
 from .budgets import Budgets
 from .construct import (construct_ball_power, construct_cherry,
-                        construct_neighborhood, format_blocking_set,
-                        parse_blocking_set, read_blocking_set,
+                        construct_neighborhood, read_blocking_set,
                         write_blocking_set)
 from .errors import BlockforgeError
-from .expander import (blowup, complete_graph, format_graph, lps_graph,
-                       parse_graph, power_graph, second_eigenvalue)
+from .expander import (blowup, complete_graph, lps_graph, power_graph,
+                       read_graph, second_eigenvalue, write_graph)
 from .gf import field_create
-from .linalg import format_matrix, load_matrix, parse_matrix, write_matrix
+from .linalg import read_matrix, write_matrix
 from .mincode import LinearCode, blocking_to_code, is_s_minimal
-from .supply import (PointSupply, read_supply, supply_mds,
-                     supply_random_verified, verify_general_position,
-                     write_supply)
+from .supply import (read_supply, supply_mds, supply_random_verified,
+                     verify_general_position, write_supply)
 from .verify import (is_strong_blocking, is_strong_blocking_sampled,
                      minimum_size_search)
 
 
-def _read_graph(path: str):
-    if path == "-":
-        return parse_graph(sys.stdin.read())
-    with open(path) as f:
-        return parse_graph(f.read())
+def _source(path: str):
+    """What a reader reads for an input argument: standard input's bytes
+    for "-", else the file at `path`."""
+    return sys.stdin.buffer if path == "-" else path
 
 
-def _write_graph(path: str | None, g) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(format_graph(g))
-    else:
-        with open(path, "w") as f:
-            f.write(format_graph(g))
+def _target(path: str | None):
+    """What a writer writes to for --out: standard output's bytes for "-"
+    or no path, else the file at `path`."""
+    return sys.stdout.buffer if not path or path == "-" else path
 
 
 def _parse_field_arg(spec: str):
@@ -88,18 +85,6 @@ def _emit_text(obj, stream, prefix="") -> None:
         stream.write(f"{prefix}{obj}\n")
 
 
-def _load_supply(path: str):
-    if path == "-":
-        return PointSupply(parse_matrix(sys.stdin.read()), provenance="stdin"), None
-    return read_supply(path)
-
-
-def _load_blocking(path: str):
-    if path == "-":
-        return parse_blocking_set(sys.stdin.read())
-    return read_blocking_set(path)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -116,10 +101,7 @@ def _cmd_supply(args, budgets, fmt) -> int:
         supply, report = supply_random_verified(fld, args.k, args.n, args.s,
                                                 args.t, seed=args.seed,
                                                 budgets=budgets)
-    if args.out and args.out != "-":
-        write_supply(args.out, supply, report)
-    else:
-        sys.stdout.write(format_matrix(supply.matrix))
+    write_supply(_target(args.out), supply, report)
     env = _envelope("supply", {"field": args.field, "k": args.k, "n": args.n,
                                "mode": args.mode, "s": args.s, "t": args.t,
                                "seed": args.seed, "out": args.out},
@@ -140,15 +122,15 @@ def _cmd_graph(args, budgets, fmt) -> int:
         g = complete_graph(args.n)
         config = {"kind": "complete", "n": args.n}
     elif args.kind == "from-file":
-        g = _read_graph(args.infile)
+        g = read_graph(_source(args.infile))
         config = {"kind": "from-file", "in": args.infile}
     elif args.kind == "power":
-        g = power_graph(_read_graph(args.infile), args.u)
+        g = power_graph(read_graph(_source(args.infile)), args.u)
         config = {"kind": "power", "in": args.infile, "u": args.u}
     else:  # blowup
-        g = blowup(_read_graph(args.infile), args.D)
+        g = blowup(read_graph(_source(args.infile)), args.D)
         config = {"kind": "blowup", "in": args.infile, "D": args.D}
-    _write_graph(args.out, g)
+    write_graph(_target(args.out), g)
     env = _envelope("graph", {**config, "out": args.out},
                     {"n": g.n, "m": g.m, "regular": g.is_regular()})
     _emit_report(env, fmt, sys.stderr)
@@ -156,7 +138,7 @@ def _cmd_graph(args, budgets, fmt) -> int:
 
 
 def _cmd_spectra(args, budgets, fmt) -> int:
-    g = _read_graph(args.graph)
+    g = read_graph(_source(args.graph))
     rep = second_eigenvalue(g, tol=args.tol, seed=args.seed)
     env = _envelope("spectra", {"graph": args.graph, "tol": args.tol,
                                 "seed": args.seed}, rep.to_dict())
@@ -165,8 +147,8 @@ def _cmd_spectra(args, budgets, fmt) -> int:
 
 
 def _cmd_construct(args, budgets, fmt) -> int:
-    g = _read_graph(args.graph)
-    supply, report = _load_supply(args.supply)
+    g = read_graph(_source(args.graph))
+    supply, report = read_supply(_source(args.supply))
     if report is None:
         report = verify_general_position(supply, budgets=budgets)
     if args.recipe == "cherry":
@@ -179,10 +161,7 @@ def _cmd_construct(args, budgets, fmt) -> int:
     else:
         b = construct_neighborhood(g, supply, args.s, report=report,
                                    budgets=budgets)
-    if args.out and args.out != "-":
-        write_blocking_set(args.out, b)
-    else:
-        sys.stdout.write(format_blocking_set(b))
+    write_blocking_set(_target(args.out), b)
     env = _envelope("construct", {"recipe": args.recipe, "graph": args.graph,
                                   "supply": args.supply, "s": args.s,
                                   "variant": args.variant, "out": args.out},
@@ -192,7 +171,7 @@ def _cmd_construct(args, budgets, fmt) -> int:
 
 
 def _cmd_verify(args, budgets, fmt) -> int:
-    b = _load_blocking(args.set)
+    b = read_blocking_set(_source(args.set))
     if args.sampled is not None:
         rep = is_strong_blocking_sampled(b, args.s, args.sampled, seed=args.seed)
     else:
@@ -209,12 +188,9 @@ def _cmd_verify(args, budgets, fmt) -> int:
 
 
 def _cmd_convert(args, budgets, fmt) -> int:
-    b = _load_blocking(args.set)
+    b = read_blocking_set(_source(args.set))
     code = blocking_to_code(b)
-    if args.out and args.out != "-":
-        write_matrix(args.out, code.generator, None)
-    else:
-        sys.stdout.write(format_matrix(code.generator))
+    write_matrix(_target(args.out), code.generator)
     env = _envelope("convert", {"set": args.set, "out": args.out},
                     {"n": code.n, "k": code.k})
     _emit_report(env, fmt, sys.stderr)
@@ -222,7 +198,7 @@ def _cmd_convert(args, budgets, fmt) -> int:
 
 
 def _cmd_mincheck(args, budgets, fmt) -> int:
-    gen = parse_matrix(sys.stdin.read()) if args.code == "-" else load_matrix(args.code)
+    gen = read_matrix(_source(args.code))
     rep = is_s_minimal(LinearCode(gen), args.s, budget=budgets.minimal_subspaces)
     env = _envelope("mincheck", {"code": args.code, "s": args.s}, rep.to_dict())
     _emit_report(env, fmt)

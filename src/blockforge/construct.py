@@ -26,8 +26,8 @@ from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .expander import Graph, Hypergraph, power_graph, clique_hypergraph
 from .gf import FieldSpec
-from .linalg import (_row_keys, distinct_rows, format_rows, load_rows, load_sidecar,
-                     matrix_head, parse_field_rows, write_rows)
+from .linalg import (_row_keys, distinct_rows, matrix_head, read_field_rows, read_sidecar,
+                     write_rows)
 from .supply import (GeneralPositionReport, PointSupply, normalize_rows,
                      verify_general_position)
 
@@ -306,10 +306,6 @@ def construct_neighborhood(g: Graph, supply: PointSupply, s: int, *,
 # File I/O: points as matrix rows + JSON provenance sidecar
 # ---------------------------------------------------------------------------
 
-def format_blocking_set(b: BlockingSet) -> str:
-    return matrix_head(b.field, *b.points.shape) + format_rows(b.points)
-
-
 def _file_set(fld: FieldSpec, rows: np.ndarray, provenance: dict) -> BlockingSet:
     """The set of a file's rows, entries in [0, q): the rows themselves when
     the constructor's check finds them canonical, as the writer stores them;
@@ -321,14 +317,14 @@ def _file_set(fld: FieldSpec, rows: np.ndarray, provenance: dict) -> BlockingSet
         return BlockingSet.from_points(fld, rows, provenance)
 
 
-def parse_blocking_set(text: str) -> BlockingSet:
-    return _file_set(*parse_field_rows(text), {"construction": "file"})
+def write_blocking_set(target, b: BlockingSet) -> None:
+    """Write b's points to `target`, a path or a binary stream; next to a
+    path, its provenance goes to the sidecar."""
+    write_rows(target, matrix_head(b.field, *b.points.shape), b.points, b.provenance)
 
 
-def write_blocking_set(path, b: BlockingSet) -> None:
-    write_rows(path, b.field, b.points, b.provenance)
-
-
-def read_blocking_set(path) -> BlockingSet:
-    fld, rows = load_rows(path)
-    return _file_set(fld, rows, {"construction": "file", **(load_sidecar(path) or {})})
+def read_blocking_set(source) -> BlockingSet:
+    """The set in the file at the path or in the binary stream `source`; its
+    provenance is {"construction": "file"} updated by the sidecar, if any."""
+    fld, rows = read_field_rows(source)
+    return _file_set(fld, rows, {"construction": "file", **(read_sidecar(source) or {})})

@@ -26,7 +26,7 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .gf import is_prime
-from .linalg import distinct_rows, format_rows, parse_rows, split_head
+from .linalg import distinct_rows, read_rows, write_rows
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -695,13 +695,19 @@ def clique_hypergraph(g: Graph, r: int, *, budget: int = DEFAULT_BUDGETS.cliques
 # Graph file format
 # ---------------------------------------------------------------------------
 
-def format_graph(g: Graph) -> str:
-    return f"graph {g.n} {g.m}\n" + format_rows(g._edge_array)
+def write_graph(target, g: Graph) -> None:
+    """Write g to `target`, a path or a binary stream: `graph <n> <m>`, then
+    one `u v` edge per line, u < v, in sorted order."""
+    write_rows(target, f"graph {g.n} {g.m}\n", g._edge_array)
 
 
-def parse_graph(text: str) -> Graph:
-    (head,), body = split_head(text, 1)
+def _graph_shape(head: str) -> tuple[int, int, int]:
     toks = head.split()
     if len(toks) != 3 or toks[0] != "graph":
         raise ValueError(f"malformed graph header: {head!r}")
-    return Graph(int(toks[1]), parse_rows(body, int(toks[2]), 2))
+    return int(toks[1]), int(toks[2]), 2
+
+
+def read_graph(source) -> Graph:
+    """The graph in the file at the path or in the binary stream `source`."""
+    return Graph(*read_rows(source, 1, _graph_shape))

@@ -2,8 +2,10 @@
 
 Subspaces are canonicalized as the RREF of a basis together with the pivot
 columns, so equality is a cheap comparison and enumeration has a stable
-order (lexicographic over pivot sets, then over free entries).  The matrix
-file format, with its `<file>.json` sidecar, is also read and written here.
+order (lexicographic over pivot sets, then over free entries).  The file
+codec lives here too: every matrix, supply, blocking-set and graph file,
+with its `<file>.json` sidecar, is read and written as bytes by
+`read_rows` and `write_rows`, from and to a path or a binary stream.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import os
 import re
 
 import numpy as np
@@ -321,17 +324,23 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Matrix file format
+# File codec: matrix files (with their sidecar) and graph files
 # ---------------------------------------------------------------------------
 
-FORMAT_CHUNK_ROWS = 1 << 14  # rows per uint8 buffer in format_rows
+FORMAT_CHUNK_ROWS = 1 << 14  # rows per uint8 buffer in _row_chunks
+
+
+def _is_path(where) -> bool:
+    return isinstance(where, (str, os.PathLike))
 
 
 def _row_chunks(data: np.ndarray):
-    """The text of `format_rows(data)`, one FORMAT_CHUNK_ROWS chunk at a time."""
+    """The bytes of a 2-D array of non-negative integers, one line per row,
+    entries separated by single spaces, every line ending in a newline: one
+    FORMAT_CHUNK_ROWS chunk at a time, each bytes-like."""
     rows, cols = data.shape
     if not cols:
-        yield "\n" * rows
+        yield b"\n" * rows
         return
     top = int(data.max(initial=0))
     width = len(str(top))
@@ -343,29 +352,36 @@ def _row_chunks(data: np.ndarray):
         block = data[lo:lo + FORMAT_CHUNK_ROWS]
         cells = cell[block.ravel()].view(np.uint8).reshape(len(block), cols, width + 1)
         cells[:, -1, -1] = ord("\n")
-        if width > 1:
-            cells = cells[cells != 0]
-        yield str(cells, "ascii")
+        yield cells[cells != 0] if width > 1 else cells
 
 
-def format_rows(data: np.ndarray) -> str:
-    """Text of a 2-D array of non-negative integers: one line per row, entries
-    separated by single spaces, every line ending in a newline."""
-    return "".join(_row_chunks(data))
+def write_rows(target, head: str, rows: np.ndarray, sidecar: dict | None = None) -> None:
+    """Write `head` (whole lines) and then `rows` (a 2-D array of
+    non-negative integers, any integer type) to `target`, a path or a binary
+    stream.  Next to a path, `sidecar`, unless it is None, goes as JSON to
+    `<path>.json`; a stream carries no sidecar."""
+    if not _is_path(target):
+        target.write(head.encode("ascii"))
+        for chunk in _row_chunks(rows):
+            target.write(chunk)
+        return
+    with open(target, "wb") as f:
+        write_rows(f, head, rows)
+    if sidecar is None:
+        return
+    with open(f"{target}.json", "w") as f:
+        json.dump(sidecar, f, sort_keys=True, indent=2, default=str)
+        f.write("\n")
 
 
 def _grid_rows(body, rows: int, cols: int) -> np.ndarray | None:
-    """The (rows, cols) uint8 array of a body (str or bytes-like) in the
-    writer's single-digit layout: at most one newline, then every entry one
-    digit followed by a space, or by a newline at the end of its row.  None
-    for any other body, which leaves it to the general parser."""
+    """The (rows, cols) uint8 array of a bytes-like body in the writer's
+    single-digit layout: at most one newline, then every entry one digit
+    followed by a space, or by a newline at the end of its row.  None for
+    any other body, which leaves it to `np.loadtxt`."""
     size = rows * cols
     if rows < 1 or cols < 1 or len(body) - 2 * size not in (0, 1):
         return None
-    if isinstance(body, str):
-        if not body.isascii():
-            return None
-        body = body.encode("ascii")
     buf = np.frombuffer(body, dtype=np.uint8)
     if len(buf) > 2 * size and buf[0] != ord("\n"):
         return None
@@ -377,28 +393,59 @@ def _grid_rows(body, rows: int, cols: int) -> np.ndarray | None:
     return digits
 
 
-def parse_rows(body: str, rows: int, cols: int) -> np.ndarray:
-    """The (rows, cols) int64 array in `body`, one row per non-blank line and no
-    comments; any other shape or token is a ValueError.  The writer's
-    single-digit layout is read byte by byte; any other body goes through
-    `np.loadtxt`."""
-    data = _grid_rows(body, rows, cols)
-    if data is not None:
-        return data.astype(np.int64)
+def split_head(text: str, count: int) -> tuple[tuple[str, ...], str]:
+    """The first `count` non-blank lines of text ("" past its end), and the rest."""
+    m = re.match(r"\s*([^\r\n]*)" * count, text)
+    return m.groups(), text[m.end():]
+
+
+def _read_bytes(source) -> bytes:
+    if not _is_path(source):
+        return source.read()
+    with open(source, "rb") as f:
+        return f.read()
+
+
+def read_rows(source, count: int, shape) -> tuple[object, np.ndarray]:
+    """(head, rows) of the file at the path `source`, or of the rest of the
+    binary stream `source`: `count` head lines, which `shape(*lines)` turns
+    into (head, rows, cols), then the rows, one per non-blank line, with no
+    comments; any other shape or token is a ValueError.
+
+    When the head lines are plain ASCII without a carriage return and the
+    body is the writer's single-digit grid, the rows are that grid's uint8
+    array, read from the bytes.  Any other input is decoded as a text-mode
+    `open` would (locale encoding, universal newlines) and its body read by
+    `np.loadtxt`, into int64; a blank body is 0 rows, or `rows` rows when
+    `cols` is 0."""
+    raw = _read_bytes(source)
+    end = -1
+    for _ in range(count):
+        end = raw.find(b"\n", end + 1)
+        if end < 0:
+            break
+    prefix = raw[:max(end, 0)]  # the head lines' bytes
+    if end > 0 and prefix.isascii() and b"\r" not in prefix:
+        try:  # a head that does not parse raises again, with the same error, below
+            meta, rows, cols = shape(*split_head(prefix.decode("ascii"), count)[0])
+        except ValueError:
+            pass
+        else:
+            grid = _grid_rows(memoryview(raw)[end:], rows, cols)
+            if grid is not None:
+                return meta, grid
+    text = io.TextIOWrapper(io.BytesIO(raw)).read()
+    del raw  # while np.loadtxt runs, hold the text alone, as a text-mode read did
+    lines, body = split_head(text, count)
+    meta, rows, cols = shape(*lines)
     if not body or body.isspace():  # loadtxt warns on input without data
-        data = np.zeros((0, cols), dtype=np.int64)
+        data = np.zeros((rows if cols == 0 else 0, cols), dtype=np.int64)
     else:
         data = np.loadtxt(io.StringIO(body, newline=None), dtype=np.int64,
                           ndmin=2, comments=None)
     if data.shape != (rows, cols):
         raise ValueError(f"expected {rows} rows of {cols} entries, found {data.shape}")
-    return data
-
-
-def split_head(text: str, count: int) -> tuple[tuple[str, ...], str]:
-    """The first `count` non-blank lines of text ("" past its end), and the rest."""
-    m = re.match(r"\s*([^\r\n]*)" * count, text)
-    return m.groups(), text[m.end():]
+    return meta, data
 
 
 def matrix_head(field: FieldSpec, rows: int, cols: int) -> str:
@@ -406,11 +453,7 @@ def matrix_head(field: FieldSpec, rows: int, cols: int) -> str:
     return f"{field.header_line()}\ndims {rows} {cols}\n"
 
 
-def format_matrix(m: MatrixGF) -> str:
-    return matrix_head(m.field, m.rows, m.cols) + format_rows(m.data)
-
-
-def _head(header: str, dims: str) -> tuple[FieldSpec, int, int]:
+def _matrix_shape(header: str, dims: str) -> tuple[FieldSpec, int, int]:
     """The field, rows and columns named by a matrix's two head lines."""
     dtoks = dims.split()
     if len(dtoks) != 3 or dtoks[0] != "dims":
@@ -418,90 +461,32 @@ def _head(header: str, dims: str) -> tuple[FieldSpec, int, int]:
     return parse_field_header(header), int(dtoks[1]), int(dtoks[2])
 
 
-def parse_field_rows(text: str) -> tuple[FieldSpec, np.ndarray]:
-    """The field and the int64 rows of a matrix's text, entries checked."""
-    head, body = split_head(text, 2)
-    field, rows, cols = _head(*head)
-    data = parse_rows(body, rows, cols)
+def read_field_rows(source) -> tuple[FieldSpec, np.ndarray]:
+    """The field and the rows (`read_rows`) of the matrix file at the path or
+    in the binary stream `source`, entries checked against the field."""
+    field, data = read_rows(source, 2, _matrix_shape)
     _check_entries(field, data)
     return field, data
 
 
-def parse_matrix(text: str) -> MatrixGF:
-    return MatrixGF(*parse_field_rows(text))
-
-
-def _grid_file(raw: bytes) -> tuple[FieldSpec, np.ndarray] | None:
-    """The field and the uint8 rows in a file's bytes when they are exactly
-    the writer's layout for single-digit entries: two ASCII head lines
-    without a carriage return, then the grid.  None otherwise.  Such bytes
-    read as the same text in any ASCII-compatible encoding, with or without
-    universal newlines."""
-    end = raw.find(b"\n", raw.find(b"\n") + 1)
-    if end < 0:
+def read_sidecar(source) -> dict | None:
+    """The JSON sidecar `<path>.json` of the file at the path `source`; None
+    when there is none, and for a stream."""
+    if not _is_path(source):
         return None
-    head = raw[:end]
-    if not head.isascii() or b"\r" in head:
-        return None
-    try:  # a bad head raises again, with the same error, in parse_matrix
-        field, rows, cols = _head(*split_head(head.decode("ascii"), 2)[0])
-    except ValueError:
-        return None
-    data = _grid_rows(memoryview(raw)[end:], rows, cols)
-    return None if data is None else (field, data)
-
-
-def write_rows(path, field: FieldSpec, rows: np.ndarray, sidecar: dict | None) -> None:
-    """Write the matrix of `rows` over `field` (entries in [0, q), any integer
-    type) to `path` and, unless it is None, `sidecar` as JSON to `<path>.json`."""
-    with open(path, "w") as f:
-        f.write(matrix_head(field, *rows.shape))
-        f.writelines(_row_chunks(rows))
-    if sidecar is None:
-        return
-    with open(f"{path}.json", "w") as f:
-        json.dump(sidecar, f, sort_keys=True, indent=2, default=str)
-        f.write("\n")
-
-
-def write_matrix(path, m: MatrixGF, sidecar: dict | None) -> None:
-    """Write m to `path` and, unless it is None, `sidecar` as JSON to `<path>.json`."""
-    write_rows(path, m.field, m.data, sidecar)
-
-
-def load_rows(path) -> tuple[FieldSpec, np.ndarray]:
-    """The field and the rows of the matrix at `path`, with its entries
-    checked against the field; its sidecar, if any, is not read.
-
-    The file is read as bytes.  In the writer's single-digit layout the grid
-    is read from those bytes and returned as that uint8 array; any other
-    file is decoded as a text-mode `open` would (locale encoding, universal
-    newlines) and parsed by `parse_field_rows`, into int64."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    found = _grid_file(raw)
-    if found is None:
-        text = io.TextIOWrapper(io.BytesIO(raw)).read()
-        del raw  # while the general parser runs, hold the text alone, as a text-mode read did
-        return parse_field_rows(text)
-    _check_entries(*found)
-    return found
-
-
-def load_matrix(path) -> MatrixGF:
-    """The matrix at `path` (`load_rows`); its sidecar, if any, is not read."""
-    return MatrixGF(*load_rows(path))
-
-
-def load_sidecar(path) -> dict | None:
-    """The JSON sidecar `<path>.json` of the matrix at `path`, None when there is none."""
     try:
-        with open(f"{path}.json") as f:
+        with open(f"{source}.json") as f:
             return json.load(f)
     except FileNotFoundError:
         return None
 
 
-def read_matrix(path) -> tuple[MatrixGF, dict | None]:
-    """The matrix at `path` (`load_matrix`) and its sidecar (`load_sidecar`)."""
-    return load_matrix(path), load_sidecar(path)
+def write_matrix(target, m: MatrixGF, sidecar: dict | None = None) -> None:
+    """Write m to `target`, a path or a binary stream (`write_rows`)."""
+    write_rows(target, matrix_head(m.field, m.rows, m.cols), m.data, sidecar)
+
+
+def read_matrix(source) -> MatrixGF:
+    """The matrix at the path or in the binary stream `source`; its sidecar,
+    if any, is not read."""
+    return MatrixGF(*read_field_rows(source))

@@ -21,7 +21,7 @@ from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .gf import FieldSpec
 from .linalg import (MatrixGF, distinct_rows, projective_reps, rank,
-                     read_matrix, rref_stack, write_matrix)
+                     read_matrix, read_sidecar, rref_stack, write_matrix)
 
 RANK_CHUNK = 256  # column subsets per rref_stack call in _rank_deficient
 RANDOM_MAX_TRIES = 50  # candidate supplies supply_random_verified draws before it gives up
@@ -73,7 +73,9 @@ class PointSupply:
 @dataclass(frozen=True)
 class GeneralPositionReport:
     s_independence: int
-    span_threshold: int | None  # None when the columns do not span F_q^k
+    # None when the columns do not span F_q^k; on the sampled path also when
+    # a sampled t-subset does not span, or when the independence check fails first
+    span_threshold: int | None
     method: str  # "exhaustive" | "sampled"
 
     def to_dict(self) -> dict:
@@ -250,18 +252,21 @@ def verify_general_position(supply: PointSupply, s: int | None = None,
 # File I/O: matrix file + JSON sidecar
 # ---------------------------------------------------------------------------
 
-def write_supply(path, supply: PointSupply,
+def write_supply(target, supply: PointSupply,
                  report: GeneralPositionReport | None = None) -> None:
+    """Write the supply's matrix to `target`, a path or a binary stream; next
+    to a path, its provenance and `report` go to the sidecar."""
     side = {"provenance": supply.provenance}
     if report is not None:
         side["report"] = report.to_dict()
-    write_matrix(path, supply.matrix, side)
+    write_matrix(target, supply.matrix, side)
 
 
-def read_supply(path):
-    """Returns (PointSupply, GeneralPositionReport | None); "file" provenance without a sidecar."""
-    matrix, side = read_matrix(path)
-    side = side or {}
+def read_supply(source):
+    """(PointSupply, GeneralPositionReport | None) from a path or a binary
+    stream; "file" provenance and no report without a sidecar, as for a stream."""
+    matrix = read_matrix(source)
+    side = read_sidecar(source) or {}
     report = side.get("report")
     return (PointSupply(matrix, provenance=side.get("provenance", "file")),
             None if report is None else GeneralPositionReport.from_dict(report))

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -178,8 +179,8 @@ def test_graph_transform_subcommands(tmp_path, capsys):
     assert out.startswith("graph 12 30\n")  # 6 clique edges + 6*4 cross edges
     code, out, _ = run_cli(["graph", "from-file", "--in", str(g)], capsys)
     assert code == 0
-    from blockforge.expander import parse_graph
-    assert parse_graph(out).adjacency == parse_graph(g.read_text()).adjacency
+    from blockforge.expander import read_graph
+    assert read_graph(io.BytesIO(out.encode())).adjacency == read_graph(g).adjacency
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -223,3 +224,94 @@ def test_bad_arguments_exit_2(capsys):
     code = main(["verify", "--set", "/nonexistent/file.pts", "--s", "2"])
     capsys.readouterr()
     assert code == 2
+
+
+def _run_bytes(argv, monkeypatch, stdin=b""):
+    """main(argv) in this process with `stdin` on standard input: (exit code,
+    stdout as bytes, stderr as text).  Both streams are text wrappers over
+    bytes, so a command may use `.read()`/`.write()` or their `.buffer`."""
+    out = io.TextIOWrapper(io.BytesIO(), write_through=True)
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    code = main(argv)
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+def _pipeline_files(tmp_path, monkeypatch):
+    """The files of a small supply -> graph -> construct -> convert run, as
+    the CLI writes them with --out PATH; "bare" is the supply without its
+    sidecar, which standard input cannot carry."""
+    files = {name: tmp_path / name for name in ("supply", "graph", "set", "code", "bare")}
+    for argv in (["supply", "--field", "5", "--k", "3", "--n", "4", "--out", files["supply"]],
+                 ["graph", "complete", "--n", "4", "--out", files["graph"]],
+                 ["construct", "--recipe", "cherry", "--graph", files["graph"],
+                  "--supply", files["supply"], "--s", "2", "--out", files["set"]],
+                 ["convert", "--set", files["set"], "--out", files["code"]]):
+        assert _run_bytes([str(a) for a in argv], monkeypatch)[0] == 0
+    files["bare"].write_bytes(files["supply"].read_bytes())
+    return files
+
+
+def _fill(argv, files):
+    """argv with each {name} replaced by the path of that file."""
+    return [str(files[a[1:-1]]) if a.startswith("{") else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ["supply", "--field", "5", "--k", "3", "--n", "4"],
+    ["supply", "--field", "3", "--k", "4", "--n", "12", "--mode", "random",
+     "--s", "1", "--t", "12", "--seed", "1"],
+    ["graph", "lps", "--p", "5", "--q", "13"],
+    ["graph", "complete", "--n", "4"],
+    ["graph", "from-file", "--in", "{graph}"],
+    ["graph", "power", "--in", "{graph}", "--u", "2"],
+    ["graph", "blowup", "--in", "{graph}", "--D", "2"],
+    ["construct", "--recipe", "cherry", "--graph", "{graph}", "--supply", "{supply}",
+     "--s", "2"],
+    ["convert", "--set", "{set}"],
+], ids=["supply-mds", "supply-random", "graph-lps", "graph-complete", "graph-from-file",
+        "graph-power", "graph-blowup", "construct", "convert"])
+def test_stdout_is_the_file_that_out_writes(argv, tmp_path, monkeypatch):
+    files = _pipeline_files(tmp_path, monkeypatch)
+    argv = _fill(argv, files)
+    out_path = tmp_path / "out"
+    code, out, _ = _run_bytes(argv + ["--out", str(out_path)], monkeypatch)
+    assert code == 0 and out == b""
+    want = out_path.read_bytes()
+    assert want.endswith(b"\n")
+    for to_stdout in (["--out", "-"], []):
+        code, out, _ = _run_bytes(argv + to_stdout, monkeypatch)
+        assert code == 0 and out == want
+
+
+@pytest.mark.parametrize("argv, piped", [
+    (["verify", "--set", "{set}", "--s", "2"], "set"),
+    (["verify", "--set", "{set}", "--s", "2", "--sampled", "20"], "set"),
+    (["construct", "--recipe", "cherry", "--graph", "{graph}", "--supply", "{bare}",
+      "--s", "2"], "bare"),
+    (["construct", "--recipe", "cherry", "--graph", "{graph}", "--supply", "{supply}",
+      "--s", "2"], "graph"),
+    (["mincheck", "--code", "{code}", "--s", "2"], "code"),
+    (["spectra", "--graph", "{graph}"], "graph"),
+    (["graph", "power", "--in", "{graph}", "--u", "2"], "graph"),
+    (["graph", "blowup", "--in", "{graph}", "--D", "2"], "graph"),
+    (["graph", "from-file", "--in", "{graph}"], "graph"),
+], ids=["verify", "verify-sampled", "construct-supply", "construct-graph", "mincheck",
+        "spectra", "graph-power", "graph-blowup", "graph-from-file"])
+def test_dash_reads_stdin_as_the_file(argv, piped, tmp_path, monkeypatch):
+    files = _pipeline_files(tmp_path, monkeypatch)
+    at = argv.index("{" + piped + "}")
+    path = files[piped]
+    from_file = _run_bytes(_fill(argv, files), monkeypatch)
+    from_stdin = _run_bytes(_fill(argv[:at] + ["-"] + argv[at + 1:], files), monkeypatch,
+                            stdin=path.read_bytes())
+    # the report's config echoes the argument: the path, or "-"
+    key = argv[at - 1].lstrip("-")
+    echo, dash = f'"{key}": {json.dumps(str(path))}', f'"{key}": "-"'
+    assert from_file[0] == from_stdin[0] in (0, 1)
+    assert from_file[1].replace(echo.encode(), dash.encode()) == from_stdin[1]
+    assert from_file[2].replace(echo, dash) == from_stdin[2]
+    assert dash in (from_stdin[1].decode() + from_stdin[2])

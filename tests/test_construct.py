@@ -1,3 +1,4 @@
+import io
 import itertools
 
 import numpy as np
@@ -7,9 +8,8 @@ from blockforge import construct, linalg
 from blockforge.construct import (BlockingSet, cherry_hypergraph,
                                   ball_power_hypergraph, construct_ball_power,
                                   construct_cherry, construct_neighborhood,
-                                  edge_span_union, format_blocking_set,
-                                  lower_bound, neighborhood_hypergraph,
-                                  parse_blocking_set, read_blocking_set,
+                                  edge_span_union, lower_bound,
+                                  neighborhood_hypergraph, read_blocking_set,
                                   write_blocking_set)
 from blockforge.errors import BudgetExceededError
 from blockforge.expander import (Graph, Hypergraph, complete_graph, cycle_graph,
@@ -508,6 +508,25 @@ def test_blocking_set_rejects_zero():
         BlockingSet.from_points(fld, [])
 
 
+def _set_text(b: BlockingSet) -> str:
+    """The bytes `write_blocking_set` writes for b to a stream, as text."""
+    out = io.BytesIO()
+    write_blocking_set(out, b)
+    return out.getvalue().decode()
+
+
+def _set_from(text: str) -> BlockingSet:
+    """`read_blocking_set` of the bytes of `text`, from a stream."""
+    return read_blocking_set(io.BytesIO(text.encode()))
+
+
+def _matrix_text(m: MatrixGF) -> str:
+    """The bytes `write_matrix` writes for m to a stream, as text."""
+    out = io.BytesIO()
+    linalg.write_matrix(out, m)
+    return out.getvalue().decode()
+
+
 def test_blocking_set_file_round_trip(tmp_path):
     fld = field_create(5)
     sup = supply_mds(fld, 3, 4)
@@ -517,8 +536,8 @@ def test_blocking_set_file_round_trip(tmp_path):
     again = read_blocking_set(path)
     assert again == b
     assert again.provenance["construction"] == "cherry"
-    # text round trip, and a file without its sidecar
-    again2 = parse_blocking_set(format_blocking_set(b))
+    # stream round trip, and a file without its sidecar
+    again2 = _set_from(_set_text(b))
     assert again2 == b and again2.provenance == {"construction": "file"}
     (tmp_path / "b.pts.json").unlink()
     again3 = read_blocking_set(path)
@@ -549,7 +568,7 @@ def test_read_blocking_set_keeps_canonical_rows_as_stored(tmp_path, monkeypatch)
 
     monkeypatch.setattr(BlockingSet, "from_points", classmethod(refuse))
     assert read_blocking_set(path) == b
-    assert parse_blocking_set(format_blocking_set(b)) == b
+    assert _set_from(_set_text(b)) == b
 
 
 @pytest.mark.parametrize("p", [3, 13], ids=["grid", "loadtxt"])
@@ -574,27 +593,28 @@ def test_blocking_set_file_round_trip_builds_no_matrix(p, tmp_path, monkeypatch)
 
 @pytest.mark.parametrize("p, m", [(3, 1), (13, 1), (2, 8), (65521, 1)])
 def test_blocking_set_text_matches_the_matrix_form(p, m, monkeypatch):
-    """The stdin/stdout form: the bytes and the set that `format_matrix` and
-    `parse_matrix` of a `MatrixGF` gave, with no `MatrixGF` built."""
+    """The stdin/stdout form: the bytes and the set that `write_matrix` and
+    `read_matrix` of a `MatrixGF` give, with no `MatrixGF` built."""
     fld = field_create(p, m)
     b = random_points(fld, 11, count=150, k=5)
-    want_text = linalg.format_matrix(MatrixGF(fld, b.points))
-    shuffled = linalg.format_matrix(MatrixGF(fld, b.points[::-1]))
-    want = [construct._file_set(fld, np.array(linalg.parse_matrix(t).data), {"construction": "file"})
+    want_text = _matrix_text(MatrixGF(fld, b.points))
+    shuffled = _matrix_text(MatrixGF(fld, b.points[::-1]))
+    want = [construct._file_set(fld, np.array(linalg.read_matrix(io.BytesIO(t.encode())).data),
+                                {"construction": "file"})
             for t in (want_text, shuffled)]
 
     def refuse(self, *args):
         raise RuntimeError("a MatrixGF was built on the text path")
 
     monkeypatch.setattr(MatrixGF, "__init__", refuse)
-    assert format_blocking_set(b) == want_text
+    assert _set_text(b) == want_text
     for text, set_from_matrix in zip((want_text, shuffled), want):
-        again = parse_blocking_set(text)
+        again = _set_from(text)
         assert again == set_from_matrix == b
         assert again.provenance == set_from_matrix.provenance == {"construction": "file"}
         assert again.points.dtype == fld.dtype and not again.points.flags.writeable
     with pytest.raises(ValueError, match="entries out of range"):
-        parse_blocking_set(want_text.replace("\n1 ", f"\n{fld.q} ", 1))
+        _set_from(want_text.replace("\n1 ", f"\n{fld.q} ", 1))
 
 
 def test_read_blocking_set_canonicalizes_hand_written_rows(tmp_path):
@@ -606,11 +626,11 @@ def test_read_blocking_set_canonicalizes_hand_written_rows(tmp_path):
     repeated = np.vstack([pts, pts[:2]])
     path = tmp_path / "b.pts"
     for rows in (pts[::-1], scaled, repeated):
-        path.write_text(linalg.format_matrix(MatrixGF(fld, rows)))
+        linalg.write_matrix(path, MatrixGF(fld, rows))
         assert read_blocking_set(path) == b
-        assert parse_blocking_set(path.read_text()) == b
+        assert _set_from(path.read_text()) == b
     for rows, message in [(np.vstack([pts, np.zeros((1, 4), dtype=np.int64)]), "is zero"),
                           (pts[:0], "needs at least one point")]:
-        path.write_text(linalg.format_matrix(MatrixGF(fld, rows)))
+        linalg.write_matrix(path, MatrixGF(fld, rows))
         with pytest.raises(ValueError, match=message):
             read_blocking_set(path)

@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 import math
 import time
@@ -13,15 +14,27 @@ from blockforge.construct import ball_power_hypergraph, neighborhood_hypergraph
 from blockforge.errors import BudgetExceededError
 from blockforge.expander import (Graph, Hypergraph, ball, blowup, check_mixing,
                                  clique_hypergraph, complete_graph,
-                                 cycle_graph, find_star_vertex, format_graph,
-                                 largest_component, lps_graph, parse_graph,
-                                 path_graph, power_graph, second_eigenvalue)
+                                 cycle_graph, find_star_vertex, largest_component,
+                                 lps_graph, path_graph, power_graph, read_graph,
+                                 second_eigenvalue, write_graph)
 
 from helpers import (ball_by_bfs, ball_edges_by_set, bfs_distances, bipartition_by_bfs,
                      blowup_by_loop, cliques_by_has_edge, find_star_vertex_by_sets,
                      hypergraph_by_set, is_connected_by_bfs, largest_component_by_bfs,
                      lps_graph_by_bfs, lps_quadruples_by_loop, mixing_by_matvec,
                      neighborhood_edges_by_set, power_graph_by_bfs)
+
+
+def _graph_text(g: Graph) -> str:
+    """The bytes `write_graph` writes for g to a stream, as text."""
+    out = io.BytesIO()
+    write_graph(out, g)
+    return out.getvalue().decode()
+
+
+def _graph_from(text: str) -> Graph:
+    """`read_graph` of the bytes of `text`, from a stream."""
+    return read_graph(io.BytesIO(text.encode()))
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +184,8 @@ def test_trace_needs_a_cayley_graph(lps_5_13):
 
 
 def test_graph_file_does_not_carry_the_cayley_mark(lps_5_13):
-    again = parse_graph(format_graph(lps_5_13))
-    assert not again.cayley and format_graph(again) == format_graph(lps_5_13)
+    again = _graph_from(_graph_text(lps_5_13))
+    assert not again.cayley and _graph_text(again) == _graph_text(lps_5_13)
     assert second_eigenvalue(again, tol=1e-3).method == "power-iteration"
     assert second_eigenvalue(lps_5_13).method == "trace"
 
@@ -376,16 +389,20 @@ def test_ball_degree_bound(lps_5_13):
     assert got <= 1 + d + d * (d - 1)
 
 
-def test_graph_file_round_trip(lps_5_13):
+def test_graph_file_round_trip(lps_5_13, tmp_path):
     g = power_graph(cycle_graph(7), 2)
-    again = parse_graph(format_graph(g))
+    again = _graph_from(_graph_text(g))
     assert again.n == g.n and list(again.edges()) == list(g.edges())
-    assert format_graph(path_graph(3)) == "graph 3 2\n0 1\n1 2\n"
-    assert format_graph(Graph(2, [])) == "graph 2 0\n"
+    write_graph(tmp_path / "c7.g", g)
+    assert (tmp_path / "c7.g").read_text() == _graph_text(g)
+    again = read_graph(tmp_path / "c7.g")
+    assert again.n == g.n and list(again.edges()) == list(g.edges())
+    assert _graph_text(path_graph(3)) == "graph 3 2\n0 1\n1 2\n"
+    assert _graph_text(Graph(2, [])) == "graph 2 0\n"
     with pytest.raises(ValueError):
-        parse_graph("graph 3 1\n0 1 2\n")
+        _graph_from("graph 3 1\n0 1 2\n")
     with pytest.raises(ValueError):
-        parse_graph("graph 3 2\n0 1\n")
+        _graph_from("graph 3 2\n0 1\n")
 
 
 def _loop_graph(n, edges):
@@ -421,7 +438,7 @@ def test_graph_matches_the_per_edge_loop(seed):
         assert all(type(v) is int for a in g.adjacency for v in a)
         assert list(g.edges()) == pairs
         assert all(type(u) is int and type(v) is int for u, v in g.edges())
-        assert format_graph(g) == text
+        assert _graph_text(g) == text
 
 
 @pytest.mark.parametrize("edges", [
@@ -651,7 +668,7 @@ def test_local_subset_hypergraphs_match_the_set_of_tuples(name):
 def test_graph_operators_never_build_the_tuple_view():
     g = lps_graph(5, 13)  # fresh: no other test has read its adjacency
     second_eigenvalue(g)
-    second_eigenvalue(parse_graph(format_graph(g)), tol=1e-3)
+    second_eigenvalue(_graph_from(_graph_text(g)), tol=1e-3)
     check_mixing(g, 2 * math.sqrt(5), trials=2)
     ball(g, 0, 2)
     largest_component(g, range(0, g.n, 3))

@@ -3,16 +3,21 @@
 No module may import a name it never uses, and no module may rely on
 `assert`, which `python -O` strips.  Rows are sorted and deduplicated in one
 place: `np.lexsort` is called once, in `linalg.distinct_rows`, and no call
-passes `axis=` to `np.unique`.  Matrix files and their sidecars are opened
-only by `linalg.load_rows`, `linalg.load_sidecar` and `linalg.write_rows`,
-so every read takes the byte-level grid path when it applies, and
-`np.loadtxt` is called once, in `linalg.parse_rows`.  The CLI's two graph-file helpers are the only other
-`open` calls.  A graph's stored form (`_edge_array`, and the CSR arrays
+passes `axis=` to `np.unique`.  One byte codec carries every file: matrix,
+supply, blocking-set and graph files and their sidecars are opened only in
+`linalg` (by `_read_bytes`, `read_sidecar` and `write_rows`), so every read
+takes the byte-level grid path when it applies, and `np.loadtxt` is called
+once, in `linalg.read_rows`.  No module reads `sys.stdin` as text or writes
+data to `sys.stdout`: the CLI hands `sys.stdin.buffer` (in `_source`) only
+to a reader and `sys.stdout.buffer` (in `_target`) only to a writer, no
+module calls `print`, and `sys.stdout` itself is only the default stream of
+`_emit_report`, which writes the reports.  A graph's stored form (`_edge_array`, and the CSR arrays
 `_heads` and `_ends`) is read only in `expander`.  Points inside subspaces
 are ranked in one place: `_ragged_ranks` is called only by
 `verify._meet_ranks`, and the removed helpers that are test references now
-(`normalize_column`, `_quotient_parts`), and the removed alias
-`subspace_count`, are defined nowhere in the package.  The bench scripts
+(`normalize_column`, `_quotient_parts`), the removed alias
+`subspace_count`, and the string twins and file helpers that the byte
+codec replaced, are defined nowhere in the package.  The bench scripts
 share one harness: every `scripts/bench_*.py` imports `benchkit` and
 defines no quartile, timing, RSS, fresh-process or supply helper of its
 own, nor names a `*_NUM_THREADS` variable.
@@ -131,15 +136,97 @@ def test_row_sort_scan_flags_a_planted_lexsort():
     assert _calls(tree, "unique") == [("distinct_rows", 5, {"axis"})]
 
 
-def test_loadtxt_only_in_parse_rows():
-    assert _owners("loadtxt") == [("linalg", "parse_rows")]
+def test_loadtxt_only_in_read_rows():
+    assert _owners("loadtxt") == [("linalg", "read_rows")]
 
 
-def test_files_opened_only_by_the_matrix_codec_and_the_graph_helpers():
-    # load_sidecar opens only the sidecar; write_rows opens the matrix and its sidecar
-    assert _owners("open", None) == [("cli", "_read_graph"), ("cli", "_write_graph"),
-                                     ("linalg", "load_rows"), ("linalg", "load_sidecar"),
+def test_files_opened_only_by_the_codec():
+    # read_sidecar opens only the sidecar; write_rows opens the file and its sidecar
+    assert _owners("open", None) == [("linalg", "_read_bytes"), ("linalg", "read_sidecar"),
                                      ("linalg", "write_rows"), ("linalg", "write_rows")]
+
+
+READERS = ("read_matrix", "read_supply", "read_blocking_set", "read_graph")
+WRITERS = ("write_matrix", "write_supply", "write_blocking_set", "write_graph")
+
+
+def _owner_map(tree):
+    """{node: the name of the innermost function around it} for every node
+    inside a function."""
+    owner = {}
+    for node in ast.walk(tree):  # outer functions come first, so inner ones win
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((sub, node.name) for sub in ast.walk(node) if sub is not node)
+    return owner
+
+
+def _parents(tree):
+    return {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+
+def _stream_uses(tree):
+    """(function or None, line, stream, use) of every `sys.stdin` and
+    `sys.stdout` in the tree; `use` is the attribute read from the stream
+    ("buffer.write" for `sys.stdout.buffer.write`), or "" for the stream
+    itself."""
+    owner, parents = _owner_map(tree), _parents(tree)
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr in ("stdin", "stdout")
+                and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            continue
+        use, up = [], parents.get(node)
+        while isinstance(up, ast.Attribute):
+            use.append(up.attr)
+            up = parents.get(up)
+        found.append((owner.get(node), node.lineno, node.attr, ".".join(use)))
+    return sorted(found, key=lambda u: u[1])
+
+
+def _handed_to(tree, helper):
+    """(called function, argument position) of every call of `helper` in
+    the tree, in source order, by the call it is an argument of; (None,
+    None) when it is not the direct argument of a call."""
+    parents = _parents(tree)
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == helper):
+            up = parents.get(node)
+            handed = (None, None)
+            if isinstance(up, ast.Call) and isinstance(up.func, ast.Name) and node in up.args:
+                handed = (up.func.id, up.args.index(node))
+            found.append(((node.lineno, node.col_offset), handed))
+    return [handed for _, handed in sorted(found)]
+
+
+def test_standard_streams_only_as_bytes_through_the_codec():
+    uses = [(path.stem, owner, stream, use) for path in MODULES
+            for owner, _, stream, use in _stream_uses(ast.parse(path.read_text()))]
+    assert uses == [("cli", "_source", "stdin", "buffer"),
+                    ("cli", "_target", "stdout", "buffer"),
+                    ("cli", "_emit_report", "stdout", "")]
+    cli = ast.parse((Path(blockforge.__file__).parent / "cli.py").read_text())
+    sources, targets = _handed_to(cli, "_source"), _handed_to(cli, "_target")
+    assert sources and {call for call, _ in sources} <= set(READERS)
+    assert targets and {call for call, _ in targets} <= set(WRITERS)
+    assert {at for _, at in sources + targets} == {0}
+    assert _owners("print", None) == []
+
+
+def test_stream_scan_flags_planted_text_reads_and_writes():
+    tree = ast.parse("import sys\n"
+                     "def _source(p):\n    return sys.stdin.buffer if p == '-' else p\n"
+                     "def load():\n    return sys.stdin.read()\n"
+                     "def dump(text):\n    sys.stdout.write(text)\n"
+                     "    sys.stdout.buffer.write(text.encode())\n"
+                     "def cmd(a, g):\n    write_graph(_target(a.out), g)\n"
+                     "    emit(g, _target(a.out))\n    out = _target(a.out)\n    print(a)\n")
+    assert _stream_uses(tree) == [("_source", 3, "stdin", "buffer"), ("load", 5, "stdin", "read"),
+                                  ("dump", 7, "stdout", "write"),
+                                  ("dump", 8, "stdout", "buffer.write")]
+    assert _handed_to(tree, "_target") == [("write_graph", 0), ("emit", 1), (None, None)]
+    assert _calls(tree, "print", None) == [("cmd", 13, set())]
 
 
 def test_owner_scan_counts_every_call():
@@ -179,7 +266,12 @@ def test_graph_form_scan_flags_a_planted_read():
                                                   (4, "_heads")]
 
 
-REMOVED = ("normalize_column", "_quotient_parts", "subspace_count")
+REMOVED = ("normalize_column", "_quotient_parts", "subspace_count",
+           # string twins and file helpers replaced by the byte codec
+           "format_matrix", "parse_matrix", "parse_field_rows", "format_blocking_set",
+           "parse_blocking_set", "load_matrix", "_grid_file", "format_graph", "parse_graph",
+           "_read_graph", "_write_graph", "_load_supply", "_load_blocking",
+           "format_rows", "parse_rows", "load_rows", "load_sidecar")
 
 
 def _definitions(tree, names):

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from blockforge.errors import BudgetExceededError
 from blockforge.gf import field_create, parse_field_header
 from blockforge import linalg
-from blockforge.linalg import (MatrixGF, format_matrix, gaussian_binomial, kernel_basis, matmul,
-                               parse_matrix, projective_reps, quotient_map,
-                               rank, rref, rref_blocks, rref_index,
-                               rref_stack, subspace_from_rows)
+from blockforge.linalg import (MatrixGF, gaussian_binomial, kernel_basis, matmul,
+                               projective_reps, quotient_map, rank, read_matrix,
+                               rref, rref_blocks, rref_index, rref_stack,
+                               subspace_from_rows, write_matrix)
 
 from helpers import (enumerate_subspaces, identity_matrix, rank_product, rref_stack_int64,
                      zero_matrix)
@@ -378,21 +378,57 @@ def test_projective_reps_cover_everything():
     assert len(seen) == 13
 
 
-def test_matrix_file_round_trip():
+def _written(m: MatrixGF) -> str:
+    """The bytes `write_matrix` writes for m to a stream, as text."""
+    out = io.BytesIO()
+    write_matrix(out, m)
+    return out.getvalue().decode()
+
+
+def _read(text: str) -> MatrixGF:
+    """`read_matrix` of the bytes of `text`, from a stream."""
+    return read_matrix(io.BytesIO(text.encode()))
+
+
+def _rows_text(data) -> str:
+    """The bytes `write_rows` writes for the rows of `data` after an empty head, as text."""
+    out = io.BytesIO()
+    linalg.write_rows(out, "", data)
+    return out.getvalue().decode()
+
+
+def _read_rows(text: str) -> np.ndarray:
+    """The rows that `read_field_rows` reads from the bytes of `text`, from a stream."""
+    return linalg.read_field_rows(io.BytesIO(text.encode()))[1]
+
+
+def _head(rows: int, cols: int) -> str:
+    """The head lines of a matrix over GF(11), which holds every single digit,
+    without the newline that ends the dims line."""
+    return f"field 11 1 0 1\ndims {rows} {cols}"
+
+
+def test_matrix_file_round_trip(tmp_path):
     f25 = field_create(5, 2)
     rng = np.random.default_rng(43)
     m = MatrixGF(f25, rng.integers(0, 25, size=(3, 4)))
-    again = parse_matrix(format_matrix(m))
+    again = _read(_written(m))
     assert again == m
-    assert format_matrix(m).splitlines()[0] == "field 5 2 1 1 1"
+    assert _written(m).splitlines()[0] == "field 5 2 1 1 1"
+    # no columns: the body is one blank line per row
+    empty = zero_matrix(field_create(3), 3, 0)
+    assert _written(empty) == "field 3 1 0 1\ndims 3 0\n\n\n\n"
+    assert _read(_written(empty)) == empty
+    write_matrix(tmp_path / "m.pts", empty)
+    assert read_matrix(tmp_path / "m.pts") == empty
 
 
 def test_format_matrix_golden_bytes():
     f13 = field_create(13)
-    assert format_matrix(MatrixGF(f13, [[12, 0, 7], [10, 11, 1]])) == (
+    assert _written(MatrixGF(f13, [[12, 0, 7], [10, 11, 1]])) == (
         "field 13 1 0 1\ndims 2 3\n12 0 7\n10 11 1\n")
     f25 = field_create(5, 2)
-    assert format_matrix(MatrixGF(f25, [[24], [0], [13]])) == (
+    assert _written(MatrixGF(f25, [[24], [0], [13]])) == (
         "field 5 2 1 1 1\ndims 3 1\n24\n0\n13\n")
 
 
@@ -400,8 +436,8 @@ def test_format_rows_matches_row_loop_across_chunks(monkeypatch):
     monkeypatch.setattr(linalg, "FORMAT_CHUNK_ROWS", 3)
     data = np.random.default_rng(47).integers(0, 1000, size=(10, 4))
     reference = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in data)
-    assert linalg.format_rows(data) == reference
-    assert linalg.format_rows(data[:, :0]) == "\n" * 10
+    assert _rows_text(data) == reference
+    assert _rows_text(data[:, :0]) == "\n" * 10
 
 
 def test_format_rows_matches_row_loop_for_every_width(monkeypatch):
@@ -412,12 +448,13 @@ def test_format_rows_matches_row_loop_for_every_width(monkeypatch):
         data[0, 0] = top
         reference = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in data)
         for view in (data, np.asfortranarray(data), data[:, ::-1][:, ::-1]):
-            assert linalg.format_rows(view) == reference
-        assert linalg.format_rows(data[:0]) == ""
+            assert _rows_text(view) == reference
+        assert _rows_text(data[:0]) == ""
 
 
 def _loadtxt_rows(body, rows, cols):
-    """parse_rows before the byte-level grid path: np.loadtxt on every body."""
+    """The rows of a matrix file's body before the byte-level grid path:
+    np.loadtxt on every body."""
     if not body or body.isspace():
         data = np.zeros((0, cols), dtype=np.int64)
     else:
@@ -455,15 +492,17 @@ def test_parse_rows_grid_matches_loadtxt(q, monkeypatch):
     shapes += [tuple(int(n) for n in rng.integers(1, 30, size=2)) for _ in range(4)]
     for rows, cols in shapes:
         data = rng.integers(0, q, size=(rows, cols))
-        text = linalg.format_rows(data)
+        text = _rows_text(data)
         for body in (text, "\n" + text):
-            got = linalg.parse_rows(body, rows, cols)
-            assert got.dtype == np.int64 and got.shape == (rows, cols)
-            assert np.array_equal(got, data)
-            assert np.array_equal(got, _loadtxt_rows(body, rows, cols))
             grid = linalg._grid_rows(body.encode(), rows, cols)
             assert (grid is None) == (rows == 0)
             assert grid is None or np.array_equal(grid, data)
+        # in a file the body starts with the newline that ends the dims line;
+        # the grid comes back as read (uint8), np.loadtxt's rows as int64
+        got = _read_rows(_head(rows, cols) + "\n" + text)
+        assert got.dtype == (np.uint8 if rows else np.int64) and got.shape == (rows, cols)
+        assert np.array_equal(got, data)
+        assert np.array_equal(got, _loadtxt_rows("\n" + text, rows, cols))
 
 
 # The 2 x 3 grid "1 0 2\n2 1 0\n", changed in one place: each body is left to
@@ -504,10 +543,11 @@ def test_parse_rows_near_grid_takes_loadtxt(name, monkeypatch):
 
     monkeypatch.setattr(np, "loadtxt", spy)
     for body in (NEAR_GRID[name], "\n" + NEAR_GRID[name]):
-        assert linalg._grid_rows(body, 2, 3) is None
-        want = _outcome(_loadtxt_rows, body, 2, 3)
+        assert linalg._grid_rows(body.encode(), 2, 3) is None
+        # in a file the body starts with the newline that ends the dims line
+        want = _outcome(_loadtxt_rows, "\n" + body, 2, 3)
         calls.clear()
-        got = _outcome(linalg.parse_rows, body, 2, 3)
+        got = _outcome(_read_rows, _head(2, 3) + "\n" + body)
         assert _same(got, want), (got, want)
         assert calls
 
@@ -516,23 +556,24 @@ def test_parse_rows_reads_the_writer_grid_without_loadtxt(monkeypatch, tmp_path)
     # the lps-sampled set's shape: 211,832 points of GF(3)^20
     f3 = field_create(3)
     data = np.random.default_rng(59).integers(0, 3, size=(211_832, 20))
-    text = linalg.format_rows(data)
+    text = _rows_text(data)
 
     def refuse(*args, **kwargs):
         raise RuntimeError("np.loadtxt called on the writer's grid")
 
     monkeypatch.setattr(np, "loadtxt", refuse)
-    assert np.array_equal(linalg.parse_rows("\n" + text, *data.shape), data)
+    assert np.array_equal(_read_rows(_head(*data.shape) + "\n" + text), data)
     m = MatrixGF(f3, data)
-    assert parse_matrix(format_matrix(m)) == m
+    assert _read(_written(m)) == m
     linalg.write_matrix(tmp_path / "m.pts", m, None)
     assert not (tmp_path / "m.pts.json").exists()
-    assert linalg.read_matrix(tmp_path / "m.pts") == (m, None)
+    path = tmp_path / "m.pts"
+    assert (linalg.read_matrix(path), linalg.read_sidecar(path)) == (m, None)
 
 
 def _text_mode_read(path):
-    """read_matrix's matrix before the byte-level path: a text-mode read, then
-    parse_matrix with np.loadtxt on every body."""
+    """The matrix reader before the byte-level path: a text-mode read, then
+    np.loadtxt on every body."""
     with open(path) as f:
         text = f.read()
     (header, dims), body = linalg.split_head(text, 2)
@@ -584,7 +625,9 @@ def test_read_matrix_reads_as_a_text_mode_read_did(raw, tmp_path):
     path = tmp_path / "m.pts"
     path.write_bytes(raw)
     want = _outcome(_text_mode_read, path)
-    got = _outcome(lambda p: linalg.read_matrix(p)[0], path)
+    got = _outcome(linalg.read_matrix, path)
+    assert _same(got, want), (got, want)
+    got = _outcome(linalg.read_matrix, io.BytesIO(raw))
     assert _same(got, want), (got, want)
 
 
@@ -593,7 +636,7 @@ def test_read_matrix_matches_text_mode_read_on_mutated_files(tmp_path):
     # that separate, end or break a grid entry
     rng = np.random.default_rng(61)
     alphabet = [bytes([c]) for c in b" \n\r\t0123456789x#-+."] + [b"\xff", b"\xd9\xa1"]
-    base = bytearray(format_matrix(MatrixGF(field_create(7), rng.integers(0, 7, size=(4, 5))))
+    base = bytearray(_written(MatrixGF(field_create(7), rng.integers(0, 7, size=(4, 5))))
                      .encode())
     path = tmp_path / "m.pts"
     for _ in range(400):
@@ -609,7 +652,7 @@ def test_read_matrix_matches_text_mode_read_on_mutated_files(tmp_path):
             del raw[at]
         path.write_bytes(bytes(raw))
         want = _outcome(_text_mode_read, path)
-        got = _outcome(lambda p: linalg.read_matrix(p)[0], path)
+        got = _outcome(linalg.read_matrix, path)
         assert _same(got, want), (bytes(raw), got, want)
 
 
@@ -617,9 +660,9 @@ def test_matrix_parse_ignores_blank_lines_and_spacing():
     f13 = field_create(13)
     m = MatrixGF(f13, [[12, 0, 7], [10, 11, 1]])
     text = "\n  \nfield 13 1 0 1\n\ndims 2 3\n\n 12\t0  7 \r\n\n\t\n10 11 1"
-    assert parse_matrix(text) == m
-    assert parse_matrix(format_matrix(m).replace("\n", "\n\n")) == m
-    assert parse_matrix(format_matrix(m).replace("\n", "\r")) == m
+    assert _read(text) == m
+    assert _read(_written(m).replace("\n", "\n\n")) == m
+    assert _read(_written(m).replace("\n", "\r")) == m
 
 
 def test_matrix_with_zero_rows():
@@ -627,9 +670,9 @@ def test_matrix_with_zero_rows():
     m = zero_matrix(f3, 0, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert format_matrix(m) == "field 3 1 0 1\ndims 0 4\n"
-        assert parse_matrix(format_matrix(m)) == m
-        assert parse_matrix(format_matrix(m) + "\n \n") == m
+        assert _written(m) == "field 3 1 0 1\ndims 0 4\n"
+        assert _read(_written(m)) == m
+        assert _read(_written(m) + "\n \n") == m
 
 
 @pytest.mark.parametrize("text", [
@@ -651,7 +694,7 @@ def test_matrix_with_zero_rows():
 ])
 def test_parse_matrix_rejects(text):
     with pytest.raises(ValueError):
-        parse_matrix("field 13 1 0 1\n" + text)
+        _read("field 13 1 0 1\n" + text)
 
 
 def test_matrix_entry_validation():

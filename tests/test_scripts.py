@@ -42,6 +42,17 @@ def test_bench_script_help_needs_no_pythonpath(path):
     assert "LABEL=SRC" in proc.stdout and "--repeat" in proc.stdout
 
 
+@pytest.mark.parametrize("script, option", [("bench_mincode.py", ["--cases", "fail_gf7_p5"]),
+                                            ("bench_span.py", ["--cases", "cherry_k20"]),
+                                            ("bench_rss.py", ["--dims", "20"])])
+def test_list_options_leave_the_trees_after_them(script, option):
+    # the token after the option's value is a tree (here a malformed one), not a second value
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *option, "nolabel"],
+                          env=_bare_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("error: each tree is LABEL=SRC\n")
+
+
 def test_quartiles_keys_and_rounding():
     assert benchkit.quartiles([1, 2, 3, 4, 5], 1) == {"median": 3, "q1": 2, "q3": 4}
     assert benchkit.quartiles([1.23456, 2.34567, 3.45678], 2) == {

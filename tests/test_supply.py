@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 
@@ -176,6 +177,13 @@ def test_supply_round_trip(tmp_path):
     assert verify_general_position(again) == rep
     (tmp_path / "supply.pts.json").unlink()
     again, rep2 = read_supply(path)
+    assert np.array_equal(again.matrix.data, sup.matrix.data)
+    assert again.provenance == "file" and rep2 is None
+    # a stream carries the matrix alone, byte for byte the file's
+    out = io.BytesIO()
+    write_supply(out, sup, rep)
+    assert out.getvalue() == path.read_bytes()
+    again, rep2 = read_supply(io.BytesIO(out.getvalue()))
     assert np.array_equal(again.matrix.data, sup.matrix.data)
     assert again.provenance == "file" and rep2 is None
 

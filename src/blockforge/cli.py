@@ -147,6 +147,8 @@ def _cmd_spectra(args, budgets, fmt) -> int:
 
 
 def _cmd_construct(args, budgets, fmt) -> int:
+    if args.graph == "-" and args.supply == "-":
+        raise ValueError("--graph and --supply cannot both read standard input ('-')")
     g = read_graph(_source(args.graph))
     supply, report = read_supply(_source(args.supply))
     if report is None:
@@ -223,7 +225,8 @@ def _cmd_oracle(args, budgets, fmt) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="blockforge",
-                                 description="strong blocking sets: construct, certify, verify, convert")
+                                 description="strong blocking sets: supply, graph, spectra, construct, "
+                                             "verify, convert, mincheck, oracle")
     ap.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
     ap.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; exhaustive verification runs one "

@@ -26,10 +26,9 @@ from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .expander import Graph, Hypergraph, power_graph, clique_hypergraph
 from .gf import FieldSpec
-from .linalg import (_row_keys, distinct_rows, matrix_head, read_field_rows, read_sidecar,
-                     write_rows)
-from .supply import (GeneralPositionReport, PointSupply, normalize_rows,
-                     verify_general_position)
+from .linalg import (_row_keys, distinct_rows, matrix_head, normalize_rows, read_field_rows,
+                     read_sidecar, write_rows)
+from .supply import GeneralPositionReport, PointSupply, verify_general_position
 
 ASYMPTOTIC_PRESETS = {
     "cherry": {"alpha": 0.125, "d": 258},

@@ -25,8 +25,8 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS
 from .errors import BudgetExceededError
-from .gf import is_prime
-from .linalg import distinct_rows, read_rows, write_rows
+from .gf import field_create, is_prime
+from .linalg import distinct_rows, normalize_rows, read_rows, write_rows
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -299,13 +299,6 @@ def _lps_quadruples(p: int) -> list[tuple[int, int, int, int]]:
     return sorted({(x, y, z, sign * w) for x, y, z, w in zip(a, b, c, d) for sign in (1, -1)})
 
 
-def _pgl_normalize(mats: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Each row of an (N, 4) block of invertible 2x2 matrices mod q2, scaled
-    so its first nonzero entry is 1; `inv` is the table of inverses mod q2."""
-    lead = mats[np.arange(len(mats)), (mats != 0).argmax(axis=1)]
-    return mats * inv[lead][:, None] % len(inv)
-
-
 def lps_graph(p: int, q2: int) -> Graph:
     """The Lubotzky-Phillips-Sarnak Cayley graph X^{p,q2}.
 
@@ -334,10 +327,10 @@ def lps_graph(p: int, q2: int) -> Graph:
     if len(quads) != p + 1:  # pragma: no cover - Jacobi guarantees p+1
         raise RuntimeError(f"expected {p + 1} generator quadruples, found {len(quads)}")
     i_unit = _sqrt_minus_one(q2)
-    inv = np.array([pow(x, -1, q2) if x else 0 for x in range(q2)], dtype=np.int64)
+    fld = field_create(q2)  # a matrix, as a row of 4 entries, is projective like a point
     a, b, c, d = np.array(quads, dtype=np.int64).T
-    gens = _pgl_normalize(np.stack([a + i_unit * b, c + i_unit * d,
-                                    -c + i_unit * d, a - i_unit * b], axis=1) % q2, inv)
+    gens = normalize_rows(fld, np.stack([a + i_unit * b, c + i_unit * d,
+                                         -c + i_unit * d, a - i_unit * b], axis=1) % q2)
     if distinct_rows(gens)[1].size:  # pragma: no cover
         raise RuntimeError("generators collide in PGL2; parameters too small")
 
@@ -349,7 +342,7 @@ def lps_graph(p: int, q2: int) -> Graph:
     n, tails, heads = 1, [], []
     while len(level):  # the level holds vertices n - len(level) .. n - 1
         prods = np.matmul(level.reshape(-1, 1, 2, 2), gens.reshape(1, -1, 2, 2)) % q2
-        prods = _pgl_normalize(prods.reshape(-1, 4), inv)
+        prods = normalize_rows(fld, prods.reshape(-1, 4))
         keys = prods @ weights
         unseen = np.nonzero(index[keys] < 0)[0]
         fresh = unseen[np.sort(np.unique(keys[unseen], return_index=True)[1])]  # first occurrences

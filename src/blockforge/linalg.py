@@ -286,16 +286,15 @@ def quotient_map(L: SubspaceBasis) -> MatrixGF:
     return MatrixGF(L.field, _null_space(L.field, L.basis.data, L.pivots))
 
 
-def projective_reps(field: FieldSpec, dim: int):
-    """Yield blocks of projective representatives of F_q^dim as columns.
+def projective_reps(field: FieldSpec, dim: int) -> np.ndarray:
+    """The (N, dim) int64 array of the projective points of F_q^dim as rows.
 
     Every nonzero vector up to scalar appears exactly once, normalized so the
     first nonzero coordinate is 1: the 1 x dim RREF matrices of `rref_blocks`,
     in its order (leading position ascending, then the free coordinates in
     base q, first free coordinate most significant).
     """
-    for _, block in rref_blocks(field, dim, 1):
-        yield block[:, 0, :].T
+    return np.concatenate([block[:, 0] for _, block in rref_blocks(field, dim, 1)])
 
 
 def _row_keys(rows: np.ndarray) -> list[np.ndarray]:
@@ -321,6 +320,24 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = np.ones(len(order), dtype=bool)
     first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
     return rows[order[first]], np.sort(order[~first])
+
+
+def normalize_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """Projective points in canonical form, as a new array of the rows' type:
+    every row of an (N, k) block scaled so its first nonzero coordinate is 1.
+    A block already in that form is copied without a field product.  A block
+    with an entry outside [0, q) is scaled in int64.  The first zero row is a
+    ValueError."""
+    lead = rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)]
+    if not lead.all():
+        raise ValueError(f"vector {(lead == 0).argmax()} is zero, so it is not a projective point")
+    if not (rows.size and rows.min() >= 0 and rows.max() < field.q):
+        rows = rows.astype(np.int64, copy=False)  # the field kernels assume [0, q)
+    elif (lead == 1).all():
+        return rows.copy()
+    # Every row, not only those whose lead is not 1: scaling a gathered
+    # subset held half-size temporaries that raised the span dump's peak RSS.
+    return field.mul_arr(field.inv_arr(lead)[:, None], rows)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS
 from .errors import BudgetExceededError, CertificateError
 from .expander import Hypergraph
-from .linalg import (MatrixGF, distinct_rows, kernel_basis, matmul, projective_reps,
-                     quotient_map, rank, SubspaceBasis)
+from .linalg import (MatrixGF, distinct_rows, kernel_basis, matmul, normalize_rows,
+                     projective_reps, quotient_map, rank, SubspaceBasis)
 from .supply import PointSupply
 
 
@@ -108,16 +108,11 @@ def plc_edge(supply: PointSupply, X, L: SubspaceBasis, *,
     total = (q ** nu - 1) // (q - 1)
     if total > coeff_budget:
         raise BudgetExceededError("coeff_tuples", coeff_budget, total)
-    best = None
-    for block in projective_reps(fld, nu):
-        cand = fld.matmul_arr(block.T, kern.data)  # cnt x |X|
-        cand = cand[(cand != 0).all(axis=1)]
-        if len(cand):
-            cand = fld.mul_arr(fld.inv_arr(cand[:, :1]), cand)  # first coefficient 1
-            least = tuple(distinct_rows(cand)[0][0].tolist())
-            best = least if best is None else min(best, least)
-    if best is None:
+    cand = fld.matmul_arr(projective_reps(fld, nu), kern.data)  # total x |X|
+    cand = cand[(cand != 0).all(axis=1)]
+    if not len(cand):
         return None
+    best = tuple(distinct_rows(normalize_rows(fld, cand))[0][0].tolist())  # first coefficient 1
     target = fld.matmul_arr(cols, np.array(best, dtype=np.int64)[:, None])[:, 0]
     return EdgeWitness(X, best, tuple(int(v) for v in target))
 
@@ -144,9 +139,6 @@ def build_plc_hypergraph(supply: PointSupply, L: SubspaceBasis, candidate_edges,
 # Tree-like recognition
 # ---------------------------------------------------------------------------
 
-BACKTRACK_LIMIT = 20
-
-
 def _live_degrees(edges, alive):
     deg: dict[int, list[tuple[int, ...]]] = {v: [] for v in alive}
     for e in edges:
@@ -159,63 +151,29 @@ def _live_degrees(edges, alive):
 def tree_like_order(h: Hypergraph, s: int):
     """Find an elimination order proving h is s-tree-like, or None.
 
-    Greedy: repeatedly remove the least-index vertex of degree exactly 1 in
-    the currently induced hypergraph.  If greedy stalls and n <= 20, an
-    exhaustive backtracking search decides; for larger n a stall is reported
-    as failure (which then means "unknown", not a proof of non-tree-likeness).
+    Repeatedly remove the least-index vertex of degree exactly 1 in the
+    hypergraph induced on the live vertices.  None proves that h is not
+    s-tree-like, because removing any vertex v of degree 1 keeps an order if
+    one exists.  Take an order of the live set and let e be v's one edge.
+    If v is in the order, moving v to the front keeps it valid: only e dies,
+    and no vertex before v can use e, since v still needs it.  If v is not,
+    v goes first in place of the vertex whose edge is e, or of the last
+    vertex when no vertex uses e; that vertex stays live to the end.
     """
     if not h.is_bounded(s):
         raise ValueError(f"hypergraph is not {s}-bounded")
-    n = h.n
-    need = n - s + 1
-    if need <= 0:
-        order = tuple(range(n))
-        return EliminationOrder(order, s, ())
-
-    def greedy():
-        seq: list[int] = []
-        picked: list[tuple[int, ...]] = []
-        alive = set(range(n))
-        while len(seq) < need:
-            deg = _live_degrees(h.edges, alive)
-            choice = next((v for v in sorted(alive) if len(deg[v]) == 1), None)
-            if choice is None:
-                return None
-            seq.append(choice)
-            picked.append(deg[choice][0])
-            alive.remove(choice)
-        return seq, picked, alive
-
-    found = greedy()
-    if found is not None:
-        seq, picked, alive = found
-        return EliminationOrder(tuple(seq) + tuple(sorted(alive)), s, tuple(picked))
-
-    if n > BACKTRACK_LIMIT:
-        return None
-
-    failed: set[frozenset[int]] = set()
-
-    def backtrack(alive: frozenset[int], seq, picked):
-        if len(seq) >= need:
-            return seq, picked
-        if alive in failed:
-            return None
+    alive = set(range(h.n))
+    seq: list[int] = []
+    picked: list[tuple[int, ...]] = []
+    while len(seq) < h.n - s + 1:
         deg = _live_degrees(h.edges, alive)
-        for v in sorted(alive):
-            if len(deg[v]) == 1:
-                res = backtrack(alive - {v}, seq + [v], picked + [deg[v][0]])
-                if res is not None:
-                    return res
-        failed.add(alive)
-        return None
-
-    res = backtrack(frozenset(range(n)), [], [])
-    if res is None:
-        return None
-    seq, picked = res
-    order = tuple(seq) + tuple(sorted(set(range(n)) - set(seq)))
-    return EliminationOrder(order, s, tuple(picked))
+        v = next((v for v in sorted(alive) if len(deg[v]) == 1), None)
+        if v is None:
+            return None
+        seq.append(v)
+        picked.append(deg[v][0])
+        alive.remove(v)
+    return EliminationOrder(tuple(seq) + tuple(sorted(alive)), s, tuple(picked))
 
 
 def check_elimination_order(h: Hypergraph, order: EliminationOrder) -> bool:
@@ -330,28 +288,3 @@ def exactly_s_plus_one_edge(supply: PointSupply, U, L: SubspaceBasis, s: int, *,
         if w is not None:
             return w
     return None
-
-
-# ---------------------------------------------------------------------------
-# Hypergraph file format
-# ---------------------------------------------------------------------------
-
-def format_hypergraph(h: Hypergraph) -> str:
-    lines = [f"hypergraph {h.n} {h.m}"]
-    for e in h.edges:
-        lines.append(" ".join(str(v) for v in e))
-    return "\n".join(lines) + "\n"
-
-
-def parse_hypergraph(text: str) -> Hypergraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty hypergraph file")
-    head = lines[0].split()
-    if head[0] != "hypergraph" or len(head) != 3:
-        raise ValueError(f"malformed hypergraph header: {lines[0]!r}")
-    n, m = int(head[1]), int(head[2])
-    if len(lines) != 1 + m:
-        raise ValueError(f"expected {m} edges, found {len(lines) - 1}")
-    edges = [tuple(int(t) for t in ln.split()) for ln in lines[1:]]
-    return Hypergraph.from_edges(n, edges)

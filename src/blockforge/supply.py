@@ -20,29 +20,11 @@ import numpy as np
 from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .gf import FieldSpec
-from .linalg import (MatrixGF, distinct_rows, projective_reps, rank,
-                     read_matrix, read_sidecar, rref_stack, write_matrix)
+from .linalg import (MatrixGF, distinct_rows, normalize_rows, rank, read_matrix,
+                     read_sidecar, rref_blocks, rref_stack, write_matrix)
 
 RANK_CHUNK = 256  # column subsets per rref_stack call in _rank_deficient
 RANDOM_MAX_TRIES = 50  # candidate supplies supply_random_verified draws before it gives up
-
-
-def normalize_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
-    """Projective points in canonical form, as a new array of the rows' type:
-    every row of an (N, k) block scaled so its first nonzero coordinate is 1.
-    A block already in that form is copied without a field product.  A block
-    with an entry outside [0, q) is scaled in int64.  The first zero row is a
-    ValueError."""
-    lead = rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)]
-    if not lead.all():
-        raise ValueError(f"vector {(lead == 0).argmax()} is zero, so it is not a projective point")
-    if not (rows.size and rows.min() >= 0 and rows.max() < field.q):
-        rows = rows.astype(np.int64, copy=False)  # the field kernels assume [0, q)
-    elif (lead == 1).all():
-        return rows.copy()
-    # Every row, not only those whose lead is not 1: scaling a gathered
-    # subset held half-size temporaries that raised the span dump's peak RSS.
-    return field.mul_arr(field.inv_arr(lead)[:, None], rows)
 
 
 @dataclass(frozen=True)
@@ -203,8 +185,8 @@ def min_distance(matrix: MatrixGF, *, budget: int) -> int | None:
     if total > budget:
         raise BudgetExceededError("codewords", budget, total)
     best = n
-    for block in projective_reps(field, k):
-        words = field.matmul_arr(block.T, matrix.data)
+    for _, block in rref_blocks(field, k, 1):
+        words = field.matmul_arr(block[:, 0], matrix.data)
         weights = np.count_nonzero(words, axis=1)
         best = min(best, int(weights.min()))
     return best

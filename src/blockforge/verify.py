@@ -183,7 +183,7 @@ def _projective_index(fld, dim: int) -> tuple[np.ndarray, np.ndarray]:
     `projective_reps` order, and keys[l - 1, i] the base-q key (first
     coordinate most significant) of l * reps[i], for l = 1 .. q-1."""
     q = fld.q
-    reps = np.hstack(list(projective_reps(fld, dim))).T
+    reps = projective_reps(fld, dim)
     keys = fld.mul_arr(np.arange(1, q)[:, None, None], reps) @ q ** np.arange(dim - 1, -1, -1)
     reps.setflags(write=False)
     keys.setflags(write=False)
@@ -435,7 +435,7 @@ def minimum_size_search(fld, k: int, s: int,
     full point set (always a strong s-blocking set) is returned flagged
     inexact.
     """
-    pts = np.hstack(list(projective_reps(fld, k))).T
+    pts = projective_reps(fld, k)
     everything = BlockingSet.from_points(fld, pts, {"construction": "all-points"})
     tested = 0
     lb = lower_bound(fld.q, k, s)

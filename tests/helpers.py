@@ -19,10 +19,10 @@ from blockforge.gf import FieldSpec
 from blockforge.lincomb import EdgeWitness, EliminationOrder
 from blockforge import linalg
 from blockforge.linalg import (MatrixGF, SubspaceBasis, distinct_rows, gaussian_binomial,
-                               kernel_basis, matmul, projective_reps, rank, rref_blocks,
-                               subspace_from_rows)
+                               kernel_basis, matmul, normalize_rows, projective_reps, rank,
+                               rref_blocks, subspace_from_rows)
 from blockforge.mincode import LinearCode, MinimalityReport
-from blockforge.supply import PointSupply, min_distance, normalize_rows
+from blockforge.supply import PointSupply, min_distance
 from blockforge.verify import _ragged_ranks
 
 
@@ -173,7 +173,7 @@ def span_union_by_edges(h: Hypergraph, supply: PointSupply, *,
     chunks, held = [], 0
     for size, edges in h.edge_arrays.items():
         edges = edges.T  # size x edges
-        coeffs = np.hstack(list(projective_reps(fld, size))).T.astype(fld.dtype)  # reps x size
+        coeffs = projective_reps(fld, size).astype(fld.dtype)  # reps x size
         step = max(1, construct.SPAN_CHUNK_ROWS // len(coeffs))
         for lo in range(0, edges.shape[1], step):
             flat = columns[edges[:, lo:lo + step]].reshape(size, -1)
@@ -544,6 +544,76 @@ def lps_graph_by_bfs(p: int, q2: int) -> tuple[Graph, list[tuple[int, int, int, 
     if len(order) != expected:
         raise RuntimeError(f"group closure has {len(order)} elements, expected {expected}")
     return Graph(len(order), edges, cayley=True), order
+
+
+BACKTRACK_LIMIT = 20  # the most vertices tree_like_order_two_pass backtracks over
+
+
+def _live_degrees(edges, alive):
+    deg: dict[int, list[tuple[int, ...]]] = {v: [] for v in alive}
+    for e in edges:
+        if all(v in alive for v in e):
+            for v in e:
+                deg[v].append(e)
+    return deg
+
+
+def tree_like_order_two_pass(h: Hypergraph, s: int):
+    """The removed `lincomb.tree_like_order`: a greedy least-index pass, then,
+    when it stalls and n <= BACKTRACK_LIMIT, a recursive backtracking search
+    from scratch."""
+    if not h.is_bounded(s):
+        raise ValueError(f"hypergraph is not {s}-bounded")
+    n = h.n
+    need = n - s + 1
+    if need <= 0:
+        order = tuple(range(n))
+        return EliminationOrder(order, s, ())
+
+    def greedy():
+        seq: list[int] = []
+        picked: list[tuple[int, ...]] = []
+        alive = set(range(n))
+        while len(seq) < need:
+            deg = _live_degrees(h.edges, alive)
+            choice = next((v for v in sorted(alive) if len(deg[v]) == 1), None)
+            if choice is None:
+                return None
+            seq.append(choice)
+            picked.append(deg[choice][0])
+            alive.remove(choice)
+        return seq, picked, alive
+
+    found = greedy()
+    if found is not None:
+        seq, picked, alive = found
+        return EliminationOrder(tuple(seq) + tuple(sorted(alive)), s, tuple(picked))
+
+    if n > BACKTRACK_LIMIT:
+        return None
+
+    failed: set[frozenset[int]] = set()
+
+    def backtrack(alive: frozenset[int], seq, picked):
+        if len(seq) >= need:
+            return seq, picked
+        if alive in failed:
+            return None
+        deg = _live_degrees(h.edges, alive)
+        for v in sorted(alive):
+            if len(deg[v]) == 1:
+                res = backtrack(alive - {v}, seq + [v], picked + [deg[v][0]])
+                if res is not None:
+                    return res
+        failed.add(alive)
+        return None
+
+    res = backtrack(frozenset(range(n)), [], [])
+    if res is None:
+        return None
+    seq, picked = res
+    order = tuple(seq) + tuple(sorted(set(range(n)) - set(seq)))
+    return EliminationOrder(order, s, tuple(picked))
 
 
 def projective_point_count(q: int, k: int) -> int:

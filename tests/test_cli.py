@@ -315,3 +315,13 @@ def test_dash_reads_stdin_as_the_file(argv, piped, tmp_path, monkeypatch):
     assert from_file[1].replace(echo.encode(), dash.encode()) == from_stdin[1]
     assert from_file[2].replace(echo, dash) == from_stdin[2]
     assert dash in (from_stdin[1].decode() + from_stdin[2])
+
+
+def test_construct_refuses_two_inputs_on_stdin(tmp_path, monkeypatch):
+    files = _pipeline_files(tmp_path, monkeypatch)
+    code, out, err = _run_bytes(["construct", "--recipe", "cherry", "--graph", "-",
+                                 "--supply", "-", "--s", "2"], monkeypatch,
+                                stdin=files["graph"].read_bytes())
+    assert code == 2 and out == b""
+    assert err.startswith("error: ") and "--graph" in err and "--supply" in err
+    assert sys.stdin.buffer.tell() == 0  # refused before either reader ran

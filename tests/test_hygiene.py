@@ -1,9 +1,11 @@
 """Source hygiene of the package, checked with `ast` alone.
 
-No module may import a name it never uses, and no module may rely on
-`assert`, which `python -O` strips.  Rows are sorted and deduplicated in one
-place: `np.lexsort` is called once, in `linalg.distinct_rows`, and no call
-passes `axis=` to `np.unique`.  One byte codec carries every file: matrix,
+No module may import a name it never uses, and no module or script may
+rely on `assert`, which `python -O` strips.  Rows are sorted and
+deduplicated in one place: `np.lexsort` is called once, in
+`linalg.distinct_rows`, and no call passes `axis=` to `np.unique`.  Field
+inverses are taken only in `linalg`: `inv_arr` scales projective points in
+`normalize_rows` and pivot rows in `rref_stack`.  One byte codec carries every file: matrix,
 supply, blocking-set and graph files and their sidecars are opened only in
 `linalg` (by `_read_bytes`, `read_sidecar` and `write_rows`), so every read
 takes the byte-level grid path when it applies, and `np.loadtxt` is called
@@ -16,8 +18,9 @@ module calls `print`, and `sys.stdout` itself is only the default stream of
 are ranked in one place: `_ragged_ranks` is called only by
 `verify._meet_ranks`, and the removed helpers that are test references now
 (`normalize_column`, `_quotient_parts`), the removed alias
-`subspace_count`, and the string twins and file helpers that the byte
-codec replaced, are defined nowhere in the package.  The bench scripts
+`subspace_count`, the string twins and file helpers that the byte codec
+replaced, the unread hypergraph format and the LPS closure's own
+projective scaling (`_pgl_normalize`), are defined nowhere in the package.  The bench scripts
 share one harness: every `scripts/bench_*.py` imports `benchkit` and
 defines no quartile, timing, RSS, fresh-process or supply helper of its
 own, nor names a `*_NUM_THREADS` variable.
@@ -66,15 +69,16 @@ def _unused_imports(tree):
 
 def _calls(tree, name, modules=("np", "numpy")):
     """(enclosing function or None, line, keyword names) of every
-    `<module>.<name>(...)` call, or of every bare `<name>(...)` call when
-    `modules` is None."""
+    `<module>.<name>(...)` call, of every bare `<name>(...)` call when
+    `modules` is None, or of every `<expr>.<name>(...)` call when it is "*"."""
     found = []
 
     def matches(func):
         if modules is None:
             return isinstance(func, ast.Name) and func.id == name
         return (isinstance(func, ast.Attribute) and func.attr == name
-                and isinstance(func.value, ast.Name) and func.value.id in modules)
+                and (modules == "*" or isinstance(func.value, ast.Name)
+                     and func.value.id in modules))
 
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
@@ -107,7 +111,11 @@ def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=lambda p: p.name if p in MODULES else f"scripts/{p.name}")
 def test_no_assert_statements(path):
     tree = ast.parse(path.read_text())
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
@@ -134,6 +142,20 @@ def test_row_sort_scan_flags_a_planted_lexsort():
                      "def distinct_rows(r):\n    return np.unique(r, axis=0)\n")
     assert _calls(tree, "lexsort") == [("f", 3, set())]
     assert _calls(tree, "unique") == [("distinct_rows", 5, {"axis"})]
+
+
+def test_inverses_only_in_linalg():
+    # a projective point is scaled in normalize_rows, a pivot row in rref_stack
+    assert _owners("inv_arr", "*") == [("linalg", "normalize_rows"), ("linalg", "rref_stack")]
+
+
+def test_inverse_scan_flags_a_planted_scaling():
+    tree = ast.parse("def plc_edge(fld, c):\n    return fld.mul_arr(fld.inv_arr(c[:, :1]), c)\n"
+                     "def _pgl(self, m):\n    return self.field.inv_arr(m[0]) * m\n"
+                     "inv = np.inv_arr(3)\n")
+    assert _calls(tree, "inv_arr", "*") == [("plc_edge", 2, set()), ("_pgl", 4, set()),
+                                            (None, 5, set())]
+    assert _calls(tree, "inv_arr") == [(None, 5, set())]
 
 
 def test_loadtxt_only_in_read_rows():
@@ -271,7 +293,9 @@ REMOVED = ("normalize_column", "_quotient_parts", "subspace_count",
            "format_matrix", "parse_matrix", "parse_field_rows", "format_blocking_set",
            "parse_blocking_set", "load_matrix", "_grid_file", "format_graph", "parse_graph",
            "_read_graph", "_write_graph", "_load_supply", "_load_blocking",
-           "format_rows", "parse_rows", "load_rows", "load_sidecar")
+           "format_rows", "parse_rows", "load_rows", "load_sidecar",
+           # the unread hypergraph format, and the LPS closure's own projective scaling
+           "format_hypergraph", "parse_hypergraph", "_pgl_normalize")
 
 
 def _definitions(tree, names):

@@ -11,7 +11,7 @@ from blockforge.errors import BudgetExceededError
 from blockforge.gf import field_create, parse_field_header
 from blockforge import linalg
 from blockforge.linalg import (MatrixGF, gaussian_binomial, kernel_basis, matmul,
-                               projective_reps, quotient_map, rank, read_matrix,
+                               normalize_rows, projective_reps, quotient_map, rank, read_matrix,
                                rref, rref_blocks, rref_index, rref_stack,
                                subspace_from_rows, write_matrix)
 
@@ -372,10 +372,11 @@ def test_kernel_basis_annihilates():
 
 def test_projective_reps_cover_everything():
     f3 = field_create(3)
-    pts = np.hstack(list(projective_reps(f3, 3)))
-    assert pts.shape[1] == (3 ** 3 - 1) // 2
-    seen = {tuple(pts[:, j]) for j in range(pts.shape[1])}
+    pts = projective_reps(f3, 3)
+    assert pts.shape == ((3 ** 3 - 1) // 2, 3) and pts.dtype == np.int64
+    seen = {tuple(row) for row in pts.tolist()}
     assert len(seen) == 13
+    assert np.array_equal(normalize_rows(f3, pts), pts)  # every lead is 1
 
 
 def _written(m: MatrixGF) -> str:

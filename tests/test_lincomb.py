@@ -1,18 +1,18 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from helpers import (identity_matrix, random_certificate_instance, random_subspace,
-                     supply_column, zero_matrix)
+                     supply_column, tree_like_order_two_pass, zero_matrix)
 
 from blockforge.errors import CertificateError
 from blockforge.expander import Hypergraph
 from blockforge.gf import field_create
 from blockforge.lincomb import (EdgeWitness, build_plc_hypergraph,
                                 certify, check_elimination_order,
-                                exactly_s_plus_one_edge, format_hypergraph,
-                                parse_hypergraph, plc_edge, tree_like_order)
+                                exactly_s_plus_one_edge, plc_edge, tree_like_order)
 from blockforge.linalg import MatrixGF, matmul, rank, subspace_from_rows
 from blockforge.supply import PointSupply, supply_mds
 
@@ -188,12 +188,71 @@ def test_tree_like_failure_detected():
 
 
 def test_tree_like_backtracking_beats_greedy():
-    # the greedy least-index rule can stall even when an order exists;
-    # backtracking should still find one for small n
+    # 3 goes first and the triangle then has no vertex of degree 1; the
+    # least-index rule stalls only where no order exists (tree_like_order)
     h = Hypergraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     order = tree_like_order(h, 2)
     if order is not None:
         assert check_elimination_order(h, order)
+
+
+def _planted_hypergraph(rnd, n, s):
+    """An s-tree-like hypergraph by construction (vertex i's edge holds i and
+    up to s - 1 later vertices), relabelled at random, plus 0-3 random edges
+    of size at most s, which may break it; `rnd` is a `random.Random`."""
+    edges = [[i, *rnd.sample(range(i + 1, n), rnd.randint(1, min(s, n - i)) - 1)]
+             for i in range(max(n - s + 1, 0))]
+    edges += [rnd.sample(range(n), rnd.randint(1, min(s, n))) for _ in range(rnd.randint(0, 3))]
+    perm = rnd.sample(range(n), n)
+    return Hypergraph.from_edges(n, [[perm[v] for v in e] for e in edges], max_edge_size=s)
+
+
+def test_tree_like_order_matches_the_two_pass_search():
+    # The two-pass search backtracked after a stalled greedy pass up to 20
+    # vertices: here from 2 to 14 (it backtracks on every None) and from 21
+    # to 27 (it does not).  Its backtracking costs up to seconds per None at
+    # 18-20 vertices, where the new search takes milliseconds.
+    rnd = random.Random(22)
+    sizes = [*range(2, 15), *range(21, 28)]
+    seen = {(small, found): 0 for small in (True, False) for found in (True, False)}
+    for _ in range(2000):
+        n, s = rnd.choice(sizes), rnd.randint(1, 3)
+        h = _planted_hypergraph(rnd, n, s)
+        got = tree_like_order(h, s)
+        assert got == tree_like_order_two_pass(h, s)
+        assert got is None or check_elimination_order(h, got)
+        seen[n <= 14, got is not None] += 1
+    assert min(seen.values()) >= 150, seen
+
+
+@pytest.mark.parametrize("n", [20, 21])
+@pytest.mark.parametrize("cycle", [3, 4, 7])
+def test_tree_like_order_matches_on_both_sides_of_the_old_limit(n, cycle):
+    # A cycle with a path hanging off it: the least-index rule eats the path
+    # and stalls on the cycle, which the two-pass search then backtracked
+    # over at n = 20 but not at 21; with the cycle's edge dropped, a path.
+    path = [(v, v + 1) for v in range(cycle - 1, n - 1)]
+    loop = [(v, v + 1) for v in range(cycle - 1)] + [(0, cycle - 1)]
+    for edges, tree_like in [(path + loop, False), (path + loop[:-1], True)]:
+        h = Hypergraph.from_edges(n, edges)
+        got = tree_like_order(h, 2)
+        assert got == tree_like_order_two_pass(h, 2)
+        assert (got is not None) == tree_like
+
+
+@pytest.mark.parametrize("n, s", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_greedy_elimination_is_complete(n, s):
+    # Every hypergraph on n vertices with edges of size <= s: the
+    # least-index rule finds an order exactly when backtracking does.
+    pool = [e for r in range(1, s + 1) for e in itertools.combinations(range(n), r)]
+    found = 0
+    for mask in range(1 << len(pool)):
+        h = Hypergraph.from_edges(n, [e for i, e in enumerate(pool) if mask >> i & 1],
+                                  max_edge_size=s)
+        got = tree_like_order(h, s)
+        assert got == tree_like_order_two_pass(h, s)
+        found += got is not None
+    assert 0 < found < 1 << len(pool)
 
 
 def test_certificate_spanning_tree():
@@ -282,8 +341,3 @@ def test_edge_witness_validation():
     with pytest.raises(ValueError):
         EdgeWitness((0, 1), (1,), (0, 0))
 
-
-def test_hypergraph_file_round_trip():
-    h = Hypergraph.from_edges(5, [(0, 1), (1, 2, 3), (4,)])
-    again = parse_hypergraph(format_hypergraph(h))
-    assert again.n == h.n and again.edges == h.edges

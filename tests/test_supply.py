@@ -8,9 +8,9 @@ import pytest
 from blockforge import supply
 from blockforge.budgets import Budgets
 from blockforge.gf import field_create
-from blockforge.linalg import MatrixGF, projective_reps, rank
+from blockforge.linalg import MatrixGF, normalize_rows, projective_reps, rank
 from blockforge.supply import (GeneralPositionReport, PointSupply,
-                               dual_distance_by_ranks, normalize_rows, read_supply,
+                               dual_distance_by_ranks, read_supply,
                                supply_mds, supply_random_verified,
                                verify_general_position, write_supply)
 
@@ -191,7 +191,7 @@ def test_supply_round_trip(tmp_path):
 def _sampled_general_position(supply_seed, cases, samples=40):
     """Sampled-path reports for 14 random points of PG(3, 3)."""
     fld = field_create(3)
-    pts = np.hstack(list(projective_reps(fld, 4))).T
+    pts = projective_reps(fld, 4)
     cols = pts[np.random.default_rng(supply_seed).choice(len(pts), size=14, replace=False)]
     sup = PointSupply(MatrixGF(fld, cols.T), "random")
     tiny = Budgets(subsets=1, codewords=1)  # forces the sampled path

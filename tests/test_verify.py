@@ -21,13 +21,13 @@ from helpers import PINNED_CODE, enumerate_subspaces, meet_ranks_by_basis
 
 
 def all_projective_points(fld, k):
-    pts = np.hstack(list(projective_reps(fld, k))).T
+    pts = projective_reps(fld, k)
     return BlockingSet.from_points(fld, pts, {"construction": "all"})
 
 
 def hyperplane_points(fld, k):
     # all projective points with last coordinate zero: a single hyperplane
-    pts = np.hstack(list(projective_reps(fld, k - 1))).T
+    pts = projective_reps(fld, k - 1)
     padded = np.hstack([pts, np.zeros((pts.shape[0], 1), dtype=np.int64)])
     return BlockingSet.from_points(fld, padded, {"construction": "hyperplane"})
 
@@ -125,7 +125,7 @@ def test_sampled_failure_report_bytes():
     got = []
     for (p, m), k, s in [((3, 1), 4, 2), ((2, 2), 3, 1)]:
         fld = field_create(p, m)
-        pts = np.hstack(list(projective_reps(fld, k))).T
+        pts = projective_reps(fld, k)
         keep = np.random.default_rng(1).random(len(pts)) < 0.4
         b = BlockingSet.from_points(fld, pts[keep], {"construction": "random subset"})
         got.append(json.dumps(is_strong_blocking_sampled(b, s, 50, seed=3).to_dict()))
@@ -193,7 +193,7 @@ def test_affine_blocking_check():
 def random_subsets(fld, k, seed):
     """PG(k-1, q) itself, which passes for every s, and seeded random subsets
     of it from sparse (failing, some L missing every point) to dense."""
-    pts = np.hstack(list(projective_reps(fld, k))).T
+    pts = projective_reps(fld, k)
     rng = np.random.default_rng(seed)
     out = [BlockingSet.from_points(fld, pts, {"construction": "all"})]
     for frac in (0.15, 0.4, 0.7, 0.9):
@@ -390,10 +390,10 @@ def _rref_block_outputs():
             for lo, hi in [(0, None), (total // 3, 2 * total // 3 + 1)]:
                 out.append([[L.basis.data.tolist(), L.pivots] for L in
                             enumerate_subspaces(fld, k, codim, start=lo, stop=hi)])
-        out.append(np.hstack(list(projective_reps(fld, k))).tolist())
+        out.append(projective_reps(fld, k).tolist())
     fld = field_create(5)
     good = construct_cherry(complete_graph(5), supply_mds(fld, 4, 5))
-    pts = np.hstack(list(projective_reps(fld, 4))).T
+    pts = projective_reps(fld, 4)
     sparse = BlockingSet.from_points(fld, pts[::2], {"construction": "every other point"})
     for b in (good, sparse, hyperplane_points(fld, 4)):
         for s in (1, 2):
@@ -516,10 +516,10 @@ def test_sampled_falls_back_when_the_sample_is_rank_deficient(monkeypatch):
     fld, k, s = field_create(7), 4, 1
     R = verify._sampled_map(fld, np.random.default_rng(0), s, k)  # trial 0 of seed 0
     L = subspace_from_rows(kernel_basis(MatrixGF(fld, R)))
-    allpts = np.hstack(list(projective_reps(fld, k))).T
+    allpts = projective_reps(fld, k)
     in_L = allpts[~fld.matmul_arr(allpts, R.T).any(axis=1)]
     plane = BlockingSet.from_points(fld, fld.matmul_arr(
-        np.hstack(list(projective_reps(fld, 2))).T, L.basis.data[:2])).points
+        projective_reps(fld, 2), L.basis.data[:2])).points
     for extra in in_L:
         meet = BlockingSet.from_points(fld, np.vstack([plane, extra]))
         if meet.size == 9 and np.nonzero((meet.points == extra).all(axis=1))[0][0] in (2, 5, 8):

@@ -11,7 +11,11 @@ seeded random operands and times `matmul_arr` at the two shapes the
 verifiers use (the GF(9) K7 span product 192x4 @ 4x815 and an 18x20 @
 20x2000 block) plus `add_arr` on the 192x815 output, reporting the median
 and quartiles of --repeat calls after one warm-up call.  A second group
-times `field_create` alone for the largest fields the package supports.
+times `field_create` alone for the largest fields the package supports.  A
+third times `matmul_arr` over GF(3) at the lps-sampled pipeline's large
+shapes, with operands in the field's storage type as the pipeline holds
+them: a sampled chunk's images (211,832x20 @ 20x24, 12 trials of s = 2), a
+span-dump chunk (4x3 @ 3x655,200) and a product of 5,000x546 @ 546x24.
 The JSON result goes to stdout.
 """
 
@@ -28,6 +32,8 @@ import benchkit
 KERNEL_FIELDS = [("GF(13)", 13, 1), ("GF(9)", 3, 2), ("GF(256)", 2, 8), ("GF(3^6)", 3, 6)]
 SHAPES = [(192, 4, 815), (18, 20, 2000)]
 CREATE_FIELDS = [("GF(2^16)", 2, 16), ("GF(3^10)", 3, 10)]
+LARGE_FIELDS = [("GF(3) large", 3, 1)]
+LARGE_SHAPES = [(211_832, 20, 24), (4, 3, 655_200), (5_000, 546, 24)]
 
 
 def measure(kind: str, p: int, m: int, repeat: int) -> dict:
@@ -42,11 +48,14 @@ def measure(kind: str, p: int, m: int, repeat: int) -> dict:
     if kind == "create":
         return out
     rng = np.random.default_rng(0)
-    for r, t, c in SHAPES:
-        a = rng.integers(0, fld.q, size=(r, t), dtype=np.int64)
-        b = rng.integers(0, fld.q, size=(t, c), dtype=np.int64)
+    dtype = fld.dtype if kind == "large" else np.int64
+    for r, t, c in LARGE_SHAPES if kind == "large" else SHAPES:
+        a = rng.integers(0, fld.q, size=(r, t)).astype(dtype)
+        b = rng.integers(0, fld.q, size=(t, c)).astype(dtype)
         out[f"matmul_arr {r}x{t}x{c}"] = benchkit.timed(lambda: fld.matmul_arr(a, b), repeat,
                                                         3, "_ms", 1e3)
+    if kind == "large":
+        return out
     r, _, c = SHAPES[0]
     x = rng.integers(0, fld.q, size=(r, c), dtype=np.int64)
     y = rng.integers(0, fld.q, size=(r, c), dtype=np.int64)
@@ -58,7 +67,8 @@ def main():
     args = benchkit.parse(benchkit.parser(__doc__, 21, "timed calls per kernel"), measure)
     result = {**benchkit.header(args.repeat),
               "runs": {label: {} for label, _ in args.trees.pairs}}
-    for kind, fields in (("kernels", KERNEL_FIELDS), ("create", CREATE_FIELDS)):
+    for kind, fields in (("kernels", KERNEL_FIELDS), ("create", CREATE_FIELDS),
+                         ("large", LARGE_FIELDS)):
         for name, p, m in fields:
             ran = args.trees.once(lambda src: benchkit.run(__file__, src, kind, p, m, args.repeat))
             for label, run in ran.items():

@@ -25,12 +25,14 @@ The `sampled` row times `is_strong_blocking_sampled` on the cherry set of
 the benchmark's lps-sampled workload (seed 1: LPS X^{5,13}, a random
 20 x 2184 supply over GF(3), built by bench/workloads.py), with its 12
 trials and trial seed, against the per-trial loop it replaced (one
-kernel, subspace and meet rank per trial), by the median and quartiles of
---repeat timed calls after one warm-up call in one fresh process per source
-tree, and records whether the two reports are byte-identical.  Each
-positional argument is LABEL=SRC; no time depends on what ran before it in
-the same process.  BLAS runs single-threaded.  The JSON result goes to
-stdout.
+kernel, subspace and meet rank per trial), the same way as the scans: the
+median and quartiles over --repeat rounds of one fresh process per sampler
+and tree, each building the set, calling the sampler once to warm up and
+timing one more call, the rounds alternating which sampler runs first and
+the trees alternating within each sampler; it records whether the two
+reports are byte-identical.  Each positional argument is LABEL=SRC; no time
+depends on what ran before it in the same process.  BLAS runs
+single-threaded.  The JSON result goes to stdout.
 """
 
 from __future__ import annotations
@@ -63,11 +65,13 @@ def _instance(bf, label):
     return bf.construct_cherry(getattr(bf, graph)(n), bf.supply_mds(bf.field_create(p, m), 4, n))
 
 
-def _report_and_time(fn, repeat):
-    """fn's report as canonical JSON, and the timing of `benchkit.timed`."""
-    reports = []
-    timing = benchkit.timed(lambda: reports.append(fn()), repeat, 4, "_s")
-    return json.dumps(reports[0].to_dict(), sort_keys=True), timing
+def _timed_once(fn):
+    """(the seconds of one call of fn after a warm-up call, its report as JSON)."""
+    fn()
+    t0 = time.perf_counter()
+    report = fn()
+    seconds = time.perf_counter() - t0
+    return seconds, json.dumps(report.to_dict(), sort_keys=True)
 
 
 def time_scan(index, scan):
@@ -85,11 +89,7 @@ def time_scan(index, scan):
              "keys": q ** (s + 1),
              "chosen": "cover" if verify._prefers_cover(k, s, q) else "meet"}
     verify._prefers_cover = lambda *args: scan == "cover"
-    verify.is_strong_blocking(b, s, count_all=count_all)
-    t0 = time.perf_counter()
-    report = verify.is_strong_blocking(b, s, count_all=count_all)
-    seconds = time.perf_counter() - t0
-    return facts, seconds, json.dumps(report.to_dict(), sort_keys=True)
+    return (facts, *_timed_once(lambda: verify.is_strong_blocking(b, s, count_all=count_all)))
 
 
 def per_trial_sampled(b, s, trials, seed):
@@ -113,25 +113,22 @@ def per_trial_sampled(b, s, trials, seed):
     return verify.VerificationReport("sampled", s, trials, "pass", None, 0.0)
 
 
-def run_sampled(repeat):
-    """The lps-sampled seed-1 cherry set, verified by both samplers."""
+def time_sampled(sampler):
+    """The lps-sampled seed-1 cherry set verified by one sampler ("batched"
+    or "per_trial") in this process: (the set's facts, the seconds of one
+    call after a warm-up call, the report as JSON)."""
     import blockforge as bf
     lps = benchkit.lps_sampled(bf, 1)
     workloads, wl, inp = lps
     b = benchkit.lps_cherry(bf, *lps)
+    fn = {"batched": bf.verify.is_strong_blocking_sampled, "per_trial": per_trial_sampled}[sampler]
     args = (b, workloads.S, wl.TRIALS, inp["seeds"]["trials"])
-    out = {"size": b.size, "k": b.k, "s": workloads.S, "trials": wl.TRIALS}
-    reports = {}
-    for name, fn in (("batched", bf.verify.is_strong_blocking_sampled),
-                     ("per_trial", per_trial_sampled)):
-        reports[name], out[name] = _report_and_time(lambda: fn(*args), repeat)
-    out["result"] = json.loads(reports["batched"])["result"]
-    out["reports_identical"] = reports["batched"] == reports["per_trial"]
-    return out
+    facts = {"size": b.size, "k": b.k, "s": workloads.S, "trials": wl.TRIALS}
+    return (facts, *_timed_once(lambda: fn(*args)))
 
 
 def measure(what, *args):
-    return {"scan": time_scan, "sampled": run_sampled}[what](*args)
+    return {"scan": time_scan, "sampled": time_sampled}[what](*args)
 
 
 def _faster(chosen: dict, other: dict):
@@ -142,34 +139,42 @@ def _faster(chosen: dict, other: dict):
     return chosen["median_s"] < other["median_s"]
 
 
+def _rows(trees, repeat, ways, *args):
+    """{label: row} from `repeat` rounds of one fresh process per way and
+    tree, `measure(*args, way)`, the rounds alternating which way runs
+    first.  A row holds the facts every run agrees on, each way's median
+    and quartiles, the result and whether every report is byte-identical."""
+    ran = {way: {} for way in ways}
+    for turn in range(repeat):
+        for way in ways[::-1] if turn % 2 else ways:
+            got = trees.once(lambda src: benchkit.run(__file__, src, *args, way))
+            for label, out in got.items():
+                ran[way].setdefault(label, []).append(out)
+    rows = {}
+    for label in ran[ways[0]]:
+        runs = [run for way in ways for run in ran[way][label]]
+        row = benchkit.agree([facts for facts, _, _ in runs], runs[0][0], f"runs of {label}")
+        for way in ways:
+            row[way] = benchkit.quartiles([s for _, s, _ in ran[way][label]], 4, "_s")
+        row["result"] = json.loads(runs[0][2])["result"]
+        row["reports_identical"] = len({report for _, _, report in runs}) == 1
+        rows[label] = row
+    return rows
+
+
 def _case(trees, index, repeat):
     """{label: the case's row} from `repeat` rounds of one fresh process per
-    scan and tree."""
-    scans = ("cover", "meet")
-    ran = {scan: {} for scan in scans}
-    for turn in range(repeat):
-        for scan in scans[::-1] if turn % 2 else scans:
-            got = trees.once(lambda src: benchkit.run(__file__, src, "scan", index, scan))
-            for label, out in got.items():
-                ran[scan].setdefault(label, []).append(out)
-    rows = {}
-    for label in ran["cover"]:
-        runs = ran["cover"][label] + ran["meet"][label]
-        row = benchkit.agree([facts for facts, _, _ in runs], runs[0][0], f"runs of {label}")
-        for scan in scans:
-            row[scan] = benchkit.quartiles([s for _, s, _ in ran[scan][label]], 4, "_s")
-        reports = {report for _, _, report in runs}
-        row["result"] = json.loads(runs[0][2])["result"]
-        row["reports_identical"] = len(reports) == 1
+    scan and tree, with whether the rule's scan is the faster."""
+    rows = _rows(trees, repeat, ("cover", "meet"), "scan", index)
+    for row in rows.values():
         other = "meet" if row["chosen"] == "cover" else "cover"
         row["chosen_is_faster"] = _faster(row[row["chosen"]], row[other])
-        rows[label] = row
     return rows
 
 
 def main():
     args = benchkit.parse(benchkit.parser(
-        __doc__, 5, "fresh processes per scan and case; timed calls for the sampled row"),
+        __doc__, 5, "fresh processes per scan and case, and per sampler"),
         measure)
     result = benchkit.header(args.repeat)
     result["machine"]["process_per_scan"] = True
@@ -178,8 +183,8 @@ def main():
         case = {"instance": label, **_case(args.trees, index, args.repeat)}
         print(json.dumps(case), file=sys.stderr)
         result["cases"].append(case)
-    result["sampled"] = {"instance": "lps-sampled seed 1", **args.trees.once(
-        lambda src: benchkit.run(__file__, src, "sampled", args.repeat))}
+    result["sampled"] = {"instance": "lps-sampled seed 1",
+                         **_rows(args.trees, args.repeat, ("batched", "per_trial"), "sampled")}
     print(json.dumps(result["sampled"]), file=sys.stderr)
     print(json.dumps(result, indent=1))
 

@@ -17,7 +17,10 @@ storage-type operands give storage-type results, int64 operands int64
 results.  Prime fields compute in the smallest of uint8, uint16, uint32 and
 int64 that holds both the operands and the largest unreduced value (for
 matmul_arr, inner * (p-1)^2), then reduce in place; table gathers widen only
-their index arithmetic.
+their index arithmetic.  A prime-field matmul_arr of more than
+FLOAT_MIN_MACS multiply-adds whose unreduced values stay below 2^24
+multiplies in float32 BLAS, exact there, casting one block of at most
+FLOAT_BLOCK entries at a time into that same accumulator.
 """
 
 from __future__ import annotations
@@ -34,6 +37,20 @@ MAX_ORDER = 1 << 16
 # q x q add and mul tables up to this order (1 MiB per field at the cap), Zech
 # logs above it: a property of the kernels, not a setting.
 TABLE_MAX_ORDER = 256
+
+
+# A prime-field product whose sums stay below FLOAT_EXACT = 2^24 (inner *
+# (p-1)^2) is exact in float32, whatever order BLAS adds in: every partial
+# sum is a non-negative integer, which float32 holds exactly below 2^24.
+# matmul_arr runs such a product on float32 BLAS, at most FLOAT_BLOCK output
+# entries at a time, when it takes more than FLOAT_MIN_MACS multiply-adds.
+# Smaller products stay on numpy's integer matmul, where each takes half a
+# millisecond or less: the first float32 product big enough for BLAS to pack
+# its operands leaves about 1 MB of BLAS buffer resident for the life of the
+# process, which a run of only small products never pays.
+FLOAT_EXACT = 1 << 24
+FLOAT_BLOCK = 1 << 16
+FLOAT_MIN_MACS = 1 << 18
 
 
 @functools.lru_cache(maxsize=256)
@@ -345,7 +362,20 @@ class FieldSpec:
             raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
         if self.m == 1:
             bound = a.shape[1] * (self.p - 1) ** 2
-            acc = np.matmul(a, b, dtype=_accumulator(bound, a.dtype, b.dtype))
+            acc_type = _accumulator(bound, a.dtype, b.dtype)
+            rows, cols = a.shape[0], b.shape[1]
+            if bound >= FLOAT_EXACT or rows * a.shape[1] * cols <= FLOAT_MIN_MACS:
+                acc = np.matmul(a, b, dtype=acc_type)
+            else:  # float32 blocks of rows, or of columns when one row is too long
+                acc = np.empty((rows, cols), dtype=acc_type)
+                width = cols if cols <= FLOAT_BLOCK else max(1, FLOAT_BLOCK // rows)
+                height = max(1, FLOAT_BLOCK // width)
+                for c0 in range(0, cols, width):
+                    right = b[:, c0:c0 + width].astype(np.float32)
+                    for r0 in range(0, rows, height):
+                        np.copyto(acc[r0:r0 + height, c0:c0 + width],
+                                  a[r0:r0 + height].astype(np.float32) @ right,
+                                  casting="unsafe")
             acc %= self.p  # in place: no second full-size array
             return acc.astype(out, copy=False)
         acc = np.zeros((a.shape[0], b.shape[1]), dtype=out)

@@ -76,15 +76,14 @@ def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
 # RREF
 # ---------------------------------------------------------------------------
 
-def rref_stack(field: FieldSpec, a) -> tuple[np.ndarray, np.ndarray]:
-    """(R, ranks) for a (count, rows, cols) stack: R[i] is the reduced row
-    echelon form of a[i] and ranks[i] its rank.  Each column is eliminated
-    only in the matrices that can still take a pivot and only in the rows
-    where it is nonzero; the sweep ends once every matrix has full row rank.
-
-    The elimination runs in the field's storage type, so an entry outside
-    [0, q) is a ValueError; R is returned as int64.
-    """
+def _eliminate(field: FieldSpec, a, reduce: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(E, ranks) for a (count, rows, cols) stack, in the field's storage
+    type: each column is eliminated only in the matrices that can still take
+    a pivot and only in the rows where it is nonzero, below the pivot row,
+    and above it too when `reduce`, which leaves E[i] in reduced row echelon
+    form (otherwise in row echelon form with unit pivots).  The sweep ends
+    once every matrix has full row rank.  An entry outside [0, q) is a
+    ValueError."""
     a = np.asarray(a)
     _check_entries(field, a)
     R = a.astype(field.dtype)
@@ -101,12 +100,30 @@ def rref_stack(field: FieldSpec, a) -> tuple[np.ndarray, np.ndarray]:
         R[b, src, c:] = R[b, r, c:]
         R[b, r, c:] = piv = field.mul_arr(field.inv_arr(piv[:, 0])[:, None], piv)
         neg = field.neg_arr(R[b, :, c])
-        neg[np.arange(b.size), r] = 0
+        if reduce:
+            neg[np.arange(b.size), r] = 0
+        else:
+            neg[np.arange(rows) <= r[:, None]] = 0
         hb, hr = np.nonzero(neg)
         R[b[hb], hr, c:] = field.add_arr(R[b[hb], hr, c:],
                                          field.mul_arr(neg[hb, hr][:, None], piv[hb]))
         ranks[b] += 1
+    return R, ranks
+
+
+def rref_stack(field: FieldSpec, a) -> tuple[np.ndarray, np.ndarray]:
+    """(R, ranks) for a (count, rows, cols) stack: R[i] is the reduced row
+    echelon form of a[i] and ranks[i] its rank, R as int64.  The elimination
+    (`_eliminate`) runs in the field's storage type, so an entry outside
+    [0, q) is a ValueError."""
+    R, ranks = _eliminate(field, a, True)
     return R.astype(np.int64), ranks
+
+
+def rank_stack(field: FieldSpec, a) -> np.ndarray:
+    """The rank of each matrix of a (count, rows, cols) stack: the sweep of
+    `rref_stack`, clearing only the rows below each pivot."""
+    return _eliminate(field, a, False)[1]
 
 
 def rref(m: MatrixGF):
@@ -118,7 +135,7 @@ def rref(m: MatrixGF):
 
 
 def rank(m: MatrixGF) -> int:
-    return rref(m)[1]
+    return int(rank_stack(m.field, m.data[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +330,24 @@ def _row_keys(rows: np.ndarray) -> list[np.ndarray]:
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(the distinct rows in lexicographic order, the ascending indices of
-    the rows that repeat an earlier row), for rows of non-negative integers."""
+    the rows that repeat an earlier row), for rows of non-negative integers.
+
+    Rows that pack into one key word with key * n < 2^63 sort as key * n +
+    index, in place, by the default sort: the index breaks ties, so equal
+    rows keep input order as in the stable `np.lexsort` over the words that
+    every other block takes."""
     words = _row_keys(rows)
-    order = np.lexsort(words[::-1])  # stable, so equal rows keep input order
-    ordered = np.stack(words)[:, order]
+    n = len(rows)
+    if len(words) == 1 and (int(words[0].max(initial=0)) + 1) * n <= 1 << 63:
+        packed = words[0]
+        packed *= n
+        packed += np.arange(n)
+        packed.sort()
+        ordered, order = np.divmod(packed, n)
+        ordered = ordered[None]
+    else:
+        order = np.lexsort(words[::-1])  # stable, so equal rows keep input order
+        ordered = np.stack(words)[:, order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
     return rows[order[first]], np.sort(order[~first])

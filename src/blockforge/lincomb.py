@@ -16,6 +16,7 @@ tested one at a time.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -139,15 +140,6 @@ def build_plc_hypergraph(supply: PointSupply, L: SubspaceBasis, candidate_edges,
 # Tree-like recognition
 # ---------------------------------------------------------------------------
 
-def _live_degrees(edges, alive):
-    deg: dict[int, list[tuple[int, ...]]] = {v: [] for v in alive}
-    for e in edges:
-        if all(v in alive for v in e):
-            for v in e:
-                deg[v].append(e)
-    return deg
-
-
 def tree_like_order(h: Hypergraph, s: int):
     """Find an elimination order proving h is s-tree-like, or None.
 
@@ -159,21 +151,42 @@ def tree_like_order(h: Hypergraph, s: int):
     and no vertex before v can use e, since v still needs it.  If v is not,
     v goes first in place of the vertex whose edge is e, or of the last
     vertex when no vertex uses e; that vertex stays live to the end.
+
+    Live degrees are kept as counts, and the vertices of degree 1 in a
+    min-heap, so a pass costs O(sum of edge sizes + n log n): removing a
+    vertex kills its live edges, each of which lowers the degree of its
+    other vertices once.
     """
     if not h.is_bounded(s):
         raise ValueError(f"hypergraph is not {s}-bounded")
-    alive = set(range(h.n))
+    edges = h.edges
+    incident: list[list[int]] = [[] for _ in range(h.n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            incident[v].append(i)
+    degree = [len(ids) for ids in incident]
+    live_edge = [True] * len(edges)
+    ready = [v for v in range(h.n) if degree[v] == 1]  # ascending, so already a heap
     seq: list[int] = []
     picked: list[tuple[int, ...]] = []
     while len(seq) < h.n - s + 1:
-        deg = _live_degrees(h.edges, alive)
-        v = next((v for v in sorted(alive) if len(deg[v]) == 1), None)
-        if v is None:
+        while ready and degree[ready[0]] != 1:  # a stale entry: its degree fell to 0
+            heapq.heappop(ready)
+        if not ready:
             return None
+        v = heapq.heappop(ready)
         seq.append(v)
-        picked.append(deg[v][0])
-        alive.remove(v)
-    return EliminationOrder(tuple(seq) + tuple(sorted(alive)), s, tuple(picked))
+        picked.append(next(edges[i] for i in incident[v] if live_edge[i]))
+        for i in incident[v]:
+            if live_edge[i]:
+                live_edge[i] = False
+                for u in edges[i]:
+                    if u != v:
+                        degree[u] -= 1
+                        if degree[u] == 1:
+                            heapq.heappush(ready, u)
+    rest = sorted(set(range(h.n)).difference(seq))
+    return EliminationOrder(tuple(seq) + tuple(rest), s, tuple(picked))
 
 
 def check_elimination_order(h: Hypergraph, order: EliminationOrder) -> bool:

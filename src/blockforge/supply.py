@@ -20,10 +20,10 @@ import numpy as np
 from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .gf import FieldSpec
-from .linalg import (MatrixGF, distinct_rows, normalize_rows, rank, read_matrix,
-                     read_sidecar, rref_blocks, rref_stack, write_matrix)
+from .linalg import (MatrixGF, distinct_rows, normalize_rows, rank, rank_stack, read_matrix,
+                     read_sidecar, rref_blocks, write_matrix)
 
-RANK_CHUNK = 256  # column subsets per rref_stack call in _rank_deficient
+RANK_CHUNK = 256  # column subsets per rank_stack call in _rank_deficient
 RANDOM_MAX_TRIES = 50  # candidate supplies supply_random_verified draws before it gives up
 
 
@@ -146,10 +146,10 @@ def supply_random_verified(field: FieldSpec, k: int, n: int, s: int, t: int,
 def _rank_deficient(matrix: MatrixGF, subsets, needed: int) -> bool:
     """Whether some column subset from the iterator `subsets` (index
     sequences of one size) has rank below `needed`.  Ranks RANK_CHUNK subsets
-    per rref_stack call and takes none past the first chunk that has one."""
+    per rank_stack call and takes none past the first chunk that has one."""
     while chunk := list(itertools.islice(subsets, RANK_CHUNK)):
         stack = matrix.data[:, np.array(chunk)].transpose(1, 0, 2)  # a k x size matrix each
-        if (rref_stack(matrix.field, stack)[1] < needed).any():
+        if (rank_stack(matrix.field, stack) < needed).any():
             return True
     return False
 

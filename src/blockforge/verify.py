@@ -2,10 +2,11 @@
 
 Every verifier asks for the rank of the points of B inside a subspace L, and
 one kernel answers it: `_meet_ranks` takes a stack of quotient maps Q
-(L = ker Q) and, per L, k - s columns onto which L projects one to one.  One
-field matmul images every point under every map (x lies in L iff Q x = 0);
-per L an evenly spaced sample of at most 2(k-s) of its points is ranked
-first, and only an L whose sample falls short gets all its points ranked.
+(L = ker Q) and, per L, k - s columns onto which L projects one to one.  It
+images every point under every map, in blocks of at most VERIFY_CHUNK image
+entries (x lies in L iff Q x = 0); per L an evenly spaced sample of at most
+2(k-s) of its points is ranked first, and only an L whose sample falls
+short gets all its points ranked.
 
 The exhaustive verifier decides whether B meets every codimension-s
 subspace L in a spanning set (rank k-s), with one of two scans:
@@ -48,8 +49,8 @@ from .budgets import DEFAULT_BUDGETS
 from .construct import BlockingSet, lower_bound
 from .errors import BudgetExceededError
 from .linalg import (MatrixGF, SubspaceBasis, _null_space, _pivot_sets, distinct_rows,
-                     gaussian_binomial, kernel_basis, projective_reps, rank, rref_blocks,
-                     rref_index, rref_stack, subspace_from_rows)
+                     gaussian_binomial, kernel_basis, projective_reps, rank, rank_stack,
+                     rref_blocks, rref_index, rref_stack, subspace_from_rows)
 
 
 @dataclass(frozen=True)
@@ -103,28 +104,31 @@ def _ragged_ranks(fld, groups: np.ndarray, rows: np.ndarray, count: int) -> np.n
     stack = np.zeros((count, sizes.max(initial=0), rows.shape[1]), dtype=rows.dtype)
     slot = np.arange(len(groups)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     stack[groups, slot] = rows
-    return rref_stack(fld, stack)[1]
+    return rank_stack(fld, stack)
 
 
 def _meet_ranks(fld, points: np.ndarray, maps: np.ndarray, coords) -> np.ndarray:
     """Exact rank of the points inside each L = ker Q, for a stack of rank-s
     quotient maps Q (count x s x k).
 
-    One field matmul images every point under every map; x lies in L iff
-    Q x = 0.  The points of L are read in `coords`, k - s columns onto which
-    L projects one to one (count x (k-s), or one row for every L).  Per L at
-    most 2(k-s) of its points, evenly spaced in point order, are ranked
-    first; only the L whose sample falls short of k - s get all their points
-    ranked.
+    The points are imaged under every map at once, in blocks of at most
+    VERIFY_CHUNK image entries; x lies in L iff Q x = 0.  The points of L
+    are read in `coords`, k - s columns onto which L projects one to one
+    (count x (k-s), or one row for every L).  Per L at most 2(k-s) of its
+    points, evenly spaced in point order, are ranked first; only the L whose
+    sample falls short of k - s get all their points ranked.
     """
     count, s, k = maps.shape
     flat = maps.reshape(count * s, k).T.astype(points.dtype)  # images in the points' type
-    img = fld.matmul_arr(points, flat).reshape(-1, count, s)
-    inside = img[:, :, 0] == 0
-    for row in range(1, s):  # one compare per map row: a reduce over s is slower
-        inside &= img[:, :, row] == 0
-    del img
-    which, where = np.nonzero(inside.T)  # (L, point) pairs, L-major
+    inside = np.empty((count, len(points)), dtype=bool)  # L-major, for np.nonzero
+    step = max(1, VERIFY_CHUNK // (count * s))  # points per block
+    for lo in range(0, len(points), step):
+        img = fld.matmul_arr(points[lo:lo + step], flat).reshape(-1, count, s)
+        block = img[:, :, 0] == 0
+        for row in range(1, s):  # one compare per map row: a reduce over s is slower
+            block &= img[:, :, row] == 0
+        inside[:, lo:lo + step] = block.T
+    which, where = np.nonzero(inside)  # (L, point) pairs, L-major
     coords = np.broadcast_to(coords, (count, k - s))
 
     def read(pairs):
@@ -171,9 +175,10 @@ def _meet_scan(b: BlockingSet, s: int, count_all: bool):
     return first, failures
 
 
-# Entries per array of a chunk: the sampled verifier's image entries (trials
-# x map rows x points, at least one trial), and _cover_scan's row tables and
-# per-chunk keys (at least one map's keys).
+# Entries per array of a chunk: _meet_ranks's image entries (points x maps x
+# map rows, at least one point), and _cover_scan's row tables and per-chunk
+# keys (at least one map's keys).  The sampled verifier's chunks hold up to
+# 32 VERIFY_CHUNK membership flags (trials x points, at least one trial).
 VERIFY_CHUNK = 1 << 17
 
 
@@ -336,8 +341,9 @@ def is_strong_blocking_sampled(b: BlockingSet, s: int, trials: int,
 
     Never certifies: a pass only means no counterexample was found in
     `trials` draws.  The subspace sequence is a pure function of the seed.
-    Trials run in chunks of at most `VERIFY_CHUNK` image entries (at least
-    one trial); the earliest failing trial is reported.
+    Trials run in chunks of at most 32 VERIFY_CHUNK membership flags (trials
+    x points, at least one trial), each chunk one `_meet_ranks` call; the
+    earliest failing trial is reported.
     """
     k = b.k
     if not 1 <= s < k:
@@ -347,7 +353,7 @@ def is_strong_blocking_sampled(b: BlockingSet, s: int, trials: int,
     fld = b.field
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    step = max(1, VERIFY_CHUNK // (s * b.size))
+    step = max(1, (VERIFY_CHUNK << 5) // b.size)
     for lo in range(0, trials, step):
         maps = np.stack([_sampled_map(fld, rng, s, k) for _ in range(min(step, trials - lo))])
         free = np.ones((len(maps), k), dtype=bool)  # L = ker R projects one to one onto these

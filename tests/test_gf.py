@@ -370,3 +370,43 @@ def test_narrow_matmul_matches_scalar_ops(pm, inner):
     for dtype in (fld.dtype, np.int64):
         got = fld.matmul_arr(a.astype(dtype), b.astype(dtype))
         assert got.dtype == dtype and got.tolist() == want, dtype
+
+
+# (p, inner, rows, cols): products just under and just over FLOAT_MIN_MACS =
+# 2^18 multiply-adds, outputs just under and just over FLOAT_BLOCK = 2^16
+# entries, and row and column blocks that leave a remainder; GF(251) on both
+# sides of FLOAT_EXACT = 2^24, since 268 * 250^2 < 2^24 <= 269 * 250^2.
+FLOAT_CASES = [(p, 20, rows, cols) for p in (2, 3, 13)
+               for rows, cols in [(256, 51), (256, 52), (255, 257), (257, 256), (3, 70_001)]]
+FLOAT_CASES += [(251, inner, 257, 256) for inner in (268, 269)]
+
+
+@pytest.mark.parametrize("p,inner,rows,cols", FLOAT_CASES)
+def test_float_matmul_matches_an_exact_reference(monkeypatch, p, inner, rows, cols):
+    assert 256 * 20 * 51 <= gf.FLOAT_MIN_MACS < 256 * 20 * 52
+    assert 255 * 257 <= gf.FLOAT_BLOCK < 257 * 256
+    assert 268 * 250 ** 2 < gf.FLOAT_EXACT <= 269 * 250 ** 2
+    fld = field_create(p)
+    rng = np.random.default_rng(p * inner + rows + cols)
+    a = rng.integers(0, p, size=(rows, inner))
+    b = rng.integers(0, p, size=(inner, cols))
+    if p == 251:  # mostly 250: sums close to 2^24, odd and even, past it at 269
+        a = np.where(rng.random(a.shape) < 0.1, 249, 250)
+        b = np.where(rng.random(b.shape) < 0.1, 249, 250)
+    want = a @ b % p  # int64 sums stay far below 2^63: exact, and spot-checked in Python ints
+    for i, j in [(0, 0), (rows - 1, cols - 1),
+                 *zip(rng.integers(0, rows, 20).tolist(), rng.integers(0, cols, 20).tolist())]:
+        assert want[i, j] == sum(int(x) * int(y) for x, y in zip(a[i], b[:, j])) % p
+    blocks = []  # the float route casts each block into the result with np.copyto
+    copyto = np.copyto
+
+    def spy(*args, **kw):
+        blocks.append(1)
+        return copyto(*args, **kw)
+    monkeypatch.setattr(gf.np, "copyto", spy)
+    floats = inner * (p - 1) ** 2 < gf.FLOAT_EXACT and rows * inner * cols > gf.FLOAT_MIN_MACS
+    for dtype in (fld.dtype, np.int64):
+        blocks.clear()
+        got = fld.matmul_arr(a.astype(dtype), b.astype(dtype))
+        assert got.dtype == dtype and np.array_equal(got, want), dtype
+        assert len(blocks) == (-(-rows * cols // gf.FLOAT_BLOCK) if floats else 0)

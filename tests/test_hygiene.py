@@ -5,10 +5,13 @@ rely on `assert`, which `python -O` strips.  Rows are sorted and
 deduplicated in one place: `np.lexsort` is called once, in
 `linalg.distinct_rows`, and no call passes `axis=` to `np.unique`.  Field
 inverses are taken only in `linalg`: `inv_arr` scales projective points in
-`normalize_rows` and pivot rows in `rref_stack`.  One byte codec carries every file: matrix,
-supply, blocking-set and graph files and their sidecars are opened only in
-`linalg` (by `_read_bytes`, `read_sidecar` and `write_rows`), so every read
-takes the byte-level grid path when it applies, and `np.loadtxt` is called
+`normalize_rows` and pivot rows in `_eliminate`, the elimination loop of
+`rref_stack` and `rank_stack`.  Only exact products compute in float32:
+`gf.FieldSpec.matmul_arr`'s BLAS route and `mincode`'s support scan.  One
+byte codec carries every file: matrix, supply, blocking-set and graph files
+and their sidecars are opened only in `linalg` (by `_read_bytes`,
+`read_sidecar` and `write_rows`), so every read takes the byte-level grid
+path when it applies, and `np.loadtxt` is called
 once, in `linalg.read_rows`.  No module reads `sys.stdin` as text or writes
 data to `sys.stdout`: the CLI hands `sys.stdin.buffer` (in `_source`) only
 to a reader and `sys.stdout.buffer` (in `_target`) only to a writer, no
@@ -67,12 +70,23 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _owned_nodes(tree):
+    """(enclosing function or None, node) for every node of the tree."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+                continue
+            yield owner, child
+            yield from walk(child, owner)
+
+    return walk(tree, None)
+
+
 def _calls(tree, name, modules=("np", "numpy")):
     """(enclosing function or None, line, keyword names) of every
     `<module>.<name>(...)` call, of every bare `<name>(...)` call when
     `modules` is None, or of every `<expr>.<name>(...)` call when it is "*"."""
-    found = []
-
     def matches(func):
         if modules is None:
             return isinstance(func, ast.Name) and func.id == name
@@ -80,17 +94,9 @@ def _calls(tree, name, modules=("np", "numpy")):
                 and (modules == "*" or isinstance(func.value, ast.Name)
                      and func.value.id in modules))
 
-    def walk(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                walk(child, child.name)
-                continue
-            if isinstance(child, ast.Call) and matches(child.func):
-                found.append((owner, child.lineno, {kw.arg for kw in child.keywords}))
-            walk(child, owner)
-
-    walk(tree, None)
-    return found
+    return [(owner, node.lineno, {kw.arg for kw in node.keywords})
+            for owner, node in _owned_nodes(tree)
+            if isinstance(node, ast.Call) and matches(node.func)]
 
 
 def _owners(name, modules=("np", "numpy")):
@@ -145,8 +151,9 @@ def test_row_sort_scan_flags_a_planted_lexsort():
 
 
 def test_inverses_only_in_linalg():
-    # a projective point is scaled in normalize_rows, a pivot row in rref_stack
-    assert _owners("inv_arr", "*") == [("linalg", "normalize_rows"), ("linalg", "rref_stack")]
+    # a projective point is scaled in normalize_rows, a pivot row in the
+    # elimination loop that rref_stack and rank_stack share
+    assert _owners("inv_arr", "*") == [("linalg", "_eliminate"), ("linalg", "normalize_rows")]
 
 
 def test_inverse_scan_flags_a_planted_scaling():
@@ -156,6 +163,32 @@ def test_inverse_scan_flags_a_planted_scaling():
     assert _calls(tree, "inv_arr", "*") == [("plc_edge", 2, set()), ("_pgl", 4, set()),
                                             (None, 5, set())]
     assert _calls(tree, "inv_arr") == [(None, 5, set())]
+
+
+def _float32_uses(tree):
+    """(enclosing function or None, line) of every `np.float32` or
+    `numpy.float32`, and of every "float32" or "f4" dtype string."""
+    return [(owner, node.lineno) for owner, node in _owned_nodes(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "float32"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            or isinstance(node, ast.Constant) and node.value in ("float32", "f4")]
+
+
+def test_float32_only_in_exact_products():
+    # matmul_arr's BLAS route (sums below 2^24) and mincode's 0/1 support
+    # products are exact in float32; nothing else computes in it
+    owners = sorted({(path.stem, owner) for path in MODULES
+                     for owner, _ in _float32_uses(ast.parse(path.read_text()))})
+    assert owners == [("gf", "matmul_arr"), ("mincode", "_first_contained_pair"),
+                      ("mincode", "_least_pair")]
+
+
+def test_float32_scan_flags_planted_uses():
+    tree = ast.parse("import numpy as np\ndef span(a, b):\n"
+                     "    return a.astype(np.float32) @ b.astype('float32')\n"
+                     "def keys(r):\n    return r.astype('f4'), np.float64(1), r.float32\n"
+                     "ONE = numpy.float32(1)\n")
+    assert _float32_uses(tree) == [("span", 3), ("span", 3), ("keys", 5), (None, 6)]
 
 
 def test_loadtxt_only_in_read_rows():

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from blockforge.errors import BudgetExceededError
 from blockforge.gf import field_create, parse_field_header
 from blockforge import linalg
-from blockforge.linalg import (MatrixGF, gaussian_binomial, kernel_basis, matmul,
-                               normalize_rows, projective_reps, quotient_map, rank, read_matrix,
-                               rref, rref_blocks, rref_index, rref_stack,
+from blockforge.linalg import (MatrixGF, distinct_rows, gaussian_binomial, kernel_basis,
+                               matmul, normalize_rows, projective_reps, quotient_map, rank,
+                               rank_stack, read_matrix, rref, rref_blocks, rref_index, rref_stack,
                                subspace_from_rows, write_matrix)
 
 from helpers import (enumerate_subspaces, identity_matrix, rank_product, rref_stack_int64,
@@ -140,6 +140,72 @@ def test_rref_stack_rejects_entries_outside_the_field(p, m):
     if fld.q < 256:
         with pytest.raises(ValueError, match="out of range"):
             rref_stack(fld, np.full((1, 2, 2), fld.q, dtype=fld.dtype))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (13, 1)],
+                         ids=["GF(2)", "GF(3)", "GF(4)", "GF(9)", "GF(13)"])
+def test_rank_stack_matches_rref_stack(p, m):
+    fld = field_create(p, m)
+    rng = np.random.default_rng(7 * p + m)
+    deficits = set()
+    for rows, cols in [(0, 3), (3, 0), (1, 1), (3, 5), (5, 3), (6, 6), (20, 40), (40, 20)]:
+        a = rng.integers(0, fld.q, size=(30, rows, cols))
+        a[rng.random(a.shape) < 0.2] = 0
+        if rows >= 3 and cols:  # planted: the last row a combination of the first two
+            c = rng.integers(1, fld.q, size=(30, 2, 1))
+            comb = fld.add_arr(fld.mul_arr(c[:, 0], a[:, 0]), fld.mul_arr(c[:, 1], a[:, 1]))
+            a[::2, -1] = comb[::2]
+            a[1::3, :, -1] = a[1::3, :, 0]  # and a repeated column
+            a[3::4, rows // 2:] = a[3::4, :1]  # and rows repeating the first
+        want = rref_stack(fld, a)[1]
+        deficits.update((np.minimum(rows, cols) - want).tolist())
+        for given in (a, a.astype(fld.dtype)):
+            got = rank_stack(fld, given)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        for i in range(3):
+            assert rank(MatrixGF(fld, a[i])) == want[i]
+    assert len(deficits) >= 3, deficits
+    with pytest.raises(ValueError, match="out of range"):
+        rank_stack(fld, np.full((1, 2, 2), fld.q))
+
+
+def _distinct_rows_by_dict(rows):
+    """distinct_rows from a dict of tuples: the sorted distinct rows, and the
+    ascending indices of the rows seen before."""
+    seen, repeats = {}, []
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        if row in seen:
+            repeats.append(i)
+        seen.setdefault(row, i)
+    return sorted(seen), repeats
+
+
+def test_distinct_rows_packed_sort_matches_the_lexsort_path(monkeypatch):
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(linalg.np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    rng = np.random.default_rng(3)
+    n = 1000
+    top = (1 << 63) // n - 1  # (top + 1) * n is 2^63: the last key that packs
+    pool = rng.integers(0, 3, size=(50, 20), dtype=np.uint8)
+    cases = [  # (rows, whether they pack)
+        (pool[rng.integers(0, 50, size=5000)], True),  # many repeats
+        (rng.integers(0, 3, size=(4000, 45)), False),  # two words: lexsort
+        (np.zeros((0, 4), dtype=np.int64), True),
+        (np.array([[2, 0, 1]], dtype=np.uint8), True),
+    ]
+    for high, packs in [(top, True), (top + 1, False)]:  # key * n on both sides of 2^63
+        col = rng.integers(high - 5, high + 1, size=(n, 1))
+        col[-1] = high
+        cases.append((col, packs))
+    for rows, packs in cases:
+        sorts.clear()
+        got, repeats = distinct_rows(rows)
+        want, want_repeats = _distinct_rows_by_dict(rows)
+        assert got.dtype == rows.dtype and got.shape == (len(want), rows.shape[1])
+        assert list(map(tuple, got.tolist())) == want
+        assert repeats.tolist() == want_repeats
+        assert bool(sorts) != packs
 
 
 def test_rank_product_identity():

@@ -240,6 +240,16 @@ def test_tree_like_order_matches_on_both_sides_of_the_old_limit(n, cycle):
         assert (got is not None) == tree_like
 
 
+def test_tree_like_order_on_long_paths_and_cycles():
+    # 20,000 vertices: recounting every live degree at each removal, as the
+    # search once did, takes 0.84 s at 1,000 and grows as n^2.
+    n = 20_000
+    path = [(v, v + 1) for v in range(n - 1)]
+    got = tree_like_order(Hypergraph.from_edges(n, path), 2)
+    assert got.order == tuple(range(n)) and got.witness_edges == tuple(path)
+    assert tree_like_order(Hypergraph.from_edges(n, path + [(0, n - 1)]), 2) is None
+
+
 @pytest.mark.parametrize("n, s", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
 def test_greedy_elimination_is_complete(n, s):
     # Every hypergraph on n vertices with edges of size <= s: the

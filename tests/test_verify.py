@@ -550,11 +550,13 @@ def test_sampled_chunks_do_not_change_reports(monkeypatch):
         for b in random_subsets(fld, k, seed=7):
             for s in range(1, k):
                 want = json.dumps(_per_trial_sampled(b, s, 50, seed=5).to_dict())
-                for step in (1, 7):  # one trial per chunk, and chunks that do not divide 50
-                    monkeypatch.setattr(verify, "VERIFY_CHUNK", step * s * b.size)
+                for step in (1, 7):  # about 1 and 7 trials per chunk: 32 flags per entry
+                    chunk = step * b.size >> 5
+                    per = max(1, (chunk << 5) // b.size)  # trials per chunk
+                    monkeypatch.setattr(verify, "VERIFY_CHUNK", chunk)
                     rep = is_strong_blocking_sampled(b, s, 50, seed=5)
                     assert json.dumps(rep.to_dict()) == want
-                    if not rep.passed and rep.counterexample.index >= step:
+                    if not rep.passed and rep.counterexample.index >= per:
                         late += 1
                 monkeypatch.undo()
     assert late  # some first failure lies past the first chunk
@@ -577,6 +579,20 @@ def test_sampled_matmuls_stay_within_the_chunk(monkeypatch):
         assert is_strong_blocking_sampled(b, s, 40, seed=2).passed
         assert max(sizes) <= max(chunk, s * b.size)
         assert sum(sizes) == 40 * s * b.size  # every trial imaged once
+
+
+def test_sampled_trials_of_a_large_set_go_to_one_kernel_call(monkeypatch):
+    fld = field_create(3)
+    b = BlockingSet.from_points(fld, projective_reps(fld, 11))  # 88,573 > 2^16 points
+    calls = []
+    kernel = verify._meet_ranks
+
+    def spy(f, points, maps, coords):
+        calls.append(len(maps))
+        return kernel(f, points, maps, coords)
+    monkeypatch.setattr(verify, "_meet_ranks", spy)
+    assert b.size > 1 << 16 and is_strong_blocking_sampled(b, 2, 12, seed=3).passed
+    assert calls == [12]
 
 
 def test_sampled_images_keep_the_points_type(monkeypatch):

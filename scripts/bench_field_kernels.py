@@ -15,8 +15,9 @@ times `field_create` alone for the largest fields the package supports.  A
 third times `matmul_arr` over GF(3) at the lps-sampled pipeline's large
 shapes, with operands in the field's storage type as the pipeline holds
 them: a sampled chunk's images (211,832x20 @ 20x24, 12 trials of s = 2), a
-span-dump chunk (4x3 @ 3x655,200) and a product of 5,000x546 @ 546x24.
-The JSON result goes to stdout.
+span-dump chunk (4x3 @ 3x655,200) and a product of 5,000x546 @ 546x24, and
+then `add_arr` and `mul_arr` on two 211,832x20 operands, the size of the
+lps-sampled point set.  The JSON result goes to stdout.
 """
 
 from __future__ import annotations
@@ -55,11 +56,14 @@ def measure(kind: str, p: int, m: int, repeat: int) -> dict:
         out[f"matmul_arr {r}x{t}x{c}"] = benchkit.timed(lambda: fld.matmul_arr(a, b), repeat,
                                                         3, "_ms", 1e3)
     if kind == "large":
-        return out
-    r, _, c = SHAPES[0]
-    x = rng.integers(0, fld.q, size=(r, c), dtype=np.int64)
-    y = rng.integers(0, fld.q, size=(r, c), dtype=np.int64)
-    out[f"add_arr {r}x{c}"] = benchkit.timed(lambda: fld.add_arr(x, y), repeat, 3, "_ms", 1e3)
+        r, c, _ = LARGE_SHAPES[0]  # the sampled chunk's points
+    else:
+        r, _, c = SHAPES[0]  # the span product's output
+    x = rng.integers(0, fld.q, size=(r, c)).astype(dtype)
+    y = rng.integers(0, fld.q, size=(r, c)).astype(dtype)
+    for name in ("add_arr", "mul_arr") if kind == "large" else ("add_arr",):
+        kernel = getattr(fld, name)
+        out[f"{name} {r}x{c}"] = benchkit.timed(lambda: kernel(x, y), repeat, 3, "_ms", 1e3)
     return out
 
 

@@ -13,6 +13,10 @@ Each positional argument is LABEL=SRC, a `src` directory holding the
   GF(3)), and the time `distinct_rows` takes on it;
 - `from_points`: `BlockingSet.from_points` on a writable copy of that set's
   canonical points, as `read_blocking_set` hands them over;
+- `distinct_shuffled`: `distinct_rows` on that set's points in a seeded
+  random order, so that its output gather reads every row out of order;
+- `row_chunks`: every chunk of `linalg._row_chunks` over that set's
+  points, the body that `write_blocking_set` writes (one gather a chunk);
 - `read_graph`: `read_graph` of the LPS graph X^{5,29} from the bytes
   `write_graph` wrote for it, in an `io.BytesIO`;
 - `rss_after_construct`: `ru_maxrss` right after `construct_cherry` on the
@@ -31,7 +35,8 @@ import sys
 
 import benchkit
 
-MEASURES = ("span_merge", "from_points", "read_graph", "rss_after_construct")
+MEASURES = ("span_merge", "from_points", "distinct_shuffled", "row_chunks", "read_graph",
+            "rss_after_construct")
 SEED = 1
 
 
@@ -51,11 +56,17 @@ def measure(name: str, repeat: int) -> dict:
         raw = stream.getvalue()
         return {"graph": "X^{5,29}",
                 **benchkit.timed(lambda: bf.expander.read_graph(io.BytesIO(raw)), repeat)}
-    if name == "from_points":
+    if name in ("from_points", "distinct_shuffled", "row_chunks"):
         b = _lps_cherry(bf)
         points = b.points.copy()
+        if name == "distinct_shuffled":
+            import numpy as np
+            points = points[np.random.default_rng(SEED).permutation(len(points))]
+        fn = {"from_points": lambda: bf.BlockingSet.from_points(b.field, points),
+              "distinct_shuffled": lambda: bf.linalg.distinct_rows(points),
+              "row_chunks": lambda: list(bf.linalg._row_chunks(points))}[name]
         return {"rows": points.shape[0], "cols": points.shape[1],
-                **benchkit.timed(lambda: bf.BlockingSet.from_points(b.field, points), repeat)}
+                **benchkit.timed(fn, repeat)}
     construct = bf.construct
     sort = construct.distinct_rows
     largest = [None]

@@ -30,9 +30,13 @@ median and quartiles over --repeat rounds of one fresh process per sampler
 and tree, each building the set, calling the sampler once to warm up and
 timing one more call, the rounds alternating which sampler runs first and
 the trees alternating within each sampler; it records whether the two
-reports are byte-identical.  Each positional argument is LABEL=SRC; no time
-depends on what ran before it in the same process.  BLAS runs
-single-threaded.  The JSON result goes to stdout.
+reports are byte-identical.  The `sampled_k200` row does the same at
+k = 200, on the span dump of the cherries of X^{5,13} over a seeded random
+200 x 2184 supply in GF(3) with projectively distinct columns, built as
+scripts/bench_rss.py builds it (211,848 points, s = 2, 12 trials, trial
+seed 7).  Each positional argument is LABEL=SRC; no time depends on what
+ran before it in the same process.  BLAS runs single-threaded.  The JSON
+result goes to stdout.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ CASES = [("GF(13) K10", 2, False), ("GF(7) K6", 2, False), ("GF(9) K7", 2, False
          ("GF(13) P5", 2, False), ("GF(13) P5", 2, True),
          ("GF(13) K10", 1, False), ("GF(9) K7", 1, False), ("GF(7) K6", 1, False),
          ("GF(13) P5", 1, False), ("GF(3) k=6 C9", 2, True)]
+# the k = 200 sampled row's input, as scripts/bench_rss.py builds it
+RSS_GRAPH, RSS_FIELD, RSS_SEED = (5, 13), 3, 7
 
 
 def _instance(bf, label):
@@ -113,18 +119,31 @@ def per_trial_sampled(b, s, trials, seed):
     return verify.VerificationReport("sampled", s, trials, "pass", None, 0.0)
 
 
-def time_sampled(sampler):
-    """The lps-sampled seed-1 cherry set verified by one sampler ("batched"
-    or "per_trial") in this process: (the set's facts, the seconds of one
-    call after a warm-up call, the report as JSON)."""
+def _sampled_case(bf, k):
+    """(the set, s, trials, trial seed) of the sampled row at dimension k:
+    the lps-sampled seed-1 cherry set at k = 20, else the span dump of
+    bench_rss.py at k."""
+    if k == 20:
+        lps = benchkit.lps_sampled(bf, 1)
+        workloads, wl, inp = lps
+        return benchkit.lps_cherry(bf, *lps), workloads.S, wl.TRIALS, inp["seeds"]["trials"]
+    fld = bf.field_create(RSS_FIELD)
+    g = bf.lps_graph(*RSS_GRAPH)
+    supply = bf.PointSupply(benchkit.distinct_columns(bf, fld, k, g.n, RSS_SEED + k),
+                            provenance="random")
+    b = bf.edge_span_union(bf.construct.cherry_hypergraph(g), supply)
+    return b, 2, 12, RSS_SEED
+
+
+def time_sampled(k, sampler):
+    """The sampled row's set at dimension k verified by one sampler
+    ("batched" or "per_trial") in this process: (the set's facts, the
+    seconds of one call after a warm-up call, the report as JSON)."""
     import blockforge as bf
-    lps = benchkit.lps_sampled(bf, 1)
-    workloads, wl, inp = lps
-    b = benchkit.lps_cherry(bf, *lps)
+    b, s, trials, seed = _sampled_case(bf, k)
     fn = {"batched": bf.verify.is_strong_blocking_sampled, "per_trial": per_trial_sampled}[sampler]
-    args = (b, workloads.S, wl.TRIALS, inp["seeds"]["trials"])
-    facts = {"size": b.size, "k": b.k, "s": workloads.S, "trials": wl.TRIALS}
-    return (facts, *_timed_once(lambda: fn(*args)))
+    facts = {"size": b.size, "k": b.k, "s": s, "trials": trials}
+    return (facts, *_timed_once(lambda: fn(b, s, trials, seed)))
 
 
 def measure(what, *args):
@@ -183,9 +202,11 @@ def main():
         case = {"instance": label, **_case(args.trees, index, args.repeat)}
         print(json.dumps(case), file=sys.stderr)
         result["cases"].append(case)
-    result["sampled"] = {"instance": "lps-sampled seed 1",
-                         **_rows(args.trees, args.repeat, ("batched", "per_trial"), "sampled")}
-    print(json.dumps(result["sampled"]), file=sys.stderr)
+    for key, instance, k in [("sampled", "lps-sampled seed 1", 20),
+                             ("sampled_k200", "bench_rss.py k=200", 200)]:
+        result[key] = {"instance": instance,
+                       **_rows(args.trees, args.repeat, ("batched", "per_trial"), "sampled", k)}
+        print(json.dumps(result[key]), file=sys.stderr)
     print(json.dumps(result, indent=1))
 
 

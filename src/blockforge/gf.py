@@ -16,8 +16,10 @@ count as int64) and return `np.result_type` of the operands and `dtype`:
 storage-type operands give storage-type results, int64 operands int64
 results.  Prime fields compute in the smallest of uint8, uint16, uint32 and
 int64 that holds both the operands and the largest unreduced value (for
-matmul_arr, inner * (p-1)^2), then reduce in place; table gathers widen only
-their index arithmetic.  A prime-field matmul_arr of more than
+matmul_arr, inner * (p-1)^2), then reduce in place without dividing:
+`_reduce` subtracts p * 2^j wherever that leaves a smaller unsigned value,
+one bit j of bound // p at a time (see REDUCE_BLOCK).  Table gathers widen
+only their index arithmetic.  A prime-field matmul_arr of more than
 FLOAT_MIN_MACS multiply-adds whose unreduced values stay below 2^24
 multiplies in float32 BLAS, exact there, casting one block of at most
 FLOAT_BLOCK entries at a time into that same accumulator.
@@ -51,6 +53,36 @@ TABLE_MAX_ORDER = 256
 FLOAT_EXACT = 1 << 24
 FLOAT_BLOCK = 1 << 16
 FLOAT_MIN_MACS = 1 << 18
+
+
+# _reduce takes x mod p for unsigned x in [0, bound] as x = min(x, x - p 2^j)
+# for each bit j of bound // p, high to low: unsigned x - p 2^j wraps above x
+# when x < p 2^j.  It works REDUCE_BLOCK entries at a time, so its one
+# temporary stays small.  Arrays of fewer entries, signed ones, and bounds
+# needing more than REDUCE_MAX_STEPS bits reduce with `%=`, which is faster
+# there: on uint8, one step over a block takes about a twentieth of `%`.
+REDUCE_BLOCK = 1 << 16
+REDUCE_MAX_STEPS = 8
+
+
+def _reduce(acc, p: int, bound: int):
+    """acc mod p, in place, for integer entries in [0, bound]; returns acc
+    (a numpy scalar is not reduced in place, so use the result)."""
+    steps = (bound // p).bit_length()
+    if (acc.dtype.kind != "u" or acc.size < REDUCE_BLOCK or steps > REDUCE_MAX_STEPS
+            or not (acc.flags.c_contiguous or acc.flags.f_contiguous)):
+        acc %= p
+        return acc
+    flat = acc.reshape(-1, order="A")  # a view, in memory order
+    spare = np.empty(REDUCE_BLOCK, dtype=acc.dtype)
+    subtrahends = [acc.dtype.type(p << j) for j in range(steps - 1, -1, -1)]
+    for lo in range(0, flat.size, REDUCE_BLOCK):
+        x = flat[lo:lo + REDUCE_BLOCK]
+        y = spare[:x.size]
+        for c in subtrahends:
+            np.subtract(x, c, out=y)
+            np.minimum(x, y, out=x)
+    return acc
 
 
 @functools.lru_cache(maxsize=256)
@@ -316,9 +348,9 @@ class FieldSpec:
     def add_arr(self, a, b):
         (a, b), out = self._operands(a, b)
         if self.m == 1:
-            acc = np.add(a, b, dtype=_accumulator(2 * (self.p - 1), a.dtype, b.dtype))
-            acc %= self.p
-            return acc.astype(out, copy=False)
+            bound = 2 * (self.p - 1)
+            acc = np.add(a, b, dtype=_accumulator(bound, a.dtype, b.dtype))
+            return _reduce(acc, self.p, bound).astype(out, copy=False)
         if self._zech is None:
             return self._table(self._add, a, b, out)
         la, lb = self._log[a], self._log[b]  # g^i + g^j = g^(i + zech[j - i])
@@ -330,8 +362,7 @@ class FieldSpec:
         (a,), out = self._operands(a)
         if self.m == 1:
             acc = np.subtract(self.p, a, dtype=_accumulator(self.p, a.dtype))
-            acc %= self.p
-            return acc.astype(out, copy=False)
+            return _reduce(acc, self.p, self.p).astype(out, copy=False)
         return self._neg[a].astype(out, copy=False)
 
     def sub_arr(self, a, b):
@@ -340,9 +371,9 @@ class FieldSpec:
     def mul_arr(self, a, b):
         (a, b), out = self._operands(a, b)
         if self.m == 1:
-            acc = np.multiply(a, b, dtype=_accumulator((self.p - 1) ** 2, a.dtype, b.dtype))
-            acc %= self.p
-            return acc.astype(out, copy=False)
+            bound = (self.p - 1) ** 2
+            acc = np.multiply(a, b, dtype=_accumulator(bound, a.dtype, b.dtype))
+            return _reduce(acc, self.p, bound).astype(out, copy=False)
         if self._zech is None:
             return self._table(self._mul, a, b, out)
         la, lb = self._log[a], self._log[b]
@@ -376,8 +407,7 @@ class FieldSpec:
                         np.copyto(acc[r0:r0 + height, c0:c0 + width],
                                   a[r0:r0 + height].astype(np.float32) @ right,
                                   casting="unsafe")
-            acc %= self.p  # in place: no second full-size array
-            return acc.astype(out, copy=False)
+            return _reduce(acc, self.p, bound).astype(out, copy=False)
         acc = np.zeros((a.shape[0], b.shape[1]), dtype=out)
         for t in range(a.shape[1]):
             acc = self.add_arr(acc, self.mul_arr(a[:, t:t + 1], b[t:t + 1, :]))

@@ -343,14 +343,15 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         packed *= n
         packed += np.arange(n)
         packed.sort()
-        ordered, order = np.divmod(packed, n)
-        ordered = ordered[None]
+        order = np.empty_like(packed)
+        np.divmod(packed, n, out=(packed, order))  # the keys in place of the packed ones
+        ordered = packed[None]
     else:
         order = np.lexsort(words[::-1])  # stable, so equal rows keep input order
         ordered = np.stack(words)[:, order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-    return rows[order[first]], np.sort(order[~first])
+    return np.take(rows, order[first], axis=0), np.sort(order[~first])
 
 
 def normalize_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
@@ -398,7 +399,7 @@ def _row_chunks(data: np.ndarray):
     cell = table.view(f"V{width + 1}").ravel()  # one item per value: gathers whole cells
     for lo in range(0, rows, FORMAT_CHUNK_ROWS):
         block = data[lo:lo + FORMAT_CHUNK_ROWS]
-        cells = cell[block.ravel()].view(np.uint8).reshape(len(block), cols, width + 1)
+        cells = np.take(cell, block).view(np.uint8).reshape(len(block), cols, width + 1)
         cells[:, -1, -1] = ord("\n")
         yield cells[cells != 0] if width > 1 else cells
 
@@ -435,7 +436,9 @@ def _grid_rows(body, rows: int, cols: int) -> np.ndarray | None:
         return None
     cells = buf[len(buf) - 2 * size:].reshape(rows, cols, 2)
     digits = cells[:, :, 0] - ord("0")  # uint8: bytes below "0" wrap past 9
-    if ((digits > 9).any() or (cells[:, :-1, 1] != ord(" ")).any()
+    spaces = cells[:, :-1, 1]
+    # reductions, not comparisons: a body-sized boolean raised the read's peak
+    if (digits.max() > 9 or (spaces.size and not spaces.min() == spaces.max() == ord(" "))
             or (cells[:, -1, 1] != ord("\n")).any()):
         return None
     return digits

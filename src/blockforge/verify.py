@@ -3,10 +3,12 @@
 Every verifier asks for the rank of the points of B inside a subspace L, and
 one kernel answers it: `_meet_ranks` takes a stack of quotient maps Q
 (L = ker Q) and, per L, k - s columns onto which L projects one to one.  It
-images every point under every map, in blocks of at most VERIFY_CHUNK image
+images the points under every map, in blocks of at most VERIFY_CHUNK image
 entries (x lies in L iff Q x = 0); per L an evenly spaced sample of at most
 2(k-s) of its points is ranked first, and only an L whose sample falls
-short gets all its points ranked.
+short gets all its points ranked.  A large B is first imaged at a stride,
+and only the L whose strided points fall short of rank k-s are imaged
+against every point.
 
 The exhaustive verifier decides whether B meets every codimension-s
 subspace L in a spanning set (rank k-s), with one of two scans:
@@ -111,40 +113,54 @@ def _meet_ranks(fld, points: np.ndarray, maps: np.ndarray, coords) -> np.ndarray
     """Exact rank of the points inside each L = ker Q, for a stack of rank-s
     quotient maps Q (count x s x k).
 
-    The points are imaged under every map at once, in blocks of at most
+    The points are imaged under the maps at once, in blocks of at most
     VERIFY_CHUNK image entries; x lies in L iff Q x = 0.  The points of L
     are read in `coords`, k - s columns onto which L projects one to one
     (count x (k-s), or one row for every L).  Per L at most 2(k-s) of its
     points, evenly spaced in point order, are ranked first; only the L whose
     sample falls short of k - s get all their points ranked.
+
+    With at least 8 need points, need = 4 q^s (k-s), a first round does all
+    this on every (N // need)-th point only, about need points of which a
+    random L holds about 4(k-s).  An L whose rank there reaches k - s is
+    done, as rank(B meet L) <= dim L = k - s; only the L that fall short go
+    on to a round over every point.
     """
     count, s, k = maps.shape
-    flat = maps.reshape(count * s, k).T.astype(points.dtype)  # images in the points' type
-    inside = np.empty((count, len(points)), dtype=bool)  # L-major, for np.nonzero
-    step = max(1, VERIFY_CHUNK // (count * s))  # points per block
-    for lo in range(0, len(points), step):
-        img = fld.matmul_arr(points[lo:lo + step], flat).reshape(-1, count, s)
-        block = img[:, :, 0] == 0
-        for row in range(1, s):  # one compare per map row: a reduce over s is slower
-            block &= img[:, :, row] == 0
-        inside[:, lo:lo + step] = block.T
-    which, where = np.nonzero(inside)  # (L, point) pairs, L-major
     coords = np.broadcast_to(coords, (count, k - s))
+    ranks = np.zeros(count, dtype=np.int64)
+    todo = np.arange(count)  # the L not yet known to reach k - s
+    stride = len(points) // (4 * fld.q ** s * (k - s))
+    for pts in [points[::stride], points] if stride >= 8 else [points]:
+        flat = maps[todo].reshape(todo.size * s, k).T.astype(pts.dtype)  # images in pts' type
+        inside = np.empty((todo.size, len(pts)), dtype=bool)  # L-major, for np.nonzero
+        step = max(1, VERIFY_CHUNK // (todo.size * s))  # points per block
+        for lo in range(0, len(pts), step):
+            img = fld.matmul_arr(pts[lo:lo + step], flat).reshape(-1, todo.size, s)
+            block = img[:, :, 0] == 0
+            for row in range(1, s):  # one compare per map row: a reduce over s is slower
+                block &= img[:, :, row] == 0
+            inside[:, lo:lo + step] = block.T
+        which, where = np.nonzero(inside)  # (position in todo, point) pairs, L-major
 
-    def read(pairs):
-        return points[where[pairs][:, None], coords[which[pairs]]]
+        def read(pairs):
+            return pts[where[pairs][:, None], coords[todo[which[pairs]]]]
 
-    sizes = np.bincount(which, minlength=count)
-    take = np.minimum(sizes, 2 * (k - s))
-    group = np.repeat(np.arange(count), take)
-    j = np.arange(len(group)) - np.repeat(np.cumsum(take) - take, take)
-    sample = (np.cumsum(sizes) - sizes)[group] + j * sizes[group] // take[group]
-    ranks = _ragged_ranks(fld, group, read(sample), count)
-    short = np.nonzero((ranks < k - s) & (sizes > take))[0]
-    if short.size:
-        pairs = np.nonzero(np.isin(which, short))[0]
-        ranks[short] = _ragged_ranks(fld, np.searchsorted(short, which[pairs]),
-                                     read(pairs), short.size)
+        sizes = np.bincount(which, minlength=todo.size)
+        take = np.minimum(sizes, 2 * (k - s))
+        group = np.repeat(np.arange(todo.size), take)
+        j = np.arange(len(group)) - np.repeat(np.cumsum(take) - take, take)
+        sample = (np.cumsum(sizes) - sizes)[group] + j * sizes[group] // take[group]
+        got = _ragged_ranks(fld, group, read(sample), todo.size)
+        short = np.nonzero((got < k - s) & (sizes > take))[0]
+        if short.size:
+            pairs = np.nonzero(np.isin(which, short))[0]
+            got[short] = _ragged_ranks(fld, np.searchsorted(short, which[pairs]),
+                                       read(pairs), short.size)
+        ranks[todo] = got
+        todo = todo[got < k - s]
+        if not todo.size:
+            break
     return ranks
 
 

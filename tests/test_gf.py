@@ -410,3 +410,98 @@ def test_float_matmul_matches_an_exact_reference(monkeypatch, p, inner, rows, co
         got = fld.matmul_arr(a.astype(dtype), b.astype(dtype))
         assert got.dtype == dtype and np.array_equal(got, want), dtype
         assert len(blocks) == (-(-rows * cols // gf.FLOAT_BLOCK) if floats else 0)
+
+
+# _reduce against Python ints: every bound an arithmetic kernel passes, one
+# that takes exactly REDUCE_MAX_STEPS steps, one that takes more, and the
+# type's largest value; sizes below, at and past one and two blocks.
+REDUCE_PRIMES = (2, 3, 5, 7, 13, 251, 65521)
+REDUCE_TYPES = (np.uint8, np.uint16, np.uint32, np.int64)
+REDUCE_SIZES = (0, 1, gf.REDUCE_BLOCK - 1, gf.REDUCE_BLOCK, gf.REDUCE_BLOCK + 1,
+                2 * gf.REDUCE_BLOCK, 2 * gf.REDUCE_BLOCK + 3)
+
+
+def _reduce_bounds(p, dtype):
+    top = int(np.iinfo(dtype).max)
+    bounds = {p, 2 * (p - 1), (p - 1) ** 2, 20 * (p - 1) ** 2,
+              (p << gf.REDUCE_MAX_STEPS) - 1, p << gf.REDUCE_MAX_STEPS, top}
+    return sorted(b for b in bounds if p <= b <= top)
+
+
+def _reduce_operand(rng, p, bound, size, dtype):
+    """`size` values in [0, bound]: the ends, multiples of p and their
+    neighbours near the bound, and uniform draws."""
+    edges = [0, bound, p - 1, p, bound - bound % p, bound - bound % p - 1]
+    x = rng.integers(0, bound, size=size, endpoint=True)
+    x[:min(size, len(edges))] = edges[:size]
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", REDUCE_TYPES, ids=lambda t: np.dtype(t).name)
+@pytest.mark.parametrize("p", REDUCE_PRIMES)
+def test_reduce_matches_python_ints(p, dtype):
+    assert (gf.REDUCE_BLOCK, gf.REDUCE_MAX_STEPS) == (1 << 16, 8)
+    rng = np.random.default_rng(p)
+    for bound in _reduce_bounds(p, dtype):
+        for size in REDUCE_SIZES:
+            x = _reduce_operand(rng, p, bound, size, dtype)
+            want = [v % p for v in x.tolist()]
+            got = gf._reduce(x, p, bound)
+            assert got is x, (bound, size)  # in place
+            assert got.dtype == dtype and got.tolist() == want, (bound, size)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_reduce_in_place_on_two_dimensional_and_strided_arrays(order):
+    p, bound = 13, 12 * 12
+    rng = np.random.default_rng(5)
+    x = np.asarray(_reduce_operand(rng, p, bound, 300 * 400, np.uint8).reshape(300, 400),
+                   order=order)
+    want = [[v % p for v in row] for row in x.tolist()]
+    assert gf._reduce(x, p, bound) is x and x.tolist() == want
+    y = _reduce_operand(rng, p, bound, 4 * gf.REDUCE_BLOCK, np.uint8).reshape(-1, 2)
+    view = y[::2]  # neither C- nor F-contiguous
+    want = [[v % p for v in row] for row in view.tolist()]
+    untouched = y[1::2].copy()
+    assert gf._reduce(view, p, bound) is view and view.tolist() == want
+    assert np.array_equal(y[1::2], untouched)
+
+
+@pytest.mark.parametrize("p", REDUCE_PRIMES)
+def test_reduce_of_scalars_and_zero_dimensional_arrays(p):
+    a = np.dtype(gf._accumulator((p - 1) ** 2))
+    for v in (0, p - 1, p, (p - 1) ** 2):
+        got = gf._reduce(a.type(v), p, (p - 1) ** 2)
+        assert isinstance(got, np.generic) and int(got) == v % p
+        x = np.array(v, dtype=a)
+        assert gf._reduce(x, p, (p - 1) ** 2).tolist() == v % p
+
+
+@pytest.mark.parametrize("p", REDUCE_PRIMES)
+def test_prime_kernels_on_scalars_and_broadcast_operands(p):
+    # the kernels' results against Python ints: storage-type and 0-d scalars,
+    # Python ints, and broadcasts past REDUCE_BLOCK entries with C- and
+    # F-ordered results
+    fld = field_create(p)
+    rng = np.random.default_rng(p + 1)
+    for a, b in [(p - 1, p - 1), (0, p - 1), (p // 2, p - 1)]:
+        for x, y in [(fld.dtype.type(a), fld.dtype.type(b)),
+                     (np.array(a, dtype=fld.dtype), np.array(b, dtype=fld.dtype)), (a, b)]:
+            assert int(fld.add_arr(x, y)) == (a + b) % p
+            assert int(fld.mul_arr(x, y)) == a * b % p
+            assert int(fld.neg_arr(x)) == -a % p
+            assert int(fld.sub_arr(x, y)) == (a - b) % p
+    col = rng.integers(0, p, size=(300, 1)).astype(fld.dtype)
+    row = rng.integers(0, p, size=(1, 301)).astype(fld.dtype)
+    assert 300 * 301 > gf.REDUCE_BLOCK
+    full = rng.integers(0, p, size=(301, 300)).astype(fld.dtype).T
+    for x, y, order in [(col, row, "C"), (full, row[:, :1], "F")]:
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        pairs = [list(zip(u, v)) for u, v in zip(np.broadcast_to(x, shape).tolist(),
+                                                  np.broadcast_to(y, shape).tolist())]
+        got = fld.add_arr(x, y), fld.mul_arr(x, y), fld.neg_arr(np.broadcast_to(x, shape))
+        assert all(r.dtype == fld.dtype for r in got)
+        assert got[0].flags[f"{order}_CONTIGUOUS"] and got[1].flags[f"{order}_CONTIGUOUS"]
+        assert got[0].tolist() == [[(u + v) % p for u, v in row] for row in pairs]
+        assert got[1].tolist() == [[u * v % p for u, v in row] for row in pairs]
+        assert got[2].tolist() == [[-u % p for u, _ in row] for row in pairs]

@@ -30,6 +30,7 @@ own, nor names a `*_NUM_THREADS` variable.
 """
 
 import ast
+import os
 from pathlib import Path
 
 import pytest
@@ -399,3 +400,9 @@ def test_harness_scan_flags_a_planted_copy():
     assert _definitions(tree, HARNESS) == [(5, "_quartiles"), (8, "_fresh")]
     assert _thread_variables(tree) == [(3, "MKL_NUM_THREADS"), (3, "OMP_NUM_THREADS"),
                                        (10, "OPENBLAS_NUM_THREADS")]
+
+
+def test_blas_is_pinned_before_numpy_loads():
+    import conftest
+    assert not conftest.NUMPY_LOADED_FIRST
+    assert all(os.environ[var] == "1" for var in conftest.BLAS_THREAD_VARIABLES)

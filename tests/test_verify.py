@@ -543,6 +543,82 @@ def test_sampled_falls_back_when_the_sample_is_rank_deficient(monkeypatch):
                 == _per_trial_sampled(b, s, trials, seed=0).to_dict())
 
 
+def _points_rank(fld, points, R):
+    """Rank of the rows of `points` inside ker R, by membership and one rank."""
+    inside = points[~fld.matmul_arr(points, R.T).any(axis=1)]
+    return rank(MatrixGF(fld, inside)) if len(inside) else 0
+
+
+def _strided_case(extra):
+    """Over GF(3), k = 7, s = 1, where the kernel's strided round starts at
+    8 * need = 8 * (4 * 3 * 6) = 576 points: (fld, R, points), R the map of
+    a hyperplane L = ker R and the points those of a set B made of every
+    point outside L (729), every point of a hyperplane P of L (121), and,
+    when `extra`, one point of L outside P that the stride skips.  B meets
+    L in rank 5 without the extra point and in rank 6 with it."""
+    fld, k, s = field_create(3), 7, 1
+    R = verify._sampled_map(fld, np.random.default_rng(1), s, k)
+    L = kernel_basis(MatrixGF(fld, R)).data  # 6 x 7, a basis of L
+    allpts = projective_reps(fld, k)
+    outside = allpts[fld.matmul_arr(allpts, R.T).any(axis=1)]
+    plane = fld.matmul_arr(projective_reps(fld, k - s - 1), L[:-1])  # P
+    base = BlockingSet.from_points(fld, np.vstack([outside, plane])).points
+    if not extra:
+        return fld, R, base
+    need = 4 * fld.q ** s * (k - s)
+    for coeffs in projective_reps(fld, k - s):
+        if coeffs[-1]:  # a point of L outside P
+            points = BlockingSet.from_points(
+                fld, np.vstack([base, fld.matmul_arr(coeffs[None], L)])).points
+            stride = len(points) // need
+            at = np.nonzero((points == fld.matmul_arr(coeffs[None], L)).all(axis=1))[0][0]
+            if at % stride:
+                return fld, R, points
+    raise AssertionError("every point of L outside P lands on the stride")
+
+
+def _strided_maps(fld, R, count):
+    """R first, then `count` random hyperplane maps."""
+    rng = np.random.default_rng(2)
+    return np.stack([R] + [verify._sampled_map(fld, rng, 1, R.shape[1]) for _ in range(count)])
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_strided_round_gives_the_exact_meet_ranks(extra):
+    fld, R, points = _strided_case(extra)
+    assert len(points) >= 8 * 4 * 3 * 6
+    maps = _strided_maps(fld, R, 40)
+    want = [_points_rank(fld, points, Q) for Q in maps]
+    assert want[0] == (6 if extra else 5) and want[1:] == [6] * 40
+    assert verify._meet_ranks(fld, points, maps, _free_columns(maps)).tolist() == want
+
+
+def test_strided_round_sample_falls_short_where_the_set_spans():
+    # L = ker R: the strided points of B in L lie in P, but all of B in L spans L
+    fld, R, points = _strided_case(extra=True)
+    stride = len(points) // (4 * 3 * 6)
+    assert _points_rank(fld, points[::stride], R) == 5 and _points_rank(fld, points, R) == 6
+    assert verify._meet_ranks(fld, points, R[None], _free_columns(R[None])).tolist() == [6]
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_strided_round_images_only_the_short_subspaces_in_full(monkeypatch, extra):
+    fld, R, points = _strided_case(extra)
+    stride = len(points) // (4 * 3 * 6)
+    maps = _strided_maps(fld, R, 40)
+    short = [i for i, Q in enumerate(maps) if _points_rank(fld, points[::stride], Q) < 6]
+    assert 0 in short and len(short) < len(maps)
+    calls = []
+    matmul = type(fld).matmul_arr
+
+    def spy(self, a, b):
+        calls.append((len(a), b.shape[1]))
+        return matmul(self, a, b)
+    monkeypatch.setattr(type(fld), "matmul_arr", spy)
+    verify._meet_ranks(fld, points, maps, _free_columns(maps))
+    assert calls == [(len(points[::stride]), len(maps)), (len(points), len(short))]
+
+
 def test_sampled_chunks_do_not_change_reports(monkeypatch):
     fld = field_create(3)
     late = 0

@@ -24,6 +24,11 @@ measurement (or one RSS process) to the next.
 - `general_position`: the sampled general-position gate of the benchmark's
   lps-sampled inputs (seed 1: a random 20 x 2184 supply over GF(3), 1000
   samples, t = 40), as `bench/workloads.py` runs it;
+- `general_position_exhaustive_*`: the exact general-position check of an
+  MDS supply, in milliseconds: the four supplies of the benchmark's
+  exhaustive workload (`prime` GF(13) n = 10, `dual` GF(7) n = 6, `ext`
+  GF(9) n = 7 and `fail` GF(13) n = 5, all in F_q^4), and `gf11_k6_n10`,
+  the GF(11) k = 6, n = 10 supply of acceptance criterion 6;
 - `rref_2x4_gf3`, `rref_2x4_gf9`, `rref_18x20_gf3`: one-matrix `rref` on 200
   random matrices of that shape and field, reported per call in
   microseconds;
@@ -46,10 +51,13 @@ SEED = 1
 RREF_MATRICES = 200
 RREF_SHAPES = {"rref_2x4_gf3": (3, 1, 2, 4), "rref_2x4_gf9": (3, 2, 2, 4),
                "rref_18x20_gf3": (3, 1, 18, 20)}  # p, m, rows, cols
+GP_EXHAUSTIVE = {"general_position_exhaustive_" + name: spec for name, spec in {
+    "prime": (13, 1, 4, 10), "dual": (7, 1, 4, 6), "ext": (3, 2, 4, 7), "fail": (13, 1, 4, 5),
+    "gf11_k6_n10": (11, 1, 6, 10)}.items()}  # p, m, k, n of an MDS supply
 MEASURES = ("lps_graph_5_13", "lps_graph_5_29", "graph_5_13", "graph_5_29", "bfs_5_13",
             "bfs_5_29", "power_graph_5_13", "neighborhood_5_13", "cliques_power_5_13",
             "ball_budget_5_29", "cherry_hypergraph",
-            "general_position", *RREF_SHAPES, "rss_after_construct")
+            "general_position", *GP_EXHAUSTIVE, *RREF_SHAPES, "rss_after_construct")
 
 
 def measure(name: str, repeat: int) -> dict:
@@ -103,6 +111,11 @@ def measure(name: str, repeat: int) -> dict:
                 bf.rref(mat)
         return {"matrices": RREF_MATRICES, "unit": "us per call",
                 **timed(run, repeat, 1, scale=1e6 / RREF_MATRICES)}
+    if name in GP_EXHAUSTIVE:
+        p, m, k, n = GP_EXHAUSTIVE[name]
+        supply = bf.supply_mds(bf.field_create(p, m), k, n)
+        return {"report": bf.verify_general_position(supply).to_dict(),
+                **timed(lambda: bf.verify_general_position(supply), repeat, 2, "_ms", 1e3)}
     lps = benchkit.lps_sampled(bf, SEED)
     if name == "general_position":
         return {"report": benchkit.lps_gate(bf, *lps).to_dict(),

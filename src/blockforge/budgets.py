@@ -20,7 +20,10 @@ class Budgets:
     points: int = 10_000_000     # projective points a construction may emit
     cliques: int = 1_000_000     # hypergraph edges a graph operator may list
     coeff_tuples: int = 1_000_000    # coefficient tuples per witness search
-    subsets: int = 1_000_000     # column subsets per general-position check
+    subsets: int = 1_000_000     # column subsets (sizes <= k) up to which the
+    # general-position check is exact; that path ranks none of them and reads
+    # both numbers off one codeword sweep (MacWilliams); past it, the sampled
+    # path ranks drawn subsets
     codewords: int = 1_000_000   # codewords per minimum-distance sweep
     minimal_subspaces: int = 10_000  # s-dim subspaces per minimality check
 

@@ -471,6 +471,8 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
     """
     if method not in ("auto", "exact", "trace", "power"):
         raise ValueError(f"unknown spectral method {method!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol={tol} must be a positive finite number")
     if method == "trace" and not g.cayley:
         raise ValueError("the trace path needs a graph marked as a Cayley graph")
     if g.n == 0:
@@ -564,6 +566,9 @@ def check_mixing(g: Graph, lam: float, trials: int, seed: int = 0) -> MixingRepo
 
     Returns the violation count and the largest observed LHS/RHS ratio.
     """
+    if not lam > 0 or trials < 0:
+        raise ValueError(f"mixing check needs lam > 0 and trials >= 0, got lam={lam}, "
+                         f"trials={trials}")
     if not g.is_regular():
         raise ValueError("mixing check requires a regular graph")
     d, n = g.degree, g.n

@@ -20,10 +20,10 @@ import numpy as np
 from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .gf import FieldSpec
-from .linalg import (MatrixGF, distinct_rows, normalize_rows, rank, rank_stack, read_matrix,
+from .linalg import (MatrixGF, distinct_rows, normalize_rows, rank_stack, read_matrix,
                      read_sidecar, rref_blocks, write_matrix)
 
-RANK_CHUNK = 256  # column subsets per rank_stack call in _rank_deficient
+RANK_CHUNK = 256  # sampled column subsets per rank_stack call in _rank_deficient
 RANDOM_MAX_TRIES = 50  # candidate supplies supply_random_verified draws before it gives up
 
 
@@ -120,7 +120,7 @@ def supply_random_verified(field: FieldSpec, k: int, n: int, s: int, t: int,
     if s >= k:
         raise ValueError(f"s={s} is impossible: {k + 1} vectors in F_q^{k} are never independent")
     if t < k or t > n or n < k:
-        raise ValueError(f"infeasible parameters: need n >= k and k <= t <= n")
+        raise ValueError(f"infeasible parameters k={k}, n={n}, t={t}: need n >= k and k <= t <= n")
     q = field.q
     n_projective = (q ** k - 1) // (q - 1)
     if n > n_projective:
@@ -154,42 +154,40 @@ def _rank_deficient(matrix: MatrixGF, subsets, needed: int) -> bool:
     return False
 
 
-def dual_distance_by_ranks(matrix: MatrixGF, *,
-                           budget: int = DEFAULT_BUDGETS.subsets):
-    """Smallest number of linearly dependent columns, or None when every
-    subset of columns is independent (only possible for n <= k).
+def _weights(matrix: MatrixGF, budget: int) -> list[int]:
+    """counts[w], w = 0..n: the points x of PG(k-1, q) with wt(x M) = w, in one sweep."""
+    field, (k, n) = matrix.field, matrix.data.shape
+    if (total := (field.q ** k - 1) // (field.q - 1)) > budget:
+        raise BudgetExceededError("codewords", budget, total)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for _, block in rref_blocks(field, k, 1):
+        words = field.matmul_arr(block[:, 0], matrix.data)
+        counts += np.bincount(np.count_nonzero(words, axis=1), minlength=n + 1)
+    return counts.tolist()
 
-    Scans subset sizes upward and rank-checks each submatrix; if no dependent
-    subset of size <= k exists and n > k, the answer is k+1.
-    """
-    k, n = matrix.rows, matrix.cols
-    checked = 0
-    for j in range(1, min(k, n) + 1):
-        count = math.comb(n, j)
-        if checked + count > budget:
-            raise BudgetExceededError("subsets", budget, checked + count)
-        checked += count
-        if _rank_deficient(matrix, itertools.combinations(range(n), j), j):
+
+def _dual_min_weight(q: int, counts: list[int]) -> int | None:
+    """d(C-perp): the least j >= 1 whose MacWilliams sum |C| B_j = sum_w A_w K_j(w)
+    (K_j Krawtchouk) is positive, None if C-perp = {0}.  At rank r, counts[0] =
+    (q^(k-r)-1)/(q-1) and A_w = (q-1) counts[w]/q^(k-r) (w > 0): summed times q^(k-r)."""
+    n = len(counts) - 1
+    scaled = [counts[0] * (q - 1) + 1] + [(q - 1) * c for c in counts[1:]]
+    for j in range(1, n + 1):
+        if sum(a * sum((-1) ** i * (q - 1) ** (j - i) * math.comb(w, i) * math.comb(n - w, j - i)
+                       for i in range(j + 1)) for w, a in enumerate(scaled)) > 0:
             return j
-    return k + 1 if n > k else None
+    return None
 
 
 def min_distance(matrix: MatrixGF, *, budget: int) -> int | None:
     """Minimum Hamming weight of the row-space code; None if rank < rows."""
-    field = matrix.field
-    k, n = matrix.rows, matrix.cols
-    q = field.q
-    if rank(matrix) < k:
-        return None
-    total = (q ** k - 1) // (q - 1)
-    if total > budget:
-        raise BudgetExceededError("codewords", budget, total)
-    best = n
-    for _, block in rref_blocks(field, k, 1):
-        words = field.matmul_arr(block[:, 0], matrix.data)
-        weights = np.count_nonzero(words, axis=1)
-        best = min(best, int(weights.min()))
-    return best
+    counts = _weights(matrix, budget)
+    return None if counts[0] else next((w for w, c in enumerate(counts) if c), None)
+
+
+def dual_distance(matrix: MatrixGF, *, budget: int = DEFAULT_BUDGETS.codewords) -> int | None:
+    """Least number of dependent columns, d(C-perp); None if none (only for n <= k)."""
+    return _dual_min_weight(matrix.field.q, _weights(matrix, budget))
 
 
 def verify_general_position(supply: PointSupply, s: int | None = None,
@@ -198,23 +196,24 @@ def verify_general_position(supply: PointSupply, s: int | None = None,
                             samples: int = 100_000, seed: int = 0) -> GeneralPositionReport:
     """Measure s_independence and span_threshold.
 
-    Exhaustive when both the subset sweep and the codeword sweep fit the
-    budgets: independence via the dual distance (rank of every small column
-    subset), span via the minimum distance of the column code
-    (span_threshold = n - d + 1).  Otherwise falls back to checking the
-    requested (s, t) on `samples` seeded random subsets; that path only
-    refutes, so the report is flagged method="sampled".
+    Exhaustive when the column subsets up to size k fit `budgets.subsets` and
+    the codewords fit `budgets.codewords`, yet ranking no subset: one sweep of
+    the codewords' weights gives d(C), span_threshold = n - d + 1, and through
+    MacWilliams d(C-perp), s_independence = min(k-1, d(C-perp) - 2).
+    Otherwise checks the requested (s, t) on `samples` seeded random subsets;
+    that path only refutes, so the report is flagged method="sampled".
     """
+    if samples < 1:
+        raise ValueError(f"samples={samples}: the sampled check needs at least one draw")
     mat = supply.matrix
-    k, n = mat.rows, mat.cols
-    q = supply.field.q
+    (k, n), q = mat.data.shape, supply.field.q
     indep_cost = sum(math.comb(n, j) for j in range(1, min(k, n) + 1))
     span_cost = (q ** k - 1) // (q - 1)
     if indep_cost <= budgets.subsets and span_cost <= budgets.codewords:
-        dd = dual_distance_by_ranks(mat, budget=budgets.subsets)
+        counts = _weights(mat, budgets.codewords)
+        dd = _dual_min_weight(q, counts)
         s_ind = k - 1 if dd is None else min(k - 1, dd - 2)
-        d = min_distance(mat, budget=budgets.codewords)
-        span = None if d is None else n - d + 1
+        span = None if counts[0] else n + 1 - next(w for w, c in enumerate(counts) if c)
         return GeneralPositionReport(s_ind, span, "exhaustive")
 
     if s is None or t is None:

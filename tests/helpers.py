@@ -20,7 +20,7 @@ from blockforge.lincomb import EdgeWitness, EliminationOrder
 from blockforge import linalg
 from blockforge.linalg import (MatrixGF, SubspaceBasis, distinct_rows, gaussian_binomial,
                                kernel_basis, matmul, normalize_rows, projective_reps, rank,
-                               rref_blocks, subspace_from_rows)
+                               rank_stack, rref_blocks, subspace_from_rows)
 from blockforge.mincode import LinearCode, MinimalityReport
 from blockforge.supply import PointSupply, min_distance
 from blockforge.verify import _ragged_ranks
@@ -105,12 +105,24 @@ def meet_ranks_by_basis(fld, points: np.ndarray, pivots: tuple[int, ...], block:
     return _ragged_ranks(fld, which, points[where][:, list(pivots)], len(block))
 
 
+def dual_distance_by_ranks(matrix: MatrixGF):
+    """The smallest number of dependent columns, or None when every subset of
+    columns is independent, by ranking every column subset of size j = 1, 2,
+    ... up to k; k+1 if none of them is dependent and n > k.  The exact
+    general-position sweep that `supply.dual_distance` replaced."""
+    k, n = matrix.rows, matrix.cols
+    for j in range(1, min(k, n) + 1):
+        subsets = np.array(list(combinations(range(n), j)))
+        if (rank_stack(matrix.field, matrix.data[:, subsets].transpose(1, 0, 2)) < j).any():
+            return j
+    return k + 1 if n > k else None
+
+
 def dual_distance_by_codewords(matrix: MatrixGF, *,
                                budget: int = DEFAULT_BUDGETS.codewords):
     """The smallest number of dependent columns computed the other way, as
     the minimum weight over the null space of the matrix (enumerated
-    projectively): the cross-check of `supply.dual_distance_by_ranks`, moved
-    here from `supply`."""
+    projectively): a cross-check of `supply.dual_distance`."""
     kern = kernel_basis(matrix)  # nullity x n
     if kern.rows == 0:
         return None

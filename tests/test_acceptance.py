@@ -19,7 +19,7 @@ import blockforge as bf
 from blockforge.expander import complete_graph
 from blockforge.linalg import gaussian_binomial, matmul, rank
 from blockforge.mincode import blocking_to_code, is_s_minimal
-from blockforge.supply import dual_distance_by_ranks
+from blockforge.supply import dual_distance
 
 CHERRY_CASES = [(5, 3, 4), (7, 3, 5), (7, 4, 6)]
 
@@ -131,7 +131,7 @@ def test_criterion_6_general_position_certification():
         rep = bf.verify_general_position(supply)
         ok &= (rep.method == "exhaustive" and rep.s_independence == k - 1
                and rep.span_threshold == k)
-        ok &= (dual_distance_by_ranks(supply.matrix)
+        ok &= (dual_distance(supply.matrix)
                == dual_distance_by_codewords(supply.matrix))
     report(6, "general-position certification of MDS supplies", ok,
            f"{len(cases)} parameter sets")

@@ -144,6 +144,15 @@ def test_spectra_text_format(tmp_path, capsys):
     assert "lambda_bound: 1.0" in out
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_spectra_rejects_a_bad_tolerance(tmp_path, capsys, tol):
+    g = tmp_path / "k5.g"
+    run_cli(["graph", "complete", "--n", "5", "--out", str(g)], capsys)
+    code, out, err = run_cli(["spectra", "--graph", str(g), "--tol", tol], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: tol={float(tol)} must be a positive finite number\n"
+
+
 def test_pipe_graph_to_spectra():
     cmd = (f"{sys.executable} -m blockforge graph lps --p 5 --q 13 2>/dev/null | "
            f"{sys.executable} -m blockforge spectra --tol 1e-6")

@@ -244,6 +244,23 @@ def test_check_mixing_certified_lambda(lps_5_13):
     assert rep.violations == 0
 
 
+@pytest.mark.parametrize("lam, trials", [(0, 5), (-1, 5), (float("nan"), 5), (1.0, -1)])
+def test_check_mixing_rejects_a_bad_lambda_or_trial_count(lam, trials):
+    # lam = 0 divided by zero, lam = -1 counted every sampled set as a violation
+    with pytest.raises(ValueError, match="lam > 0 and trials >= 0"):
+        check_mixing(cycle_graph(12), lam, trials)
+
+
+@pytest.mark.parametrize("method", ["auto", "exact", "trace", "power"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_second_eigenvalue_rejects_a_bad_tolerance(method, tol):
+    # power iteration can never reach a residual <= 0: tol = -1 ran its
+    # whole iteration budget before failing
+    g = Graph(11, [(i, (i + 1) % 11) for i in range(11)], cayley=True)
+    with pytest.raises(ValueError, match="must be a positive finite number"):
+        second_eigenvalue(g, tol=tol, method=method)
+
+
 def test_largest_component_whole_graph():
     g = cycle_graph(6)
     assert largest_component(g, range(6)) == tuple(range(6))

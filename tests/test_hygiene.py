@@ -329,7 +329,9 @@ REMOVED = ("normalize_column", "_quotient_parts", "subspace_count",
            "_read_graph", "_write_graph", "_load_supply", "_load_blocking",
            "format_rows", "parse_rows", "load_rows", "load_sidecar",
            # the unread hypergraph format, and the LPS closure's own projective scaling
-           "format_hypergraph", "parse_hypergraph", "_pgl_normalize")
+           "format_hypergraph", "parse_hypergraph", "_pgl_normalize",
+           # the exact general-position check's column-subset rank sweep
+           "dual_distance_by_ranks")
 
 
 def _definitions(tree, names):

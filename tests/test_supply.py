@@ -9,12 +9,12 @@ from blockforge import supply
 from blockforge.budgets import Budgets
 from blockforge.gf import field_create
 from blockforge.linalg import MatrixGF, normalize_rows, projective_reps, rank
-from blockforge.supply import (GeneralPositionReport, PointSupply,
-                               dual_distance_by_ranks, read_supply,
-                               supply_mds, supply_random_verified,
+from blockforge.supply import (GeneralPositionReport, PointSupply, dual_distance,
+                               read_supply, supply_mds, supply_random_verified,
                                verify_general_position, write_supply)
 
-from helpers import dual_distance_by_codewords, identity_matrix, random_columns_by_loop
+from helpers import (dual_distance_by_codewords, dual_distance_by_ranks, identity_matrix,
+                     random_columns_by_loop)
 
 
 def test_mds_gf5_every_triple_independent():
@@ -153,15 +153,93 @@ def test_dual_distance_paths_agree():
             m = MatrixGF(fld, data)
             if q ** (n - rank(m)) > 10 ** 6:
                 continue
-            assert dual_distance_by_ranks(m) == dual_distance_by_codewords(m)
+            assert dual_distance(m) == dual_distance_by_codewords(m)
 
 
 def test_dual_distance_mds():
     # dual of an MDS code is MDS: minimum dependent subset has size k+1
     fld = field_create(7)
     sup = supply_mds(fld, 3, 6)
-    assert dual_distance_by_ranks(sup.matrix) == 4
+    assert dual_distance(sup.matrix) == 4
     assert dual_distance_by_codewords(sup.matrix) == 4
+    assert dual_distance_by_ranks(sup.matrix) == 4
+
+
+def _oracle_matrices(seed, count):
+    """`count` seeded random matrices over GF(2), GF(3), GF(4), GF(5) and
+    GF(9) with k <= 4 and n <= min(8, k + 4), which keeps the null space
+    that `dual_distance_by_codewords` sweeps small; every third one has a
+    repeated row, so that a third are rank-deficient, and the small k and q
+    make zero and repeated columns common."""
+    rng = np.random.default_rng(seed)
+    fields = [field_create(p, m) for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]]
+    for i in range(count):
+        fld = fields[i % len(fields)]
+        k = int(rng.integers(1, 5))
+        n = int(rng.integers(1, min(8, k + 4) + 1))
+        data = rng.integers(0, fld.q, size=(k, n))
+        if i % 3 == 0 and k > 1:
+            data[int(rng.integers(1, k))] = data[0]
+        yield MatrixGF(fld, data)
+
+
+def test_dual_distance_matches_both_oracles():
+    # MacWilliams on one codeword sweep against the column-subset rank sweep
+    # it replaced and against the least weight of the null space
+    seen = {"deficient": 0, "n<=k": 0, "none": 0}
+    for m in _oracle_matrices(26, 520):
+        got = dual_distance(m)
+        assert got == dual_distance_by_ranks(m) == dual_distance_by_codewords(m), m.data
+        seen["deficient"] += rank(m) < m.rows
+        seen["n<=k"] += m.cols <= m.rows
+        seen["none"] += got is None
+    assert min(seen.values()) >= 20, seen
+
+
+def test_exact_gate_is_one_codeword_sweep(monkeypatch):
+    sup = supply_mds(field_create(11), 6, 10)
+    want = verify_general_position(sup)
+    sweeps, ranked = [], []
+    real = supply.rref_blocks
+
+    def spy_sweep(field, k, dim, *rest):
+        sweeps.append((field.q, k, dim, *rest))
+        return real(field, k, dim, *rest)
+    real_deficient = supply._rank_deficient
+
+    def spy_ranks(*args):
+        ranked.append(args)
+        return real_deficient(*args)
+    monkeypatch.setattr(supply, "rref_blocks", spy_sweep)
+    monkeypatch.setattr(supply, "_rank_deficient", spy_ranks)
+    assert verify_general_position(sup) == want
+    assert want == GeneralPositionReport(5, 6, "exhaustive")
+    assert sweeps == [(11, 6, 1)] and ranked == []
+    # the sampled path still ranks its draws, through the same spy
+    verify_general_position(sup, 5, 6, budgets=Budgets(subsets=1), samples=3)
+    assert len(ranked) == 2 and sweeps == [(11, 6, 1)]
+
+
+def _dependent_triple_supply():
+    """7 columns of PG(3, 3) holding the dependent triple e1, e2, e1 + e2."""
+    fld = field_create(3)
+    cols = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+            [1, 0, 1, 1], [0, 1, 2, 1]]
+    return PointSupply(MatrixGF(fld, np.array(cols).T), "test")
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sampled_check_needs_a_draw(samples):
+    sup = _dependent_triple_supply()
+    assert verify_general_position(sup).s_independence == 1
+    tiny = Budgets(subsets=1, codewords=1)
+    with pytest.raises(ValueError, match=f"samples={samples}"):
+        verify_general_position(sup, 2, 4, budgets=tiny, samples=samples)
+
+
+def test_random_verified_names_infeasible_parameters():
+    with pytest.raises(ValueError, match="infeasible parameters k=4, n=3, t=5"):
+        supply_random_verified(field_create(3), 4, 3, s=1, t=5)
 
 
 def test_supply_round_trip(tmp_path):
@@ -212,12 +290,7 @@ def test_sampled_general_position_report_bytes():
 
 def _rank_chunk_outputs():
     cases = [(s, t, seed) for s, t in [(2, 4), (1, 4), (1, 6), (3, 5)] for seed in range(3)]
-    out = [_sampled_general_position(i, cases, samples=25) for i in range(3)]
-    rng = np.random.default_rng(5)
-    for q, k, n in [(2, 4, 9), (3, 3, 7), (5, 4, 8)]:
-        for _ in range(4):
-            out.append(dual_distance_by_ranks(MatrixGF(field_create(q), rng.integers(0, q, (k, n)))))
-    return out
+    return [_sampled_general_position(i, cases, samples=25) for i in range(3)]
 
 
 @pytest.mark.parametrize("chunk", [1, 3])

@@ -15,8 +15,6 @@ measurement (or one RSS process) to the next.
 - `bfs_5_13`, `bfs_5_29`: `is_connected()` then `bipartition()` on each;
 - `power_graph_5_13`: `power_graph(X^{5,13}, 2)`;
 - `neighborhood_5_13`: `construct.neighborhood_hypergraph(X^{5,13}, 3)`;
-- `cliques_power_5_13`: `clique_hypergraph(power_graph(X^{5,13}, 2), 2)`, the
-  edge builder of `ballpower --variant pairwise` at s = 1;
 - `ball_budget_5_29`: `construct.ball_power_hypergraph(X^{5,29}, 2)` until it
   raises `BudgetExceededError` (C(187, 3) rows for vertex 0 alone, past the
   default 10^6);
@@ -55,8 +53,8 @@ GP_EXHAUSTIVE = {"general_position_exhaustive_" + name: spec for name, spec in {
     "prime": (13, 1, 4, 10), "dual": (7, 1, 4, 6), "ext": (3, 2, 4, 7), "fail": (13, 1, 4, 5),
     "gf11_k6_n10": (11, 1, 6, 10)}.items()}  # p, m, k, n of an MDS supply
 MEASURES = ("lps_graph_5_13", "lps_graph_5_29", "graph_5_13", "graph_5_29", "bfs_5_13",
-            "bfs_5_29", "power_graph_5_13", "neighborhood_5_13", "cliques_power_5_13",
-            "ball_budget_5_29", "cherry_hypergraph",
+            "bfs_5_29", "power_graph_5_13", "neighborhood_5_13", "ball_budget_5_29",
+            "cherry_hypergraph",
             "general_position", *GP_EXHAUSTIVE, *RREF_SHAPES, "rss_after_construct")
 
 
@@ -81,10 +79,6 @@ def measure(name: str, repeat: int) -> dict:
         g = bf.lps_graph(5, 13)
         return {"edges": bf.construct.neighborhood_hypergraph(g, 3).m,
                 **timed(lambda: bf.construct.neighborhood_hypergraph(g, 3), repeat)}
-    if name == "cliques_power_5_13":
-        g = bf.power_graph(bf.lps_graph(5, 13), 2)
-        return {"edges": bf.clique_hypergraph(g, 2).m,
-                **timed(lambda: bf.clique_hypergraph(g, 2), repeat)}
     if name == "ball_budget_5_29":
         g = bf.lps_graph(5, 29)
 

@@ -115,8 +115,8 @@ def per_trial_sampled(b, s, trials, seed):
                                           L.pivots)[0])
         if achieved < k - s:
             return verify.VerificationReport("sampled", s, t + 1, "fail",
-                                             verify.Counterexample(L, achieved, t), 0.0)
-    return verify.VerificationReport("sampled", s, trials, "pass", None, 0.0)
+                                             verify.Counterexample(L, achieved, t))
+    return verify.VerificationReport("sampled", s, trials, "pass", None)
 
 
 def _sampled_case(bf, k):

@@ -13,7 +13,7 @@ from .construct import (BlockingSet, construct_ball_power, construct_cherry,
 from .errors import (BlockforgeError, BudgetExceededError, CertificateError,
                      DualityMismatchError)
 from .expander import (Graph, Hypergraph, MixingReport, SpectralReport, ball,
-                       blowup, check_mixing, clique_hypergraph, complete_graph,
+                       blowup, check_mixing, complete_graph,
                        cycle_graph, find_star_vertex, largest_component,
                        lps_graph, path_graph, power_graph, second_eigenvalue)
 from .gf import FieldSpec, field_create

@@ -1,9 +1,9 @@
 """Enumeration budgets.
 
 Every potentially explosive loop (subspace enumeration, span point dumps,
-clique listing, coefficient searches) is capped.  Defaults are generous for
-desk-scale instances; the CLI overrides them from BLOCKFORGE_BUDGET_*
-environment variables.
+hypergraph edge listing, general-position and minimality sweeps) is capped.
+Defaults are generous for desk-scale instances; the CLI overrides them from
+BLOCKFORGE_BUDGET_* environment variables.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ class Budgets:
     subspaces: int = 10_000_000  # codim-s subspaces the verifier may enumerate
     points: int = 10_000_000     # projective points a construction may emit
     cliques: int = 1_000_000     # hypergraph edges a graph operator may list
-    coeff_tuples: int = 1_000_000    # coefficient tuples per witness search
     subsets: int = 1_000_000     # column subsets (sizes <= k) up to which the
     # general-position check is exact; that path ranks none of them and reads
     # both numbers off one codeword sweep (MacWilliams); past it, the sampled

@@ -158,15 +158,13 @@ def _cmd_construct(args, budgets, fmt) -> int:
             raise ValueError("the cherry recipe builds strong 2-blocking sets; pass --s 2")
         b = construct_cherry(g, supply, report=report, budgets=budgets)
     elif args.recipe == "ballpower":
-        b = construct_ball_power(g, supply, args.s, variant=args.variant,
-                                 report=report, budgets=budgets)
+        b = construct_ball_power(g, supply, args.s, report=report, budgets=budgets)
     else:
         b = construct_neighborhood(g, supply, args.s, report=report,
                                    budgets=budgets)
     write_blocking_set(_target(args.out), b)
     env = _envelope("construct", {"recipe": args.recipe, "graph": args.graph,
-                                  "supply": args.supply, "s": args.s,
-                                  "variant": args.variant, "out": args.out},
+                                  "supply": args.supply, "s": args.s, "out": args.out},
                     {"points": b.size, "provenance": b.provenance})
     _emit_report(env, fmt, sys.stderr)
     return 0
@@ -269,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--supply", required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--variant", choices=("ball", "pairwise"), default="ball")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="check the strong s-blocking property")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
-from .expander import Graph, Hypergraph, power_graph, clique_hypergraph
+from .expander import Graph, Hypergraph
 from .gf import FieldSpec
 from .linalg import (_row_keys, distinct_rows, matrix_head, normalize_rows, read_field_rows,
                      read_sidecar, write_rows)
@@ -232,21 +232,12 @@ def construct_cherry(g: Graph, supply: PointSupply, *,
     return edge_span_union(h, supply, point_cap=budgets.points, provenance=prov)
 
 
-def ball_power_hypergraph(g: Graph, s: int, *, variant: str = "ball",
+def ball_power_hypergraph(g: Graph, s: int, *,
                           budgets: Budgets = DEFAULT_BUDGETS) -> Hypergraph:
-    """(s+1)-uniform edge set for the radius-(s+1) recipe.
-
-    variant="ball" (default): edges are the r-subsets of some ball B_r(x);
-    this is the common-center reading that the covering argument actually
-    manipulates.  variant="pairwise": the r-cliques of the r-th graph power,
-    i.e. r-sets of pairwise distance <= r.  The two differ in general and
-    both are provided.
-    """
+    """(s+1)-uniform edge set for the radius-(s+1) recipe: the r-subsets of
+    some ball B_r(x), the common-center reading that the covering argument
+    manipulates."""
     r = s + 1
-    if variant == "pairwise":
-        return clique_hypergraph(power_graph(g, r), r, budget=budgets.cliques)
-    if variant != "ball":
-        raise ValueError(f"unknown variant {variant!r}")
     # the balls of the centres in [0, 1), [1, 2), [2, 4), [4, 8), ...: the budget
     # raises having built those of at most twice the centres that passed it
     runs = (g.neighborhoods(r, closed=True, centres=np.arange(1 << i >> 1, min(1 << i, g.n)))
@@ -256,21 +247,19 @@ def ball_power_hypergraph(g: Graph, s: int, *, variant: str = "ball",
 
 
 def construct_ball_power(g: Graph, supply: PointSupply, s: int, *,
-                         variant: str = "ball",
                          report: GeneralPositionReport | None = None,
                          budgets: Budgets = DEFAULT_BUDGETS) -> BlockingSet:
     """Strong s-blocking set candidate from r-subsets of radius-r balls."""
     if supply.n != g.n:
         raise ValueError(f"supply has {supply.n} columns but the graph has {g.n} vertices")
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    if not 1 <= s < supply.k:
+        raise ValueError(f"need 1 <= s < k, got s={s}, k={supply.k}")
     report = report or verify_general_position(supply, budgets=budgets)
     if report.s_independence < s:
         raise ValueError(f"ball construction needs every {s + 1} columns independent "
                          f"(measured s_independence={report.s_independence})")
-    h = ball_power_hypergraph(g, s, variant=variant, budgets=budgets)
-    prov = {"construction": "ballpower", "s": s, "variant": variant,
-            "graph_n": g.n, "graph_m": g.m,
+    h = ball_power_hypergraph(g, s, budgets=budgets)
+    prov = {"construction": "ballpower", "s": s, "graph_n": g.n, "graph_m": g.m,
             "presets": ASYMPTOTIC_PRESETS["ballpower"]}
     return edge_span_union(h, supply, point_cap=budgets.points, provenance=prov)
 
@@ -289,8 +278,8 @@ def construct_neighborhood(g: Graph, supply: PointSupply, s: int, *,
     neighborhoods; the small-q recipe."""
     if supply.n != g.n:
         raise ValueError(f"supply has {supply.n} columns but the graph has {g.n} vertices")
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    if not 1 <= s < supply.k:
+        raise ValueError(f"need 1 <= s < k, got s={s}, k={supply.k}")
     report = report or verify_general_position(supply, budgets=budgets)
     h = neighborhood_hypergraph(g, s, budgets=budgets)
     degenerate = int((g.degrees() < s).sum())  # |N[x]| < s + 1

@@ -1,6 +1,6 @@
 """Expander graphs: LPS Ramanujan construction, spectral-gap bounds, mixing
 checks, the hypergraph edge-list type, and the graph operators (powers,
-blow-ups, clique hypergraphs, balls) used by the blocking-set constructions.
+blow-ups, balls) used by the blocking-set constructions.
 
 Graphs are immutable and hold their adjacency as a sorted edge array and
 its CSR arrays; components and bipartition come from root hooking over the
@@ -23,8 +23,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .budgets import DEFAULT_BUDGETS
-from .errors import BudgetExceededError
 from .gf import field_create, is_prime
 from .linalg import distinct_rows, normalize_rows, read_rows, write_rows
 
@@ -47,8 +45,10 @@ class Graph:
     def __init__(self, n: int, edges, *, cayley: bool = False):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
-        pairs = pairs.reshape(len(pairs), 2)
+        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise ValueError(f"vertex labels must be integers, not {pairs.dtype}")
+        pairs = pairs.astype(np.int64, copy=False).reshape(len(pairs), 2)
         bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
         if bad.any():
             u, v = pairs[bad.argmax()].tolist()
@@ -139,6 +139,8 @@ class Graph:
             if radius == 1 and not closed:
                 return self._heads, self._ends
             centres = np.arange(self.n)
+        elif len(centres) and (centres.min() < 0 or centres.max() >= self.n):
+            raise ValueError(f"centres must be vertices in [0, {self.n})")
         keys = np.sort(np.concatenate(self._bfs(np.arange(len(centres)) * self.n + centres, radius)))
         labels, values = np.divmod(keys, self.n)
         if not closed:
@@ -220,10 +222,14 @@ class Hypergraph:
             for e in edges:
                 e = tuple(e)
                 groups.setdefault(len(e), []).append(e)
-        rows = {r: np.sort(np.array(group, dtype=np.int64).reshape(len(group), r), axis=1)
-                for r, group in sorted(groups.items()) if len(group)}
-        if 0 in rows:
+        groups = {r: np.asarray(group) for r, group in sorted(groups.items()) if len(group)}
+        if 0 in groups:
             raise ValueError("empty hyperedge")
+        for a in groups.values():
+            if a.dtype.kind not in "iu":
+                raise ValueError(f"vertex labels must be integers, not {a.dtype}")
+        rows = {r: np.sort(a.astype(np.int64, copy=False).reshape(len(a), r), axis=1)
+                for r, a in groups.items()}
         bad = []  # the least bad edge of each size
         for a in rows.values():
             hit = (a[:, 1:] == a[:, :-1]).any(axis=1) | (a[:, 0] < 0) | (a[:, -1] >= n)
@@ -381,7 +387,6 @@ class SpectralReport:
     lambda_bound: float
     method: str  # "exact" | "trace" | "power-iteration"
     bipartite: bool
-    tol: float
     lambda_lower: float | None = None  # trace path only, like r
     r: int | None = None
 
@@ -489,7 +494,7 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
         method = "exact" if g.n <= EXACT_MAX_VERTICES else "trace" if g.cayley else "power"
     if method == "trace":
         lower, upper, r = _trace_interval(g, d, bipartite)
-        return SpectralReport(g.n, d, upper, "trace", bipartite, tol, lower, r)
+        return SpectralReport(g.n, d, upper, "trace", bipartite, lower, r)
     if method == "exact":
         dense = np.zeros((g.n, g.n))
         dense[g.neighbors, np.arange(g.n)] = 1.0
@@ -503,7 +508,7 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
                 raise RuntimeError(f"least eigenvalue {evs[0]} of a bipartite graph is not {-d}")
             evs = evs[1:]
         bound = float(np.max(np.abs(evs))) if evs.size else 0.0
-        return SpectralReport(g.n, d, bound, "exact", bipartite, tol)
+        return SpectralReport(g.n, d, bound, "exact", bipartite)
 
     n = g.n
     nbr = g.neighbors
@@ -538,7 +543,7 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, *, method: str = "auto",
         raise RuntimeError(f"power iteration did not reach residual {tol} "
                            f"in {POWER_MAX_ITER} iterations")
     estimate = math.sqrt(max(theta, 0.0))
-    return SpectralReport(g.n, d, estimate + tol, "power-iteration", bipartite, tol)
+    return SpectralReport(g.n, d, estimate + tol, "power-iteration", bipartite)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +645,8 @@ def ball(g: Graph, x: int, t: int) -> tuple[int, ...]:
     """All vertices at distance at most t from x (BFS)."""
     if t < 0:
         raise ValueError("radius must be >= 0")
+    if not 0 <= x < g.n:
+        raise ValueError(f"centre {x} is not a vertex in [0, {g.n})")
     return tuple(np.sort(np.concatenate(g._bfs([x], t))).tolist())
 
 
@@ -663,30 +670,6 @@ def blowup(g: Graph, d: int) -> Graph:
     u, v = g._edge_array.T[:, :, None] * d
     across = np.stack([u + i, v + j], axis=2)
     return Graph(g.n * d, np.concatenate([cliques.reshape(-1, 2), across.reshape(-1, 2)]))
-
-
-def clique_hypergraph(g: Graph, r: int, *, budget: int = DEFAULT_BUDGETS.cliques) -> Hypergraph:
-    """The r-uniform hypergraph of all r-cliques of g."""
-    if r < 2:
-        raise ValueError("clique size must be >= 2")
-    heads, ends = g._heads.tolist(), g._ends.tolist()
-    sets = [set(heads[a:b]) for a, b in zip([0] + ends, ends)]
-    edges: list[tuple[int, ...]] = []
-
-    def extend(clique: list[int], candidates: list[int]):
-        for idx, v in enumerate(candidates):
-            if len(clique) + 1 == r:
-                if len(edges) >= budget:
-                    raise BudgetExceededError("cliques", budget, len(edges) + 1)
-                edges.append((*clique, v))
-                continue
-            nxt = [w for w in candidates[idx + 1:] if w in sets[v]]
-            if len(clique) + 1 + len(nxt) >= r:
-                extend(clique + [v], nxt)
-
-    for v in range(g.n):
-        extend([v], sorted(w for w in sets[v] if w > v))
-    return Hypergraph.from_edges(g.n, edges, max_edge_size=r)
 
 
 # ---------------------------------------------------------------------------

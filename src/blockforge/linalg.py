@@ -357,15 +357,21 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def normalize_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
     """Projective points in canonical form, as a new array of the rows' type:
     every row of an (N, k) block scaled so its first nonzero coordinate is 1.
-    A block already in that form is copied without a field product.  A block
-    with an entry outside [0, q) is scaled in int64.  The first zero row is a
-    ValueError."""
+    A block already in that form is copied without a field product.  Over a
+    prime field a block with an entry outside [0, p) is reduced mod p and
+    scaled in int64; over an extension field such an entry is a ValueError,
+    and so is the first zero row."""
+    if not rows.shape[0]:
+        return rows.copy()
+    in_range = rows.min() >= 0 and rows.max() < field.q
+    if not in_range:  # the field kernels assume [0, q)
+        if field.m > 1:
+            raise ValueError(f"entries of GF({field.q}) points must lie in [0, {field.q})")
+        rows = rows.astype(np.int64) % field.q
     lead = rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)]
     if not lead.all():
         raise ValueError(f"vector {(lead == 0).argmax()} is zero, so it is not a projective point")
-    if not (rows.size and rows.min() >= 0 and rows.max() < field.q):
-        rows = rows.astype(np.int64, copy=False)  # the field kernels assume [0, q)
-    elif (lead == 1).all():
+    if in_range and (lead == 1).all():
         return rows.copy()
     # Every row, not only those whose lead is not 1: scaling a gathered
     # subset held half-size temporaries that raised the span dump's peak RSS.

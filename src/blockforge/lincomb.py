@@ -10,8 +10,8 @@ suffix yields a triangular coefficient matrix M, and the rank of M @ N
 at least rank(N) - s + 1 for an s-bounded hypergraph.
 
 The full edge-is-an-oracle hypergraph is never materialized; candidate edges
-always come from a construction (cherries, cliques, subsets of balls) and are
-tested one at a time.
+always come from a construction (cherries, neighbourhoods, subsets of balls)
+and are tested one at a time.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .budgets import DEFAULT_BUDGETS
 from .errors import BudgetExceededError, CertificateError
 from .expander import Hypergraph
 from .linalg import (MatrixGF, distinct_rows, kernel_basis, matmul, normalize_rows,
                      projective_reps, quotient_map, rank, SubspaceBasis)
 from .supply import PointSupply
+
+COEFF_TUPLES = 1_000_000  # coefficient tuples a witness search may enumerate
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class EliminationOrder:
 
 def plc_edge(supply: PointSupply, X, L: SubspaceBasis, *,
              size_cap: int | None = None,
-             coeff_budget: int = DEFAULT_BUDGETS.coeff_tuples):
+             coeff_budget: int = COEFF_TUPLES):
     """Witness that X is an edge of the proper-combination hypergraph toward
     L, or None.
 
@@ -120,7 +121,7 @@ def plc_edge(supply: PointSupply, X, L: SubspaceBasis, *,
 
 def build_plc_hypergraph(supply: PointSupply, L: SubspaceBasis, candidate_edges, *,
                          size_cap: int | None = None,
-                         coeff_budget: int = DEFAULT_BUDGETS.coeff_tuples):
+                         coeff_budget: int = COEFF_TUPLES):
     """Restrict the proper-combination hypergraph to the candidate edges.
 
     Returns (Hypergraph, {edge: EdgeWitness}).  Candidates are deduplicated
@@ -215,7 +216,6 @@ class Certificate:
     """Triangular coefficient matrix M, ordered point matrix N, and the
     certified dimension rank(M @ N) >= rank(N) - s + 1."""
 
-    hypergraph: Hypergraph
     order: EliminationOrder
     witnesses: dict
     m_matrix: MatrixGF
@@ -280,11 +280,11 @@ def certify(supply: PointSupply, L: SubspaceBasis, h: Hypergraph,
     if achieved < floor:
         raise CertificateError(
             f"achieved dimension {achieved} fell below the certified floor {floor}")
-    return Certificate(h, order, dict(witnesses), m_mat, n_mat, achieved)
+    return Certificate(order, dict(witnesses), m_mat, n_mat, achieved)
 
 
 def exactly_s_plus_one_edge(supply: PointSupply, U, L: SubspaceBasis, s: int, *,
-                            coeff_budget: int = DEFAULT_BUDGETS.coeff_tuples):
+                            coeff_budget: int = COEFF_TUPLES):
     """Search the (s+1)-subsets of U for a full-support witness toward L.
 
     Requires q > s.  When every s+1 supply columns are independent and

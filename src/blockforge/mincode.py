@@ -12,7 +12,6 @@ internal error.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,20 +78,16 @@ class MinimalityReport:
     subspaces_examined: int
     result: str  # "pass" | "fail"
     violating_pair: tuple | None  # (basis rows of X, basis rows of Y) with supp X <= supp Y
-    wall_time: float
 
     @property
     def passed(self) -> bool:
         return self.result == "pass"
 
-    def to_dict(self, include_wall_time: bool = False) -> dict:
-        d = {"s": self.s, "subspaces_examined": self.subspaces_examined,
-             "result": self.result,
-             "violating_pair": None if self.violating_pair is None else
-             [self.violating_pair[0].tolist(), self.violating_pair[1].tolist()]}
-        if include_wall_time:
-            d["wall_time"] = self.wall_time
-        return d
+    def to_dict(self) -> dict:
+        return {"s": self.s, "subspaces_examined": self.subspaces_examined,
+                "result": self.result,
+                "violating_pair": None if self.violating_pair is None else
+                [self.violating_pair[0].tolist(), self.violating_pair[1].tolist()]}
 
 
 def is_s_minimal(code: LinearCode, s: int, *,
@@ -117,24 +112,23 @@ def is_s_minimal(code: LinearCode, s: int, *,
     k = code.k
     if s < 1:
         raise ValueError("s must be >= 1")
-    t0 = time.perf_counter()
     if s > k:
-        return MinimalityReport(s, 0, "pass", None, time.perf_counter() - t0)
+        return MinimalityReport(s, 0, "pass", None)
     total = gaussian_binomial(k, s, fld.q)
     if total > budget:
         raise BudgetExceededError("minimal_subspaces", budget, total)
     if total == 1:  # s == k: the whole space, and one subspace makes no pair
-        return MinimalityReport(s, total, "pass", None, time.perf_counter() - t0)
+        return MinimalityReport(s, total, "pass", None)
     gen = code.generator.data
     pair = _first_contained_pair(_support_matrix(fld, gen, s), linalg.RREF_BLOCK * total)
     if pair is None:
-        return MinimalityReport(s, total, "pass", None, time.perf_counter() - t0)
+        return MinimalityReport(s, total, "pass", None)
     # Rebuild the rows of X_i and X_j from their indices and recount their
     # supports directly before reporting.
     ri, rj = (fld.matmul_arr(next(rref_blocks(fld, k, s, x, x + 1))[1][0], gen) for x in pair)
     if not set(np.nonzero(ri.any(axis=0))[0]) <= set(np.nonzero(rj.any(axis=0))[0]):
         raise RuntimeError("the support matrix disagrees with a direct recount")
-    return MinimalityReport(s, total, "fail", (ri, rj), time.perf_counter() - t0)
+    return MinimalityReport(s, total, "fail", (ri, rj))
 
 
 def _support_matrix(fld: FieldSpec, gen: np.ndarray, s: int) -> np.ndarray:

@@ -207,6 +207,10 @@ def verify_general_position(supply: PointSupply, s: int | None = None,
         raise ValueError(f"samples={samples}: the sampled check needs at least one draw")
     mat = supply.matrix
     (k, n), q = mat.data.shape, supply.field.q
+    if s is not None and s < 0:
+        raise ValueError(f"s={s}: need s >= 0")
+    if t is not None and not 1 <= t <= n:
+        raise ValueError(f"t={t}: need 1 <= t <= n={n}")
     indep_cost = sum(math.comb(n, j) for j in range(1, min(k, n) + 1))
     span_cost = (q ** k - 1) // (q - 1)
     if indep_cost <= budgets.subsets and span_cost <= budgets.codewords:

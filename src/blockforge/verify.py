@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -73,15 +72,13 @@ class VerificationReport:
     subspaces_checked: int
     result: str  # "pass" | "fail"
     counterexample: Counterexample | None
-    wall_time: float
     counterexample_count: int | None = None
 
     @property
     def passed(self) -> bool:
         return self.result == "pass"
 
-    def to_dict(self, include_wall_time: bool = False) -> dict:
-        # wall_time is excluded by default so reports are byte-reproducible.
+    def to_dict(self) -> dict:
         d = {"mode": self.mode, "s": self.s,
              "subspaces_checked": self.subspaces_checked,
              "result": self.result,
@@ -94,8 +91,6 @@ class VerificationReport:
             # f >= 1 - 0.05^(1/T) (about 3/T).
             below = -math.expm1(math.log(0.05) / self.subspaces_checked)
             d["confidence"] = {"level": 0.95, "bad_fraction_below": below}
-        if include_wall_time:
-            d["wall_time"] = self.wall_time
         return d
 
 
@@ -318,7 +313,6 @@ def is_strong_blocking(b: BlockingSet, s: int, *,
     if total > budget:
         raise BudgetExceededError("subspaces", budget, total,
                                   "use is_strong_blocking_sampled")
-    t0 = time.perf_counter()
     if _prefers_cover(k, s, fld.q):
         failing = _cover_scan(b, s)
         first, failures = None, failing.size
@@ -331,14 +325,13 @@ def is_strong_blocking(b: BlockingSet, s: int, *,
                                    achieved, i)
     else:
         first, failures = _meet_scan(b, s, count_all)
-    wall = time.perf_counter() - t0
     if first is None:
-        return VerificationReport("exhaustive", s, total, "pass", None, wall,
+        return VerificationReport("exhaustive", s, total, "pass", None,
                                   failures if count_all else None)
     # Checked count is defined by the canonical order (work to the first
     # failure), so reports do not depend on the scan.
     checked = total if count_all else first.index + 1
-    return VerificationReport("exhaustive", s, checked, "fail", first, wall,
+    return VerificationReport("exhaustive", s, checked, "fail", first,
                               failures if count_all else None)
 
 
@@ -368,7 +361,6 @@ def is_strong_blocking_sampled(b: BlockingSet, s: int, trials: int,
         raise ValueError("need at least one trial")
     fld = b.field
     rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
     step = max(1, (VERIFY_CHUNK << 5) // b.size)
     for lo in range(0, trials, step):
         maps = np.stack([_sampled_map(fld, rng, s, k) for _ in range(min(step, trials - lo))])
@@ -379,11 +371,9 @@ def is_strong_blocking_sampled(b: BlockingSet, s: int, trials: int,
         if bad.size:
             t = int(bad[0])
             L = subspace_from_rows(kernel_basis(MatrixGF(fld, maps[t])))
-            wall = time.perf_counter() - t0
             return VerificationReport("sampled", s, lo + t + 1, "fail",
-                                      Counterexample(L, int(ranks[t]), lo + t), wall)
-    wall = time.perf_counter() - t0
-    return VerificationReport("sampled", s, trials, "pass", None, wall)
+                                      Counterexample(L, int(ranks[t]), lo + t))
+    return VerificationReport("sampled", s, trials, "pass", None)
 
 
 # ---------------------------------------------------------------------------

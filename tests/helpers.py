@@ -148,11 +148,11 @@ def minimal_pair_dense(supports: np.ndarray) -> tuple[int, int] | None:
 
 
 def is_s_minimal_dense(code: LinearCode, s: int) -> MinimalityReport:
-    """`mincode.is_s_minimal` with the dense pair scan (no budget; wall time
-    0): the reference its reports must equal byte for byte."""
+    """`mincode.is_s_minimal` with the dense pair scan (no budget): the
+    reference its reports must equal byte for byte."""
     fld, k = code.field, code.k
     if s > k:
-        return MinimalityReport(s, 0, "pass", None, 0.0)
+        return MinimalityReport(s, 0, "pass", None)
     total = gaussian_binomial(k, s, fld.q)
     gen = code.generator.data
     supports = np.vstack([
@@ -160,13 +160,13 @@ def is_s_minimal_dense(code: LinearCode, s: int) -> MinimalityReport:
         for _, block in rref_blocks(fld, k, s)])  # total x n
     pair = minimal_pair_dense(supports)
     if pair is None:
-        return MinimalityReport(s, total, "pass", None, 0.0)
+        return MinimalityReport(s, total, "pass", None)
     # Rebuild the rows of X_i and X_j from their indices and recount their
     # supports directly before reporting.
     ri, rj = (fld.matmul_arr(next(rref_blocks(fld, k, s, x, x + 1))[1][0], gen) for x in pair)
     if not set(np.nonzero(ri.any(axis=0))[0]) <= set(np.nonzero(rj.any(axis=0))[0]):
         raise RuntimeError("the support matrix disagrees with a direct recount")
-    return MinimalityReport(s, total, "fail", (ri, rj), 0.0)
+    return MinimalityReport(s, total, "fail", (ri, rj))
 
 
 def supply_column(supply: PointSupply, j: int) -> np.ndarray:
@@ -398,28 +398,6 @@ def find_star_vertex_by_sets(g: Graph, u0, *others):
     return None
 
 
-def cliques_by_has_edge(g: Graph, r: int, budget: int) -> tuple[tuple[int, ...], ...]:
-    """`expander.clique_hypergraph`'s edges, testing one candidate at a time
-    against a neighbour set."""
-    nbrs = [set(a) for a in g.adjacency]
-    edges: list[tuple[int, ...]] = []
-
-    def extend(clique, candidates):
-        if len(clique) == r:
-            if len(edges) >= budget:
-                raise BudgetExceededError("cliques", budget, len(edges) + 1)
-            edges.append(tuple(clique))
-            return
-        for idx, v in enumerate(candidates):
-            nxt = [w for w in candidates[idx + 1:] if w in nbrs[v]]
-            if len(clique) + 1 + len(nxt) >= r:
-                extend(clique + [v], nxt)
-
-    for v in range(g.n):
-        extend([v], [w for w in g.adjacency[v] if w > v])
-    return tuple(sorted(edges))
-
-
 def mixing_by_matvec(g: Graph, lam: float, trials: int, seed: int = 0) -> dict:
     """`expander.check_mixing(...).to_dict()` with e(G[U]) and e(G[U, V])
     from float adjacency matvecs over `g.neighbors`, as it counted them
@@ -468,7 +446,7 @@ def neighborhood_edges_by_set(g: Graph, s: int, budget: int = DEFAULT_BUDGETS.cl
 
 
 def ball_edges_by_set(g: Graph, s: int, budget: int = DEFAULT_BUDGETS.cliques):
-    """`construct.ball_power_hypergraph(variant="ball")`'s edges: (s+1)-subsets
+    """`construct.ball_power_hypergraph`'s edges: (s+1)-subsets
     of the radius-(s+1) balls."""
     balls = [ball_by_bfs(g, x, s + 1) for x in range(g.n)]
     return _subsets_by_set(g.n, balls, s + 1, budget)

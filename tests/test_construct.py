@@ -355,14 +355,19 @@ def test_ball_power_k5_verified():
     assert is_strong_blocking(b, 2).passed
 
 
-def test_ball_power_variants_differ():
-    # on a path, radius-2 balls around one center reach pairs at distance up
-    # to 4, while the pairwise variant caps the distance at 2
-    g = path_graph(6)
-    h_ball = ball_power_hypergraph(g, 1, variant="ball")
-    h_pair = ball_power_hypergraph(g, 1, variant="pairwise")
-    assert set(h_pair.edges) < set(h_ball.edges)
-    assert (0, 4) in set(h_ball.edges) and (0, 4) not in set(h_pair.edges)
+def test_ball_power_edges_share_a_centre():
+    # on a path, radius-2 balls around one centre reach pairs at distance up
+    # to 4, and no further
+    h = ball_power_hypergraph(path_graph(6), 1)
+    assert set(h.edges) == {(a, b) for a in range(6) for b in range(a + 1, min(a + 5, 6))}
+
+
+@pytest.mark.parametrize("recipe", [construct_neighborhood, construct_ball_power])
+@pytest.mark.parametrize("s", [0, 3, 4])
+def test_recipes_need_s_below_k(recipe, s):
+    # the neighbourhood recipe built a 57-point candidate at s = k = 3
+    with pytest.raises(ValueError, match=f"need 1 <= s < k, got s={s}, k=3"):
+        recipe(complete_graph(6), supply_mds(field_create(7), 3, 6), s)
 
 
 def test_ball_power_s1_connected_spanning():
@@ -397,7 +402,7 @@ def test_neighborhood_kn_equals_ballpower_on_complete():
     fld = field_create(7)
     sup = supply_mds(fld, 3, 5)
     h_n = neighborhood_hypergraph(complete_graph(5), 2)
-    h_b = ball_power_hypergraph(complete_graph(5), 2, variant="ball")
+    h_b = ball_power_hypergraph(complete_graph(5), 2)
     assert h_n.edges == h_b.edges
     b1 = construct_neighborhood(complete_graph(5), sup, 2)
     b2 = construct_ball_power(complete_graph(5), sup, 2)
@@ -414,7 +419,7 @@ def test_neighborhood_star_spans_iff_supply_spans():
 
 def test_neighborhood_flags_low_degree_vertices():
     fld = field_create(5)
-    sup = supply_mds(fld, 3, 5)
+    sup = supply_mds(fld, 4, 5)  # k = 4: the recipe needs s < k
     star = Graph(5, [(0, i) for i in range(1, 5)])
     b = construct_neighborhood(star, sup, 3)  # r=4 > deg+1 for the leaves
     assert b.provenance["vertices_below_edge_size"] == 4

@@ -13,13 +13,12 @@ from blockforge.budgets import Budgets
 from blockforge.construct import ball_power_hypergraph, neighborhood_hypergraph
 from blockforge.errors import BudgetExceededError
 from blockforge.expander import (Graph, Hypergraph, ball, blowup, check_mixing,
-                                 clique_hypergraph, complete_graph,
-                                 cycle_graph, find_star_vertex, largest_component,
+                                 complete_graph, cycle_graph, find_star_vertex, largest_component,
                                  lps_graph, path_graph, power_graph, read_graph,
                                  second_eigenvalue, write_graph)
 
 from helpers import (ball_by_bfs, ball_edges_by_set, bfs_distances, bipartition_by_bfs,
-                     blowup_by_loop, cliques_by_has_edge, find_star_vertex_by_sets,
+                     blowup_by_loop, find_star_vertex_by_sets,
                      hypergraph_by_set, is_connected_by_bfs, largest_component_by_bfs,
                      lps_graph_by_bfs, lps_quadruples_by_loop, mixing_by_matvec,
                      neighborhood_edges_by_set, power_graph_by_bfs)
@@ -197,6 +196,15 @@ def test_trace_report_bytes(lps_5_13):
         f'"bipartite": true, "lambda_lower": {first.lambda_lower!r}, "r": 48}}')
 
 
+def test_reports_of_one_path_ignore_the_tolerance():
+    # the tolerance steers power iteration only; the exact and trace reports
+    # of two tolerances are equal, not only their JSON
+    g = Graph(11, [(i, (i + 1) % 11) for i in range(11)], cayley=True)
+    for method in ("exact", "trace"):
+        coarse, fine = (second_eigenvalue(g, tol, method=method) for tol in (1e-3, 1e-9))
+        assert coarse == fine
+
+
 def test_exact_and_power_report_bytes():
     exact = second_eigenvalue(complete_graph(8))
     power = second_eigenvalue(cycle_graph(20), tol=1e-9, method="power")
@@ -370,33 +378,24 @@ def test_blowup_count_formula():
         assert bg.m == g.n * d * (d - 1) // 2 + g.m * d * d
 
 
-def test_clique_hypergraph_k4():
-    h = clique_hypergraph(complete_graph(4), 3)
-    assert h.m == 4
-
-
-def test_clique_hypergraph_triangle_free():
-    assert clique_hypergraph(cycle_graph(6), 3).m == 0
-
-
-def test_clique_hypergraph_matches_naive_triangles():
-    g = power_graph(cycle_graph(6), 2)
-    seen = {e for e in clique_hypergraph(g, 3).edges}
-    naive = {(a, b, c) for a, b, c in combinations(range(6), 3)
-             if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)}
-    assert seen == naive
-
-
-def test_clique_hypergraph_budget():
-    with pytest.raises(BudgetExceededError):
-        clique_hypergraph(complete_graph(10), 3, budget=5)
-
-
 def test_ball():
     g = path_graph(5)
     assert ball(g, 2, 0) == (2,)
     assert ball(g, 0, 4) == (0, 1, 2, 3, 4)
     assert ball(g, 2, 1) == (1, 2, 3)
+
+
+@pytest.mark.parametrize("x", [-1, 6, 10])
+def test_ball_rejects_a_centre_outside_the_graph(x):
+    # x = 10 returned (9, 10, 11), keys of another search label; x = -1 returned ()
+    with pytest.raises(ValueError, match=r"not a vertex in \[0, 6\)"):
+        ball(cycle_graph(6), x, 1)
+
+
+@pytest.mark.parametrize("centres", [[7], [-1], [0, 6]])
+def test_neighborhoods_reject_centres_outside_the_graph(centres):
+    with pytest.raises(ValueError, match=r"centres must be vertices in \[0, 6\)"):
+        cycle_graph(6).neighborhoods(1, centres=np.array(centres))
 
 
 def test_ball_degree_bound(lps_5_13):
@@ -552,6 +551,15 @@ def test_from_edges_rejects_an_array_that_is_not_2d():
         Hypergraph.from_edges(3, np.array([0, 1, 2]))
 
 
+@pytest.mark.parametrize("edges", [[(0.5, 1)], np.array([[0.0, 1.0]]), [(0, 1), (1.5, 2)],
+                                   [(0, "1")]], ids=["half", "float array", "mixed", "text"])
+def test_graph_and_hypergraph_reject_non_integer_labels(edges):
+    # (0.5, 1) was truncated to the edge (0, 1)
+    for build in (Graph, Hypergraph.from_edges):
+        with pytest.raises(ValueError, match="vertex labels must be integers"):
+            build(3, edges)
+
+
 # ---------------------------------------------------------------------------
 # The CSR operators against the per-vertex Python references in helpers.py
 # ---------------------------------------------------------------------------
@@ -657,19 +665,6 @@ def test_blowup_matches_the_loop(name):
         assert got.n == want.n and np.array_equal(got._edge_array, want._edge_array)
 
 
-@pytest.mark.parametrize("name", SMALL_GRAPHS)
-def test_clique_hypergraph_matches_the_per_candidate_check(name):
-    g = _graph(name)
-    for r in (2, 3, 4):
-        want = cliques_by_has_edge(g, r, 10 ** 6)
-        assert clique_hypergraph(g, r).edges == want
-        if want:  # the budget is hit when the edge past it is listed
-            assert clique_hypergraph(g, r, budget=len(want)).edges == want
-            with pytest.raises(BudgetExceededError) as err:
-                clique_hypergraph(g, r, budget=len(want) - 1)
-            assert err.value.required == len(want)
-
-
 @pytest.mark.parametrize("name", SMALL_GRAPHS + LPS_GRAPHS)
 def test_local_subset_hypergraphs_match_the_set_of_tuples(name):
     g = _graph(name)  # cherries: test_construct.py::test_cherries_match_the_set_of_tuples
@@ -691,7 +686,6 @@ def test_graph_operators_never_build_the_tuple_view():
     largest_component(g, range(0, g.n, 3))
     find_star_vertex(g, [0], [1])
     power_graph(g, 2)
-    clique_hypergraph(g, 2)
     neighborhood_hypergraph(g, 2)
     assert g.is_regular() and g.has_edge(*next(g.edges()))
     assert "adjacency" not in vars(g)

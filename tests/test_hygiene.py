@@ -22,20 +22,25 @@ are ranked in one place: `_ragged_ranks` is called only by
 `verify._meet_ranks`, and the removed helpers that are test references now
 (`normalize_column`, `_quotient_parts`), the removed alias
 `subspace_count`, the string twins and file helpers that the byte codec
-replaced, the unread hypergraph format and the LPS closure's own
-projective scaling (`_pgl_normalize`), are defined nowhere in the package.  The bench scripts
+replaced, the unread hypergraph format, the LPS closure's own projective
+scaling (`_pgl_normalize`) and the pairwise ball reading's clique lister
+(`clique_hypergraph`), are defined nowhere in the package.  Every `Budgets`
+field is read off some `budgets` value, not only as a `DEFAULT_BUDGETS`
+default.  The bench scripts
 share one harness: every `scripts/bench_*.py` imports `benchkit` and
 defines no quartile, timing, RSS, fresh-process or supply helper of its
 own, nor names a `*_NUM_THREADS` variable.
 """
 
 import ast
+import dataclasses
 import os
 from pathlib import Path
 
 import pytest
 
 import blockforge
+from blockforge.budgets import Budgets
 
 MODULES = sorted(Path(blockforge.__file__).parent.glob("*.py"))
 
@@ -331,7 +336,9 @@ REMOVED = ("normalize_column", "_quotient_parts", "subspace_count",
            # the unread hypergraph format, and the LPS closure's own projective scaling
            "format_hypergraph", "parse_hypergraph", "_pgl_normalize",
            # the exact general-position check's column-subset rank sweep
-           "dual_distance_by_ranks")
+           "dual_distance_by_ranks",
+           # the clique lister of the pairwise reading of the ball recipe
+           "clique_hypergraph")
 
 
 def _definitions(tree, names):
@@ -359,6 +366,25 @@ def test_kernel_scan_flags_a_planted_rank_and_helper():
     assert _calls(tree, "_ragged_ranks", None) == [("_meet_ranks", 2, set()),
                                                     ("_meet_scan", 6, set())]
     assert _definitions(tree, REMOVED) == [(4, "_quotient_parts"), (7, "normalize_column")]
+
+
+def _budget_reads(tree):
+    """The attributes read off a name `budgets`, the package's name for a
+    Budgets value other than DEFAULT_BUDGETS."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "budgets"}
+
+
+def test_every_budget_is_read():
+    # a field read only as a DEFAULT_BUDGETS default is one its environment
+    # variable can never reach
+    reads = set().union(*(_budget_reads(ast.parse(path.read_text())) for path in MODULES))
+    assert {f.name for f in dataclasses.fields(Budgets)} <= reads
+
+
+def test_budget_scan_flags_only_reads_off_budgets():
+    tree = ast.parse("DEFAULT_BUDGETS.points\nbudgets.cliques\nb.subsets\n")
+    assert _budget_reads(tree) == {"cliques"}
 
 
 BENCH_SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("bench_*.py"))

@@ -305,6 +305,42 @@ def test_report_round_trip_dict():
     assert GeneralPositionReport.from_dict(rep.to_dict()) == rep
 
 
+def test_normalize_rows_reduces_a_prime_fields_leads_first():
+    # an out-of-range lead was looked up in the inverse table: a bare IndexError
+    f3, f5 = field_create(3), field_create(5)
+    assert normalize_rows(f3, np.array([[0, 5]])).tolist() == [[0, 1]]
+    assert normalize_rows(f5, np.array([[5, 1]])).tolist() == [[0, 1]]
+    assert normalize_rows(f5, np.array([[-3, 1], [7, 10]])).tolist() == [[1, 3], [1, 0]]
+    with pytest.raises(ValueError, match="vector 0 is zero"):
+        normalize_rows(f3, np.array([[0, 3]]))
+
+
+@pytest.mark.parametrize("row", [[1, 10], [1, 9], [9, 1], [1, -1]])
+def test_normalize_rows_rejects_entries_outside_an_extension_field(row):
+    # [1, 10] became [1, 2] and [1, 9] became [1, 0]: the tables were read past the row
+    with pytest.raises(ValueError, match=r"must lie in \[0, 9\)"):
+        normalize_rows(field_create(3, 2), np.array([row]))
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (257, 1)])
+def test_normalize_rows_keeps_an_empty_blocks_type(p, m):
+    fld = field_create(p, m)
+    out = normalize_rows(fld, np.zeros((0, 4), dtype=fld.dtype))
+    assert out.shape == (0, 4) and out.dtype == fld.dtype
+
+
+@pytest.mark.parametrize("s,t,need", [(-1, 4, "s >= 0"), (2, 99, "1 <= t <= n=6"),
+                                      (2, 7, "1 <= t <= n=6"), (2, 0, "1 <= t <= n=6")])
+def test_general_position_rejects_s_or_t_out_of_range(s, t, need):
+    # the sampled path reported s_independence -1 or span_threshold 99 > n
+    sup = supply_mds(field_create(7), 3, 6)
+    for budgets in (Budgets(), Budgets(subsets=1)):  # the exact path, then the sampled one
+        with pytest.raises(ValueError, match=f"need {need}"):
+            verify_general_position(sup, s, t, budgets=budgets, samples=10)
+    edge = verify_general_position(sup, 2, 6, budgets=Budgets(subsets=1), samples=10)
+    assert edge == GeneralPositionReport(2, 6, "sampled")  # t = n is in range
+
+
 @pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (2, 2), (3, 2)])
 def test_normalize_rows_copies_canonical_rows(monkeypatch, p, m):
     fld = field_create(p, m)

@@ -90,6 +90,20 @@ def test_shard_reports_identical_pass_and_fail():
         assert len(blobs) == 1
 
 
+def test_identical_runs_give_equal_reports():
+    # reports hold no timer, so two runs compare equal as objects, not only as JSON
+    fld = field_create(5)
+    good = construct_cherry(complete_graph(4), supply_mds(fld, 3, 4))
+    bad = hyperplane_points(fld, 3)
+    for b, s in [(good, 2), (bad, 1), (bad, 2)]:
+        assert is_strong_blocking(b, s) == is_strong_blocking(b, s)
+        assert is_strong_blocking(b, s, count_all=True) == is_strong_blocking(b, s, count_all=True)
+        assert is_strong_blocking_sampled(b, s, 20, 3) == is_strong_blocking_sampled(b, s, 20, 3)
+    code = blocking_to_code(good)
+    for s in (1, 2, 3, 4):
+        assert is_s_minimal(code, s) == is_s_minimal(code, s)
+
+
 def test_sampled_never_refutes_a_passing_set():
     fld = field_create(3)
     b = all_projective_points(fld, 3)
@@ -468,8 +482,8 @@ def _per_trial_sampled(b, s, trials, seed):
         achieved = _meet_rank(b, L)
         if achieved < k - s:
             return verify.VerificationReport("sampled", s, t + 1, "fail",
-                                             verify.Counterexample(L, achieved, t), 0.0)
-    return verify.VerificationReport("sampled", s, trials, "pass", None, 0.0)
+                                             verify.Counterexample(L, achieved, t))
+    return verify.VerificationReport("sampled", s, trials, "pass", None)
 
 
 @pytest.mark.parametrize("p,m,ks", [(2, 1, (3, 4, 5)), (3, 1, (3, 4, 5)), (5, 1, (3, 4)),

@@ -26,8 +26,8 @@ from .budgets import Budgets, DEFAULT_BUDGETS
 from .errors import BudgetExceededError
 from .expander import Graph, Hypergraph
 from .gf import FieldSpec
-from .linalg import (_row_keys, distinct_rows, matrix_head, normalize_rows, read_field_rows,
-                     read_sidecar, write_rows)
+from .linalg import (_key_layout, _row_keys, distinct_rows, matrix_head, nonzero_points,
+                     normalize_rows, read_field_rows, read_sidecar, write_rows)
 from .supply import GeneralPositionReport, PointSupply, verify_general_position
 
 ASYMPTOTIC_PRESETS = {
@@ -43,8 +43,9 @@ SPAN_CHUNK_ROWS = 1 << 18  # span points per field matmul in edge_span_union
 class BlockingSet:
     """Normalized, sorted, deduplicated projective point set in PG(k-1, q).
 
-    The constructor checks this form in one O(N) pass, without a sort, and
-    raises a ValueError naming the first row that breaks it.  It stores the
+    The constructor checks this form without a sort, in one O(N) pass over
+    the rows' key words and a boundary search on them, and raises a
+    ValueError naming the first row that breaks it.  It stores the
     points in the field's storage type (`FieldSpec.dtype`: uint8 up to
     q = 256, uint16 above), casting, to a read-only copy, only points of
     another integer type, so that equal sets hash equal."""
@@ -68,16 +69,16 @@ class BlockingSet:
             pts = pts.astype(self.field.dtype)
             pts.setflags(write=False)
             object.__setattr__(self, "points", pts)
-        lead = pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)]
-        if (lead != 1).any():
-            raise ValueError(f"row {(lead != 1).argmax()} is not normalized: "
-                             f"its first nonzero entry is not 1")
+        words = _row_keys(pts)
         after = np.zeros(len(pts) - 1, dtype=bool)  # row i+1 > row i, from the last word up
-        for word in reversed(_row_keys(pts)):
+        for word in reversed(words):
             after = (word[1:] > word[:-1]) | ((word[1:] == word[:-1]) & after)
-        if not after.all():
-            i = int(after.argmin()) + 1
-            raise ValueError(f"row {i} does not follow row {i - 1}: the points are "
+        end = len(pts) if after.all() else int(after.argmin()) + 1  # rows [0, end) ascend
+        bad = _first_unnormalized(pts, words, end)
+        if bad is not None:
+            raise ValueError(f"row {bad} is not normalized: its first nonzero entry is not 1")
+        if end < len(pts):
+            raise ValueError(f"row {end} does not follow row {end - 1}: the points are "
                              f"unsorted or not projectively distinct")
 
     @classmethod
@@ -106,6 +107,31 @@ class BlockingSet:
         return hash((self.field, self.k, self.points.tobytes()))
 
 
+def _first_unnormalized(rows: np.ndarray, words: list[np.ndarray], end: int) -> int | None:
+    """The first of rows [0, end) whose first nonzero entry is not 1, None
+    if there is none, for rows that ascend up to `end` and their `_row_keys`
+    words.  Among those rows, the ones whose first nonzero entry lies in a
+    word w come just before those of the words ahead of it and are sorted by
+    w, and the entry d places from the end of w is a leading 1 iff w lies in
+    [base^d, 2 base^d): so a boundary search per word finds the rows outside
+    those intervals.  Rows that are zero in every word come first, and are
+    not normalized either."""
+    base, digits = _key_layout(rows)
+    k, bad = rows.shape[1], []
+    for lo, word in zip(range(0, k, digits), words):
+        powers = [base ** d for d in range(min(digits, k - lo))]
+        head = word[:end]  # the rows that are zero in every earlier word
+        starts = np.searchsorted(head, powers, side="left")
+        stops = np.searchsorted(head, [2 * p - 1 for p in powers], side="right")
+        gaps = np.append(starts[1:], end) > stops  # rows between one interval and the next
+        if gaps.any():
+            bad.append(int(stops[gaps.argmax()]))
+        end = int(starts[0])
+    if end:
+        bad.append(0)
+    return min(bad, default=None)
+
+
 def lower_bound(q: int, k: int, s: int) -> int:
     """Minimum possible size of a strong s-blocking set in PG(k-1, q):
     ceil((q^(s+1) - 1) (k - s) / (q - 1))."""
@@ -129,14 +155,15 @@ def _faces(h: Hypergraph, j: int) -> np.ndarray:
     return distinct_rows(np.concatenate(subsets))[0]
 
 
-def _chunk_points(fld: FieldSpec, coeffs: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The distinct projective points among coeffs @ cols[:, i] for every
-    face i, where cols (j x faces x k) holds each face's columns.  A function
-    of its own so that the chunk's images are freed on return, before the
-    final merge."""
+def _image(fld: FieldSpec, coeffs: np.ndarray, cols: np.ndarray, out: np.ndarray) -> int:
+    """Write the nonzero vectors among coeffs @ cols[:, i], for every face i,
+    normalized, to the head of `out`, and return their count; cols (j x
+    faces x k) holds each face's columns.  A function of its own so that the
+    chunk's images are freed on return."""
     pts = fld.matmul_arr(coeffs, cols.reshape(len(cols), -1)).reshape(-1, cols.shape[-1])
-    pts = pts[pts.any(axis=1)]  # dependent columns can cancel
-    return distinct_rows(normalize_rows(fld, pts))[0]
+    pts = nonzero_points(fld, pts)  # dependent columns can cancel
+    out[:len(pts)] = pts
+    return len(pts)
 
 
 def edge_span_union(h: Hypergraph, supply: PointSupply, *,
@@ -148,30 +175,29 @@ def edge_span_union(h: Hypergraph, supply: PointSupply, *,
     distinct j-subset of some edge (of exactly one face when the columns are
     in general position).  So the faces of each size j are imaged once each,
     (q-1)^(j-1) vectors per face, in one field matmul per chunk of faces,
-    built only when size j's turn comes; each chunk is deduplicated on its
-    own and the chunks are merged once at the end.  Once the chunk sizes add
-    up past `point_cap`, the chunks so far are merged early, and the budget
-    is exceeded when the merged count is."""
+    normalized into one buffer that holds every image, and the buffer is
+    deduplicated by one sort at the end.  Once the buffer holds more than
+    `point_cap` rows, it is deduplicated early, in place, and the budget is
+    exceeded when the distinct count is."""
     fld, k = supply.field, supply.k
     columns = supply.matrix.data.T.astype(fld.dtype)  # n x k
-    chunks, held = [], 0
-    for j in range(1, max(h.edge_arrays, default=0) + 1):
-        faces = _faces(h, j).T  # j x faces
-        coeffs = np.array([(1, *a) for a in product(range(1, fld.q), repeat=j - 1)],
+    faces = [_faces(h, j).T for j in range(1, max(h.edge_arrays, default=0) + 1)]  # j x faces
+    buf = np.empty((sum(f.shape[1] * (fld.q - 1) ** (len(f) - 1) for f in faces), k),
+                   dtype=fld.dtype)
+    held = 0
+    for f in faces:
+        coeffs = np.array([(1, *a) for a in product(range(1, fld.q), repeat=len(f) - 1)],
                           dtype=fld.dtype)  # (q-1)^(j-1) x j
         step = max(1, SPAN_CHUNK_ROWS // len(coeffs))
-        for lo in range(0, faces.shape[1], step):
-            chunks.append(_chunk_points(fld, coeffs, columns[faces[:, lo:lo + step]]))
-            held += len(chunks[-1])
+        for lo in range(0, f.shape[1], step):
+            held += _image(fld, coeffs, columns[f[:, lo:lo + step]], buf[held:])
             if held > point_cap:
-                chunks = [distinct_rows(np.concatenate(chunks))[0]]
-                held = len(chunks[0])
+                merged = distinct_rows(buf[:held])[0]
+                held = len(merged)
                 if held > point_cap:
                     raise BudgetExceededError("points", point_cap, held)
-        del faces  # before the next size's faces, or the final merge
-    if len(chunks) > 1:
-        chunks = [distinct_rows(np.concatenate(chunks))[0]]
-    distinct = chunks[0] if chunks else np.zeros((0, k), dtype=fld.dtype)
+                buf[:held] = merged
+    distinct = distinct_rows(buf[:held])[0]
     distinct.setflags(write=False)
     prov = dict(provenance or {})
     prov.setdefault("construction", "edge_span_union")

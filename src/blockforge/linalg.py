@@ -314,14 +314,22 @@ def projective_reps(field: FieldSpec, dim: int) -> np.ndarray:
     return np.concatenate([block[:, 0] for _, block in rref_blocks(field, dim, 1)])
 
 
-def _row_keys(rows: np.ndarray) -> list[np.ndarray]:
-    """Each row of an (N, k) block of non-negative integers read as big-endian
-    digits in base max+1, as many digits per int64 word as stay below 2^63:
-    the words, most significant first, order the rows lexicographically."""
+def _key_layout(rows: np.ndarray) -> tuple[int, int]:
+    """(base, digits) of `_row_keys`: the rows' max+1 (at least 2), and the
+    most base-`base` digits whose values stay below 2^63."""
     base = int(rows.max(initial=1)) + 1
     digits = 1
     while base ** (digits + 1) <= 1 << 63:
         digits += 1
+    return base, digits
+
+
+def _row_keys(rows: np.ndarray) -> list[np.ndarray]:
+    """Each row of an (N, k) block of non-negative integers read as big-endian
+    digits in base max+1, as many digits per int64 word as stay below 2^63
+    (`_key_layout`): the words, most significant first, order the rows
+    lexicographically."""
+    base, digits = _key_layout(rows)
     blocks = (rows[:, lo:lo + digits] for lo in range(0, rows.shape[1], digits))
     # einsum casts a narrow block to int64 in buffers; `@` would cast all of it first
     return [np.einsum("ij,j->i", b, base ** np.arange(b.shape[1] - 1, -1, -1, dtype=np.int64),
@@ -354,6 +362,22 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take(rows, order[first], axis=0), np.sort(order[~first])
 
 
+def _row_leads(rows: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row of an (N, k) block, 0 for a zero row."""
+    return rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)]
+
+
+def nonzero_points(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """The nonzero rows of an (N, k) block with entries in [0, q), each
+    scaled so its first nonzero coordinate is 1, as a new array of the
+    rows' type: one pass finds the leads, and the rows whose lead is 0 are
+    the zero rows, dropped."""
+    lead = _row_leads(rows)
+    if not lead.all():
+        rows, lead = rows[lead != 0], lead[lead != 0]
+    return field.mul_arr(field.inv_arr(lead)[:, None], rows)
+
+
 def normalize_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
     """Projective points in canonical form, as a new array of the rows' type:
     every row of an (N, k) block scaled so its first nonzero coordinate is 1.
@@ -368,7 +392,7 @@ def normalize_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
         if field.m > 1:
             raise ValueError(f"entries of GF({field.q}) points must lie in [0, {field.q})")
         rows = rows.astype(np.int64) % field.q
-    lead = rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)]
+    lead = _row_leads(rows)
     if not lead.all():
         raise ValueError(f"vector {(lead == 0).argmax()} is zero, so it is not a projective point")
     if in_range and (lead == 1).all():
@@ -383,6 +407,7 @@ def normalize_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 FORMAT_CHUNK_ROWS = 1 << 14  # rows per uint8 buffer in _row_chunks
+GATHER_ENTRIES = 1 << 14  # entries per np.take in _row_chunks
 
 
 def _is_path(where) -> bool:
@@ -404,8 +429,11 @@ def _row_chunks(data: np.ndarray):
     table[:, :width] = np.arange(top + 1).astype(f"S{width}").view(np.uint8).reshape(-1, width)
     cell = table.view(f"V{width + 1}").ravel()  # one item per value: gathers whole cells
     for lo in range(0, rows, FORMAT_CHUNK_ROWS):
-        block = data[lo:lo + FORMAT_CHUNK_ROWS]
-        cells = np.take(cell, block).view(np.uint8).reshape(len(block), cols, width + 1)
+        block = data[lo:lo + FORMAT_CHUNK_ROWS].ravel()
+        cells = np.empty(block.size, dtype=cell.dtype)
+        for a in range(0, block.size, GATHER_ENTRIES):  # np.take copies its index to intp
+            np.take(cell, block[a:a + GATHER_ENTRIES], out=cells[a:a + GATHER_ENTRIES])
+        cells = cells.view(np.uint8).reshape(-1, cols, width + 1)
         cells[:, -1, -1] = ord("\n")
         yield cells[cells != 0] if width > 1 else cells
 

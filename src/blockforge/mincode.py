@@ -89,6 +89,11 @@ class MinimalityReport:
                 "violating_pair": None if self.violating_pair is None else
                 [self.violating_pair[0].tolist(), self.violating_pair[1].tolist()]}
 
+    def __eq__(self, other):
+        # by value: the dataclass comparison would take the truth value of
+        # the pair's arrays, which raises
+        return isinstance(other, MinimalityReport) and self.to_dict() == other.to_dict()
+
 
 def is_s_minimal(code: LinearCode, s: int, *,
                  budget: int = DEFAULT_BUDGETS.minimal_subspaces) -> MinimalityReport:

@@ -11,7 +11,6 @@ provenance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -143,12 +142,30 @@ def supply_random_verified(field: FieldSpec, k: int, n: int, s: int, t: int,
 # Verification
 # ---------------------------------------------------------------------------
 
-def _rank_deficient(matrix: MatrixGF, subsets, needed: int) -> bool:
-    """Whether some column subset from the iterator `subsets` (index
-    sequences of one size) has rank below `needed`.  Ranks RANK_CHUNK subsets
-    per rank_stack call and takes none past the first chunk that has one."""
-    while chunk := list(itertools.islice(subsets, RANK_CHUNK)):
-        stack = matrix.data[:, np.array(chunk)].transpose(1, 0, 2)  # a k x size matrix each
+def _draw_subsets(rng, n: int, size: int, count: int) -> np.ndarray:
+    """`count` uniform random `size`-subsets of range(n), one per row, by
+    Floyd's algorithm on every row at once: step i takes t uniform in
+    [0, n - size + i] from column i of one rng.random((count, size)) block,
+    or n - size + i itself when the row holds t already.  The rows are read
+    in stream order, so drawing them in one call or several gives the same
+    subsets."""
+    u = rng.random((count, size)).T
+    # a subset per column, so that each step compares whole rows of `count` picks
+    picks = np.empty((size, count), dtype=np.int64)
+    for i, top in enumerate(range(n - size, n)):
+        t = (u[i] * (top + 1)).astype(np.int64)
+        picks[i] = np.where((picks[:i] == t).any(axis=0), top, t)
+    return picks.T
+
+
+def _rank_deficient(matrix: MatrixGF, rng, size: int, samples: int, needed: int) -> bool:
+    """Whether one of `samples` uniform random column subsets of `size`
+    (`_draw_subsets`) has rank below `needed`.  Draws and ranks RANK_CHUNK
+    subsets per rank_stack call and draws none past the first chunk that
+    has one."""
+    for lo in range(0, samples, RANK_CHUNK):
+        picks = _draw_subsets(rng, matrix.cols, size, min(RANK_CHUNK, samples - lo))
+        stack = matrix.data[:, picks].transpose(1, 0, 2)  # a k x size matrix each
         if (rank_stack(matrix.field, stack) < needed).any():
             return True
     return False
@@ -226,9 +243,9 @@ def verify_general_position(supply: PointSupply, s: int | None = None,
             "exhaustive check over budget; pass target (s, t) for sampled mode")
     rng = np.random.default_rng(seed)
     indep, span = min(s + 1, n), min(t, n)
-    if _rank_deficient(mat, (rng.choice(n, indep, replace=False) for _ in range(samples)), indep):
+    if _rank_deficient(mat, rng, indep, samples, indep):
         return GeneralPositionReport(0, None, "sampled")
-    if _rank_deficient(mat, (rng.choice(n, span, replace=False) for _ in range(samples)), k):
+    if _rank_deficient(mat, rng, span, samples, k):
         return GeneralPositionReport(s, None, "sampled")
     return GeneralPositionReport(s, t, "sampled")
 

@@ -22,7 +22,7 @@ from blockforge.linalg import (MatrixGF, SubspaceBasis, distinct_rows, gaussian_
                                kernel_basis, matmul, normalize_rows, projective_reps, rank,
                                rank_stack, rref_blocks, subspace_from_rows)
 from blockforge.mincode import LinearCode, MinimalityReport
-from blockforge.supply import PointSupply, min_distance
+from blockforge.supply import GeneralPositionReport, PointSupply, min_distance
 from blockforge.verify import _ragged_ranks
 
 
@@ -116,6 +116,32 @@ def dual_distance_by_ranks(matrix: MatrixGF):
         if (rank_stack(matrix.field, matrix.data[:, subsets].transpose(1, 0, 2)) < j).any():
             return j
     return k + 1 if n > k else None
+
+
+def general_position_by_draws(supply: PointSupply, s: int, t: int, samples: int,
+                              seed: int) -> GeneralPositionReport:
+    """The sampled path of `supply.verify_general_position` one draw at a
+    time: each subset by Floyd's algorithm on its own `rng.random(size)`
+    row, with a Python list for the picks, ranked alone with `rank`."""
+    rng = np.random.default_rng(seed)
+    mat = supply.matrix
+    k, n = mat.shape
+
+    def deficient(size, needed):
+        for _ in range(samples):
+            u, picks = rng.random(size), []
+            for i, top in enumerate(range(n - size, n)):
+                pick = int(u[i] * (top + 1))  # uniform in [0, top]
+                picks.append(top if pick in picks else pick)
+            if rank(MatrixGF(mat.field, mat.data[:, picks])) < needed:
+                return True
+        return False
+
+    if deficient(min(s + 1, n), min(s + 1, n)):
+        return GeneralPositionReport(0, None, "sampled")
+    if deficient(min(t, n), k):
+        return GeneralPositionReport(s, None, "sampled")
+    return GeneralPositionReport(s, t, "sampled")
 
 
 def dual_distance_by_codewords(matrix: MatrixGF, *,

@@ -130,8 +130,8 @@ def test_span_dump_merges_its_chunks_once(p, m, k, monkeypatch):
     vectors = {j: (sup.field.q - 1) ** (j - 1) for j in (1, 2, 3)}  # per face of size j
     faces = {j: len(faces_by_set(h, j)) for j in vectors}
     chunks = sum(-(-faces[j] // max(1, 8 // vectors[j])) for j in vectors)
-    # each size's faces, each chunk, then one merge
-    assert chunks > 20 and len(calls) == len(faces) + chunks + 1
+    # each size's faces, then one sort of every chunk's images
+    assert chunks > 20 and len(calls) == len(faces) + 1
     assert many == one and many.points.dtype == one.points.dtype == sup.field.dtype
     assert np.array_equal(many.points, span_union_resorting(h, sup, one.size))
 
@@ -503,6 +503,28 @@ def test_blocking_set_orders_rows_by_their_first_different_word():
                            ([0, 1, 2, 2], "row 3 does not follow row 2")]:
         with pytest.raises(ValueError, match=message):
             BlockingSet(fld, 7, rows[order])
+
+
+@pytest.mark.parametrize("p,k", [(2, 70), (3, 1), (3, 45), (5, 6), (65521, 7)])
+def test_blocking_set_lead_search_matches_the_lead_pass(p, k):
+    # sorted distinct rows, zero up to a random column, some scaled off
+    # their lead 1: the first unnormalized row is the one an argmax finds
+    fld, rng = field_create(p), np.random.default_rng(p + k)
+    for trial in range(30):
+        rows = rng.integers(0, p, size=(40, k))
+        rows[np.arange(k) < rng.integers(0, k + 1, size=40)[:, None]] = 0
+        canonical = linalg.distinct_rows(linalg.nonzero_points(fld, rows))[0]
+        if trial % 3:
+            scaled = rng.random(len(rows)) < 0.1
+            rows[scaled] = fld.mul_arr(rng.integers(1, p, size=scaled.sum())[:, None], rows[scaled])
+            rows = linalg.distinct_rows(rows)[0]
+            lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+            if (lead == 1).all():
+                continue
+            with pytest.raises(ValueError, match=f"^row {(lead != 1).argmax()} is not norm"):
+                BlockingSet(fld, k, rows)
+        else:
+            assert BlockingSet(fld, k, canonical).size == len(canonical)
 
 
 def test_blocking_set_rejects_zero():

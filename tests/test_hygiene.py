@@ -5,8 +5,8 @@ rely on `assert`, which `python -O` strips.  Rows are sorted and
 deduplicated in one place: `np.lexsort` is called once, in
 `linalg.distinct_rows`, and no call passes `axis=` to `np.unique`.  Field
 inverses are taken only in `linalg`: `inv_arr` scales projective points in
-`normalize_rows` and pivot rows in `_eliminate`, the elimination loop of
-`rref_stack` and `rank_stack`.  Only exact products compute in float32:
+`normalize_rows` and `nonzero_points` and pivot rows in `_eliminate`, the
+elimination loop of `rref_stack` and `rank_stack`.  Only exact products compute in float32:
 `gf.FieldSpec.matmul_arr`'s BLAS route and `mincode`'s support scan.  One
 byte codec carries every file: matrix, supply, blocking-set and graph files
 and their sidecars are opened only in `linalg` (by `_read_bytes`,
@@ -157,9 +157,11 @@ def test_row_sort_scan_flags_a_planted_lexsort():
 
 
 def test_inverses_only_in_linalg():
-    # a projective point is scaled in normalize_rows, a pivot row in the
-    # elimination loop that rref_stack and rank_stack share
-    assert _owners("inv_arr", "*") == [("linalg", "_eliminate"), ("linalg", "normalize_rows")]
+    # a projective point is scaled in normalize_rows, or in nonzero_points
+    # for the span dump, a pivot row in the elimination loop that rref_stack
+    # and rank_stack share
+    assert _owners("inv_arr", "*") == [("linalg", "_eliminate"), ("linalg", "nonzero_points"),
+                                       ("linalg", "normalize_rows")]
 
 
 def test_inverse_scan_flags_a_planted_scaling():

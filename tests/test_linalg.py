@@ -509,12 +509,14 @@ def test_format_rows_matches_row_loop_across_chunks(monkeypatch):
 
 def test_format_rows_matches_row_loop_for_every_width(monkeypatch):
     monkeypatch.setattr(linalg, "FORMAT_CHUNK_ROWS", 4)
+    monkeypatch.setattr(linalg, "GATHER_ENTRIES", 7)  # 20-entry chunks in pieces of 7, 7, 6
     rng = np.random.default_rng(53)
     for top in (1, 9, 10, 12, 99, 255, 1000, 65520):
         data = rng.integers(0, top + 1, size=(11, 5))
         data[0, 0] = top
         reference = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in data)
-        for view in (data, np.asfortranarray(data), data[:, ::-1][:, ::-1]):
+        for view in (data, np.asfortranarray(data), data[:, ::-1][:, ::-1],
+                     data.astype(np.uint16)):
             assert _rows_text(view) == reference
         assert _rows_text(data[:0]) == ""
 

@@ -13,8 +13,8 @@ from blockforge.supply import (GeneralPositionReport, PointSupply, dual_distance
                                read_supply, supply_mds, supply_random_verified,
                                verify_general_position, write_supply)
 
-from helpers import (dual_distance_by_codewords, dual_distance_by_ranks, identity_matrix,
-                     random_columns_by_loop)
+from helpers import (dual_distance_by_codewords, dual_distance_by_ranks,
+                     general_position_by_draws, identity_matrix, random_columns_by_loop)
 
 
 def test_mds_gf5_every_triple_independent():
@@ -266,26 +266,89 @@ def test_supply_round_trip(tmp_path):
     assert again.provenance == "file" and rep2 is None
 
 
-def _sampled_general_position(supply_seed, cases, samples=40):
-    """Sampled-path reports for 14 random points of PG(3, 3)."""
+TINY = Budgets(subsets=1, codewords=1)  # forces the sampled path
+
+
+def _sampled_supply(supply_seed):
+    """14 random points of PG(3, 3)."""
     fld = field_create(3)
     pts = projective_reps(fld, 4)
     cols = pts[np.random.default_rng(supply_seed).choice(len(pts), size=14, replace=False)]
-    sup = PointSupply(MatrixGF(fld, cols.T), "random")
-    tiny = Budgets(subsets=1, codewords=1)  # forces the sampled path
-    return [verify_general_position(sup, s, t, budgets=tiny, samples=samples,
+    return PointSupply(MatrixGF(fld, cols.T), "random")
+
+
+def _sampled_general_position(supply_seed, cases, samples=40):
+    """Sampled-path reports for the supply `_sampled_supply(supply_seed)`."""
+    sup = _sampled_supply(supply_seed)
+    return [verify_general_position(sup, s, t, budgets=TINY, samples=samples,
                                     seed=seed).to_dict() for s, t, seed in cases]
 
 
 def test_sampled_general_position_report_bytes():
-    # pinned from the per-draw rank loops that the chunked stacks replaced:
+    # pinned from the block-drawn subsets, and confirmed one draw at a time:
     # a miss in the (s+1)-subset loop, a miss in each t-subset loop, a pass
-    got = _sampled_general_position(2, [(2, 4, 0), (2, 4, 1), (1, 6, 0), (1, 6, 2)])
+    cases = [(2, 4, 0), (2, 4, 4), (1, 6, 0), (1, 6, 1)]
+    got = _sampled_general_position(2, cases)
     assert json.dumps(got) == json.dumps([
         {"s_independence": 0, "span_threshold": None, "method": "sampled"},
         {"s_independence": 2, "span_threshold": None, "method": "sampled"},
         {"s_independence": 1, "span_threshold": None, "method": "sampled"},
         {"s_independence": 1, "span_threshold": 6, "method": "sampled"}])
+    sup = _sampled_supply(2)
+    assert got == [general_position_by_draws(sup, s, t, 40, seed).to_dict()
+                   for s, t, seed in cases]
+
+
+def test_sampled_general_position_matches_per_draw_ranks():
+    got, outcomes = 0, set()
+    for supply_seed in range(5):
+        sup = _sampled_supply(supply_seed)
+        for s, t in [(2, 4), (1, 4), (1, 6), (3, 5)]:
+            for seed in range(5):
+                want = general_position_by_draws(sup, s, t, 30, seed)
+                assert verify_general_position(sup, s, t, budgets=TINY, samples=30,
+                                               seed=seed) == want, (supply_seed, s, t, seed)
+                got += 1
+                outcomes.add((want.s_independence == s, want.span_threshold == t))
+    assert got >= 100 and outcomes == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("n,size", [(1, 1), (6, 1), (6, 3), (6, 6), (50, 40), (2184, 40)])
+def test_drawn_subsets_hold_distinct_indices(n, size):
+    picks = supply._draw_subsets(np.random.default_rng(n + size), n, size, 500)
+    assert picks.shape == (500, size) and picks.min() >= 0 and picks.max() < n
+    assert (np.diff(np.sort(picks, axis=1), axis=1) > 0).all()
+
+
+def test_drawn_subsets_are_uniform():
+    picks = supply._draw_subsets(np.random.default_rng(5), 6, 3, 20_000)
+    counts = np.bincount(np.sort(picks, axis=1) @ [36, 6, 1])  # a subset's base-6 digits
+    counts = counts[counts > 0]
+    # 1,000 expected per subset, standard deviation about 31
+    assert len(counts) == 20 and 850 < counts.min() <= counts.max() < 1150
+
+
+def test_drawn_subsets_do_not_depend_on_the_draw_size():
+    one = supply._draw_subsets(np.random.default_rng(3), 30, 7, 100)
+    rng = np.random.default_rng(3)
+    assert np.array_equal(one, np.vstack([supply._draw_subsets(rng, 30, 7, m)
+                                          for m in (1, 33, 66)]))
+
+
+def test_sampled_path_makes_no_choice_call(monkeypatch):
+    sup, names, default_rng = _sampled_supply(2), [], np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            names.append(name)
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    verify_general_position(sup, 1, 6, budgets=TINY, samples=40, seed=1)
+    assert "random" in names and "choice" not in names
 
 
 def _rank_chunk_outputs():

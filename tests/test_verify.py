@@ -102,6 +102,11 @@ def test_identical_runs_give_equal_reports():
     code = blocking_to_code(good)
     for s in (1, 2, 3, 4):
         assert is_s_minimal(code, s) == is_s_minimal(code, s)
+    # a failing report holds its violating pair as arrays
+    pinned = LinearCode(MatrixGF(field_create(2), PINNED_CODE))
+    failing = is_s_minimal(pinned, 2)
+    assert not failing.passed and failing == is_s_minimal(pinned, 2)
+    assert failing != is_s_minimal(pinned, 1) and failing != is_s_minimal(code, 2)
 
 
 def test_sampled_never_refutes_a_passing_set():

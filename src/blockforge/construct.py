@@ -83,9 +83,9 @@ class BlockingSet:
 
     @classmethod
     def from_points(cls, fld: FieldSpec, points, provenance=None) -> "BlockingSet":
-        """The distinct projective points of the nonzero rows of `points`.
-        Rows in the field's storage type are normalized in it; any other
-        input is read as int64."""
+        """The distinct projective points of the rows of `points`, every row
+        nonzero: a zero row is a ValueError.  Rows in the field's storage
+        type are normalized in it; any other input is read as int64."""
         rows = np.asarray(points)
         if rows.dtype != fld.dtype:
             rows = rows.astype(np.int64)
@@ -137,7 +137,11 @@ def lower_bound(q: int, k: int, s: int) -> int:
     ceil((q^(s+1) - 1) (k - s) / (q - 1))."""
     if s < 1 or k <= s:
         raise ValueError(f"need k > s >= 1, got k={k}, s={s}")
-    if q < 2:
+    p = next((f for f in range(2, math.isqrt(max(q, 0)) + 1) if q % f == 0), q)  # least factor
+    power = p
+    while 1 < power < q:
+        power *= p
+    if q < 2 or power != q:
         raise ValueError(f"q={q} is not a prime power")
     num = (q ** (s + 1) - 1) * (k - s)
     return -(-num // (q - 1))
@@ -175,22 +179,25 @@ def edge_span_union(h: Hypergraph, supply: PointSupply, *,
     distinct j-subset of some edge (of exactly one face when the columns are
     in general position).  So the faces of each size j are imaged once each,
     (q-1)^(j-1) vectors per face, in one field matmul per chunk of faces,
-    normalized into one buffer that holds every image, and the buffer is
-    deduplicated by one sort at the end.  Once the buffer holds more than
-    `point_cap` rows, it is deduplicated early, in place, and the budget is
-    exceeded when the distinct count is."""
+    normalized into one buffer, and the buffer is deduplicated by one sort
+    at the end.  Once the buffer holds more than `point_cap` rows, it is
+    deduplicated early, in place, and the budget is exceeded when the
+    distinct count is; so the buffer has room for every image, or for
+    `point_cap` rows plus one chunk's when that is fewer."""
     fld, k = supply.field, supply.k
     columns = supply.matrix.data.T.astype(fld.dtype)  # n x k
     faces = [_faces(h, j).T for j in range(1, max(h.edge_arrays, default=0) + 1)]  # j x faces
-    buf = np.empty((sum(f.shape[1] * (fld.q - 1) ** (len(f) - 1) for f in faces), k),
-                   dtype=fld.dtype)
+    coeffs = [np.array([(1, *a) for a in product(range(1, fld.q), repeat=len(f) - 1)],
+                       dtype=fld.dtype) for f in faces]  # (q-1)^(j-1) x j
+    rows = sum(f.shape[1] * len(c) for f, c in zip(faces, coeffs))
+    chunk = max([SPAN_CHUNK_ROWS] + [len(c) for c in coeffs])  # rows per chunk at most
+    # before each chunk the buffer holds at most point_cap rows, so one chunk more fits
+    buf = np.empty((min(rows, point_cap + chunk), k), dtype=fld.dtype)
     held = 0
-    for f in faces:
-        coeffs = np.array([(1, *a) for a in product(range(1, fld.q), repeat=len(f) - 1)],
-                          dtype=fld.dtype)  # (q-1)^(j-1) x j
-        step = max(1, SPAN_CHUNK_ROWS // len(coeffs))
+    for f, c in zip(faces, coeffs):
+        step = max(1, SPAN_CHUNK_ROWS // len(c))
         for lo in range(0, f.shape[1], step):
-            held += _image(fld, coeffs, columns[f[:, lo:lo + step]], buf[held:])
+            held += _image(fld, c, columns[f[:, lo:lo + step]], buf[held:])
             if held > point_cap:
                 merged = distinct_rows(buf[:held])[0]
                 held = len(merged)

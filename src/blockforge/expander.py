@@ -132,14 +132,19 @@ class Graph:
                       centres=None) -> tuple[np.ndarray, np.ndarray]:
         """The sorted lists of the vertices at distance 1..radius (0..radius
         when `closed`) from each of the `centres` (None: all), in CSR form
-        (values, ends); the open radius-1 lists are the graph's own arrays."""
+        (values, ends); the open radius-1 lists are the graph's own arrays.
+        `centres` is any sequence of integers."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         if centres is None:
             if radius == 1 and not closed:
                 return self._heads, self._ends
             centres = np.arange(self.n)
-        elif len(centres) and (centres.min() < 0 or centres.max() >= self.n):
+        centres = np.asarray(centres)
+        if centres.size and centres.dtype.kind not in "iu":
+            raise ValueError(f"centres must be integers, not {centres.dtype}")
+        centres = centres.astype(np.int64, copy=False)
+        if centres.size and (centres.min() < 0 or centres.max() >= self.n):
             raise ValueError(f"centres must be vertices in [0, {self.n})")
         keys = np.sort(np.concatenate(self._bfs(np.arange(len(centres)) * self.n + centres, radius)))
         labels, values = np.divmod(keys, self.n)

@@ -26,10 +26,11 @@ subspace L in a spanning set (rank k-s), with one of two scans:
 
 The cover scan runs when its [k, s+1] maps plus the q^(s+1) keys of a map are
 fewer than the [k, s] subspaces, which holds for k/2 <= s <= k-2; the
-meet-rank scan runs otherwise.  The cover scan ranks its earliest
-counterexample with the kernel.  The report is defined purely in terms of
-the canonical order of the subspaces L (earliest counterexample wins,
-failures counted once each), so both scans give byte-identical reports.
+meet-rank scan runs otherwise.  Both scans return the ascending canonical
+positions of the failing L (the meet-rank scan, without count_all, only
+those up to its first failing block), and the report is built from those
+positions alone: the kernel ranks the earliest, and failures are counted
+once each, so both scans give byte-identical reports.
 
 Also here: sampled verification for larger instances (random RREF maps R,
 read at R's free columns), the scalar-orbit affine conversion with its
@@ -159,31 +160,21 @@ def _meet_ranks(fld, points: np.ndarray, maps: np.ndarray, coords) -> np.ndarray
     return ranks
 
 
-def _meet_scan(b: BlockingSet, s: int, count_all: bool):
-    """Rank the points inside every codimension-s subspace L, a block of the
-    canonical order at a time.
-
-    Returns (first_failure | None, failures); the scan stops at the first
-    failure unless count_all is set.
-    """
-    fld = b.field
-    k = b.k
-    first = None
-    failures = 0
-    idx = 0
+def _meet_scan(b: BlockingSet, s: int, count_all: bool) -> np.ndarray:
+    """Canonical positions, ascending, of failing codimension-s subspaces,
+    found by ranking the points inside every L, a block of the canonical
+    order at a time: every failing L with count_all, else those of the first
+    block that holds one."""
+    fld, k = b.field, b.k
+    found, idx = [], 0
     for pivots, block in rref_blocks(fld, k, k - s):
         # x = x[pivots] @ R on L, so L projects one to one onto its pivots
         ranks = _meet_ranks(fld, b.points, _null_space(fld, block, pivots), pivots)
-        bad = np.nonzero(ranks < k - s)[0]
-        if bad.size and first is None:
-            i = int(bad[0])
-            first = Counterexample(SubspaceBasis(k, MatrixGF(fld, block[i]), pivots),
-                                   int(ranks[i]), idx + i)
-            if not count_all:
-                return first, 1
-        failures += bad.size
+        found.append(idx + np.nonzero(ranks < k - s)[0])
+        if found[-1].size and not count_all:
+            break
         idx += len(block)
-    return first, failures
+    return np.concatenate(found)
 
 
 # Entries per array of a chunk: _meet_ranks's image entries (points x maps x
@@ -301,9 +292,10 @@ def is_strong_blocking(b: BlockingSet, s: int, *,
     A failure reports the earliest counterexample in the canonical subspace
     order together with the rank actually achieved.  With count_all the
     total number of failing subspaces is reported as well.  The scan is the
-    projection cover when `_prefers_cover`, the meet-rank scan otherwise; the
-    report does not depend on which.  `jobs` is accepted for compatibility
-    and does not change the scan.
+    projection cover when `_prefers_cover`, the meet-rank scan otherwise;
+    both return the failing positions, so the report does not depend on
+    which.  `jobs` is accepted for compatibility and does not change the
+    scan.
     """
     k = b.k
     if not 1 <= s < k:
@@ -313,26 +305,18 @@ def is_strong_blocking(b: BlockingSet, s: int, *,
     if total > budget:
         raise BudgetExceededError("subspaces", budget, total,
                                   "use is_strong_blocking_sampled")
-    if _prefers_cover(k, s, fld.q):
-        failing = _cover_scan(b, s)
-        first, failures = None, failing.size
-        if failing.size:
-            i = int(failing[0])
-            pivots, block = next(rref_blocks(fld, k, k - s, i, i + 1))
-            achieved = int(_meet_ranks(fld, b.points, _null_space(fld, block, pivots),
-                                       pivots)[0])
-            first = Counterexample(SubspaceBasis(k, MatrixGF(fld, block[0]), pivots),
-                                   achieved, i)
-    else:
-        first, failures = _meet_scan(b, s, count_all)
-    if first is None:
-        return VerificationReport("exhaustive", s, total, "pass", None,
-                                  failures if count_all else None)
+    failing = _cover_scan(b, s) if _prefers_cover(k, s, fld.q) else _meet_scan(b, s, count_all)
+    count = failing.size if count_all else None
+    if not failing.size:
+        return VerificationReport("exhaustive", s, total, "pass", None, count)
+    i = int(failing[0])
+    pivots, block = next(rref_blocks(fld, k, k - s, i, i + 1))
+    achieved = int(_meet_ranks(fld, b.points, _null_space(fld, block, pivots), pivots)[0])
+    first = Counterexample(SubspaceBasis(k, MatrixGF(fld, block[0]), pivots), achieved, i)
     # Checked count is defined by the canonical order (work to the first
     # failure), so reports do not depend on the scan.
-    checked = total if count_all else first.index + 1
-    return VerificationReport("exhaustive", s, checked, "fail", first,
-                              failures if count_all else None)
+    return VerificationReport("exhaustive", s, total if count_all else i + 1, "fail", first,
+                              count)
 
 
 def _sampled_map(fld, rng, s: int, k: int) -> np.ndarray:

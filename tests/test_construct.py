@@ -37,6 +37,11 @@ def test_lower_bound_values():
         lower_bound(3, 2, 2)
     with pytest.raises(ValueError):
         lower_bound(3, 3, 0)
+    for q in (0, 1, 6, 10, 12):
+        with pytest.raises(ValueError, match=f"q={q} is not a prime power"):
+            lower_bound(q, 4, 2)
+    for q in (2, 4, 8, 9, 13, 65536):
+        assert lower_bound(q, 4, 2) == -(-(q ** 3 - 1) * 2 // (q - 1))
 
 
 def test_edge_span_single_vertex():
@@ -152,6 +157,28 @@ def test_span_dump_budget_matches_resorting_each_chunk(p, m, k, chunk_rows, monk
         assert ((got.value.budget, got.value.limit, got.value.required)
                 == (want.value.budget, want.value.limit, want.value.required)), cap
     assert edge_span_union(h, sup, point_cap=size).size == size
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 1, 6), (3, 1, 5), (3, 2, 4)],
+                         ids=["GF(2)", "GF(3)", "GF(9)"])
+def test_span_dump_buffer_holds_the_budget_and_one_chunk(p, m, k, monkeypatch):
+    sup, h = _mixed_span_instance(p, m, k)
+    size = edge_span_union(h, sup).size
+    monkeypatch.setattr(construct, "SPAN_CHUNK_ROWS", 8)
+    buffers = []
+    image = construct._image
+    monkeypatch.setattr(construct, "_image", lambda fld, coeffs, cols, out:
+                        buffers.append(len(out.base)) or image(fld, coeffs, cols, out))
+    chunk = max(8, (sup.field.q - 1) ** 2)  # the most rows a chunk of faces of size <= 3 images
+    for cap in (1, size // 3, size - 1, size):
+        buffers.clear()
+        if cap < size:
+            with pytest.raises(BudgetExceededError) as err:
+                edge_span_union(h, sup, point_cap=cap)
+            assert err.value.limit == cap
+        else:
+            assert edge_span_union(h, sup, point_cap=cap).size == size
+        assert len(set(buffers)) == 1 and buffers[0] <= cap + chunk  # one buffer per dump
 
 
 FACE_FIELDS = pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (13, 1)],

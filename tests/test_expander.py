@@ -398,6 +398,26 @@ def test_neighborhoods_reject_centres_outside_the_graph(centres):
         cycle_graph(6).neighborhoods(1, centres=np.array(centres))
 
 
+@pytest.mark.parametrize("radius,closed", [(1, False), (1, True), (2, False)])
+@pytest.mark.parametrize("centres", [[0, 2], (5, 0, 5), range(3, 7), np.array([6, 1], np.uint8),
+                                     [], ()], ids=["list", "tuple", "range", "uint8", "[]", "()"])
+def test_neighborhoods_take_any_integer_sequence(centres, radius, closed):
+    g = Graph(7, [(i, i + 1) for i in range(6)] + [(0, 4)])
+    values, ends = g.neighborhoods(radius, closed=closed, centres=centres)
+    want = g.neighborhoods(radius, closed=closed, centres=np.array(centres, dtype=np.int64))
+    assert all(a.tolist() == b.tolist() and a.dtype == b.dtype
+               for a, b in zip((values, ends), want))
+    lists = np.split(values, ends[:-1]) if len(ends) else []
+    assert [tuple(v.tolist()) for v in lists] == [
+        tuple(y for y in ball(g, int(x), radius) if closed or y != x) for x in centres]
+
+
+@pytest.mark.parametrize("centres", [[0.5], [True, False], np.array([1.0]), ["0"]])
+def test_neighborhoods_reject_centres_that_are_not_integers(centres):
+    with pytest.raises(ValueError, match="centres must be integers"):
+        cycle_graph(6).neighborhoods(1, centres=centres)
+
+
 def test_ball_degree_bound(lps_5_13):
     g = lps_5_13
     d = g.degree

@@ -233,6 +233,8 @@ def test_cover_scan_matches_meet_rank_scan(monkeypatch, p, m, k):
                                     for piv, block in rref_blocks(fld, k, k - s)])
             failing = np.nonzero(ranks < k - s)[0]
             assert verify._cover_scan(b, s).tolist() == failing.tolist()
+            assert verify._meet_scan(b, s, True).tolist() == failing.tolist()
+            assert verify._meet_scan(b, s, False)[:1].tolist() == failing[:1].tolist()
             deficits.update((k - s - ranks[failing]).tolist())
             reports = {}
             for cover in (True, False):
